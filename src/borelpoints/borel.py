@@ -11,9 +11,10 @@ exchange set {1}, so one code path covers both cases.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 
-from .monomial_ideal import Monomial, MonomialIdeal
+from .monomial_ideal import Monomial, MonomialIdeal, canonical_key, max_index
 
 
 @dataclass(frozen=True)
@@ -122,11 +123,21 @@ def expandable_generators(I: MonomialIdeal) -> list[Monomial]:
     """Generators at which I can be expanded, in canonical order.
 
     g qualifies when no generator of I equals x_i^{-1} x_{i+1} g for some
-    x_i dividing g with i < n - 1.  The caller must supply a saturated
-    strongly stable ideal.
+    x_i dividing g with i < n - 1.  I must be saturated and strongly
+    stable; this public entry point checks that once and raises
+    ValueError otherwise.  The Reeves walk calls the unchecked
+    _expandable, since every ideal it visits has that property by
+    construction (see the reeves module).
     """
-    assert is_strongly_stable(I), "expandability needs a strongly stable ideal"
-    assert I.saturate() == I, "expandability needs a saturated ideal"
+    if not is_strongly_stable(I):
+        raise ValueError(f"expansion needs a strongly stable ideal, got {I}")
+    if I.saturate() != I:
+        raise ValueError(f"expansion needs a saturated ideal, got {I}")
+    return _expandable(I)
+
+
+def _expandable(I: MonomialIdeal) -> list[Monomial]:
+    """expandable_generators without the precondition check."""
     n = I.num_vars - 1
     gen_set = frozenset(I.gens)
     out = []
@@ -144,16 +155,35 @@ def expand(I: MonomialIdeal, g: Monomial) -> MonomialIdeal:
     """Replace the generator g by g*x_j for max(g) <= j <= n-1.
 
     The result is again saturated strongly stable and its Hilbert
-    polynomial is one more than that of I.
+    polynomial is one more than that of I.  Raises ValueError unless I is
+    saturated and strongly stable and g is one of its expandable
+    generators other than the unit monomial.  These checks happen here
+    only; the Reeves walk calls the unchecked _expand.
     """
     if g not in expandable_generators(I):
         raise ValueError(f"{g} is not an expandable generator of {I}")
-    n = I.num_vars - 1
     if not any(g):
         raise ValueError("cannot expand at the unit monomial")
-    top = max(i for i, e in enumerate(g) if e > 0)
-    new_gens = [h for h in I.gens if h != g]
-    new_gens.extend(
-        g[:j] + (g[j] + 1,) + g[j + 1 :] for j in range(top, n)
-    )
-    return MonomialIdeal.from_generators(new_gens, I.num_vars)
+    return _expand(I, g)
+
+
+def _expand(I: MonomialIdeal, g: Monomial) -> MonomialIdeal:
+    """expand without the checks: g must be a non-unit expandable generator
+    of the saturated strongly stable ideal I.
+
+    The result needs no minimalization.  The generators other than g stay
+    minimal, since none of them is a multiple of g, and the new multiples
+    g*x_j share one degree, so none divides another.  Nor can another
+    generator h divide some g*x_j: h would have one more x_j than g and
+    no more of any other variable, so shifting that x_j down to some x_i
+    with i < j and h_i < g_i (strong stability) would put a divisor of g
+    in I.  As g is minimal, that divisor is g, so h = x_i^{-1} x_j g.
+    Shifting its x_j down to x_{i+1} puts x_i^{-1} x_{i+1} g in I, and by
+    the same argument as a minimal generator, which would block g.  So
+    the multiples are simply inserted at their canonical place.  The
+    tests compare this with from_generators.
+    """
+    gens = [h for h in I.gens if h != g]
+    for j in range(max_index(g), I.num_vars - 1):
+        insort(gens, g[:j] + (g[j] + 1,) + g[j + 1 :], key=canonical_key)
+    return MonomialIdeal(I.num_vars, tuple(gens))

@@ -142,7 +142,8 @@ def enumerate_borel_fixed(
         ideal = node.ideal
         if ideal.is_zero:
             continue
-        assert ideal.saturate() == ideal
+        if ideal.saturate() != ideal:
+            raise RuntimeError(f"exhaustive search produced unsaturated ideal {ideal}")
         if ideal.hilbert_polynomial().polynomial == partition:
             found.add(ideal)
     return frozenset(found)

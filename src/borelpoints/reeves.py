@@ -12,6 +12,14 @@ polynomial by one); the survivors are then lifted unchanged into a ring
 with one more variable for the next level.  Lifting can overshoot the
 next target by a constant, and ideals whose gap would be negative are
 dropped.
+
+Preconditions are checked once, at the public boundary, and never inside
+the walk.  The public borel.expand and borel.expandable_generators check
+that their ideal is saturated and strongly stable; the walk calls their
+unchecked forms _expand and _expandable instead.  That is safe because
+the start ideal is saturated and strongly stable by construction, and
+both expansion and lifting preserve the property, so every ideal the
+walk visits has it.  The tests check it on the outputs.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ from dataclasses import dataclass
 
 from .hilbert_poly import GotzmannPartition, constant_difference
 from .monomial_ideal import MonomialIdeal
-from .borel import expand, expandable_generators
+from .borel import _expand, _expandable
 
 
 @dataclass(frozen=True)
@@ -41,8 +49,8 @@ def _expansions(
     key = (ideal, steps)
     if key not in memo:
         out = set()
-        for g in expandable_generators(ideal):
-            out |= _expansions(expand(ideal, g), steps - 1, memo)
+        for g in _expandable(ideal):
+            out |= _expansions(_expand(ideal, g), steps - 1, memo)
         memo[key] = frozenset(out)
     return memo[key]
 

@@ -9,7 +9,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from borelpoints import MonomialIdeal
+from borelpoints import GotzmannPartition, MonomialIdeal
 
 
 def brute_standard_count(gens, num_vars, d):
@@ -67,3 +67,12 @@ def all_partitions(max_length, max_part):
         for first in range(max_part, -1, -1):
             extend((first,), r)
     return out
+
+
+def mini_grid():
+    """Small (partition, n) cells for the Reeves walk."""
+    cells = []
+    for parts in all_partitions(4, 2):
+        for c in (2, 3):
+            cells.append((GotzmannPartition(parts), c + parts[0]))
+    return cells

@@ -1,4 +1,12 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from borelpoints import (
     CHAR0,
@@ -6,6 +14,7 @@ from borelpoints import (
     MonomialIdeal,
     borel_closure,
     digitwise_leq,
+    enumerate_strongly_stable,
     exchange_amounts,
     expand,
     expandable_generators,
@@ -13,9 +22,9 @@ from borelpoints import (
     is_strongly_stable,
     monomials_of_degree,
 )
-from borelpoints.borel import exchange
+from borelpoints.borel import _expand, exchange
 
-from conftest import ideal
+from conftest import ideal, mini_grid
 
 P2 = Characteristic(2)
 P3 = Characteristic(3)
@@ -177,3 +186,87 @@ class TestExpansion:
                 assert E.hilbert_polynomial().polynomial == p.increment()
                 assert is_strongly_stable(E)
                 assert E.saturate() == E
+
+
+def expand_from_scratch(I, g):
+    """Reference for _expand: the same generator list, minimalized from
+    scratch by from_generators."""
+    top = max(i for i, e in enumerate(g) if e > 0)
+    gens = [h for h in I.gens if h != g]
+    gens.extend(
+        g[:j] + (g[j] + 1,) + g[j + 1 :] for j in range(top, I.num_vars - 1)
+    )
+    return MonomialIdeal.from_generators(gens, I.num_vars)
+
+
+@st.composite
+def saturated_strongly_stable(draw):
+    num_vars = draw(st.integers(2, 4))
+    monomial = st.lists(
+        st.integers(0, 3), min_size=num_vars, max_size=num_vars
+    ).filter(lambda e: 1 <= sum(e) <= 4)
+    gens = draw(st.lists(monomial, min_size=1, max_size=3))
+    I = borel_closure([tuple(g) for g in gens], CHAR0, num_vars).saturate()
+    assume(not I.is_unit)
+    return I
+
+
+class TestIncrementalExpand:
+    def test_matches_from_generators_on_walk_outputs(self):
+        for partition, n in mini_grid():
+            for I in enumerate_strongly_stable(partition, n):
+                for g in expandable_generators(I):
+                    assert _expand(I, g) == expand_from_scratch(I, g), (
+                        str(I),
+                        g,
+                    )
+
+    @settings(max_examples=200, deadline=None)
+    @given(saturated_strongly_stable())
+    def test_matches_from_generators_on_closures(self, I):
+        for g in expandable_generators(I):
+            E = _expand(I, g)
+            assert E == expand_from_scratch(I, g)
+            assert is_strongly_stable(E)
+            assert E.saturate() == E
+
+
+NOT_STRONGLY_STABLE = ideal([(0, 1, 0)], 3)
+NOT_SATURATED = ideal([(1, 0, 0), (0, 2, 0), (0, 1, 1)], 3)
+
+
+class TestPublicPreconditions:
+    @pytest.mark.parametrize("I", [NOT_STRONGLY_STABLE, NOT_SATURATED], ids=str)
+    def test_expandable_generators_raises_value_error(self, I):
+        with pytest.raises(ValueError):
+            expandable_generators(I)
+
+    @pytest.mark.parametrize("I", [NOT_STRONGLY_STABLE, NOT_SATURATED], ids=str)
+    def test_expand_raises_value_error(self, I):
+        for g in I.gens:
+            with pytest.raises(ValueError):
+                expand(I, g)
+
+    def test_checks_survive_optimize_flag(self):
+        code = textwrap.dedent(
+            """
+            from borelpoints import MonomialIdeal, expand, expandable_generators
+            I = MonomialIdeal.from_generators([(1, 0, 0), (0, 2, 0), (0, 1, 1)], 3)
+            for call in (expandable_generators, lambda I: expand(I, I.gens[0])):
+                try:
+                    call(I)
+                except ValueError:
+                    continue
+                raise SystemExit(f"{call} raised no ValueError")
+            """
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        result = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert result.returncode == 0, result.stdout + result.stderr

@@ -12,7 +12,7 @@ from borelpoints import (
 )
 from borelpoints.reeves import _expansions
 
-from conftest import all_partitions, ideal
+from conftest import ideal, mini_grid
 
 
 class TestKnownFamilies:
@@ -43,14 +43,6 @@ class TestKnownFamilies:
     def test_rejects_small_ambient(self):
         with pytest.raises(ValueError):
             enumerate_strongly_stable(GotzmannPartition((1, 1)), 1)
-
-
-def mini_grid():
-    cells = []
-    for parts in all_partitions(4, 2):
-        for c in (2, 3):
-            cells.append((GotzmannPartition(parts), c + parts[0]))
-    return cells
 
 
 class TestOutputInvariants:
@@ -116,3 +108,19 @@ class TestLevels:
         for state in states:
             for I in state.ideals:
                 assert I.hilbert_polynomial().polynomial == state.target
+
+
+class TestPointsLadder:
+    # the walk does not check the ideals it visits, so its outputs are
+    # checked here
+    @pytest.mark.parametrize(
+        "k, count", [(14, 146), (16, 289), (18, 560), (20, 1068)]
+    )
+    def test_points_in_p4(self, k, count):
+        partition = GotzmannPartition((0,) * k)
+        found = enumerate_strongly_stable(partition, 4)
+        assert len(found) == count
+        for I in found:
+            assert is_strongly_stable(I), str(I)
+            assert I.saturate() == I, str(I)
+            assert I.hilbert_polynomial().polynomial == partition, str(I)

@@ -77,9 +77,34 @@ def _emit(args, payload: dict, human_lines) -> int:
     return 0
 
 
+def _json_arg(text: str, flag: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise _UsageError(f"{flag}: invalid JSON ({exc})")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_int_list(value) -> bool:
+    return isinstance(value, list) and all(_is_int(v) for v in value)
+
+
 def _parse_ideal_args(args) -> MonomialIdeal:
     if args.ideal_json:
-        return MonomialIdeal.from_json_dict(json.loads(args.ideal_json))
+        data = _json_arg(args.ideal_json, "--ideal-json")
+        if not (
+            isinstance(data, dict)
+            and _is_int(data.get("num_vars"))
+            and isinstance(data.get("generators"), list)
+            and all(_is_int_list(g) for g in data["generators"])
+        ):
+            raise _UsageError(
+                '--ideal-json must be {"num_vars": N, "generators": [[...], ...]}'
+            )
+        return MonomialIdeal.from_json_dict(data)
     if args.gens is None or args.num_vars is None:
         raise _UsageError("provide --gens with --num-vars, or --ideal-json")
     gens = [
@@ -100,6 +125,8 @@ def cmd_hp(args) -> int:
             partition = getattr(partition, op)()
     r = partition.gotzmann_number
     t1 = args.eval_to if args.eval_to is not None else r + 2
+    if t1 < args.eval_from:
+        raise _UsageError(f"empty evaluation range {args.eval_from}..{t1}")
     values = {t: partition.evaluate(t) for t in range(args.eval_from, t1 + 1)}
     payload = {
         "partition": list(partition.parts),
@@ -228,12 +255,23 @@ def cmd_verify(args) -> int:
     if args.grid == "default":
         grid = _classify.default_grid()
     else:
-        spec = json.loads(args.grid)
+        spec = _json_arg(args.grid, "--grid")
+        if not isinstance(spec, list) or not all(
+            isinstance(cell, dict)
+            and _is_int_list(cell.get("partition"))
+            and _is_int(cell.get("n"))
+            and _is_int(cell.get("char", 0))
+            for cell in spec
+        ):
+            raise _UsageError(
+                '--grid must be "default" or a JSON list of '
+                '{"partition": [...], "n": N, "char": p} objects ("char" optional)'
+            )
         grid = [
             _classify.SchemeCoordinates(
                 GotzmannPartition(tuple(cell["partition"])),
-                int(cell["n"]),
-                Characteristic(int(cell.get("char", 0))),
+                cell["n"],
+                Characteristic(cell.get("char", 0)),
             )
             for cell in spec
         ]
@@ -269,6 +307,8 @@ def _tree_lines(node: _classify.TreeNode, indent: int = 0):
 
 
 def cmd_tree(args) -> int:
+    if args.depth < 0:
+        raise _UsageError("--depth must be nonnegative")
     node = _classify.explore_tree(
         args.codim,
         args.depth,

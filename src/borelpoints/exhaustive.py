@@ -7,14 +7,33 @@ to the Gotzmann number r.  Saturation pins the candidates down further: a
 minimal generator of a saturated ideal is never divisible by the last
 variable, and exchanges only move exponents to lower indices, so the
 closure of a last-variable-free monomial is generated by such monomials.
+The only Borel machinery used is Pardue's closure, borel.borel_closure.
 
 The search therefore proceeds degree by degree from 1 to r, branching
 over sets of generator orbits (closures of single last-variable-free
-monomials) to add at each degree.  States are deduplicated by the
-canonical ideal form, and a branch dies as soon as its Hilbert function
-falls below the target value at any degree >= r, since adding generators
-only removes standard monomials.  Survivors are filtered at the end for
-the exact Hilbert polynomial.
+monomials) to add at each degree.  A branch dies as soon as its Hilbert
+function falls below the target value at a checkpoint r, ..., D with
+D = r + deg(p) + 1, since adding generators only removes standard
+monomials.  Survivors are filtered at the end for the exact Hilbert
+polynomial.
+
+A search state is one int, a Borel set in the sense of
+Cioffi-Lella-Marinari-Roggero: bit i stands for the i-th monomial of
+degree 0..D in x_0, ..., x_{n-1}, in canonical order, and is set when
+that monomial lies in the ideal.  Every state is generated by monomials
+free of the last variable, so with S' = K[x_0, ..., x_{n-1}] and I' the
+ideal of S' with the same generators, S/I = (S'/I')[x_n] and
+
+    HF(d) = sum_{e <= d} (#S'_e - #(I' in degree e)),
+
+the number of clear bits of degree <= d: one popcount per checkpoint.
+The ideal generated by an orbit is the union of the multiples of its
+generators, a precomputed mask, so adding an orbit is a bitwise OR and
+comparing states is comparing ints.  Generators have degree <= r <= D,
+so the mask determines the ideal and states deduplicate by their masks.
+A MonomialIdeal is built only for the states alive after each degree:
+its minimal generators are the set bits whose one-step divisors are all
+clear.
 """
 
 from __future__ import annotations
@@ -45,22 +64,54 @@ class SearchNode:
     hf_prefix: tuple[int, ...]
 
 
-def _orbit_candidates(
-    ideal: MonomialIdeal, deg: int, ch: Characteristic
-) -> list[MonomialIdeal]:
-    """Distinct closures of degree-deg monomials outside the ideal.
+class _Layout:
+    """Bit positions of the last-variable-free monomials of degree <= top.
 
-    Only last-variable-free monomials can minimally generate a saturated
-    ideal, so the last exponent is pinned to zero.
+    monomials[i] is the monomial of bit i, in canonical order, so that
+    degree d occupies bits start[d] to start[d + 1] - 1.  below[d] has the
+    bits of degree <= d set, parents[i] the bits of the one-step divisors
+    of monomial i, and multiples[i] the bits of all its multiples.
     """
-    seen = {}
-    for body in monomials_of_degree(deg, ideal.num_vars - 1):
-        m = body + (0,)
-        if ideal.contains(m):
-            continue
-        orbit = _orbit(m, ch, ideal.num_vars)
-        seen.setdefault(orbit.gens, orbit)
-    return [seen[k] for k in sorted(seen)]
+
+    def __init__(self, num_vars: int, top: int):
+        free = num_vars - 1
+        self.monomials = []
+        self.start = []
+        for d in range(top + 1):
+            self.start.append(len(self.monomials))
+            self.monomials.extend(m + (0,) for m in monomials_of_degree(d, free))
+        self.start.append(len(self.monomials))
+        self.below = [(1 << s) - 1 for s in self.start[1:]]
+        self.index = {m: i for i, m in enumerate(self.monomials)}
+
+        def step(m: Monomial, k: int, by: int) -> int:
+            return self.index[m[:k] + (m[k] + by,) + m[k + 1 :]]
+
+        self.parents = [
+            sum(1 << step(m, k, -1) for k in range(free) if m[k])
+            for m in self.monomials
+        ]
+        self.multiples = [0] * len(self.monomials)
+        # higher degrees first, so every one-step multiple is already done
+        for i in range(len(self.monomials) - 1, -1, -1):
+            m = self.monomials[i]
+            mask = 1 << i
+            if i < self.start[top]:
+                for k in range(free):
+                    mask |= self.multiples[step(m, k, 1)]
+            self.multiples[i] = mask
+
+    def hilbert_function(self, mask: int, d: int) -> int:
+        return (self.below[d] & ~mask).bit_count()
+
+    def ideal(self, mask: int, deg: int, num_vars: int) -> MonomialIdeal:
+        """The ideal of a state whose generators have degree <= deg."""
+        gens = tuple(
+            self.monomials[i]
+            for i in range(self.start[deg + 1])
+            if mask >> i & 1 and not mask & self.parents[i]
+        )
+        return MonomialIdeal(num_vars, gens)
 
 
 def _check_feasible(partition: GotzmannPartition, n: int, force: bool):
@@ -83,44 +134,60 @@ def search_levels(
     _check_feasible(partition, n, force)
     r = partition.gotzmann_number
     num_vars = n + 1
-    checkpoints = [r + i for i in range(partition.degree + 2)]
-    targets = {d: partition.evaluate(d) for d in checkpoints}
-    p_r = targets[r]
+    top = r + partition.degree + 1
+    layout = _Layout(num_vars, top)
+    checks = [(layout.below[d], partition.evaluate(d)) for d in range(r, top + 1)]
+    p_r = checks[0][1]
+    orbit_masks: dict[int, int] = {}
 
-    def viable(ideal: MonomialIdeal) -> bool:
-        return all(ideal.hilbert_function(d) >= targets[d] for d in checkpoints)
+    def orbit_mask(i: int) -> int:
+        """Mask of the ideal generated by the closure of monomial i."""
+        if i not in orbit_masks:
+            mask = 0
+            for g in _orbit(layout.monomials[i], ch, num_vars).gens:
+                mask |= layout.multiples[layout.index[g]]
+            orbit_masks[i] = mask
+        return orbit_masks[i]
 
-    states = {MonomialIdeal.zero(num_vars)}
+    def viable(mask: int) -> bool:
+        return all((below & ~mask).bit_count() >= target for below, target in checks)
+
+    states = {0}
     for deg in range(1, r + 1):
-        next_states: set[MonomialIdeal] = set()
-        for ideal in states:
-            orbits = _orbit_candidates(ideal, deg, ch)
+        below_deg = layout.below[deg]
+        candidates = range(layout.start[deg], layout.start[deg + 1])
+        next_states: set[int] = set()
+        for state in states:
+            # distinct orbits of the degree-deg monomials outside the state
+            orbits = list(
+                dict.fromkeys(orbit_mask(i) for i in candidates if not state >> i & 1)
+            )
 
-            def grow(i: int, cur: MonomialIdeal):
+            def grow(i: int, cur: int):
                 if i == len(orbits):
                     # values at degrees <= deg are final after this level, and
                     # the Hilbert function of a last-variable-free ideal is
                     # nondecreasing, so overshooting p(r) now is fatal
-                    if cur.hilbert_function(deg) <= p_r:
+                    if (below_deg & ~cur).bit_count() <= p_r:
                         next_states.add(cur)
                     return
                 grow(i + 1, cur)
-                joined = MonomialIdeal.from_generators(
-                    cur.gens + orbits[i].gens, num_vars
-                )
+                joined = cur | orbits[i]
                 if joined != cur and viable(joined):
                     grow(i + 1, joined)
 
-            grow(0, ideal)
+            grow(0, state)
         states = next_states
-        yield [
+        nodes = [
             SearchNode(
                 deg,
-                ideal,
-                tuple(ideal.hilbert_function(d) for d in range(deg + 1)),
+                layout.ideal(state, deg, num_vars),
+                tuple(layout.hilbert_function(state, d) for d in range(deg + 1)),
             )
-            for ideal in sorted(states, key=lambda i: i.gens)
+            for state in states
         ]
+        nodes.sort(key=lambda node: node.ideal.gens)
+        yield nodes
 
 
 def enumerate_borel_fixed(

@@ -9,7 +9,13 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from borelpoints import GotzmannPartition, MonomialIdeal
+from borelpoints import (
+    GotzmannPartition,
+    MonomialIdeal,
+    SearchNode,
+    borel_closure,
+    monomials_of_degree,
+)
 
 
 def brute_standard_count(gens, num_vars, d):
@@ -76,3 +82,64 @@ def mini_grid():
         for c in (2, 3):
             cells.append((GotzmannPartition(parts), c + parts[0]))
     return cells
+
+
+def reference_search_levels(partition, n, ch):
+    """The exhaustive search on MonomialIdeal values, with no guard.
+
+    The library's search_levels runs the same branching on bitsets; this
+    version joins generator sets with from_generators and evaluates the
+    Hilbert function through the numerator, so the two can be compared
+    level by level.
+    """
+    r = partition.gotzmann_number
+    num_vars = n + 1
+    checkpoints = [r + i for i in range(partition.degree + 2)]
+    targets = {d: partition.evaluate(d) for d in checkpoints}
+    p_r = targets[r]
+
+    def viable(ideal):
+        return all(ideal.hilbert_function(d) >= targets[d] for d in checkpoints)
+
+    closures = {}
+
+    def orbit_candidates(ideal, deg):
+        seen = {}
+        for body in monomials_of_degree(deg, num_vars - 1):
+            m = body + (0,)
+            if ideal.contains(m):
+                continue
+            if m not in closures:
+                closures[m] = borel_closure((m,), ch, num_vars)
+            orbit = closures[m]
+            seen.setdefault(orbit.gens, orbit)
+        return [seen[k] for k in sorted(seen)]
+
+    states = {MonomialIdeal.zero(num_vars)}
+    for deg in range(1, r + 1):
+        next_states = set()
+        for ideal in states:
+            orbits = orbit_candidates(ideal, deg)
+
+            def grow(i, cur):
+                if i == len(orbits):
+                    if cur.hilbert_function(deg) <= p_r:
+                        next_states.add(cur)
+                    return
+                grow(i + 1, cur)
+                joined = MonomialIdeal.from_generators(
+                    cur.gens + orbits[i].gens, num_vars
+                )
+                if joined != cur and viable(joined):
+                    grow(i + 1, joined)
+
+            grow(0, ideal)
+        states = next_states
+        yield [
+            SearchNode(
+                deg,
+                ideal,
+                tuple(ideal.hilbert_function(d) for d in range(deg + 1)),
+            )
+            for ideal in sorted(states, key=lambda i: i.gens)
+        ]

@@ -288,3 +288,37 @@ def test_criterion_6_generation_degree_bound(sweep, family_runs):
         60.0,
         detail=f"violations={violations[:3]}",
     )
+
+
+def test_criterion_7_forced_oracle_characteristic_two():
+    # the r = 6, n <= 3 cells of the sweep lie just past the search guard
+    cells = []
+    for parts in all_partitions(SWEEP_MAX_R, SWEEP_MAX_DEG):
+        for c in SWEEP_CODIMS:
+            n = c + parts[0]
+            if len(parts) == SWEEP_MAX_R and n <= ORACLE_MAX_N:
+                cells.append((parts, n))
+    t0 = time.perf_counter()
+    failures = []
+    found = 0
+    for parts, n in cells:
+        partition = GotzmannPartition(parts)
+        oracle = enumerate_borel_fixed(partition, n, P2, force=True)
+        found += len(oracle)
+        for I in oracle:
+            if I.saturate() != I:
+                failures.append(("unsaturated", parts, n, str(I)))
+            if not is_borel_fixed(I, P2):
+                failures.append(("not-borel-fixed", parts, n, str(I)))
+            if I.hilbert_polynomial().polynomial != partition:
+                failures.append(("hilbert-polynomial", parts, n, str(I)))
+        if not enumerate_strongly_stable(partition, n) <= oracle:
+            failures.append(("reeves-not-subset", parts, n))
+    report(
+        7,
+        "forced oracle r=6 n<=3 at p=2 (saturated, 2-Borel, Reeves subset)",
+        len(cells) == 8 and not failures,
+        time.perf_counter() - t0,
+        120.0,
+        detail=f"cells={len(cells)}, ideals={found}, failures={failures[:3]}",
+    )

@@ -58,6 +58,44 @@ class TestExitCodes:
         assert json.loads(err) == {"error": "out of scope: c <= 1", "exit_code": 1}
 
 
+class TestMalformedInput:
+    """Bad JSON shapes and empty ranges are usage errors, never tracebacks."""
+
+    def usage_error(self, capsys, *argv):
+        code, out, err = run(capsys, *argv, "--json")
+        assert code == 2
+        assert out == ""
+        payload = json.loads(err)
+        assert payload["exit_code"] == 2
+        return payload["error"]
+
+    def test_ideal_json_missing_keys(self, capsys):
+        error = self.usage_error(capsys, "check-ideal", "--ideal-json", "{}")
+        assert "--ideal-json" in error
+
+    def test_ideal_json_not_an_object(self, capsys):
+        error = self.usage_error(capsys, "check-ideal", "--ideal-json", "[1]")
+        assert "--ideal-json" in error
+
+    def test_grid_cell_missing_partition(self, capsys):
+        error = self.usage_error(capsys, "verify", "--grid", '[{"n":2}]')
+        assert "--grid" in error
+
+    def test_grid_not_a_list(self, capsys):
+        error = self.usage_error(capsys, "verify", "--grid", '{"a":1}')
+        assert "--grid" in error
+
+    def test_tree_negative_depth(self, capsys):
+        error = self.usage_error(capsys, "tree", "--codim", "2", "--depth", "-3")
+        assert "--depth" in error
+
+    def test_hp_empty_eval_range(self, capsys):
+        error = self.usage_error(
+            capsys, "hp", "--partition", "1,1", "--eval-from", "5", "--eval-to", "2"
+        )
+        assert "empty evaluation range" in error
+
+
 class TestClassifyCommand:
     def test_three_points_in_plane(self, capsys):
         code, out, _ = run(

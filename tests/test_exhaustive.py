@@ -4,7 +4,9 @@ from borelpoints import (
     CHAR0,
     Characteristic,
     GotzmannPartition,
+    SchemeCoordinates,
     SearchBoundError,
+    default_grid,
     enumerate_borel_fixed,
     enumerate_strongly_stable,
     is_borel_fixed,
@@ -12,7 +14,7 @@ from borelpoints import (
     search_levels,
 )
 
-from conftest import ideal
+from conftest import ideal, reference_search_levels
 
 P2 = Characteristic(2)
 P3 = Characteristic(3)
@@ -117,3 +119,32 @@ class TestSearchLevels:
                         node.ideal.hilbert_function(d)
                         for d in range(node.degree + 1)
                     )
+
+
+def _differential_cells():
+    grid = default_grid()
+    cells = [c for c in grid if not c.char.is_zero]
+    cells += [
+        c
+        for c in grid
+        if c.char.is_zero and c.n <= 3 and c.partition.gotzmann_number <= 5
+    ]
+    cells.append(SchemeCoordinates(GotzmannPartition((1, 1, 1, 0)), 4, P2))
+    return cells
+
+
+class TestAgainstReferenceSearch:
+    """The bitset search yields exactly the levels of the search on ideals."""
+
+    @pytest.mark.parametrize(
+        "coords",
+        _differential_cells(),
+        ids=lambda c: f"{','.join(map(str, c.partition.parts))}-n{c.n}-p{c.char}",
+    )
+    def test_levels_match(self, coords):
+        args = (coords.partition, coords.n, coords.char)
+        got = list(search_levels(*args, force=True))
+        expected = list(reference_search_levels(*args))
+        assert len(got) == len(expected) == coords.partition.gotzmann_number
+        for level, (mine, theirs) in enumerate(zip(got, expected), start=1):
+            assert mine == theirs, level

@@ -15,7 +15,6 @@ from .errors import (
     NotAdmissibleError,
     OutOfScopeError,
     SearchBoundError,
-    UnstableWindowError,
 )
 from .hilbert_poly import (
     GotzmannPartition,

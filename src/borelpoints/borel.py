@@ -186,4 +186,4 @@ def _expand(I: MonomialIdeal, g: Monomial) -> MonomialIdeal:
     gens = [h for h in I.gens if h != g]
     for j in range(max_index(g), I.num_vars - 1):
         insort(gens, g[:j] + (g[j] + 1,) + g[j + 1 :], key=canonical_key)
-    return MonomialIdeal(I.num_vars, tuple(gens))
+    return MonomialIdeal._trusted(I.num_vars, tuple(gens))

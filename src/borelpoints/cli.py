@@ -12,12 +12,7 @@ import argparse
 import json
 import sys
 
-from .errors import (
-    NotAdmissibleError,
-    OutOfScopeError,
-    SearchBoundError,
-    UnstableWindowError,
-)
+from .errors import NotAdmissibleError, OutOfScopeError, SearchBoundError
 from .hilbert_poly import GotzmannPartition, MacaulayPartition
 from .monomial_ideal import MonomialIdeal, parse_monomial
 from .borel import Characteristic, is_borel_fixed, is_strongly_stable
@@ -174,7 +169,6 @@ def cmd_check_ideal(args) -> int:
         if data.polynomial is None
         else list(data.polynomial.parts),
         "stabilization_degree": data.stabilization_degree,
-        "window_doublings": data.window_doublings,
     }
     lines = [
         f"ideal             {ideal}",
@@ -432,7 +426,7 @@ def main(argv=None) -> int:
     except SearchBoundError as exc:
         _fail(args, str(exc), 3)
         return 3
-    except (NotAdmissibleError, OutOfScopeError, UnstableWindowError, ValueError) as exc:
+    except (NotAdmissibleError, OutOfScopeError, ValueError) as exc:
         _fail(args, str(exc), 1)
         return 1
 

@@ -5,10 +5,6 @@ class NotAdmissibleError(ValueError):
     """Input does not describe a nonzero admissible Hilbert polynomial."""
 
 
-class UnstableWindowError(RuntimeError):
-    """A Hilbert-function sample window failed to stabilize after retries."""
-
-
 class OutOfScopeError(ValueError):
     """Classification query outside the supported codimension range."""
 

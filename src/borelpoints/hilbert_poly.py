@@ -17,7 +17,7 @@ is exact; no rational coefficients ever appear.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, factorial
+from math import comb
 
 from .errors import NotAdmissibleError
 
@@ -32,16 +32,18 @@ def binomial(j: int, k: int) -> int:
 def binomial_poly(t: int, a: int, b: int) -> int:
     """Value at integer t of the polynomial C(t + a, b).
 
-    For b >= 0 this is (t+a)(t+a-1)...(t+a-b+1)/b!, which may be negative
-    for small t; for b < 0 it is the zero polynomial.  The product of b
-    consecutive integers is divisible by b!, so the division is exact.
+    For b >= 0 this is x(x-1)...(x-b+1)/b! with x = t + a, which may be
+    negative for small t; for b < 0 it is the zero polynomial.  For
+    x >= 0 it is the count C(x, b), zero when x < b; for x < 0 the b
+    factors are the negatives of -x, ..., b - x - 1, so it is
+    (-1)^b C(b - x - 1, b).
     """
     if b < 0:
         return 0
-    num = 1
-    for i in range(b):
-        num *= t + a - i
-    return num // factorial(b)
+    x = t + a
+    if x >= 0:
+        return comb(x, b)
+    return -comb(b - x - 1, b) if b % 2 else comb(b - x - 1, b)
 
 
 @dataclass(frozen=True)
@@ -217,6 +219,33 @@ def peel_to_partition(
             raise NotAdmissibleError("peel went negative at the window top")
         parts.append(d)
     return GotzmannPartition(tuple(parts))
+
+
+def partition_from_values(values) -> GotzmannPartition:
+    """Partition of the polynomial p whose values p(0), p(1), ... are given.
+
+    The values must be exact polynomial values, at least two more of them
+    than the degree of p; unlike peel_to_partition this needs no window
+    past any regularity.  The Macaulay parts are peeled from the top: if
+    p has degree d, its d-th finite difference is the constant e_d, and
+    subtracting C(t + d, d + 1) - C(t + d - e_d, d + 1) leaves a
+    polynomial of lower degree whose top difference is e_{d-1}, and so on
+    down to e_0.  Raises NotAdmissibleError for the zero polynomial, or
+    when the parts are not those of an admissible polynomial.
+    """
+    rem = list(values)
+    d = _window_degree(rem)
+    if d < 0:
+        raise NotAdmissibleError("zero polynomial has no partition")
+    e = [0] * (d + 1)
+    for i in range(d, -1, -1):
+        row = rem
+        for _ in range(i):
+            row = [row[k + 1] - row[k] for k in range(len(row) - 1)]
+        e[i] = row[0]
+        for t in range(len(rem)):
+            rem[t] -= binomial_poly(t, i, i + 1) - binomial_poly(t, i - e[i], i + 1)
+    return MacaulayPartition(tuple(e)).to_gotzmann()
 
 
 def constant_difference(p: GotzmannPartition, q: GotzmannPartition) -> int:

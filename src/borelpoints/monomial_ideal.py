@@ -17,12 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .errors import NotAdmissibleError, UnstableWindowError
 from .hilbert_poly import (
     GotzmannPartition,
-    SampledPolynomial,
     binomial,
-    peel_to_partition,
+    binomial_poly,
+    partition_from_values,
 )
 
 Monomial = tuple[int, ...]
@@ -136,6 +135,16 @@ class MonomialIdeal:
                 raise ValueError("negative exponent in generator")
 
     @classmethod
+    def _trusted(cls, num_vars: int, gens: tuple[Monomial, ...]) -> "MonomialIdeal":
+        """Build from generators already known to be valid, minimal and in
+        canonical order, skipping the checks of __post_init__.  For the
+        ideal operations that derive such generators from a valid ideal."""
+        ideal = object.__new__(cls)
+        object.__setattr__(ideal, "num_vars", num_vars)
+        object.__setattr__(ideal, "gens", gens)
+        return ideal
+
+    @classmethod
     def from_generators(cls, gens, num_vars: int) -> "MonomialIdeal":
         gens = tuple(tuple(g) for g in gens)
         return cls(num_vars, _minimal_gens(gens))
@@ -178,7 +187,7 @@ class MonomialIdeal:
 
     def lift(self) -> "MonomialIdeal":
         """Same generators in a ring with one more variable."""
-        return MonomialIdeal(
+        return MonomialIdeal._trusted(
             self.num_vars + 1, tuple(g + (0,) for g in self.gens)
         )
 
@@ -201,12 +210,10 @@ class MonomialIdeal:
         """Number of degree-d monomials outside I (dimension of (S/I)_d)."""
         if d < 0:
             raise ValueError("degree must be nonnegative")
-        n = self.num_vars - 1
-        num = self.hilbert_numerator()
-        return sum(c * binomial(d - j + n, n) for j, c in enumerate(num) if c)
+        return _function_value(self.hilbert_numerator(), self.num_vars, d)
 
-    def hilbert_polynomial(self, reg_hint: int | None = None) -> "HilbertData":
-        return hilbert_polynomial(self, reg_hint)
+    def hilbert_polynomial(self) -> "HilbertData":
+        return hilbert_polynomial(self)
 
     def __str__(self) -> str:
         if self.is_zero:
@@ -282,6 +289,26 @@ def _numerator(gens: tuple[Monomial, ...], num_vars: int) -> tuple[int, ...]:
     )
 
 
+def _function_value(numerator, num_vars: int, d: int) -> int:
+    """HF(d) = sum_j c_j C(d - j + n, n), binomials by the counting convention."""
+    n = num_vars - 1
+    return sum(c * binomial(d - j + n, n) for j, c in enumerate(numerator) if c)
+
+
+def hilbert_polynomial_values(numerator, num_vars: int, ts) -> list[int]:
+    """HP(t) for each t in ts, for the quotient whose Hilbert series is
+    numerator(t) / (1 - t)^num_vars.
+
+    HP(t) = sum_j c_j C(t - j + n, n) with each binomial read as a
+    polynomial in t (binomial_poly), so the values are exact at every t,
+    also below the degree where HF and HP meet.  Trailing zero
+    coefficients change nothing.
+    """
+    n = num_vars - 1
+    terms = [(n - j, c) for j, c in enumerate(numerator) if c]
+    return [sum(c * binomial_poly(t, a, n) for a, c in terms) for t in ts]
+
+
 def hilbert_function_by_enumeration(ideal: MonomialIdeal, d: int) -> int:
     """Reference implementation: walk every degree-d monomial."""
     return sum(
@@ -316,57 +343,46 @@ def hilbert_function_by_lcm(ideal: MonomialIdeal, d: int) -> int:
 class HilbertData:
     """Hilbert function values, the matching polynomial, and where they meet.
 
-    polynomial is None exactly when the ideal is the unit ideal (the zero
-    polynomial has no partition).  window_doublings counts how many times
-    the sample window had to be pushed out before it stabilized.
+    polynomial is None exactly when the Hilbert polynomial is zero: for
+    the unit ideal, and for any ideal with finite-dimensional quotient
+    (the zero polynomial has no partition).  function_values holds HF(d)
+    for 0 <= d < max(D, stabilization_degree) + n + 6, where D is the
+    largest generator degree plus num_vars.
     """
 
     ideal: MonomialIdeal
     function_values: dict[int, int] = field(compare=False)
     polynomial: GotzmannPartition | None
     stabilization_degree: int
-    window_doublings: int = 0
 
     @property
     def is_zero_polynomial(self) -> bool:
         return self.polynomial is None
 
 
-def hilbert_polynomial(
-    ideal: MonomialIdeal, reg_hint: int | None = None
-) -> HilbertData:
-    """Compute the Hilbert polynomial of S/I as a Gotzmann partition.
+def hilbert_polynomial(ideal: MonomialIdeal) -> HilbertData:
+    """Compute the Hilbert polynomial of S/I as a Gotzmann partition, exactly.
 
-    Samples the Hilbert function on a window based at
-    D = max(reg_hint, maxgendeg + num_vars), peels the partition, then
-    verifies agreement at three further degrees.  On verification failure
-    the window base is doubled, up to three times.  An all-zero window
-    (the unit ideal, or any ideal with finite-dimensional quotient) yields
-    the zero polynomial, reported with polynomial None.
+    Both come from the numerator N(t) = sum_j c_j t^j of the Hilbert
+    series N(t)/(1-t)^(n+1) of S/I: HF(d) = sum_j c_j C(d - j + n, n)
+    with the counting convention, and HP(t) is the same sum with each
+    binomial read as a polynomial in t.  A term of the two sums differs
+    only where d - j + n < 0, so HF(d) = HP(d) for all d >= deg N - n,
+    while at d = deg N - n - 1 exactly the top term differs, by
+    (-1)^n c_top.  The stabilization degree is therefore
+    max(deg N - n, 0), with no window to sample or verify.  The
+    partition is read off the exact values HP(0), ..., HP(n+1) by
+    partition_from_values; an all-zero HP (the unit ideal, or any ideal
+    with finite-dimensional quotient) is reported with polynomial None.
     """
     n = ideal.num_vars - 1
-    base0 = max(reg_hint or 0, ideal.max_generator_degree + ideal.num_vars, 1)
-    width = n + 3
-    for doublings in range(4):
-        base = base0 * 2**doublings
-        window = [ideal.hilbert_function(d) for d in range(base, base + width)]
-        checks = range(base + width, base + width + 3)
-        if not any(window):
-            part = None
-        else:
-            try:
-                part = peel_to_partition(SampledPolynomial(base, tuple(window)))
-            except NotAdmissibleError:
-                continue
-        expected = (lambda d: 0) if part is None else part.evaluate
-        if all(ideal.hilbert_function(d) == expected(d) for d in checks):
-            values = {d: ideal.hilbert_function(d) for d in range(base + width + 3)}
-            stab = 0
-            for d in range(base + width + 2, -1, -1):
-                if values[d] != expected(d):
-                    stab = d + 1
-                    break
-            return HilbertData(ideal, values, part, stab, doublings)
-    raise UnstableWindowError(
-        f"Hilbert function of {ideal} did not stabilize after 3 window doublings"
-    )
+    num = ideal.hilbert_numerator()
+    deg = max((j for j, c in enumerate(num) if c), default=-1)
+    stab = max(deg - n, 0)
+    values = hilbert_polynomial_values(num, ideal.num_vars, range(n + 2))
+    part = partition_from_values(values) if any(values) else None
+    top = max(ideal.max_generator_degree + ideal.num_vars, stab) + n + 6
+    function_values = {
+        d: _function_value(num, ideal.num_vars, d) for d in range(top)
+    }
+    return HilbertData(ideal, function_values, part, stab)

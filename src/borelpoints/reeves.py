@@ -13,21 +13,40 @@ with one more variable for the next level.  Lifting can overshoot the
 next target by a constant, and ideals whose gap would be negative are
 dropped.
 
+The walk never computes a Hilbert polynomial from scratch.  It carries
+the numerator N(t) of each ideal's Hilbert series N(t)/(1-t)^(n+1) in
+K[x_0, ..., x_n], since both of its moves change N in closed form: the
+start ideal has N = (1-t)^c, an expansion at a generator of degree a
+adds t^a (1-t)^n (see _expanded_numerator), and a lift leaves N as it
+is, because S[x_{n+1}]/I S[x_{n+1}] = (S/I)[x_{n+1}] divides both the
+series and its denominator by 1 - t.  The numerators are kept in dicts
+scoped to one enumeration_levels call, and only on levels that a lift
+follows.
+
+The gap, or deficit, at level j is q_j(t) - sum_i c_i C(t - i + n, n)
+with each binomial read as a polynomial in t
+(monomial_ideal.hilbert_polynomial_values).  That is an identity of
+polynomials, exact at every t and not only past the regularity, so the
+walk evaluates it at deg q_j + 2 points and raises ValueError unless it
+is constant.
+
 Preconditions are checked once, at the public boundary, and never inside
 the walk.  The public borel.expand and borel.expandable_generators check
 that their ideal is saturated and strongly stable; the walk calls their
 unchecked forms _expand and _expandable instead.  That is safe because
 the start ideal is saturated and strongly stable by construction, and
 both expansion and lifting preserve the property, so every ideal the
-walk visits has it.  The tests check it on the outputs.
+walk visits has it.  The tests check it on the outputs, and check the
+carried numerators against hilbert_numerator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
-from .hilbert_poly import GotzmannPartition, constant_difference
-from .monomial_ideal import MonomialIdeal
+from .hilbert_poly import GotzmannPartition
+from .monomial_ideal import MonomialIdeal, hilbert_polynomial_values
 from .borel import _expand, _expandable
 
 
@@ -40,23 +59,65 @@ class ReevesState:
     ideals: frozenset[MonomialIdeal]
 
 
+def _expanded_numerator(
+    num: tuple[int, ...], a: int, n: int
+) -> tuple[int, ...]:
+    """N_J = N_I + t^a (1-t)^n for J = _expand(I, g), deg g = a, in
+    K[x_0, ..., x_n].
+
+    J keeps every monomial of I but the g * x_n^k, k >= 0.  Those leave:
+    a generator h != g of J dividing g * x_n^k would be an old generator,
+    free of x_n since I is saturated, so h would divide g, against the
+    minimality of g; and each new generator g * x_j has j < n.  Every
+    other multiple of g stays: it is divisible by g * x_j for some
+    j < n, which is in J, either as a new generator (j >= max(g)) or by
+    strong stability of J from g * x_{max(g)} (j < max(g)).  So the
+    series of S/J exceeds that of S/I by t^a / (1 - t), which is
+    t^a (1-t)^n over the common denominator (1-t)^(n+1).
+    """
+    out = list(num) + [0] * (a + n + 1 - len(num))
+    for k in range(n + 1):
+        out[a + k] += (-1) ** k * comb(n, k)
+    return tuple(out)
+
+
 def _expansions(
-    ideal: MonomialIdeal, steps: int, memo: dict
+    ideal: MonomialIdeal, steps: int, memo: dict, nums: dict | None
 ) -> frozenset[MonomialIdeal]:
-    """All ideals reachable from ideal by exactly `steps` expansions."""
+    """All ideals reachable from ideal by exactly `steps` expansions.
+
+    When nums is a dict, it must hold the Hilbert numerator of ideal, and
+    it receives the numerator of every ideal reached.
+    """
     if steps == 0:
         return frozenset((ideal,))
     key = (ideal, steps)
     if key not in memo:
         out = set()
+        n = ideal.num_vars - 1
         for g in _expandable(ideal):
-            out |= _expansions(_expand(ideal, g), steps - 1, memo)
+            expanded = _expand(ideal, g)
+            if nums is not None and expanded not in nums:
+                nums[expanded] = _expanded_numerator(nums[ideal], sum(g), n)
+            out |= _expansions(expanded, steps - 1, memo, nums)
         memo[key] = frozenset(out)
     return memo[key]
 
 
 def enumeration_levels(partition: GotzmannPartition, n: int):
     """Yield the ReevesState after each level, ending in K[x_0, ..., x_n]."""
+    for state, _ in _walk(partition, n):
+        yield state
+
+
+def _walk(partition: GotzmannPartition, n: int, keep_last: bool = False):
+    """The body of enumeration_levels, yielding (state, nums) per level.
+
+    nums maps every ideal the level visited, its lifted inputs and all
+    their expansions, to its Hilbert numerator.  It is None on the last
+    level, where no lift follows and so nothing is recorded, unless
+    keep_last is set.
+    """
     if n <= partition.degree:
         raise ValueError("ambient dimension must exceed the polynomial degree")
     d = partition.degree
@@ -70,20 +131,31 @@ def enumeration_levels(partition: GotzmannPartition, n: int):
         [tuple(1 if i == k else 0 for i in range(c + 1)) for k in range(c)],
         c + 1,
     )
+    # Hilbert numerators of the current ideals: (1-t)^c for the start
+    nums = {start: tuple((-1) ** k * comb(c, k) for k in range(c + 1))}
     current: frozenset[MonomialIdeal] = frozenset((start,))
-    memo: dict = {}
     for j, target in enumerate(targets):
         if j > 0:
-            current = frozenset(ideal.lift() for ideal in current)
+            nums = {ideal.lift(): nums[ideal] for ideal in current}
+            current = frozenset(nums)
+        ts = range(j + 2)  # deg q_j + 2 points
+        target_values = [target.evaluate(t) for t in ts]
+        record = dict(nums) if j < d or keep_last else None
+        memo: dict = {}
         survivors = set()
         for ideal in current:
-            p_ideal = ideal.hilbert_polynomial().polynomial
-            deficit = constant_difference(target, p_ideal)
-            if deficit < 0:
-                continue
-            survivors |= _expansions(ideal, deficit, memo)
+            values = hilbert_polynomial_values(nums[ideal], ideal.num_vars, ts)
+            deltas = {q - v for q, v in zip(target_values, values)}
+            if len(deltas) != 1:
+                raise ValueError(
+                    f"Hilbert polynomial of {ideal} is not {target} plus a constant"
+                )
+            deficit = deltas.pop()
+            if deficit >= 0:
+                survivors |= _expansions(ideal, deficit, memo, record)
         current = frozenset(survivors)
-        yield ReevesState(j, target, current)
+        yield ReevesState(j, target, current), record
+        nums = record
 
 
 def enumerate_strongly_stable(

@@ -8,13 +8,19 @@ implementation that cannot share their bugs.
 from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import assume
+from hypothesis import strategies as st
 
 from borelpoints import (
+    CHAR0,
     GotzmannPartition,
     MonomialIdeal,
+    NotAdmissibleError,
+    SampledPolynomial,
     SearchNode,
     borel_closure,
     monomials_of_degree,
+    peel_to_partition,
 )
 
 
@@ -82,6 +88,75 @@ def mini_grid():
         for c in (2, 3):
             cells.append((GotzmannPartition(parts), c + parts[0]))
     return cells
+
+
+def acceptance_sweep_cells():
+    """The (partition, n) cells of the acceptance sweep (criterion 3):
+    Gotzmann number <= 6, degree <= 3, codimension 2 or 3."""
+    return [
+        (GotzmannPartition(parts), c + parts[0])
+        for parts in all_partitions(6, 3)
+        for c in (2, 3)
+    ]
+
+
+@st.composite
+def saturated_strongly_stable(draw):
+    """A saturated strongly stable ideal other than the unit ideal: the
+    saturated Borel closure of up to three small monomials."""
+    num_vars = draw(st.integers(2, 4))
+    monomial = st.lists(
+        st.integers(0, 3), min_size=num_vars, max_size=num_vars
+    ).filter(lambda e: 1 <= sum(e) <= 4)
+    gens = draw(st.lists(monomial, min_size=1, max_size=3))
+    I = borel_closure([tuple(g) for g in gens], CHAR0, num_vars).saturate()
+    assume(not I.is_unit)
+    return I
+
+
+def trim(coefficients):
+    """A coefficient tuple without its trailing zeros."""
+    coefficients = tuple(coefficients)
+    while coefficients and coefficients[-1] == 0:
+        coefficients = coefficients[:-1]
+    return coefficients
+
+
+def reference_hilbert_polynomial(ideal):
+    """The Hilbert polynomial by sampling, as a cross-check of the exact
+    engine: (polynomial, stabilization_degree, function_values,
+    window_doublings), or None when the window never stabilizes.
+
+    Samples the Hilbert function on a window based at
+    D = maxgendeg + num_vars, peels the partition, then verifies
+    agreement at three further degrees.  On verification failure the
+    window base is doubled, up to three times.  An all-zero window yields
+    the zero polynomial, reported as None.
+    """
+    n = ideal.num_vars - 1
+    base0 = max(ideal.max_generator_degree + ideal.num_vars, 1)
+    width = n + 3
+    for doublings in range(4):
+        base = base0 * 2**doublings
+        window = [ideal.hilbert_function(d) for d in range(base, base + width)]
+        checks = range(base + width, base + width + 3)
+        if not any(window):
+            part = None
+        else:
+            try:
+                part = peel_to_partition(SampledPolynomial(base, tuple(window)))
+            except NotAdmissibleError:
+                continue
+        expected = (lambda d: 0) if part is None else part.evaluate
+        if all(ideal.hilbert_function(d) == expected(d) for d in checks):
+            values = {d: ideal.hilbert_function(d) for d in range(base + width + 3)}
+            stab = 0
+            for d in range(base + width + 2, -1, -1):
+                if values[d] != expected(d):
+                    stab = d + 1
+                    break
+            return part, stab, values, doublings
+    return None
 
 
 def reference_search_levels(partition, n, ch):

@@ -5,8 +5,7 @@ import textwrap
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
-from hypothesis import strategies as st
+from hypothesis import given, settings
 
 from borelpoints import (
     CHAR0,
@@ -24,7 +23,7 @@ from borelpoints import (
 )
 from borelpoints.borel import _expand, exchange
 
-from conftest import ideal, mini_grid
+from conftest import ideal, mini_grid, saturated_strongly_stable
 
 P2 = Characteristic(2)
 P3 = Characteristic(3)
@@ -199,18 +198,6 @@ def expand_from_scratch(I, g):
     return MonomialIdeal.from_generators(gens, I.num_vars)
 
 
-@st.composite
-def saturated_strongly_stable(draw):
-    num_vars = draw(st.integers(2, 4))
-    monomial = st.lists(
-        st.integers(0, 3), min_size=num_vars, max_size=num_vars
-    ).filter(lambda e: 1 <= sum(e) <= 4)
-    gens = draw(st.lists(monomial, min_size=1, max_size=3))
-    I = borel_closure([tuple(g) for g in gens], CHAR0, num_vars).saturate()
-    assume(not I.is_unit)
-    return I
-
-
 class TestIncrementalExpand:
     def test_matches_from_generators_on_walk_outputs(self):
         for partition, n in mini_grid():
@@ -229,6 +216,41 @@ class TestIncrementalExpand:
             assert E == expand_from_scratch(I, g)
             assert is_strongly_stable(E)
             assert E.saturate() == E
+
+
+def assert_same_as_validated(J):
+    """J, built without checks, equals the checked construction of its
+    own generators, hashes alike, and is valid."""
+    checked = MonomialIdeal(J.num_vars, J.gens)
+    assert J == checked and hash(J) == hash(checked)
+    assert type(J) is MonomialIdeal
+    assert MonomialIdeal.from_generators(J.gens, J.num_vars) == J
+
+
+class TestTrustedConstruction:
+    # _expand and lift() skip the generator checks of MonomialIdeal
+
+    def test_walk_outputs(self):
+        for partition, n in mini_grid():
+            for I in enumerate_strongly_stable(partition, n):
+                assert_same_as_validated(I.lift())
+                for g in expandable_generators(I):
+                    assert_same_as_validated(_expand(I, g))
+
+    @settings(max_examples=100, deadline=None)
+    @given(saturated_strongly_stable())
+    def test_closures(self, I):
+        assert_same_as_validated(I.lift())
+        for g in expandable_generators(I):
+            assert_same_as_validated(_expand(I, g))
+
+    def test_public_construction_still_checks(self):
+        with pytest.raises(ValueError):
+            MonomialIdeal(3, ((1, 0),))
+        with pytest.raises(ValueError):
+            MonomialIdeal(2, ((1, -1),))
+        with pytest.raises(ValueError):
+            MonomialIdeal.from_generators([(1, -1)], 2)
 
 
 NOT_STRONGLY_STABLE = ideal([(0, 1, 0)], 3)

@@ -1,3 +1,5 @@
+from math import factorial
+
 import pytest
 
 from borelpoints import (
@@ -11,6 +13,8 @@ from borelpoints import (
     from_macaulay,
     peel_to_partition,
 )
+
+from borelpoints.hilbert_poly import partition_from_values
 
 from conftest import all_partitions
 
@@ -35,6 +39,15 @@ class TestBinomials:
         assert binomial_poly(5, 1, 1) == 6
         assert binomial_poly(4, 2, 2) == 15
         assert binomial_poly(7, 0, -1) == 0
+
+    def test_polynomial_matches_falling_factorial(self):
+        for b in range(0, 7):
+            for a in range(-8, 5):
+                for t in range(-6, 9):
+                    product = 1
+                    for i in range(b):
+                        product *= t + a - i
+                    assert binomial_poly(t, a, b) == product // factorial(b)
 
 
 class TestEvaluate:
@@ -212,6 +225,27 @@ class TestPeel:
             SampledPolynomial(5, (7,)).degree()
         with pytest.raises(NotAdmissibleError):
             SampledPolynomial(5, (7, 9)).degree()  # linear needs 3 points
+
+
+class TestPartitionFromValues:
+    def test_round_trip_on_grid(self):
+        # values from t = 0 on, well below the Gotzmann number
+        for parts in all_partitions(8, 4):
+            b = GotzmannPartition(parts)
+            values = [b.evaluate(t) for t in range(b.degree + 2)]
+            assert partition_from_values(values) == b, parts
+
+    def test_twisted_cubic(self):
+        assert partition_from_values([1, 4, 7]).parts == (1, 1, 1, 0)
+
+    def test_rejects_inadmissible(self):
+        for values in ([0, 1, 2], [0, 1, 4, 9], [-1, -1], [0, 0, 0]):
+            with pytest.raises(NotAdmissibleError):
+                partition_from_values(values)
+
+    def test_window_too_short(self):
+        with pytest.raises(NotAdmissibleError):
+            partition_from_values([1, 4])
 
 
 class TestConstantDifference:

@@ -1,9 +1,12 @@
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from borelpoints import (
     GotzmannPartition,
     MonomialIdeal,
     binomial,
+    enumerate_strongly_stable,
     format_monomial,
     hilbert_function_by_enumeration,
     hilbert_function_by_lcm,
@@ -13,7 +16,12 @@ from borelpoints import (
 )
 from borelpoints.monomial_ideal import degree, divides, max_index, min_index
 
-from conftest import brute_standard_count, ideal
+from conftest import (
+    acceptance_sweep_cells,
+    brute_standard_count,
+    ideal,
+    reference_hilbert_polynomial,
+)
 
 
 class TestMonomialBasics:
@@ -168,9 +176,9 @@ class TestHilbertPolynomial:
                     expected = 0 if data.polynomial is None else data.polynomial.evaluate(d)
                     assert v == expected
 
-    def test_reg_hint_moves_window(self):
+    def test_no_regularity_hint_needed(self):
         I = ideal([(2, 0, 0), (1, 1, 0), (0, 2, 0)], 3)
-        assert I.hilbert_polynomial(reg_hint=12).polynomial.parts == (0, 0, 0)
+        assert I.hilbert_polynomial().polynomial.parts == (0, 0, 0)
 
     def test_quasi_stable_pair(self):
         # a quotient of constant dimension 2 whose lift has dimension 2t+1;
@@ -189,6 +197,48 @@ class TestHilbertPolynomial:
         I = ideal([(2, 0, 0, 0), (1, 1, 0, 0), (0, 2, 0, 0), (0, 1, 1, 0)], 4)
         assert I.hilbert_polynomial().polynomial.parts == (1, 1, 0)
         assert not is_borel_fixed(I, CHAR0)
+
+
+def assert_matches_sampling(I):
+    """The exact engine agrees with the sampling reference on I."""
+    ref = reference_hilbert_polynomial(I)
+    assert ref is not None, str(I)
+    part, stab, values, doublings = ref
+    data = I.hilbert_polynomial()
+    assert data.polynomial == part, str(I)
+    assert data.stabilization_degree == stab, str(I)
+    got = data.function_values
+    assert all(got[d] == values[d] for d in got.keys() & values.keys()), str(I)
+    if doublings == 0:
+        # the reference reports the same degrees unless it moved its window
+        assert got.keys() == values.keys(), str(I)
+
+
+monomial_ideals = st.integers(1, 4).flatmap(
+    lambda num_vars: st.lists(
+        st.tuples(*[st.integers(0, 4)] * num_vars), max_size=5
+    ).map(lambda gens: MonomialIdeal.from_generators(gens, num_vars))
+)
+
+
+class TestExactAgainstSampling:
+    def test_zoo(self, ideal_zoo):
+        for I in ideal_zoo:
+            assert_matches_sampling(I)
+
+    def test_acceptance_sweep_lifts_and_differences(self):
+        for partition, n in acceptance_sweep_cells():
+            for I in enumerate_strongly_stable(partition, n):
+                assert_matches_sampling(I)
+                assert_matches_sampling(I.lift())
+                assert_matches_sampling(I.difference())
+
+    @settings(max_examples=300, deadline=None)
+    @given(monomial_ideals)
+    def test_random_ideals(self, I):
+        # the reference gives up when its window never settles
+        assume(reference_hilbert_polynomial(I) is not None)
+        assert_matches_sampling(I)
 
 
 class TestSaturate:

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings
 
 from borelpoints import (
     GotzmannPartition,
@@ -10,9 +11,10 @@ from borelpoints import (
     is_strongly_stable,
     lex_ideal,
 )
-from borelpoints.reeves import _expansions
+from borelpoints.borel import _expand
+from borelpoints.reeves import _expanded_numerator, _expansions, _walk
 
-from conftest import ideal, mini_grid
+from conftest import ideal, mini_grid, saturated_strongly_stable, trim
 
 
 class TestKnownFamilies:
@@ -89,7 +91,7 @@ class TestChainDedup:
         ]:
             I = ideal(gens, num_vars)
             for steps in (1, 2, 3):
-                assert _expansions(I, steps, {}) == self.chains_reversed(
+                assert _expansions(I, steps, {}, None) == self.chains_reversed(
                     I, steps
                 )
 
@@ -124,3 +126,40 @@ class TestPointsLadder:
             assert is_strongly_stable(I), str(I)
             assert I.saturate() == I, str(I)
             assert I.hilbert_polynomial().polynomial == partition, str(I)
+
+
+class TestCarriedNumerators:
+    # the walk computes each ideal's Hilbert numerator from its parent's;
+    # check every one it records against the pivot recursion
+
+    def check_walk(self, partition, n):
+        levels = 0
+        for state, nums in _walk(partition, n, keep_last=True):
+            levels += 1
+            assert state.ideals <= nums.keys()
+            for I, num in nums.items():
+                assert trim(num) == trim(I.hilbert_numerator()), str(I)
+        return levels
+
+    def test_mini_grid(self):
+        for partition, n in mini_grid():
+            assert self.check_walk(partition, n) == partition.degree + 1
+
+    @pytest.mark.parametrize("k", [14, 16])
+    def test_points_in_p4(self, k):
+        self.check_walk(GotzmannPartition((0,) * k), 4)
+
+    def test_nothing_recorded_on_last_level(self):
+        states = list(_walk(GotzmannPartition((1, 1, 1, 0)), 3))
+        assert [nums is None for _, nums in states] == [False, True]
+
+    @settings(max_examples=200, deadline=None)
+    @given(saturated_strongly_stable())
+    def test_expansion_and_lift(self, I):
+        n = I.num_vars - 1
+        N = I.hilbert_numerator()
+        assert trim(I.lift().hilbert_numerator()) == trim(N)
+        for g in expandable_generators(I):
+            assert trim(_expand(I, g).hilbert_numerator()) == trim(
+                _expanded_numerator(N, sum(g), n)
+            )

@@ -62,18 +62,19 @@ class ReevesState:
 def _expanded_numerator(
     num: tuple[int, ...], a: int, n: int
 ) -> tuple[int, ...]:
-    """N_J = N_I + t^a (1-t)^n for J = _expand(I, g), deg g = a, in
-    K[x_0, ..., x_n].
+    """N_J = N_I + t^a (1-t)^n for J = _expand(I, g) in K[x_0, ..., x_n],
+    where a = deg g.
 
-    J keeps every monomial of I but the g * x_n^k, k >= 0.  Those leave:
-    a generator h != g of J dividing g * x_n^k would be an old generator,
-    free of x_n since I is saturated, so h would divide g, against the
-    minimality of g; and each new generator g * x_j has j < n.  Every
-    other multiple of g stays: it is divisible by g * x_j for some
-    j < n, which is in J, either as a new generator (j >= max(g)) or by
-    strong stability of J from g * x_{max(g)} (j < max(g)).  So the
-    series of S/J exceeds that of S/I by t^a / (1 - t), which is
-    t^a (1-t)^n over the common denominator (1-t)^(n+1).
+    J holds every monomial of I except the g * x_n^k, k >= 0.  These are
+    not in J: a generator of J dividing g * x_n^k cannot be a new one
+    g * x_j, which has j < n and so more x_j, and an old generator h != g
+    is free of x_n because I is saturated, so h would divide g, against
+    the minimality of g.  Every other multiple of g is in J: it is
+    divisible by some g * x_j with j < n, a new generator when
+    j >= max(g), and otherwise in J by strong stability of J, from
+    g * x_{max(g)}.  So the series of S/J exceeds that of S/I by
+    t^a / (1-t), which is t^a (1-t)^n over the common denominator
+    (1-t)^(n+1).
     """
     out = list(num) + [0] * (a + n + 1 - len(num))
     for k in range(n + 1):
@@ -140,6 +141,7 @@ def _walk(partition: GotzmannPartition, n: int, keep_last: bool = False):
             current = frozenset(nums)
         ts = range(j + 2)  # deg q_j + 2 points
         target_values = [target.evaluate(t) for t in ts]
+        # only a lift needs the numerators, and none follows the last level
         record = dict(nums) if j < d or keep_last else None
         memo: dict = {}
         survivors = set()

@@ -1,5 +1,9 @@
+import ast
+from pathlib import Path
+
 import pytest
 
+from borelpoints import exhaustive
 from borelpoints import (
     CHAR0,
     Characteristic,
@@ -148,3 +152,16 @@ class TestAgainstReferenceSearch:
         assert len(got) == len(expected) == coords.partition.gotzmann_number
         for level, (mine, theirs) in enumerate(zip(got, expected), start=1):
             assert mine == theirs, level
+
+
+def test_oracle_imports_nothing_from_reeves():
+    # the oracle cross-checks the walk, so it must not share its code
+    tree = ast.parse(Path(exhaustive.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert "borel" in imported
+    assert not any("reeves" in name for name in imported)

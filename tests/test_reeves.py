@@ -11,6 +11,7 @@ from borelpoints import (
     is_strongly_stable,
     lex_ideal,
 )
+from borelpoints import hilbert_poly, monomial_ideal
 from borelpoints.borel import _expand
 from borelpoints.reeves import _expanded_numerator, _expansions, _walk
 
@@ -148,6 +149,16 @@ class TestCarriedNumerators:
     @pytest.mark.parametrize("k", [14, 16])
     def test_points_in_p4(self, k):
         self.check_walk(GotzmannPartition((0,) * k), 4)
+
+    def test_walk_computes_no_hilbert_data(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("the walk must carry its numerators")
+
+        monkeypatch.setattr(monomial_ideal, "_numerator", forbidden)
+        monkeypatch.setattr(monomial_ideal, "hilbert_polynomial", forbidden)
+        monkeypatch.setattr(hilbert_poly, "peel_to_partition", forbidden)
+        for partition, n in mini_grid():
+            assert enumerate_strongly_stable(partition, n)
 
     def test_nothing_recorded_on_last_level(self):
         states = list(_walk(GotzmannPartition((1, 1, 1, 0)), 3))

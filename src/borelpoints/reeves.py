@@ -111,13 +111,12 @@ def enumeration_levels(partition: GotzmannPartition, n: int):
         yield state
 
 
-def _walk(partition: GotzmannPartition, n: int, keep_last: bool = False):
+def _walk(partition: GotzmannPartition, n: int):
     """The body of enumeration_levels, yielding (state, nums) per level.
 
     nums maps every ideal the level visited, its lifted inputs and all
     their expansions, to its Hilbert numerator.  It is None on the last
-    level, where no lift follows and so nothing is recorded, unless
-    keep_last is set.
+    level, where no lift follows and so nothing is recorded.
     """
     if n <= partition.degree:
         raise ValueError("ambient dimension must exceed the polynomial degree")
@@ -142,7 +141,7 @@ def _walk(partition: GotzmannPartition, n: int, keep_last: bool = False):
         ts = range(j + 2)  # deg q_j + 2 points
         target_values = [target.evaluate(t) for t in ts]
         # only a lift needs the numerators, and none follows the last level
-        record = dict(nums) if j < d or keep_last else None
+        record = dict(nums) if j < d else None
         memo: dict = {}
         survivors = set()
         for ideal in current:

@@ -133,22 +133,33 @@ class TestCarriedNumerators:
     # the walk computes each ideal's Hilbert numerator from its parent's;
     # check every one it records against the pivot recursion
 
-    def check_walk(self, partition, n):
-        levels = 0
-        for state, nums in _walk(partition, n, keep_last=True):
-            levels += 1
-            assert state.ideals <= nums.keys()
-            for I, num in nums.items():
-                assert trim(num) == trim(I.hilbert_numerator()), str(I)
-        return levels
+    def check(self, nums):
+        for I, num in nums.items():
+            assert trim(num) == trim(I.hilbert_numerator()), str(I)
 
     def test_mini_grid(self):
+        # the walk records numerators on every level a lift follows
         for partition, n in mini_grid():
-            assert self.check_walk(partition, n) == partition.degree + 1
+            recorded = 0
+            for state, nums in _walk(partition, n):
+                if state.level < partition.degree:
+                    assert state.ideals <= nums.keys()
+                    self.check(nums)
+                    recorded += 1
+            assert recorded == partition.degree
 
     @pytest.mark.parametrize("k", [14, 16])
     def test_points_in_p4(self, k):
-        self.check_walk(GotzmannPartition((0,) * k), 4)
+        # a single level, which the walk does not record; run its
+        # expansions from the start ideal <x_0, ..., x_3> directly
+        start = MonomialIdeal.from_generators(
+            [tuple(int(i == j) for i in range(5)) for j in range(4)], 5
+        )
+        nums = {start: (1, -4, 6, -4, 1)}  # (1-t)^4
+        found = _expansions(start, k - 1, {}, nums)
+        assert found == enumerate_strongly_stable(GotzmannPartition((0,) * k), 4)
+        assert found <= nums.keys()
+        self.check(nums)
 
     def test_walk_computes_no_hilbert_data(self, monkeypatch):
         def forbidden(*args):

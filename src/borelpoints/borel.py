@@ -11,10 +11,10 @@ exchange set {1}, so one code path covers both cases.
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_right
 from dataclasses import dataclass
 
-from .monomial_ideal import Monomial, MonomialIdeal, canonical_key, max_index
+from .monomial_ideal import Monomial, MonomialIdeal, max_index
 
 
 @dataclass(frozen=True)
@@ -138,15 +138,14 @@ def expandable_generators(I: MonomialIdeal) -> list[Monomial]:
 
 def _expandable(I: MonomialIdeal) -> list[Monomial]:
     """expandable_generators without the precondition check."""
-    n = I.num_vars - 1
     gen_set = frozenset(I.gens)
     out = []
     for g in I.gens:
-        blocked = any(
-            g[i] > 0 and exchange(g, i + 1, i, 1) in gen_set
-            for i in range(n - 1)
-        )
-        if not blocked:
+        for i in range(I.num_vars - 2):
+            # g is blocked by x_i^{-1} x_{i+1} g
+            if g[i] and g[:i] + (g[i] - 1, g[i + 1] + 1) + g[i + 2 :] in gen_set:
+                break
+        else:
             out.append(g)
     return out
 
@@ -180,10 +179,26 @@ def _expand(I: MonomialIdeal, g: Monomial) -> MonomialIdeal:
     in I.  As g is minimal, that divisor is g, so h = x_i^{-1} x_j g.
     Shifting its x_j down to x_{i+1} puts x_i^{-1} x_{i+1} g in I, and by
     the same argument as a minimal generator, which would block g.  So
-    the multiples are simply inserted at their canonical place.  The
-    tests compare this with from_generators.
+    the multiples are simply merged into the generators.
+
+    Canonical order sorts by degree and, within one degree, by descending
+    exponent tuple.  The multiples all have degree deg g + 1, so they
+    belong in the block of that degree, which starts after g and the
+    generators of g's own degree that follow it; merging them into that
+    block in descending tuple order, and leaving every other generator
+    where it is, gives the canonical order.  The tests compare this with
+    from_generators.
     """
-    gens = [h for h in I.gens if h != g]
-    for j in range(max_index(g), I.num_vars - 1):
-        insort(gens, g[:j] + (g[j] + 1,) + g[j + 1 :], key=canonical_key)
-    return MonomialIdeal._trusted(I.num_vars, tuple(gens))
+    gens = I.gens
+    a = sum(g)
+    i = gens.index(g)
+    lo = bisect_right(gens, a, i + 1, key=sum)  # start of degree a + 1
+    hi = bisect_right(gens, a + 1, lo, key=sum)  # end of degree a + 1
+    block = [
+        g[:j] + (g[j] + 1,) + g[j + 1 :] for j in range(max_index(g), I.num_vars - 1)
+    ]
+    block += gens[lo:hi]
+    block.sort(reverse=True)
+    return MonomialIdeal._trusted(
+        I.num_vars, gens[:i] + gens[i + 1 : lo] + tuple(block) + gens[hi:]
+    )

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import chain
 
 from .errors import NotAdmissibleError, OutOfScopeError, SearchBoundError
 from .hilbert_poly import GotzmannPartition, MacaulayPartition
@@ -64,6 +65,8 @@ def _ideal_row(ideal: MonomialIdeal, ch: Characteristic | None = None) -> dict:
 
 
 def _emit(args, payload: dict, human_lines) -> int:
+    """Print payload as JSON under --json, else human_lines, which is
+    iterated only then, so it may be a generator."""
     if args.json:
         print(json.dumps(payload, indent=2))
     else:
@@ -184,13 +187,14 @@ def cmd_check_ideal(args) -> int:
 def cmd_reeves(args) -> int:
     partition = _partition(args)
     ideals = _sorted_ideals(enumerate_strongly_stable(partition, args.n))
+    rows = [_ideal_row(i) for i in ideals]
     payload = {
         "partition": list(partition.parts),
         "n": args.n,
-        "count": len(ideals),
-        "ideals": [_ideal_row(i) for i in ideals],
+        "count": len(rows),
+        "ideals": rows,
     }
-    lines = [f"count {len(ideals)}"] + [str(i) for i in ideals]
+    lines = chain([f"count {len(rows)}"], (row["pretty"] for row in rows))
     return _emit(args, payload, lines)
 
 
@@ -199,17 +203,22 @@ def cmd_oracle(args) -> int:
     ideals = _sorted_ideals(
         enumerate_borel_fixed(partition, args.n, args.char, force=args.force)
     )
+    rows = [_ideal_row(i, args.char) for i in ideals]
     payload = {
         "partition": list(partition.parts),
         "n": args.n,
         "char": args.char.value,
-        "count": len(ideals),
-        "ideals": [_ideal_row(i, args.char) for i in ideals],
+        "count": len(rows),
+        "ideals": rows,
     }
-    lines = [f"count {len(ideals)}"]
-    for row, ideal in zip(payload["ideals"], ideals):
-        tag = "nonstandard" if row["nonstandard"] else "strongly stable"
-        lines.append(f"{ideal}  [{tag}]")
+    lines = chain(
+        [f"count {len(rows)}"],
+        (
+            f"{row['pretty']}  "
+            + ("[nonstandard]" if row["nonstandard"] else "[strongly stable]")
+            for row in rows
+        ),
+    )
     return _emit(args, payload, lines)
 
 
@@ -241,7 +250,7 @@ def cmd_classify(args) -> int:
     ]
     if verified is not None:
         lines.append(f"verified  {verified}")
-        lines.extend(str(i) for i in ideals)
+        lines.extend(row["pretty"] for row in payload["ideals"])
     return _emit(args, payload, lines)
 
 

@@ -24,11 +24,12 @@ scoped to one enumeration_levels call, and only on levels that a lift
 follows.
 
 The gap, or deficit, at level j is q_j(t) - sum_i c_i C(t - i + n, n)
-with each binomial read as a polynomial in t
-(monomial_ideal.hilbert_polynomial_values).  That is an identity of
-polynomials, exact at every t and not only past the regularity, so the
-walk evaluates it at deg q_j + 2 points and raises ValueError unless it
-is constant.
+with each binomial read as a polynomial in t (hilbert_poly.binomial_poly).
+That is an identity of polynomials, exact at every t and not only past
+the regularity, so the walk evaluates it at deg q_j + 2 points and raises
+ValueError unless it is constant.  All ideals of a level share n, so the
+binomials are tabulated once per level (_level_columns) and each deficit
+is a sum of integer products.
 
 Preconditions are checked once, at the public boundary, and never inside
 the walk.  The public borel.expand and borel.expandable_generators check
@@ -44,9 +45,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
+from operator import mul
 
-from .hilbert_poly import GotzmannPartition
-from .monomial_ideal import MonomialIdeal, hilbert_polynomial_values
+from .hilbert_poly import GotzmannPartition, binomial_poly
+from .monomial_ideal import MonomialIdeal
 from .borel import _expand, _expandable
 
 
@@ -100,9 +102,23 @@ def _expansions(
             expanded = _expand(ideal, g)
             if nums is not None and expanded not in nums:
                 nums[expanded] = _expanded_numerator(nums[ideal], sum(g), n)
-            out |= _expansions(expanded, steps - 1, memo, nums)
+            if steps == 1:
+                out.add(expanded)
+            else:
+                out |= _expansions(expanded, steps - 1, memo, nums)
         memo[key] = frozenset(out)
     return memo[key]
+
+
+def _level_columns(n: int, ts, width: int) -> list[tuple[int, ...]]:
+    """For each t in ts, the values C(t - k + n, n) for k < width, each
+    binomial read as a polynomial in t.
+
+    The Hilbert polynomial of a quotient of K[x_0, ..., x_n] whose series
+    has numerator N, len(N) <= width, is sum(map(mul, N, column)) at the
+    t of each column.
+    """
+    return [tuple(binomial_poly(t, n - k, n) for k in range(width)) for t in ts]
 
 
 def enumeration_levels(partition: GotzmannPartition, n: int):
@@ -140,13 +156,18 @@ def _walk(partition: GotzmannPartition, n: int):
             current = frozenset(nums)
         ts = range(j + 2)  # deg q_j + 2 points
         target_values = [target.evaluate(t) for t in ts]
+        # the ideals of level j live in K[x_0, ..., x_{c+j}]
+        columns = _level_columns(c + j, ts, max(map(len, nums.values()), default=0))
         # only a lift needs the numerators, and none follows the last level
         record = dict(nums) if j < d else None
         memo: dict = {}
         survivors = set()
         for ideal in current:
-            values = hilbert_polynomial_values(nums[ideal], ideal.num_vars, ts)
-            deltas = {q - v for q, v in zip(target_values, values)}
+            num = nums[ideal]
+            deltas = {
+                q - sum(map(mul, num, column))
+                for q, column in zip(target_values, columns)
+            }
             if len(deltas) != 1:
                 raise ValueError(
                     f"Hilbert polynomial of {ideal} is not {target} plus a constant"

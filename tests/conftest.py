@@ -5,6 +5,7 @@ to compute Hilbert data, so that library results are checked against an
 implementation that cannot share their bugs.
 """
 
+from bisect import insort
 from itertools import combinations_with_replacement
 
 import pytest
@@ -22,6 +23,8 @@ from borelpoints import (
     monomials_of_degree,
     peel_to_partition,
 )
+from borelpoints.borel import exchange
+from borelpoints.monomial_ideal import canonical_key, max_index
 
 
 def brute_standard_count(gens, num_vars, d):
@@ -157,6 +160,32 @@ def reference_hilbert_polynomial(ideal):
                     break
             return part, stab, values, doublings
     return None
+
+
+def reference_expandable(I):
+    """The expandable generators of a saturated strongly stable ideal, by
+    the definition: g is blocked when x_i^{-1} x_{i+1} g is a generator
+    for some x_i dividing g, i < n - 1.  The library's borel._expandable
+    tests the same in one pass."""
+    n = I.num_vars - 1
+    gen_set = frozenset(I.gens)
+    return [
+        g
+        for g in I.gens
+        if not any(
+            g[i] > 0 and exchange(g, i + 1, i, 1) in gen_set for i in range(n - 1)
+        )
+    ]
+
+
+def reference_expand(I, g):
+    """The expansion of I at the expandable generator g, each new multiple
+    inserted at its canonical place by bisection on canonical_key.  The
+    library's borel._expand merges them into their degree block."""
+    gens = [h for h in I.gens if h != g]
+    for j in range(max_index(g), I.num_vars - 1):
+        insort(gens, g[:j] + (g[j] + 1,) + g[j + 1 :], key=canonical_key)
+    return MonomialIdeal(I.num_vars, tuple(gens))
 
 
 def reference_search_levels(partition, n, ch):

@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from borelpoints import (
     CHAR0,
     Characteristic,
+    GotzmannPartition,
     MonomialIdeal,
     borel_closure,
     digitwise_leq,
@@ -21,9 +23,16 @@ from borelpoints import (
     is_strongly_stable,
     monomials_of_degree,
 )
-from borelpoints.borel import _expand, exchange
+from borelpoints import reeves
+from borelpoints.borel import _expand, _expandable, exchange
 
-from conftest import ideal, mini_grid, saturated_strongly_stable
+from conftest import (
+    ideal,
+    mini_grid,
+    reference_expand,
+    reference_expandable,
+    saturated_strongly_stable,
+)
 
 P2 = Characteristic(2)
 P3 = Characteristic(3)
@@ -218,6 +227,127 @@ class TestIncrementalExpand:
             assert E.saturate() == E
 
 
+def walk_visits(monkeypatch, runs):
+    """Every ideal the Reeves walk passes to _expandable or gets back from
+    _expand while running each of runs."""
+    seen = set()
+
+    def expandable(I):
+        seen.add(I)
+        return _expandable(I)
+
+    def expand(I, g):
+        J = _expand(I, g)
+        seen.add(J)
+        return J
+
+    with monkeypatch.context() as m:
+        m.setattr(reeves, "_expandable", expandable)
+        m.setattr(reeves, "_expand", expand)
+        for partition, n in runs:
+            enumerate_strongly_stable(partition, n)
+    return seen
+
+
+def assert_helpers_match_reference(I):
+    gens = _expandable(I)
+    assert gens == reference_expandable(I), str(I)
+    for g in gens:
+        assert _expand(I, g) == reference_expand(I, g), (str(I), g)
+
+
+class TestAgainstReferenceHelpers:
+    # _expandable and _expand against the definition-by-any and the
+    # insort-by-canonical_key forms kept in conftest
+
+    @pytest.mark.parametrize(
+        "runs",
+        [mini_grid()] + [[(GotzmannPartition((0,) * k), 4)] for k in (14, 16)],
+        ids=["mini_grid", "14 points in P^4", "16 points in P^4"],
+    )
+    def test_walk_visits(self, monkeypatch, runs):
+        seen = walk_visits(monkeypatch, runs)
+        assert seen
+        for I in seen:
+            assert_helpers_match_reference(I)
+
+    @settings(max_examples=200, deadline=None)
+    @given(saturated_strongly_stable())
+    def test_closures(self, I):
+        assert_helpers_match_reference(I)
+
+    @pytest.mark.parametrize(
+        "gens, num_vars, g, expected",
+        [
+            # g is the last generator
+            ([(1, 0, 0), (0, 2, 0)], 3, (0, 2, 0), [(1, 0, 0), (0, 3, 0)]),
+            # no generator of degree deg g + 1, but one of higher degree
+            (
+                [(1, 0, 0), (0, 3, 0)],
+                3,
+                (1, 0, 0),
+                [(2, 0, 0), (1, 1, 0), (0, 3, 0)],
+            ),
+            # a generator of g's degree follows g
+            (
+                [
+                    (1, 0, 0, 0, 0),
+                    (0, 2, 0, 0, 0),
+                    (0, 1, 1, 0, 0),
+                    (0, 1, 0, 1, 0),
+                    (0, 0, 2, 0, 0),
+                    (0, 0, 1, 2, 0),
+                    (0, 0, 0, 3, 0),
+                ],
+                5,
+                (0, 1, 0, 1, 0),
+                [
+                    (1, 0, 0, 0, 0),
+                    (0, 2, 0, 0, 0),
+                    (0, 1, 1, 0, 0),
+                    (0, 0, 2, 0, 0),
+                    (0, 1, 0, 2, 0),
+                    (0, 0, 1, 2, 0),
+                    (0, 0, 0, 3, 0),
+                ],
+            ),
+            # the multiple lands between generators of degree deg g + 1
+            (
+                [
+                    (1, 0, 0, 0, 0),
+                    (0, 2, 0, 0, 0),
+                    (0, 1, 1, 0, 0),
+                    (0, 0, 3, 0, 0),
+                    (0, 0, 2, 1, 0),
+                    (0, 1, 0, 3, 0),
+                    (0, 0, 1, 3, 0),
+                    (0, 0, 0, 4, 0),
+                ],
+                5,
+                (0, 0, 2, 1, 0),
+                [
+                    (1, 0, 0, 0, 0),
+                    (0, 2, 0, 0, 0),
+                    (0, 1, 1, 0, 0),
+                    (0, 0, 3, 0, 0),
+                    (0, 1, 0, 3, 0),
+                    (0, 0, 2, 2, 0),
+                    (0, 0, 1, 3, 0),
+                    (0, 0, 0, 4, 0),
+                ],
+            ),
+            # two variables: every generator is expandable
+            ([(3, 0)], 2, (3, 0), [(4, 0)]),
+        ],
+    )
+    def test_block_merge_edge_cases(self, gens, num_vars, g, expected):
+        I = ideal(gens, num_vars)
+        assert I.gens == tuple(gens)
+        assert g in _expandable(I)
+        assert _expand(I, g).gens == tuple(expected)
+        assert_helpers_match_reference(I)
+
+
 def assert_same_as_validated(J):
     """J, built without checks, equals the checked construction of its
     own generators, hashes alike, and is valid."""
@@ -292,3 +422,13 @@ class TestPublicPreconditions:
             timeout=60,
         )
         assert result.returncode == 0, result.stdout + result.stderr
+
+    def test_library_has_no_assert(self):
+        # python -O strips asserts, so no check may live in one
+        package = Path(reeves.__file__).parent
+        modules = sorted(package.rglob("*.py"))
+        assert modules
+        for path in modules:
+            tree = ast.parse(path.read_text())
+            lines = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)]
+            assert not lines, f"{path.name}: assert at lines {lines}"

@@ -1,3 +1,5 @@
+from operator import mul
+
 import pytest
 from hypothesis import given, settings
 
@@ -11,9 +13,15 @@ from borelpoints import (
     is_strongly_stable,
     lex_ideal,
 )
-from borelpoints import hilbert_poly, monomial_ideal
+from borelpoints import hilbert_poly, monomial_ideal, reeves
 from borelpoints.borel import _expand
-from borelpoints.reeves import _expanded_numerator, _expansions, _walk
+from borelpoints.monomial_ideal import hilbert_polynomial_values
+from borelpoints.reeves import (
+    _expanded_numerator,
+    _expansions,
+    _level_columns,
+    _walk,
+)
 
 from conftest import ideal, mini_grid, saturated_strongly_stable, trim
 
@@ -147,6 +155,38 @@ class TestCarriedNumerators:
                     self.check(nums)
                     recorded += 1
             assert recorded == partition.degree
+
+    def test_level_columns(self):
+        # the walk's per-level binomial table gives the Hilbert polynomial
+        # values of every numerator it records
+        for partition, n in mini_grid():
+            for state, nums in _walk(partition, n):
+                if nums is None:
+                    continue
+                (num_vars,) = {I.num_vars for I in nums}
+                ts = range(-2, state.level + 4)
+                width = max(map(len, nums.values()))
+                columns = _level_columns(num_vars - 1, ts, width)
+                for num in nums.values():
+                    assert [sum(map(mul, num, col)) for col in columns] == (
+                        hilbert_polynomial_values(num, num_vars, ts)
+                    )
+
+    def test_non_constant_deficit_raises(self, monkeypatch):
+        # a wrong constant coefficient adds C(t + n, n) to the Hilbert
+        # polynomial, so after the first lift the deficit is not constant
+        cell = (GotzmannPartition((1, 1, 1, 0)), 3)
+        assert cell in mini_grid()
+        first = next(_walk(*cell))[0]
+        assert first.level == 0 and len(first.ideals) > 1  # level 0 expands
+
+        def wrong(num, a, n):
+            out = _expanded_numerator(num, a, n)
+            return (out[0] + 1,) + out[1:]
+
+        monkeypatch.setattr(reeves, "_expanded_numerator", wrong)
+        with pytest.raises(ValueError, match="plus a constant"):
+            enumerate_strongly_stable(*cell)
 
     @pytest.mark.parametrize("k", [14, 16])
     def test_points_in_p4(self, k):

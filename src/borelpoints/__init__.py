@@ -31,10 +31,7 @@ from .monomial_ideal import (
     MonomialIdeal,
     Monomial,
     format_monomial,
-    hilbert_function_by_enumeration,
-    hilbert_function_by_lcm,
     hilbert_polynomial,
-    minimalize,
     monomials_of_degree,
     parse_monomial,
 )

@@ -327,11 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="borelpoints",
         description="Monomial-ideal enumeration of Borel-fixed points of Hilbert schemes",
     )
-    parser.add_argument(
-        "--seedless",
-        action="store_true",
-        help="accepted for compatibility; output is always deterministic",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, partition=True, char=False, n=False, n_required=False):

@@ -9,7 +9,7 @@ Hilbert functions of quotients S/I are computed from the numerator of the
 Hilbert series, obtained by the standard pivot recursion
 N(I) = N(I + <x_k>) + t * N(I : x_k).  Two independent reference
 implementations (direct monomial enumeration, and inclusion-exclusion over
-generator lcms) are kept alongside; the test suite checks all three agree.
+generator lcms) live in the tests, which check that all three agree.
 """
 
 from __future__ import annotations
@@ -48,10 +48,6 @@ def min_index(m: Monomial) -> int:
 
 def divides(m: Monomial, other: Monomial) -> bool:
     return all(a <= b for a, b in zip(m, other))
-
-
-def lcm(m: Monomial, other: Monomial) -> Monomial:
-    return tuple(max(a, b) for a, b in zip(m, other))
 
 
 def format_monomial(m: Monomial) -> str:
@@ -233,11 +229,6 @@ class MonomialIdeal:
         )
 
 
-def minimalize(gens, num_vars: int) -> MonomialIdeal:
-    """Drop divisibility-redundant generators and sort canonically."""
-    return MonomialIdeal.from_generators(gens, num_vars)
-
-
 def _poly_add(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     n = max(len(a), len(b))
     return tuple(
@@ -307,36 +298,6 @@ def hilbert_polynomial_values(numerator, num_vars: int, ts) -> list[int]:
     n = num_vars - 1
     terms = [(n - j, c) for j, c in enumerate(numerator) if c]
     return [sum(c * binomial_poly(t, a, n) for a, c in terms) for t in ts]
-
-
-def hilbert_function_by_enumeration(ideal: MonomialIdeal, d: int) -> int:
-    """Reference implementation: walk every degree-d monomial."""
-    return sum(
-        1 for m in monomials_of_degree(d, ideal.num_vars) if not ideal.contains(m)
-    )
-
-
-def hilbert_function_by_lcm(ideal: MonomialIdeal, d: int) -> int:
-    """Reference implementation: inclusion-exclusion over generator lcms.
-
-    Subsets whose lcm exceeds degree d contribute nothing and the lcm degree
-    only grows, so the subset walk is pruned hard at that horizon.
-    """
-    n = ideal.num_vars - 1
-    gens = ideal.gens
-    total = 0
-
-    def walk(start: int, cur: Monomial | None, size: int):
-        nonlocal total
-        if cur is not None:
-            total += (-1) ** size * binomial(d - sum(cur) + n, n)
-        for i in range(start, len(gens)):
-            nxt = gens[i] if cur is None else lcm(cur, gens[i])
-            if sum(nxt) <= d:
-                walk(i + 1, nxt, size + 1)
-
-    walk(0, None, 0)
-    return binomial(d + n, n) + total
 
 
 @dataclass(frozen=True)

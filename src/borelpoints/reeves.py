@@ -19,9 +19,8 @@ K[x_0, ..., x_n], since both of its moves change N in closed form: the
 start ideal has N = (1-t)^c, an expansion at a generator of degree a
 adds t^a (1-t)^n (see _expanded_numerator), and a lift leaves N as it
 is, because S[x_{n+1}]/I S[x_{n+1}] = (S/I)[x_{n+1}] divides both the
-series and its denominator by 1 - t.  The numerators are kept in dicts
-scoped to one enumeration_levels call, and only on levels that a lift
-follows.
+series and its denominator by 1 - t.  Every level ends in a dict from
+each of its ideals to its numerator, which is what the next lift needs.
 
 The gap, or deficit, at level j is q_j(t) - sum_i c_i C(t - i + n, n)
 with each binomial read as a polynomial in t (hilbert_poly.binomial_poly).
@@ -30,6 +29,18 @@ the regularity, so the walk evaluates it at deg q_j + 2 points and raises
 ValueError unless it is constant.  All ideals of a level share n, so the
 binomials are tabulated once per level (_level_columns) and each deficit
 is a sum of integer products.
+
+Within a level the ideals are expanded bucket by bucket (_descend).
+Bucket s maps each ideal still s expansions short of the target to its
+numerator.  The lifted ideals go into the bucket of their deficit, and
+the buckets are emptied from the largest down to 1: every expansion of
+an ideal in bucket s goes into bucket s - 1, unless that bucket already
+holds it.  Bucket 0 is the level's output.  No ideal can land in two
+buckets, because its Hilbert polynomial fixes its deficit, so
+deduplicating within one bucket deduplicates the whole level.  The
+walk holds each ideal a level visits at most once, drops each bucket
+once it is emptied, and never stores the set of ideals reachable from
+any one ideal, so its memory is bounded by the ideals of one level.
 
 Preconditions are checked once, at the public boundary, and never inside
 the walk.  The public borel.expand and borel.expandable_generators check
@@ -84,30 +95,22 @@ def _expanded_numerator(
     return tuple(out)
 
 
-def _expansions(
-    ideal: MonomialIdeal, steps: int, memo: dict, nums: dict | None
-) -> frozenset[MonomialIdeal]:
-    """All ideals reachable from ideal by exactly `steps` expansions.
+def _descend(buckets: dict[int, dict]) -> dict:
+    """Empty the deficit buckets from the largest down; return bucket 0.
 
-    When nums is a dict, it must hold the Hilbert numerator of ideal, and
-    it receives the numerator of every ideal reached.
+    buckets[s] maps each ideal that still needs s expansions to its
+    Hilbert numerator.  Each bucket's expansions go into the next bucket
+    down, deduplicated on insert.
     """
-    if steps == 0:
-        return frozenset((ideal,))
-    key = (ideal, steps)
-    if key not in memo:
-        out = set()
-        n = ideal.num_vars - 1
-        for g in _expandable(ideal):
-            expanded = _expand(ideal, g)
-            if nums is not None and expanded not in nums:
-                nums[expanded] = _expanded_numerator(nums[ideal], sum(g), n)
-            if steps == 1:
-                out.add(expanded)
-            else:
-                out |= _expansions(expanded, steps - 1, memo, nums)
-        memo[key] = frozenset(out)
-    return memo[key]
+    for s in range(max(buckets, default=0), 0, -1):
+        below = buckets.setdefault(s - 1, {})
+        for ideal, num in buckets.pop(s, {}).items():
+            n = ideal.num_vars - 1
+            for g in _expandable(ideal):
+                expanded = _expand(ideal, g)
+                if expanded not in below:
+                    below[expanded] = _expanded_numerator(num, sum(g), n)
+    return buckets.get(0, {})
 
 
 def _level_columns(n: int, ts, width: int) -> list[tuple[int, ...]]:
@@ -130,9 +133,7 @@ def enumeration_levels(partition: GotzmannPartition, n: int):
 def _walk(partition: GotzmannPartition, n: int):
     """The body of enumeration_levels, yielding (state, nums) per level.
 
-    nums maps every ideal the level visited, its lifted inputs and all
-    their expansions, to its Hilbert numerator.  It is None on the last
-    level, where no lift follows and so nothing is recorded.
+    nums maps every ideal of the level to its Hilbert numerator.
     """
     if n <= partition.degree:
         raise ValueError("ambient dimension must exceed the polynomial degree")
@@ -149,21 +150,15 @@ def _walk(partition: GotzmannPartition, n: int):
     )
     # Hilbert numerators of the current ideals: (1-t)^c for the start
     nums = {start: tuple((-1) ** k * comb(c, k) for k in range(c + 1))}
-    current: frozenset[MonomialIdeal] = frozenset((start,))
     for j, target in enumerate(targets):
         if j > 0:
-            nums = {ideal.lift(): nums[ideal] for ideal in current}
-            current = frozenset(nums)
+            nums = {ideal.lift(): num for ideal, num in nums.items()}
         ts = range(j + 2)  # deg q_j + 2 points
         target_values = [target.evaluate(t) for t in ts]
         # the ideals of level j live in K[x_0, ..., x_{c+j}]
         columns = _level_columns(c + j, ts, max(map(len, nums.values()), default=0))
-        # only a lift needs the numerators, and none follows the last level
-        record = dict(nums) if j < d else None
-        memo: dict = {}
-        survivors = set()
-        for ideal in current:
-            num = nums[ideal]
+        buckets: dict[int, dict] = {}
+        for ideal, num in nums.items():
             deltas = {
                 q - sum(map(mul, num, column))
                 for q, column in zip(target_values, columns)
@@ -174,10 +169,9 @@ def _walk(partition: GotzmannPartition, n: int):
                 )
             deficit = deltas.pop()
             if deficit >= 0:
-                survivors |= _expansions(ideal, deficit, memo, record)
-        current = frozenset(survivors)
-        yield ReevesState(j, target, current), record
-        nums = record
+                buckets.setdefault(deficit, {})[ideal] = num
+        nums = _descend(buckets)
+        yield ReevesState(j, target, frozenset(nums)), nums
 
 
 def enumerate_strongly_stable(

@@ -19,6 +19,7 @@ from borelpoints import (
     NotAdmissibleError,
     SampledPolynomial,
     SearchNode,
+    binomial,
     borel_closure,
     monomials_of_degree,
     peel_to_partition,
@@ -41,6 +42,36 @@ def brute_standard_count(gens, num_vars, d):
         if not any(all(g[i] <= exps[i] for i in range(num_vars)) for g in gens):
             total += 1
     return total
+
+
+def hilbert_function_by_enumeration(ideal, d):
+    """Reference Hilbert function: walk every degree-d monomial."""
+    return sum(
+        1 for m in monomials_of_degree(d, ideal.num_vars) if not ideal.contains(m)
+    )
+
+
+def hilbert_function_by_lcm(ideal, d):
+    """Reference Hilbert function: inclusion-exclusion over generator lcms.
+
+    Subsets whose lcm exceeds degree d contribute nothing and the lcm degree
+    only grows, so the subset walk is pruned hard at that horizon.
+    """
+    n = ideal.num_vars - 1
+    gens = ideal.gens
+    total = 0
+
+    def walk(start, cur, size):
+        nonlocal total
+        if cur is not None:
+            total += (-1) ** size * binomial(d - sum(cur) + n, n)
+        for i in range(start, len(gens)):
+            nxt = gens[i] if cur is None else tuple(map(max, cur, gens[i]))
+            if sum(nxt) <= d:
+                walk(i + 1, nxt, size + 1)
+
+    walk(0, None, 0)
+    return binomial(d + n, n) + total
 
 
 def ideal(gens, num_vars):

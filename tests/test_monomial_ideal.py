@@ -8,9 +8,6 @@ from borelpoints import (
     binomial,
     enumerate_strongly_stable,
     format_monomial,
-    hilbert_function_by_enumeration,
-    hilbert_function_by_lcm,
-    minimalize,
     monomials_of_degree,
     parse_monomial,
 )
@@ -19,6 +16,8 @@ from borelpoints.monomial_ideal import degree, divides, max_index, min_index
 from conftest import (
     acceptance_sweep_cells,
     brute_standard_count,
+    hilbert_function_by_enumeration,
+    hilbert_function_by_lcm,
     ideal,
     reference_hilbert_polynomial,
 )
@@ -64,24 +63,24 @@ class TestMonomialBasics:
 
 class TestMinimalize:
     def test_drops_multiples(self):
-        I = minimalize([(1, 0, 0), (1, 1, 0), (0, 3, 0)], 3)
+        I = MonomialIdeal.from_generators([(1, 0, 0), (1, 1, 0), (0, 3, 0)], 3)
         assert I.gens == ((1, 0, 0), (0, 3, 0))
 
     def test_already_minimal(self):
-        I = minimalize([(2, 0, 0), (1, 1, 0), (0, 2, 0)], 3)
+        I = MonomialIdeal.from_generators([(2, 0, 0), (1, 1, 0), (0, 2, 0)], 3)
         assert I.gens == ((2, 0, 0), (1, 1, 0), (0, 2, 0))
 
     def test_empty_is_zero_ideal(self):
-        I = minimalize([], 3)
+        I = MonomialIdeal.from_generators([], 3)
         assert I.is_zero
         assert not I.is_unit
 
     def test_unit_swallows_everything(self):
-        I = minimalize([(0, 0, 0), (1, 0, 0)], 3)
+        I = MonomialIdeal.from_generators([(0, 0, 0), (1, 0, 0)], 3)
         assert I.is_unit
 
     def test_canonical_order_degree_then_lex(self):
-        I = minimalize([(0, 2, 0), (1, 1, 0), (0, 0, 1)], 3)
+        I = MonomialIdeal.from_generators([(0, 2, 0), (1, 1, 0), (0, 0, 1)], 3)
         assert I.gens == ((0, 0, 1), (1, 1, 0), (0, 2, 0))
 
 

@@ -1,3 +1,4 @@
+import tracemalloc
 from operator import mul
 
 import pytest
@@ -17,8 +18,8 @@ from borelpoints import hilbert_poly, monomial_ideal, reeves
 from borelpoints.borel import _expand
 from borelpoints.monomial_ideal import hilbert_polynomial_values
 from borelpoints.reeves import (
+    _descend,
     _expanded_numerator,
-    _expansions,
     _level_columns,
     _walk,
 )
@@ -100,9 +101,8 @@ class TestChainDedup:
         ]:
             I = ideal(gens, num_vars)
             for steps in (1, 2, 3):
-                assert _expansions(I, steps, {}, None) == self.chains_reversed(
-                    I, steps
-                )
+                found = _descend({steps: {I: I.hilbert_numerator()}})
+                assert found.keys() == self.chains_reversed(I, steps)
 
 
 class TestLevels:
@@ -125,7 +125,7 @@ class TestPointsLadder:
     # the walk does not check the ideals it visits, so its outputs are
     # checked here
     @pytest.mark.parametrize(
-        "k, count", [(14, 146), (16, 289), (18, 560), (20, 1068)]
+        "k, count", [(14, 146), (16, 289), (18, 560), (20, 1068), (24, 3707)]
     )
     def test_points_in_p4(self, k, count):
         partition = GotzmannPartition((0,) * k)
@@ -135,6 +135,18 @@ class TestPointsLadder:
             assert is_strongly_stable(I), str(I)
             assert I.saturate() == I, str(I)
             assert I.hilbert_polynomial().polynomial == partition, str(I)
+
+    def test_memory_bounded_by_one_level(self):
+        # the walk holds whole buckets of ideals, never the reachable set
+        # of each; a memo of those sets peaked at about 108 MB here
+        tracemalloc.start()
+        try:
+            found = enumerate_strongly_stable(GotzmannPartition((0,) * 24), 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(found) == 3707
+        assert peak < 20 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 class TestCarriedNumerators:
@@ -146,23 +158,20 @@ class TestCarriedNumerators:
             assert trim(num) == trim(I.hilbert_numerator()), str(I)
 
     def test_mini_grid(self):
-        # the walk records numerators on every level a lift follows
+        # the walk ends every level with the numerators of its ideals
         for partition, n in mini_grid():
-            recorded = 0
+            levels = 0
             for state, nums in _walk(partition, n):
-                if state.level < partition.degree:
-                    assert state.ideals <= nums.keys()
-                    self.check(nums)
-                    recorded += 1
-            assert recorded == partition.degree
+                assert state.ideals == nums.keys()
+                self.check(nums)
+                levels += 1
+            assert levels == partition.degree + 1
 
     def test_level_columns(self):
         # the walk's per-level binomial table gives the Hilbert polynomial
         # values of every numerator it records
         for partition, n in mini_grid():
             for state, nums in _walk(partition, n):
-                if nums is None:
-                    continue
                 (num_vars,) = {I.num_vars for I in nums}
                 ts = range(-2, state.level + 4)
                 width = max(map(len, nums.values()))
@@ -190,16 +199,16 @@ class TestCarriedNumerators:
 
     @pytest.mark.parametrize("k", [14, 16])
     def test_points_in_p4(self, k):
-        # a single level, which the walk does not record; run its
-        # expansions from the start ideal <x_0, ..., x_3> directly
+        # a single level: descend from the start ideal <x_0, ..., x_3>,
+        # k - 1 expansions short of k points, directly
         start = MonomialIdeal.from_generators(
             [tuple(int(i == j) for i in range(5)) for j in range(4)], 5
         )
-        nums = {start: (1, -4, 6, -4, 1)}  # (1-t)^4
-        found = _expansions(start, k - 1, {}, nums)
-        assert found == enumerate_strongly_stable(GotzmannPartition((0,) * k), 4)
-        assert found <= nums.keys()
-        self.check(nums)
+        found = _descend({k - 1: {start: (1, -4, 6, -4, 1)}})  # (1-t)^4
+        assert found.keys() == enumerate_strongly_stable(
+            GotzmannPartition((0,) * k), 4
+        )
+        self.check(found)
 
     def test_walk_computes_no_hilbert_data(self, monkeypatch):
         def forbidden(*args):
@@ -211,9 +220,15 @@ class TestCarriedNumerators:
         for partition, n in mini_grid():
             assert enumerate_strongly_stable(partition, n)
 
-    def test_nothing_recorded_on_last_level(self):
-        states = list(_walk(GotzmannPartition((1, 1, 1, 0)), 3))
-        assert [nums is None for _, nums in states] == [False, True]
+    def test_every_level_recorded(self):
+        # the last level too: its numerators are bucket 0 of its descent
+        for parts, n in [((1, 1, 1, 0), 3), ((2, 1, 0, 0), 3), ((0,) * 8, 4)]:
+            partition = GotzmannPartition(parts)
+            states = list(_walk(partition, n))
+            assert len(states) == partition.degree + 1
+            for state, nums in states:
+                assert nums.keys() == state.ideals
+                self.check(nums)
 
     @settings(max_examples=200, deadline=None)
     @given(saturated_strongly_stable())

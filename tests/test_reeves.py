@@ -157,8 +157,19 @@ class TestCarriedNumerators:
         for I, num in nums.items():
             assert trim(num) == trim(I.hilbert_numerator()), str(I)
 
-    def test_mini_grid(self):
-        # the walk ends every level with the numerators of its ideals
+    def test_mini_grid(self, monkeypatch):
+        # the walk ends every level with the numerators of its ideals, and
+        # the buckets it empties on the way hold every other ideal visited
+        emptied = {}
+
+        class Buckets(dict):
+            def pop(self, *args):
+                bucket = super().pop(*args)
+                emptied.update(bucket)
+                return bucket
+
+        descend = reeves._descend
+        monkeypatch.setattr(reeves, "_descend", lambda b: descend(Buckets(b)))
         for partition, n in mini_grid():
             levels = 0
             for state, nums in _walk(partition, n):
@@ -166,6 +177,8 @@ class TestCarriedNumerators:
                 self.check(nums)
                 levels += 1
             assert levels == partition.degree + 1
+        assert emptied
+        self.check(emptied)
 
     def test_level_columns(self):
         # the walk's per-level binomial table gives the Hilbert polynomial
@@ -199,16 +212,18 @@ class TestCarriedNumerators:
 
     @pytest.mark.parametrize("k", [14, 16])
     def test_points_in_p4(self, k):
-        # a single level: descend from the start ideal <x_0, ..., x_3>,
-        # k - 1 expansions short of k points, directly
+        # a single level: descend from the start ideal <x_0, ..., x_3>
+        # directly, by every number of steps up to the k - 1 that k points
+        # need, so every ideal the level visits is checked
         start = MonomialIdeal.from_generators(
             [tuple(int(i == j) for i in range(5)) for j in range(4)], 5
         )
-        found = _descend({k - 1: {start: (1, -4, 6, -4, 1)}})  # (1-t)^4
+        for steps in range(k):
+            found = _descend({steps: {start: (1, -4, 6, -4, 1)}})  # (1-t)^4
+            self.check(found)
         assert found.keys() == enumerate_strongly_stable(
             GotzmannPartition((0,) * k), 4
         )
-        self.check(found)
 
     def test_walk_computes_no_hilbert_data(self, monkeypatch):
         def forbidden(*args):

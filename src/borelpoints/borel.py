@@ -6,7 +6,9 @@ every k whose base-p digits are dominated by those of u_j, the exchange
 x_j^{-k} x_i^k x^u stays in the ideal (Pardue's criterion).  In
 characteristic 0 only single-step exchanges (k = 1) are required, which is
 the strongly stable condition.  Characteristic 0 is modeled here as the
-exchange set {1}, so one code path covers both cases.
+exchange set {1}, so one code path covers both cases.  The rule is
+written once, in _exchanges; _exchange_orbit follows it to a closure, for
+borel_closure and the exhaustive oracle.
 """
 
 from __future__ import annotations
@@ -75,17 +77,33 @@ def exchange(m: Monomial, i: int, j: int, k: int) -> Monomial:
     return tuple(out)
 
 
+def _exchanges(m: Monomial, ch: Characteristic):
+    """Every x_j^{-k} x_i^k m with i < j and k a legal exchange amount
+    against m[j] (Pardue's rule); repeats are possible."""
+    for j in range(1, len(m)):
+        for k in exchange_amounts(m[j], ch):
+            for i in range(j):
+                yield exchange(m, i, j, k)
+
+
+def _exchange_orbit(gens, ch: Characteristic) -> set[Monomial]:
+    """The monomials reachable from gens by legal exchanges, gens included.
+    Exchanges keep the degree, so the orbit is finite, and it generates the
+    smallest Borel-fixed ideal containing gens: a Borel-fixed ideal holds
+    every exchange of each of its monomials."""
+    orbit = set(gens)
+    todo = list(orbit)
+    while todo:
+        for v in _exchanges(todo.pop(), ch):
+            if v not in orbit:
+                orbit.add(v)
+                todo.append(v)
+    return orbit
+
+
 def is_borel_fixed(I: MonomialIdeal, ch: Characteristic) -> bool:
     """Pardue's criterion, checked on the minimal generators."""
-    for g in I.gens:
-        for j in range(1, I.num_vars):
-            if g[j] == 0:
-                continue
-            for k in exchange_amounts(g[j], ch):
-                for i in range(j):
-                    if not I.contains(exchange(g, i, j, k)):
-                        return False
-    return True
+    return all(I.contains(v) for g in I.gens for v in _exchanges(g, ch))
 
 
 def is_strongly_stable(I: MonomialIdeal) -> bool:
@@ -94,29 +112,10 @@ def is_strongly_stable(I: MonomialIdeal) -> bool:
 
 
 def borel_closure(gens, ch: Characteristic, num_vars: int) -> MonomialIdeal:
-    """Smallest ideal containing gens that passes is_borel_fixed for ch.
-
-    Iterates all legal exchanges to a fixed point, re-minimalizing each
-    round.  Exchanges preserve degree, so the closure lives in the degrees
-    of the input and the iteration terminates.
-    """
+    """Smallest ideal containing gens that passes is_borel_fixed for ch:
+    the ideal generated by the exchange orbit of its minimal generators."""
     ideal = MonomialIdeal.from_generators(gens, num_vars)
-    while True:
-        missing = []
-        for g in ideal.gens:
-            for j in range(1, num_vars):
-                if g[j] == 0:
-                    continue
-                for k in exchange_amounts(g[j], ch):
-                    for i in range(j):
-                        v = exchange(g, i, j, k)
-                        if not ideal.contains(v):
-                            missing.append(v)
-        if not missing:
-            return ideal
-        ideal = MonomialIdeal.from_generators(
-            ideal.gens + tuple(missing), num_vars
-        )
+    return MonomialIdeal.from_generators(_exchange_orbit(ideal.gens, ch), num_vars)
 
 
 def expandable_generators(I: MonomialIdeal) -> list[Monomial]:

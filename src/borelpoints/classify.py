@@ -20,7 +20,10 @@ from .hilbert_poly import GotzmannPartition
 from .monomial_ideal import MonomialIdeal
 from .borel import CHAR0, Characteristic
 from .reeves import enumerate_strongly_stable
-from .exhaustive import enumerate_borel_fixed
+from .exhaustive import DEFAULT_MAX_AMBIENT, DEFAULT_MAX_GOTZMANN, enumerate_borel_fixed
+
+# the primes default_grid adds wherever the exhaustive search runs unforced
+ORACLE_CHARS = (2, 3)
 
 
 @dataclass(frozen=True)
@@ -153,24 +156,13 @@ def predict(coords: SchemeCoordinates) -> ClassificationVerdict:
     return ClassificationVerdict(">=3/unknown", None)
 
 
-def count_borel_fixed(
-    coords: SchemeCoordinates, method: str = "auto"
-) -> tuple[int, frozenset[MonomialIdeal]]:
-    """Enumerated count and ideal set, by the requested method.
-
-    reeves covers characteristic 0; oracle runs the exhaustive search at
-    the coordinate characteristic; auto picks by characteristic.
-    """
-    if method == "auto":
-        method = "reeves" if coords.char.is_zero else "oracle"
-    if method == "reeves":
-        if not coords.char.is_zero:
-            raise ValueError("reeves enumerates characteristic 0 only")
+def count_borel_fixed(coords: SchemeCoordinates) -> tuple[int, frozenset[MonomialIdeal]]:
+    """Enumerated count and ideal set: the Reeves walk in characteristic 0,
+    the exhaustive search (guarded, see exhaustive) in characteristic p."""
+    if coords.char.is_zero:
         ideals = enumerate_strongly_stable(coords.partition, coords.n)
-    elif method == "oracle":
-        ideals = enumerate_borel_fixed(coords.partition, coords.n, coords.char)
     else:
-        raise ValueError(f"unknown method {method!r}")
+        ideals = enumerate_borel_fixed(coords.partition, coords.n, coords.char)
     return len(ideals), ideals
 
 
@@ -211,12 +203,10 @@ def default_grid(
     max_gotzmann: int = 6,
     max_degree: int = 3,
     codims: tuple[int, ...] = (2, 3),
-    oracle_chars: tuple[int, ...] = (2, 3),
-    oracle_max_ambient: int = 3,
-    oracle_max_gotzmann: int = 5,
 ) -> list[SchemeCoordinates]:
     """The standard verification grid: characteristic 0 on every cell, plus
-    small primes wherever the exhaustive search is feasible."""
+    each of ORACLE_CHARS wherever the exhaustive search runs within its
+    default bound."""
     cells = []
     for parts in partitions_up_to(max_gotzmann, max_degree):
         partition = GotzmannPartition(parts)
@@ -224,10 +214,10 @@ def default_grid(
             n = c + partition.degree
             cells.append(SchemeCoordinates(partition, n))
             if (
-                n <= oracle_max_ambient
-                and partition.gotzmann_number <= oracle_max_gotzmann
+                n <= DEFAULT_MAX_AMBIENT
+                and partition.gotzmann_number <= DEFAULT_MAX_GOTZMANN
             ):
-                for p in oracle_chars:
+                for p in ORACLE_CHARS:
                     cells.append(
                         SchemeCoordinates(partition, n, Characteristic(p))
                     )

@@ -7,7 +7,8 @@ to the Gotzmann number r.  Saturation pins the candidates down further: a
 minimal generator of a saturated ideal is never divisible by the last
 variable, and exchanges only move exponents to lower indices, so the
 closure of a last-variable-free monomial is generated by such monomials.
-The only Borel machinery used is Pardue's closure, borel.borel_closure.
+The only Borel machinery used is Pardue's exchange rule, through
+borel._exchange_orbit.
 
 The search therefore proceeds degree by degree from 1 to r, branching
 over sets of generator orbits (closures of single last-variable-free
@@ -39,20 +40,14 @@ clear.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import SearchBoundError
 from .hilbert_poly import GotzmannPartition
 from .monomial_ideal import Monomial, MonomialIdeal, monomials_of_degree
-from .borel import Characteristic, borel_closure
+from .borel import Characteristic, _exchange_orbit
 
 DEFAULT_MAX_AMBIENT = 3
 DEFAULT_MAX_GOTZMANN = 5
-
-
-@lru_cache(maxsize=None)
-def _orbit(m: Monomial, ch: Characteristic, num_vars: int) -> MonomialIdeal:
-    return borel_closure((m,), ch, num_vars)
 
 
 @dataclass(frozen=True)
@@ -144,8 +139,8 @@ def search_levels(
         """Mask of the ideal generated by the closure of monomial i."""
         if i not in orbit_masks:
             mask = 0
-            for g in _orbit(layout.monomials[i], ch, num_vars).gens:
-                mask |= layout.multiples[layout.index[g]]
+            for v in _exchange_orbit((layout.monomials[i],), ch):
+                mask |= layout.multiples[layout.index[v]]
             orbit_masks[i] = mask
         return orbit_masks[i]
 

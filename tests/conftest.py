@@ -24,7 +24,7 @@ from borelpoints import (
     monomials_of_degree,
     peel_to_partition,
 )
-from borelpoints.borel import exchange
+from borelpoints.borel import exchange, exchange_amounts
 from borelpoints.monomial_ideal import canonical_key, max_index
 
 
@@ -219,13 +219,34 @@ def reference_expand(I, g):
     return MonomialIdeal(I.num_vars, tuple(gens))
 
 
+def reference_borel_closure(gens, ch, num_vars):
+    """The Borel closure by rounds: add every legal exchange of a minimal
+    generator that the ideal misses, re-minimalize, and repeat until no
+    exchange is missing.  Exchanges preserve degree, so the closure lives
+    in the degrees of the input and the rounds end.  The library's
+    borel_closure walks the exchange orbit instead."""
+    ideal = MonomialIdeal.from_generators(gens, num_vars)
+    while True:
+        missing = []
+        for g in ideal.gens:
+            for j in range(1, num_vars):
+                for k in exchange_amounts(g[j], ch):
+                    for i in range(j):
+                        v = exchange(g, i, j, k)
+                        if not ideal.contains(v):
+                            missing.append(v)
+        if not missing:
+            return ideal
+        ideal = MonomialIdeal.from_generators(ideal.gens + tuple(missing), num_vars)
+
+
 def reference_search_levels(partition, n, ch):
     """The exhaustive search on MonomialIdeal values, with no guard.
 
     The library's search_levels runs the same branching on bitsets; this
-    version joins generator sets with from_generators and evaluates the
-    Hilbert function through the numerator, so the two can be compared
-    level by level.
+    version takes its orbits from reference_borel_closure, joins generator
+    sets with from_generators and evaluates the Hilbert function through
+    the numerator, so the two can be compared level by level.
     """
     r = partition.gotzmann_number
     num_vars = n + 1
@@ -245,7 +266,7 @@ def reference_search_levels(partition, n, ch):
             if ideal.contains(m):
                 continue
             if m not in closures:
-                closures[m] = borel_closure((m,), ch, num_vars)
+                closures[m] = reference_borel_closure((m,), ch, num_vars)
             orbit = closures[m]
             seen.setdefault(orbit.gens, orbit)
         return [seen[k] for k in sorted(seen)]

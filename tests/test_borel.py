@@ -6,7 +6,10 @@ import textwrap
 from pathlib import Path
 
 import pytest
+import math
+
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from borelpoints import (
     CHAR0,
@@ -29,6 +32,7 @@ from borelpoints.borel import _expand, _expandable, exchange
 from conftest import (
     ideal,
     mini_grid,
+    reference_borel_closure,
     reference_expand,
     reference_expandable,
     saturated_strongly_stable,
@@ -36,6 +40,7 @@ from conftest import (
 
 P2 = Characteristic(2)
 P3 = Characteristic(3)
+P5 = Characteristic(5)
 
 
 class TestCharacteristic:
@@ -66,6 +71,16 @@ class TestDigitwiseLeq:
             ch = Characteristic(p)
             for l in range(12):
                 assert digitwise_leq(l, l, ch)
+
+    def test_lucas(self):
+        # Lucas: C(l, k) is nonzero mod p iff the base-p digits of k are
+        # dominated by those of l
+        for p in (2, 3, 5, 7):
+            ch = Characteristic(p)
+            for l in range(50):
+                for k in range(l + 1):
+                    expected = math.comb(l, k) % p != 0
+                    assert digitwise_leq(k, l, ch) == expected, (k, l, p)
 
     def test_exchange_amounts(self):
         assert exchange_amounts(2, P2) == [2]
@@ -147,6 +162,35 @@ class TestBorelClosure:
         for I in ideal_zoo:
             closed = borel_closure(I.gens, CHAR0, I.num_vars)
             assert (closed == I) == is_strongly_stable(I)
+
+    def test_matches_reference_on_single_monomials(self):
+        for (m, num_vars) in closure_grid():
+            for ch in (CHAR0, P2, P3, P5):
+                assert borel_closure([m], ch, num_vars) == reference_borel_closure(
+                    [m], ch, num_vars
+                ), (m, ch.value)
+
+    def test_matches_reference_on_zoo(self, ideal_zoo):
+        for I in ideal_zoo:
+            for ch in (CHAR0, P2, P3, P5):
+                got = borel_closure(I.gens, ch, I.num_vars)
+                assert got == reference_borel_closure(I.gens, ch, I.num_vars), (
+                    str(I),
+                    ch.value,
+                )
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_reference_on_random_generators(self, data):
+        num_vars = data.draw(st.integers(3, 4))
+        monomial = st.lists(
+            st.integers(0, 3), min_size=num_vars, max_size=num_vars
+        ).filter(lambda e: sum(e) <= 5)
+        gens = [tuple(g) for g in data.draw(st.lists(monomial, min_size=1, max_size=4))]
+        ch = data.draw(st.sampled_from((CHAR0, P2, P3, P5)))
+        assert borel_closure(gens, ch, num_vars) == reference_borel_closure(
+            gens, ch, num_vars
+        )
 
     def test_strongly_stable_implies_borel_fixed_all_primes(self):
         for (m, num_vars) in closure_grid():
@@ -432,3 +476,20 @@ class TestPublicPreconditions:
             tree = ast.parse(path.read_text())
             lines = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)]
             assert not lines, f"{path.name}: assert at lines {lines}"
+
+    def test_only_allowlisted_process_wide_caches(self):
+        # a module-level cache lives as long as the process, so each one
+        # must be a deliberate choice
+        package = Path(reeves.__file__).parent
+        cached = set()
+        for path in sorted(package.rglob("*.py")):
+            tree = ast.parse(path.read_text())
+            for node in ast.walk(tree):
+                if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                for deco in node.decorator_list:
+                    target = deco.func if isinstance(deco, ast.Call) else deco
+                    name = getattr(target, "id", None) or getattr(target, "attr", None)
+                    if name in ("lru_cache", "cache"):
+                        cached.add(f"{path.stem}.{node.name}")
+        assert cached == {"monomial_ideal._numerator"}

@@ -8,6 +8,8 @@ from borelpoints import (
     SchemeCoordinates,
     count_borel_fixed,
     default_grid,
+    enumerate_borel_fixed,
+    enumerate_strongly_stable,
     explore_tree,
     in_three_point_family,
     predicate_two,
@@ -108,24 +110,19 @@ class TestPredicateConsistency:
 
 class TestCountDispatch:
     def test_reeves_twisted(self):
-        count, ideals = count_borel_fixed(coords((1, 1, 1, 0), 3), "reeves")
-        assert count == 3 and len(ideals) == 3
+        ideals = enumerate_strongly_stable(GotzmannPartition((1, 1, 1, 0)), 3)
+        assert len(ideals) == 3
 
     def test_oracle_char_two(self):
-        count, _ = count_borel_fixed(coords((0, 0, 0, 0), 2, P2), "oracle")
-        assert count == 3
+        ideals = enumerate_borel_fixed(GotzmannPartition((0, 0, 0, 0)), 2, P2)
+        assert len(ideals) == 3
 
     def test_reeves_three_space(self):
-        count, _ = count_borel_fixed(coords((0, 0, 0), 3), "reeves")
-        assert count == 2
+        assert len(enumerate_strongly_stable(GotzmannPartition((0, 0, 0)), 3)) == 2
 
     def test_auto_picks_by_characteristic(self):
         assert count_borel_fixed(coords((0, 0, 0), 2))[0] == 2
         assert count_borel_fixed(coords((0, 0, 0), 2, P2))[0] == 2
-
-    def test_reeves_requires_char_zero(self):
-        with pytest.raises(ValueError):
-            count_borel_fixed(coords((0, 0), 2, P2), "reeves")
 
 
 class TestVerification:
@@ -171,8 +168,6 @@ class TestVerification:
     def test_unique_predicate_at_codim_one(self):
         # the unique-point criterion also covers codimension 1, where the
         # two-point classification is out of scope
-        from borelpoints import enumerate_strongly_stable
-
         for parts in all_partitions(5, 2):
             partition = GotzmannPartition(parts)
             cell = coords(parts, partition.degree + 1)

@@ -22,8 +22,6 @@ from .hilbert_poly import (
     SampledPolynomial,
     binomial,
     binomial_poly,
-    constant_difference,
-    from_macaulay,
     peel_to_partition,
 )
 from .monomial_ideal import (
@@ -47,8 +45,8 @@ from .borel import (
     is_strongly_stable,
 )
 from .lex import LexCounts, counts_for_partition, lex_ideal, lex_ideal_from_counts
-from .reeves import ReevesState, enumerate_strongly_stable, enumeration_levels
-from .exhaustive import SearchNode, enumerate_borel_fixed, search_levels
+from .reeves import enumerate_strongly_stable, enumeration_levels
+from .exhaustive import enumerate_borel_fixed, search_levels
 from .classify import (
     ClassificationVerdict,
     SchemeCoordinates,

@@ -15,23 +15,31 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from math import isqrt
 
 from .monomial_ideal import Monomial, MonomialIdeal, max_index
+
+# Primes below this bound are checked by exact trial division, at most
+# isqrt(2^31) = 46340 divisions.  Larger ones are refused: for exponents
+# below p, digitwise_leq(k, l, p) is just k <= l, so every prime above
+# the exponents of an ideal gives the same exchange rule.
+_MAX_CHARACTERISTIC = 2**31
 
 
 @dataclass(frozen=True)
 class Characteristic:
-    """0 or a prime, selecting the exchange rule."""
+    """0 or a prime below 2^31, selecting the exchange rule."""
 
     value: int
 
     def __post_init__(self):
-        if self.value == 0:
+        p = self.value
+        if p == 0:
             return
-        if self.value < 2 or any(
-            self.value % q == 0 for q in range(2, int(self.value**0.5) + 1)
-        ):
-            raise ValueError(f"characteristic must be 0 or a prime, got {self.value}")
+        if p >= _MAX_CHARACTERISTIC:
+            raise ValueError("characteristic must be 0 or a prime below 2^31")
+        if p < 2 or any(p % q == 0 for q in range(2, isqrt(p) + 1)):
+            raise ValueError(f"characteristic must be 0 or a prime, got {p}")
 
     @property
     def is_zero(self) -> bool:

@@ -49,7 +49,6 @@ class SchemeCoordinates:
 class ClassificationVerdict:
     predicted_count: int | str
     matched_clause: str | None
-    verified_count: int | None = None
 
 
 def _leading_run(parts: tuple[int, ...]) -> int:

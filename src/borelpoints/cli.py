@@ -27,6 +27,19 @@ class _UsageError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that leaves reporting its errors to main."""
+
+    def error(self, message):
+        raise _ArgumentError(self, message)
+
+
+class _ArgumentError(Exception):
+    def __init__(self, parser: argparse.ArgumentParser, message: str):
+        super().__init__(message)
+        self.parser = parser
+
+
 def _char_type(text: str) -> Characteristic:
     try:
         return Characteristic(int(text))
@@ -323,7 +336,7 @@ def cmd_tree(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="borelpoints",
         description="Monomial-ideal enumeration of Borel-fixed points of Hilbert schemes",
     )
@@ -361,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--eval-from", type=int, default=0)
     p.add_argument("--eval-to", type=int, default=None)
-    p.set_defaults(func=cmd_hp, needs_partition=True)
+    p.set_defaults(func=cmd_hp)
 
     p = sub.add_parser("lex", help="saturated lexicographic ideal")
     common(p, n=True)
@@ -420,8 +433,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except _ArgumentError as exc:
+        # argparse's own report is usage text; under --json (which argparse
+        # also accepts abbreviated, as --j or --js) it is JSON
+        if not any(len(a) > 2 and "--json".startswith(a) for a in argv):
+            argparse.ArgumentParser.error(exc.parser, str(exc))
+        _fail(argparse.Namespace(json=True), str(exc), 2)
+        sys.exit(2)
     try:
         return args.func(args)
     except _UsageError as exc:

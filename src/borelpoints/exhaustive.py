@@ -34,12 +34,11 @@ comparing states is comparing ints.  Generators have degree <= r <= D,
 so the mask determines the ideal and states deduplicate by their masks.
 A MonomialIdeal is built only for the states alive after each degree:
 its minimal generators are the set bits whose one-step divisors are all
-clear.
+clear.  search_levels yields these ideals as one set per degree and keeps
+no other record of a level.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .errors import SearchBoundError
 from .hilbert_poly import GotzmannPartition
@@ -48,15 +47,6 @@ from .borel import Characteristic, _exchange_orbit
 
 DEFAULT_MAX_AMBIENT = 3
 DEFAULT_MAX_GOTZMANN = 5
-
-
-@dataclass(frozen=True)
-class SearchNode:
-    """Partial ideal once all generators of degree <= degree are fixed."""
-
-    degree: int
-    ideal: MonomialIdeal
-    hf_prefix: tuple[int, ...]
 
 
 class _Layout:
@@ -96,9 +86,6 @@ class _Layout:
                     mask |= self.multiples[step(m, k, 1)]
             self.multiples[i] = mask
 
-    def hilbert_function(self, mask: int, d: int) -> int:
-        return (self.below[d] & ~mask).bit_count()
-
     def ideal(self, mask: int, deg: int, num_vars: int) -> MonomialIdeal:
         """The ideal of a state whose generators have degree <= deg."""
         gens = tuple(
@@ -125,7 +112,9 @@ def search_levels(
     ch: Characteristic,
     force: bool = False,
 ):
-    """Yield the list of SearchNodes alive after each degree 1, ..., r."""
+    """Yield the set of ideals alive after each degree 1, ..., r: those
+    whose generators of degree <= deg are fixed and can still reach the
+    target."""
     _check_feasible(partition, n, force)
     r = partition.gotzmann_number
     num_vars = n + 1
@@ -173,16 +162,7 @@ def search_levels(
 
             grow(0, state)
         states = next_states
-        nodes = [
-            SearchNode(
-                deg,
-                layout.ideal(state, deg, num_vars),
-                tuple(layout.hilbert_function(state, d) for d in range(deg + 1)),
-            )
-            for state in states
-        ]
-        nodes.sort(key=lambda node: node.ideal.gens)
-        yield nodes
+        yield {layout.ideal(state, deg, num_vars) for state in states}
 
 
 def enumerate_borel_fixed(
@@ -196,12 +176,10 @@ def enumerate_borel_fixed(
 
     Guarded to n <= 3 and Gotzmann number <= 5 unless force is set.
     """
-    final: list[SearchNode] = []
-    for final in search_levels(partition, n, ch, force):
+    for level in search_levels(partition, n, ch, force):
         pass
     found = set()
-    for node in final:
-        ideal = node.ideal
+    for ideal in level:
         if ideal.is_zero:
             continue
         if ideal.saturate() != ideal:

@@ -147,10 +147,6 @@ class MacaulayPartition:
         return "(" + ", ".join(str(e) for e in self.parts) + ")"
 
 
-def from_macaulay(e: MacaulayPartition) -> GotzmannPartition:
-    return e.to_gotzmann()
-
-
 @dataclass(frozen=True)
 class SampledPolynomial:
     """Integer polynomial values p(base), p(base+1), ..., on a finite window.
@@ -246,16 +242,3 @@ def partition_from_values(values) -> GotzmannPartition:
         for t in range(len(rem)):
             rem[t] -= binomial_poly(t, i, i + 1) - binomial_poly(t, i - e[i], i + 1)
     return MacaulayPartition(tuple(e)).to_gotzmann()
-
-
-def constant_difference(p: GotzmannPartition, q: GotzmannPartition) -> int:
-    """The constant value of p - q, when p - q is a constant polynomial.
-
-    Evaluates both on enough points to determine the difference and raises
-    if the values are not all equal.
-    """
-    d = max(p.degree, q.degree)
-    deltas = {p.evaluate(t) - q.evaluate(t) for t in range(d + 2)}
-    if len(deltas) != 1:
-        raise ValueError("difference of polynomials is not constant")
-    return deltas.pop()

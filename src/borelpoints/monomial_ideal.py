@@ -14,7 +14,7 @@ generator lcms) live in the tests, which check that all three agree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 from .hilbert_poly import (
@@ -27,23 +27,12 @@ from .hilbert_poly import (
 Monomial = tuple[int, ...]
 
 
-def degree(m: Monomial) -> int:
-    return sum(m)
-
-
 def max_index(m: Monomial) -> int:
     """Largest variable index dividing m; undefined for the unit monomial."""
     for i in range(len(m) - 1, -1, -1):
         if m[i] > 0:
             return i
     raise ValueError("the unit monomial has no maximal index")
-
-
-def min_index(m: Monomial) -> int:
-    for i, e in enumerate(m):
-        if e > 0:
-            return i
-    raise ValueError("the unit monomial has no minimal index")
 
 
 def divides(m: Monomial, other: Monomial) -> bool:
@@ -170,15 +159,12 @@ class MonomialIdeal:
             raise ValueError("monomial length does not match num_vars")
         return any(divides(g, m) for g in self.gens)
 
-    def saturate(self, k: int | None = None) -> "MonomialIdeal":
-        """(I : x_k^infinity): strip all x_k powers from the generators.
-
-        Defaults to the last variable.  For Borel-fixed ideals with k = n
-        this is saturation by the whole irrelevant ideal.
+    def saturate(self) -> "MonomialIdeal":
+        """(I : x_n^infinity): strip all powers of the last variable from the
+        generators.  For Borel-fixed ideals this is saturation by the whole
+        irrelevant ideal.
         """
-        if k is None:
-            k = self.num_vars - 1
-        stripped = [g[:k] + (0,) + g[k + 1 :] for g in self.gens]
+        stripped = [g[:-1] + (0,) for g in self.gens]
         return MonomialIdeal.from_generators(stripped, self.num_vars)
 
     def lift(self) -> "MonomialIdeal":
@@ -302,17 +288,15 @@ def hilbert_polynomial_values(numerator, num_vars: int, ts) -> list[int]:
 
 @dataclass(frozen=True)
 class HilbertData:
-    """Hilbert function values, the matching polynomial, and where they meet.
+    """The Hilbert polynomial of S/I and the degree from which the Hilbert
+    function agrees with it.
 
     polynomial is None exactly when the Hilbert polynomial is zero: for
     the unit ideal, and for any ideal with finite-dimensional quotient
-    (the zero polynomial has no partition).  function_values holds HF(d)
-    for 0 <= d < max(D, stabilization_degree) + n + 6, where D is the
-    largest generator degree plus num_vars.
+    (the zero polynomial has no partition).
     """
 
     ideal: MonomialIdeal
-    function_values: dict[int, int] = field(compare=False)
     polynomial: GotzmannPartition | None
     stabilization_degree: int
 
@@ -342,8 +326,4 @@ def hilbert_polynomial(ideal: MonomialIdeal) -> HilbertData:
     stab = max(deg - n, 0)
     values = hilbert_polynomial_values(num, ideal.num_vars, range(n + 2))
     part = partition_from_values(values) if any(values) else None
-    top = max(ideal.max_generator_degree + ideal.num_vars, stab) + n + 6
-    function_values = {
-        d: _function_value(num, ideal.num_vars, d) for d in range(top)
-    }
-    return HilbertData(ideal, function_values, part, stab)
+    return HilbertData(ideal, part, stab)

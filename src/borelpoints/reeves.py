@@ -20,7 +20,9 @@ start ideal has N = (1-t)^c, an expansion at a generator of degree a
 adds t^a (1-t)^n (see _expanded_numerator), and a lift leaves N as it
 is, because S[x_{n+1}]/I S[x_{n+1}] = (S/I)[x_{n+1}] divides both the
 series and its denominator by 1 - t.  Every level ends in a dict from
-each of its ideals to its numerator, which is what the next lift needs.
+each of its ideals to its numerator, which is what the next lift needs
+and what enumeration_levels yields; the walk keeps no other record of a
+level.
 
 The gap, or deficit, at level j is q_j(t) - sum_i c_i C(t - i + n, n)
 with each binomial read as a polynomial in t (hilbert_poly.binomial_poly).
@@ -54,22 +56,12 @@ carried numerators against hilbert_numerator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 from operator import mul
 
 from .hilbert_poly import GotzmannPartition, binomial_poly
 from .monomial_ideal import MonomialIdeal
 from .borel import _expand, _expandable
-
-
-@dataclass(frozen=True)
-class ReevesState:
-    """Snapshot of one level of the walk: all ideals matching target q_level."""
-
-    level: int
-    target: GotzmannPartition
-    ideals: frozenset[MonomialIdeal]
 
 
 def _expanded_numerator(
@@ -125,15 +117,11 @@ def _level_columns(n: int, ts, width: int) -> list[tuple[int, ...]]:
 
 
 def enumeration_levels(partition: GotzmannPartition, n: int):
-    """Yield the ReevesState after each level, ending in K[x_0, ..., x_n]."""
-    for state, _ in _walk(partition, n):
-        yield state
+    """Yield each level of the walk, ending in K[x_0, ..., x_n], as a dict
+    from every ideal of the level to its Hilbert numerator.
 
-
-def _walk(partition: GotzmannPartition, n: int):
-    """The body of enumeration_levels, yielding (state, nums) per level.
-
-    nums maps every ideal of the level to its Hilbert numerator.
+    Level j holds the ideals whose Hilbert polynomial is
+    difference^(d-j)(partition), d = partition.degree.
     """
     if n <= partition.degree:
         raise ValueError("ambient dimension must exceed the polynomial degree")
@@ -171,7 +159,7 @@ def _walk(partition: GotzmannPartition, n: int):
             if deficit >= 0:
                 buckets.setdefault(deficit, {})[ideal] = num
         nums = _descend(buckets)
-        yield ReevesState(j, target, frozenset(nums)), nums
+        yield nums
 
 
 def enumerate_strongly_stable(
@@ -179,7 +167,6 @@ def enumerate_strongly_stable(
 ) -> frozenset[MonomialIdeal]:
     """All saturated strongly stable ideals in K[x_0, ..., x_n] with the
     given Hilbert polynomial, as a canonical deduplicated set."""
-    state = None
-    for state in enumeration_levels(partition, n):
+    for level in enumeration_levels(partition, n):
         pass
-    return state.ideals
+    return frozenset(level)

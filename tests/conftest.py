@@ -18,7 +18,6 @@ from borelpoints import (
     MonomialIdeal,
     NotAdmissibleError,
     SampledPolynomial,
-    SearchNode,
     binomial,
     borel_closure,
     monomials_of_degree,
@@ -148,6 +147,24 @@ def saturated_strongly_stable(draw):
     return I
 
 
+def from_macaulay(e):
+    """The Gotzmann partition of a Macaulay partition, by name."""
+    return e.to_gotzmann()
+
+
+def constant_difference(p, q):
+    """The constant value of p - q, when p - q is a constant polynomial.
+
+    Evaluates both on enough points to determine the difference and raises
+    if the values are not all equal.
+    """
+    d = max(p.degree, q.degree)
+    deltas = {p.evaluate(t) - q.evaluate(t) for t in range(d + 2)}
+    if len(deltas) != 1:
+        raise ValueError("difference of polynomials is not constant")
+    return deltas.pop()
+
+
 def trim(coefficients):
     """A coefficient tuple without its trailing zeros."""
     coefficients = tuple(coefficients)
@@ -158,8 +175,8 @@ def trim(coefficients):
 
 def reference_hilbert_polynomial(ideal):
     """The Hilbert polynomial by sampling, as a cross-check of the exact
-    engine: (polynomial, stabilization_degree, function_values,
-    window_doublings), or None when the window never stabilizes.
+    engine: (polynomial, stabilization_degree), or None when the window
+    never stabilizes.
 
     Samples the Hilbert function on a window based at
     D = maxgendeg + num_vars, peels the partition, then verifies
@@ -183,13 +200,12 @@ def reference_hilbert_polynomial(ideal):
                 continue
         expected = (lambda d: 0) if part is None else part.evaluate
         if all(ideal.hilbert_function(d) == expected(d) for d in checks):
-            values = {d: ideal.hilbert_function(d) for d in range(base + width + 3)}
             stab = 0
             for d in range(base + width + 2, -1, -1):
-                if values[d] != expected(d):
+                if ideal.hilbert_function(d) != expected(d):
                     stab = d + 1
                     break
-            return part, stab, values, doublings
+            return part, stab
     return None
 
 
@@ -291,11 +307,4 @@ def reference_search_levels(partition, n, ch):
 
             grow(0, ideal)
         states = next_states
-        yield [
-            SearchNode(
-                deg,
-                ideal,
-                tuple(ideal.hilbert_function(d) for d in range(deg + 1)),
-            )
-            for ideal in sorted(states, key=lambda i: i.gens)
-        ]
+        yield set(states)

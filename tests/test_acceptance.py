@@ -14,7 +14,6 @@ from borelpoints import (
     Characteristic,
     GotzmannPartition,
     SchemeCoordinates,
-    constant_difference,
     enumerate_borel_fixed,
     enumerate_strongly_stable,
     expand,
@@ -26,10 +25,9 @@ from borelpoints import (
     predicate_two,
     predicate_unique,
     SampledPolynomial,
-    from_macaulay,
 )
 
-from conftest import all_partitions
+from conftest import all_partitions, constant_difference, from_macaulay
 
 P2, P3, P5, P7 = (Characteristic(p) for p in (2, 3, 5, 7))
 

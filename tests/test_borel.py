@@ -53,6 +53,27 @@ class TestCharacteristic:
             with pytest.raises(ValueError):
                 Characteristic(v)
 
+    def test_matches_sieve(self):
+        limit = 2000
+        composite = set()
+        for q in range(2, limit):
+            composite.update(range(q * q, limit, q))
+        for v in range(limit):
+            try:
+                Characteristic(v)
+                accepted = True
+            except ValueError:
+                accepted = False
+            assert accepted == (v == 0 or (v >= 2 and v not in composite)), v
+
+    def test_bound(self):
+        # 2^31 - 1 is prime and the largest value checked by trial division;
+        # larger values, prime or not, are refused without any division
+        assert Characteristic(2**31 - 1).value == 2**31 - 1
+        for v in (2**31, 10**18 + 3, 10**400):
+            with pytest.raises(ValueError, match="below 2\\^31"):
+                Characteristic(v)
+
 
 class TestDigitwiseLeq:
     def test_examples(self):

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -94,6 +95,41 @@ class TestMalformedInput:
             capsys, "hp", "--partition", "1,1", "--eval-from", "5", "--eval-to", "2"
         )
         assert "empty evaluation range" in error
+
+
+class TestCharacteristicInput:
+    """--char values are checked exactly and fast; a bad one is a usage
+    error, reported as JSON under --json like any other."""
+
+    @pytest.mark.parametrize(
+        "char", ["1" + "0" * 400, "1000000000000000003"], ids=["huge", "large-prime"]
+    )
+    def test_rejected_as_json_usage_error(self, capsys, char):
+        argv = ["check-ideal", "--gens", "x0", "--num-vars", "2", "--char", char]
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--json"])
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        payload = json.loads(captured.err)
+        assert payload["exit_code"] == 2
+        assert "--char" in payload["error"]
+
+    def test_abbreviated_json_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", "--partition", "0,0", "--n", "2", "--char", "6", "--js"])
+        assert exc.value.code == 2
+        assert json.loads(capsys.readouterr().err)["exit_code"] == 2
+
+    def test_plain_usage_text_without_json(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["check-ideal", "--gens", "x0", "--num-vars", "2", "--char", "6"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:")
+        assert "characteristic must be 0 or a prime" in err
 
 
 class TestClassifyCommand:

@@ -112,17 +112,22 @@ class TestFeasibilityGuard:
 
 class TestSearchLevels:
     def test_node_invariants(self):
+        # every ideal alive after degree deg is Borel-fixed, generated in
+        # degrees <= deg, and passes both of the search's pruning tests
         partition = GotzmannPartition((0, 0, 0))
+        r = partition.gotzmann_number
+        checkpoints = range(r, r + partition.degree + 2)
         for ch in (CHAR0, P2):
-            for level in search_levels(partition, 2, ch):
-                for node in level:
-                    assert is_borel_fixed(node.ideal, ch)
-                    assert node.ideal.max_generator_degree <= node.degree
-                    assert len(node.hf_prefix) == node.degree + 1
-                    assert node.hf_prefix == tuple(
-                        node.ideal.hilbert_function(d)
-                        for d in range(node.degree + 1)
-                    )
+            levels = list(search_levels(partition, 2, ch))
+            assert len(levels) == r
+            for deg, level in enumerate(levels, start=1):
+                assert level
+                for I in level:
+                    assert is_borel_fixed(I, ch)
+                    assert I.max_generator_degree <= deg
+                    assert I.hilbert_function(deg) <= partition.evaluate(r)
+                    for d in checkpoints:
+                        assert I.hilbert_function(d) >= partition.evaluate(d)
 
 
 def _differential_cells():

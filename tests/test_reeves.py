@@ -17,12 +17,7 @@ from borelpoints import (
 from borelpoints import hilbert_poly, monomial_ideal, reeves
 from borelpoints.borel import _expand
 from borelpoints.monomial_ideal import hilbert_polynomial_values
-from borelpoints.reeves import (
-    _descend,
-    _expanded_numerator,
-    _level_columns,
-    _walk,
-)
+from borelpoints.reeves import _descend, _expanded_numerator, _level_columns
 
 from conftest import ideal, mini_grid, saturated_strongly_stable, trim
 
@@ -108,17 +103,18 @@ class TestChainDedup:
 class TestLevels:
     def test_level_targets_and_rings(self):
         partition = GotzmannPartition((1, 1, 1, 0))
-        states = list(enumeration_levels(partition, 3))
-        assert len(states) == 2
-        assert states[0].target.parts == (0, 0, 0)
-        assert states[1].target.parts == (1, 1, 1, 0)
-        assert {str(i) for i in states[0].ideals} == {
+        levels = list(enumeration_levels(partition, 3))
+        targets = [partition.difference(), partition]
+        assert len(levels) == 2
+        assert targets[0].parts == (0, 0, 0)
+        assert {str(i) for i in levels[0]} == {
             "<x0, x1^3>",
             "<x0^2, x0*x1, x1^2>",
         }
-        for state in states:
-            for I in state.ideals:
-                assert I.hilbert_polynomial().polynomial == state.target
+        for level, target, num_vars in zip(levels, targets, (3, 4)):
+            for I in level:
+                assert I.num_vars == num_vars
+                assert I.hilbert_polynomial().polynomial == target
 
 
 class TestPointsLadder:
@@ -172,8 +168,7 @@ class TestCarriedNumerators:
         monkeypatch.setattr(reeves, "_descend", lambda b: descend(Buckets(b)))
         for partition, n in mini_grid():
             levels = 0
-            for state, nums in _walk(partition, n):
-                assert state.ideals == nums.keys()
+            for nums in enumeration_levels(partition, n):
                 self.check(nums)
                 levels += 1
             assert levels == partition.degree + 1
@@ -184,9 +179,9 @@ class TestCarriedNumerators:
         # the walk's per-level binomial table gives the Hilbert polynomial
         # values of every numerator it records
         for partition, n in mini_grid():
-            for state, nums in _walk(partition, n):
+            for j, nums in enumerate(enumeration_levels(partition, n)):
                 (num_vars,) = {I.num_vars for I in nums}
-                ts = range(-2, state.level + 4)
+                ts = range(-2, j + 4)
                 width = max(map(len, nums.values()))
                 columns = _level_columns(num_vars - 1, ts, width)
                 for num in nums.values():
@@ -199,8 +194,7 @@ class TestCarriedNumerators:
         # polynomial, so after the first lift the deficit is not constant
         cell = (GotzmannPartition((1, 1, 1, 0)), 3)
         assert cell in mini_grid()
-        first = next(_walk(*cell))[0]
-        assert first.level == 0 and len(first.ideals) > 1  # level 0 expands
+        assert len(next(enumeration_levels(*cell))) > 1  # level 0 expands
 
         def wrong(num, a, n):
             out = _expanded_numerator(num, a, n)
@@ -239,11 +233,11 @@ class TestCarriedNumerators:
         # the last level too: its numerators are bucket 0 of its descent
         for parts, n in [((1, 1, 1, 0), 3), ((2, 1, 0, 0), 3), ((0,) * 8, 4)]:
             partition = GotzmannPartition(parts)
-            states = list(_walk(partition, n))
-            assert len(states) == partition.degree + 1
-            for state, nums in states:
-                assert nums.keys() == state.ideals
+            levels = list(enumeration_levels(partition, n))
+            assert len(levels) == partition.degree + 1
+            for nums in levels:
                 self.check(nums)
+            assert levels[-1].keys() == enumerate_strongly_stable(partition, n)
 
     @settings(max_examples=200, deadline=None)
     @given(saturated_strongly_stable())

@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 domain errors (inadmissible input, out-of-scope
 codimension), 2 usage errors, 3 feasibility-guard trips.  Output is
 deterministic for fixed flags; --json switches every subcommand to a JSON
-document on stdout (errors become JSON on stderr).
+document on stdout, byte for byte json.dumps(payload, indent=2) (errors
+become JSON on stderr).
 """
 
 from __future__ import annotations
@@ -15,7 +16,12 @@ from itertools import chain
 
 from .errors import NotAdmissibleError, OutOfScopeError, SearchBoundError
 from .hilbert_poly import GotzmannPartition, MacaulayPartition
-from .monomial_ideal import MonomialIdeal, parse_monomial
+from .monomial_ideal import (
+    MonomialIdeal,
+    format_ideal,
+    format_monomial,
+    parse_monomial,
+)
 from .borel import Characteristic, is_borel_fixed, is_strongly_stable
 from .lex import lex_ideal, lex_ideal_from_counts
 from .reeves import enumerate_strongly_stable
@@ -64,24 +70,100 @@ def _sorted_ideals(ideals) -> list[MonomialIdeal]:
     return sorted(ideals, key=lambda i: (i.num_vars, i.gens))
 
 
-def _ideal_row(ideal: MonomialIdeal, ch: Characteristic | None = None) -> dict:
-    row = {
-        "num_vars": ideal.num_vars,
-        "generators": [list(g) for g in ideal.gens],
-        "pretty": str(ideal),
-    }
-    if ch is not None:
-        ss = is_strongly_stable(ideal)
-        row["strongly_stable"] = ss
-        row["nonstandard"] = not ss
-    return row
+class _MonomialNames(dict):
+    """format_monomial, memoized per distinct monomial."""
+
+    def __missing__(self, m):
+        text = self[m] = format_monomial(m)
+        return text
+
+
+def _ideal_rows(ideals, ch: Characteristic | None = None) -> list[dict]:
+    """The JSON rows of ideals, formatting each distinct monomial once.
+
+    The generator tuples go into the rows as they are: JSON renders
+    tuples as arrays.  Given a characteristic, each row also says whether
+    the ideal is strongly stable or nonstandard.
+    """
+    name = _MonomialNames().__getitem__
+    rows = []
+    for ideal in ideals:
+        row = {
+            "num_vars": ideal.num_vars,
+            "generators": ideal.gens,
+            "pretty": format_ideal(ideal.gens, name),
+        }
+        if ch is not None:
+            ss = is_strongly_stable(ideal)
+            row["strongly_stable"] = ss
+            row["nonstandard"] = not ss
+        rows.append(row)
+    return rows
+
+
+_PLAIN = frozenset((str, int))
+_INT = frozenset((int,))
+
+
+def _dumps(obj) -> str:
+    """json.dumps(obj, indent=2), byte for byte.
+
+    With an indent the standard library encodes every value in pure
+    Python.  Here json.dumps renders each scalar and key, and within one
+    call each distinct plain str, plain int, and list or tuple of plain
+    ints at a given depth (an exponent vector, say) is rendered once and
+    then reused, so a document listing thousands of ideals costs about
+    what its distinct monomials cost.  Plain means of exactly that type:
+    True == 1 and -0.0 == 0.0, but they render differently.  Keys that
+    are not strings are converted the way json.dumps converts them.
+    """
+    texts = {}
+
+    def block(opening, items, closing, depth):
+        pad = "\n" + "  " * (depth + 1)
+        return (
+            opening + pad + ("," + pad).join(items)
+            + "\n" + "  " * depth + closing
+        )
+
+    def scalar(value):
+        if type(value) not in _PLAIN:
+            return json.dumps(value)
+        text = texts.get(value)
+        if text is None:
+            text = texts[value] = json.dumps(value)
+        return text
+
+    def encode(value, depth):
+        if isinstance(value, (list, tuple)):
+            if not value:
+                return "[]"
+            if not _INT.issuperset(map(type, value)):
+                return block("[", [encode(v, depth + 1) for v in value], "]", depth)
+            memo = (tuple(value), depth)
+            text = texts.get(memo)
+            if text is None:
+                text = texts[memo] = block("[", map(scalar, value), "]", depth)
+            return text
+        if isinstance(value, dict):
+            if not value:
+                return "{}"
+            items = [
+                scalar(k if isinstance(k, str) else json.dumps(k))
+                + ": " + encode(v, depth + 1)
+                for k, v in value.items()
+            ]
+            return block("{", items, "}", depth)
+        return scalar(value)
+
+    return encode(obj, 0)
 
 
 def _emit(args, payload: dict, human_lines) -> int:
     """Print payload as JSON under --json, else human_lines, which is
     iterated only then, so it may be a generator."""
     if args.json:
-        print(json.dumps(payload, indent=2))
+        print(_dumps(payload))
     else:
         for line in human_lines:
             print(line)
@@ -118,11 +200,15 @@ def _parse_ideal_args(args) -> MonomialIdeal:
         return MonomialIdeal.from_json_dict(data)
     if args.gens is None or args.num_vars is None:
         raise _UsageError("provide --gens with --num-vars, or --ideal-json")
-    gens = [
-        parse_monomial(tok, args.num_vars)
-        for tok in args.gens.split(",")
-        if tok.strip()
-    ]
+    gens = []
+    for tok in args.gens.split(","):
+        if tok.strip():
+            try:
+                gens.append(parse_monomial(tok, args.num_vars))
+            except ValueError as exc:
+                raise _UsageError(
+                    f"--gens: malformed monomial {tok.strip()!r} ({exc})"
+                )
     return MonomialIdeal.from_generators(gens, args.num_vars)
 
 
@@ -164,7 +250,7 @@ def cmd_lex(args) -> int:
         if args.n is None:
             raise _UsageError("provide --n with --partition, or --counts")
         ideal = lex_ideal(_partition(args), args.n)
-    payload = _ideal_row(ideal)
+    payload = _ideal_rows([ideal])[0]
     return _emit(args, payload, [str(ideal), json.dumps(payload["generators"])])
 
 
@@ -175,7 +261,7 @@ def cmd_check_ideal(args) -> int:
     ss = is_strongly_stable(ideal)
     bf = is_borel_fixed(ideal, ch)
     payload = {
-        "ideal": _ideal_row(ideal),
+        "ideal": _ideal_rows([ideal])[0],
         "char": ch.value,
         "strongly_stable": ss,
         "borel_fixed": bf,
@@ -200,7 +286,7 @@ def cmd_check_ideal(args) -> int:
 def cmd_reeves(args) -> int:
     partition = _partition(args)
     ideals = _sorted_ideals(enumerate_strongly_stable(partition, args.n))
-    rows = [_ideal_row(i) for i in ideals]
+    rows = _ideal_rows(ideals)
     payload = {
         "partition": list(partition.parts),
         "n": args.n,
@@ -216,7 +302,7 @@ def cmd_oracle(args) -> int:
     ideals = _sorted_ideals(
         enumerate_borel_fixed(partition, args.n, args.char, force=args.force)
     )
-    rows = [_ideal_row(i, args.char) for i in ideals]
+    rows = _ideal_rows(ideals, args.char)
     payload = {
         "partition": list(partition.parts),
         "n": args.n,
@@ -256,7 +342,7 @@ def cmd_classify(args) -> int:
         "verified": verified,
     }
     if ideals is not None:
-        payload["ideals"] = [_ideal_row(i, args.char) for i in ideals]
+        payload["ideals"] = _ideal_rows(ideals, args.char)
     lines = [
         f"predicted {verdict.predicted_count}"
         + (f"  clause {verdict.matched_clause}" if verdict.matched_clause else "")

@@ -10,4 +10,5 @@ class OutOfScopeError(ValueError):
 
 
 class SearchBoundError(RuntimeError):
-    """Exhaustive enumeration refused: feasibility guard tripped."""
+    """Feasibility guard tripped: an exhaustive enumeration, or a
+    partition too large to build, refused."""

@@ -19,7 +19,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .errors import NotAdmissibleError
+from .errors import NotAdmissibleError, SearchBoundError
+
+# The largest Gotzmann number a partition is built for.  A Gotzmann
+# partition has that many parts, and an ideal in ten variables with two
+# quadric generators already has a Gotzmann number beyond any memory.
+# The random ideals of the tests (at most four variables, exponents at
+# most 4) reach a few thousand, far below the bound.
+MAX_GOTZMANN_NUMBER = 10**5
 
 
 def binomial(j: int, k: int) -> int:
@@ -136,7 +143,15 @@ class MacaulayPartition:
         )
 
     def to_gotzmann(self) -> GotzmannPartition:
-        """Inverse conversion: e_i - e_{i+1} parts equal to i, for each i."""
+        """Inverse conversion: e_i - e_{i+1} parts equal to i, for each i.
+
+        The result has e_0 parts, so above MAX_GOTZMANN_NUMBER this raises
+        SearchBoundError before it builds anything.
+        """
+        if self.parts[0] > MAX_GOTZMANN_NUMBER:
+            raise SearchBoundError(
+                f"size bound exceeded: Gotzmann number above {MAX_GOTZMANN_NUMBER}"
+            )
         e = self.parts + (0,)
         parts = []
         for i in range(self.degree, -1, -1):

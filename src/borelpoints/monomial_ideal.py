@@ -51,6 +51,17 @@ def format_monomial(m: Monomial) -> str:
     return "*".join(pieces)
 
 
+def format_ideal(gens, name=format_monomial) -> str:
+    """'<g1, g2, ...>' for a generator tuple, '<0>' when it is empty.
+
+    name formats one generator; callers that print many ideals pass a
+    memoized format_monomial.
+    """
+    if not gens:
+        return "<0>"
+    return "<" + ", ".join(map(name, gens)) + ">"
+
+
 def parse_monomial(text: str, num_vars: int) -> Monomial:
     """Parse 'x0^2*x1' style input; '1' is the unit monomial."""
     text = text.strip()
@@ -198,9 +209,7 @@ class MonomialIdeal:
         return hilbert_polynomial(self)
 
     def __str__(self) -> str:
-        if self.is_zero:
-            return "<0>"
-        return "<" + ", ".join(format_monomial(g) for g in self.gens) + ">"
+        return format_ideal(self.gens)
 
     def to_json_dict(self) -> dict:
         return {

@@ -2,8 +2,13 @@ import json
 import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from borelpoints.cli import main
+from borelpoints import GotzmannPartition, MonomialIdeal, enumerate_strongly_stable
+from borelpoints.cli import _dumps, _ideal_rows, _sorted_ideals, main
+
+from conftest import mini_grid
 
 
 def run(capsys, *argv):
@@ -95,6 +100,35 @@ class TestMalformedInput:
             capsys, "hp", "--partition", "1,1", "--eval-from", "5", "--eval-to", "2"
         )
         assert "empty evaluation range" in error
+
+    @pytest.mark.parametrize("token", ["x0^", "x0^y", "y1", "x7"])
+    def test_gens_malformed_token(self, capsys, token):
+        error = self.usage_error(
+            capsys, "check-ideal", "--gens", f"x1,{token}", "--num-vars", "2"
+        )
+        assert "--gens" in error
+        assert repr(token) in error
+
+
+class TestSizeGuard:
+    """A Gotzmann number too large to build a partition for trips the
+    size guard (exit 3) before anything is allocated."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check-ideal", "--gens", "x0^2,x1*x2", "--num-vars", "10"],
+            ["hp", "--macaulay", "100000000000"],
+        ],
+        ids=["check-ideal", "hp"],
+    )
+    def test_json_guard_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--json")
+        assert code == 3
+        assert out == ""
+        payload = json.loads(err)
+        assert payload["exit_code"] == 3
+        assert "Gotzmann number" in payload["error"]
 
 
 class TestCharacteristicInput:
@@ -277,3 +311,77 @@ class TestDeterminism:
             _, first, _ = run(capsys, *case)
             _, second, _ = run(capsys, *case)
             assert first == second, case
+
+
+# JSON scalars, with strings and keys full of characters that need escapes
+_escapes = st.sampled_from('"\\/\n\t\r\x00\x1f\x7f\u00e9\u2028\U0001f600')
+_text = st.text(st.one_of(_escapes, st.characters()), max_size=6)
+_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 3),
+    st.integers(),
+    st.integers(min_value=2**64),
+    st.floats(),
+    _text,
+)
+# int vectors, and lists of ints and bools that compare equal to them
+_vectors = st.lists(st.integers(-2, 2), min_size=1, max_size=4)
+_int_like = st.lists(st.one_of(st.integers(-1, 2), st.booleans()), max_size=4)
+_trees = st.recursive(
+    st.one_of(_scalars, _vectors, _vectors.map(tuple), _int_like),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(_text, children, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+class TestDumps:
+    """_dumps is json.dumps(indent=2), byte for byte."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_trees)
+    @example([[1, 0], [True, False], (1, 0), [1.0, 0], {"a": [1, 0]}])
+    @example({"": {}, "e": [], "t": (), "z": [0, -0.0, 0.0, False]})
+    def test_matches_json_dumps(self, tree):
+        assert _dumps(tree) == json.dumps(tree, indent=2)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_vectors, _trees)
+    def test_vector_at_two_depths(self, vector, tree):
+        doc = {"top": vector, "nested": [[vector, tree], {"v": tuple(vector)}]}
+        assert _dumps(doc) == json.dumps(doc, indent=2)
+
+    def test_non_string_keys(self):
+        doc = {1: 0, True: [1], None: (), 2.5: {}, "x": {0: [0]}}
+        assert _dumps(doc) == json.dumps(doc, indent=2)
+
+
+class TestIdealRows:
+    """Every row's "pretty" is str(ideal), with the monomial names shared
+    across the ideals of one call."""
+
+    def assert_rows(self, ideals):
+        ideals = _sorted_ideals(ideals)
+        rows = _ideal_rows(ideals)
+        assert [row["pretty"] for row in rows] == [str(i) for i in ideals]
+        assert [row["generators"] for row in rows] == [i.gens for i in ideals]
+        assert [row["num_vars"] for row in rows] == [i.num_vars for i in ideals]
+
+    @pytest.mark.parametrize("k", [14, 16])
+    def test_points_ladder(self, k):
+        self.assert_rows(enumerate_strongly_stable(GotzmannPartition((0,) * k), 4))
+
+    def test_mini_grid_walks(self):
+        ideals = set()
+        for partition, n in mini_grid():
+            ideals |= enumerate_strongly_stable(partition, n)
+        self.assert_rows(ideals)
+
+    def test_zero_and_unit(self):
+        zero, unit = MonomialIdeal.zero(3), MonomialIdeal.unit(3)
+        self.assert_rows([zero, unit])
+        assert [row["pretty"] for row in _ideal_rows([zero, unit])] == ["<0>", "<1>"]

@@ -7,12 +7,13 @@ from borelpoints import (
     MacaulayPartition,
     NotAdmissibleError,
     SampledPolynomial,
+    SearchBoundError,
     binomial,
     binomial_poly,
     peel_to_partition,
 )
 
-from borelpoints.hilbert_poly import partition_from_values
+from borelpoints.hilbert_poly import MAX_GOTZMANN_NUMBER, partition_from_values
 
 from conftest import all_partitions, constant_difference
 
@@ -110,6 +111,15 @@ class TestMacaulayConversion:
         for parts in all_partitions(8, 4):
             b = GotzmannPartition(parts)
             assert b.to_macaulay().to_gotzmann() == b
+
+    def test_size_guard(self):
+        # the guard reads e_0 before it builds the e_0 parts
+        top = MacaulayPartition((MAX_GOTZMANN_NUMBER, 1))
+        assert top.to_gotzmann().gotzmann_number == MAX_GOTZMANN_NUMBER
+        with pytest.raises(SearchBoundError):
+            MacaulayPartition((MAX_GOTZMANN_NUMBER + 1,)).to_gotzmann()
+        with pytest.raises(SearchBoundError):
+            MacaulayPartition((10**100, 10**50)).to_gotzmann()
 
     def test_first_macaulay_part_is_gotzmann_number(self):
         for parts in all_partitions(8, 4):

@@ -1,7 +1,8 @@
 """Command line interface.
 
 Exit codes: 0 success, 1 domain errors (inadmissible input, out-of-scope
-codimension), 2 usage errors, 3 feasibility-guard trips.  Output is
+codimension) and a stdout that its reader closed early (with no
+traceback), 2 usage errors, 3 feasibility-guard trips.  Output is
 deterministic for fixed flags; --json switches every subcommand to a JSON
 document on stdout, byte for byte json.dumps(payload, indent=2) (errors
 become JSON on stderr).
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from itertools import chain
 
@@ -224,17 +226,20 @@ def cmd_hp(args) -> int:
     t1 = args.eval_to if args.eval_to is not None else r + 2
     if t1 < args.eval_from:
         raise _UsageError(f"empty evaluation range {args.eval_from}..{t1}")
-    values = {t: partition.evaluate(t) for t in range(args.eval_from, t1 + 1)}
+    # the conjugate side has d + 1 parts against the r of the partition,
+    # so the default range 0..r+2 costs O(r d), not O(r^2)
+    macaulay = partition.to_macaulay()
+    values = {t: macaulay.evaluate(t) for t in range(args.eval_from, t1 + 1)}
     payload = {
         "partition": list(partition.parts),
-        "macaulay": list(partition.to_macaulay().parts),
+        "macaulay": list(macaulay.parts),
         "degree": partition.degree,
         "gotzmann_number": r,
         "values": {str(t): v for t, v in sorted(values.items())},
     }
     lines = [
         f"partition       {partition}",
-        f"macaulay        {partition.to_macaulay()}",
+        f"macaulay        {macaulay}",
         f"degree          {partition.degree}",
         f"gotzmann number {r}",
         "values          "
@@ -550,7 +555,15 @@ def _fail(args, message: str, code: int):
 
 
 def run():
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()  # a reader gone early shows here at the latest
+    except BrokenPipeError:
+        # the reader closed stdout: point it at devnull, so that the flush
+        # at exit cannot fail again, and exit without a traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -33,16 +33,56 @@ binomials are tabulated once per level (_level_columns) and each deficit
 is a sum of integer products.
 
 Within a level the ideals are expanded bucket by bucket (_descend).
-Bucket s maps each ideal still s expansions short of the target to its
-numerator.  The lifted ideals go into the bucket of their deficit, and
-the buckets are emptied from the largest down to 1: every expansion of
-an ideal in bucket s goes into bucket s - 1, unless that bucket already
-holds it.  Bucket 0 is the level's output.  No ideal can land in two
-buckets, because its Hilbert polynomial fixes its deficit, so
-deduplicating within one bucket deduplicates the whole level.  The
-walk holds each ideal a level visits at most once, drops each bucket
-once it is emptied, and never stores the set of ideals reachable from
-any one ideal, so its memory is bounded by the ideals of one level.
+Bucket s lists the ideals still s expansions short of the target, each
+with its numerator.  The lifted ideals go into the bucket of their
+deficit, and the buckets are emptied from the largest down to 1: every
+expansion of an ideal in bucket s goes into bucket s - 1, and bucket 0
+is the level's output.  An ideal's Hilbert polynomial fixes its
+deficit, so no ideal can land in two buckets.
+
+No bucket is deduplicated: each ideal is built once, from one canonical
+parent, by reverse search (Avis and Fukuda, "Reverse search for
+enumeration", 1996).  Every bucket entry carries the generator last at
+which it was built, () for the lifted and start ideals, and is expanded
+only at its expandable generators g > last, in plain tuple order.
+Everything below is in K[x_0, ..., x_n], and J'' is the restriction of
+J to x_n = 0, saturated in x_{n-1}.
+
+- Contractions.  Call c a contraction of J when J + (c) expands at c to
+  J, and write C(J) for the set of them.  C(J) holds exactly the
+  non-unit c = h / x_{n-1}, h a minimal generator of J with
+  h_{n-1} >= 1, such that c is not in J and every x_i x_{i+1}^{-1} c
+  is.  Such a c is a minimal generator of the saturated strongly stable
+  I = J + (c), and the multiples of c that miss J are the c x_n^k,
+  since c x_{n-1} = h and its up-shifts are in J; so J = _expand(I, c)
+  by the proof at _expanded_numerator.  Conversely an expansion at c
+  puts c x_{n-1} among the generators and keeps the up-shifts of c.
+- Lifts and the start have none.  The generators of a lifted ideal are
+  free of x_{n-1} and x_n; the start's only candidate is the unit.
+- The recurrence.  For J = _expand(I, g),
+  C(J) = {g} + {c in C(I) : g != x_{n-1} c, g != x_i x_{i+1}^{-1} c}.
+  A killed c is smaller than g, as g has one more x_{n-1} or moves one
+  exponent down in index.  So max C(J) >= g, with equality whenever
+  g > max C(I).  And if g = max C(J) then max C(I) < g, since every c
+  in C(I) is killed or survives into C(J), and g is in I, not in C(I).
+- One parent.  By induction on the walk, last = max C(J) for every
+  entry, () standing for the empty set: the walk builds J from I at g
+  only when g > max C(I).  So it builds J only at g = max C(J), from
+  I = J + (g), and only once.
+- The canonical parent is in the walk.  I = J + (max C(J)) has the same
+  I'' = J'', since g x_{n-1} is in J, and so lies under the same lift,
+  in bucket s + 1, where the completeness argument of the expansion
+  walk puts every ideal with that restriction and deficit.  Going down
+  from the top bucket, which holds only lifts, the walk reaches I, and
+  expands it at g, as max C(I) < g.
+
+By induction on the deficit the walk builds every ideal exactly once,
+so it makes one _expand call per ideal and needs no membership test.
+It holds each ideal a level visits once, drops each bucket once it is
+emptied, and never stores the set of ideals reachable from any one
+ideal, so its memory is bounded by the ideals of one level.  The walk
+is for characteristic 0 only: Pardue's exchanges are not adjacent
+moves, so a walk in characteristic p needs its own parent rule.
 
 Preconditions are checked once, at the public boundary, and never inside
 the walk.  The public borel.expand and borel.expandable_generators check
@@ -87,22 +127,27 @@ def _expanded_numerator(
     return tuple(out)
 
 
-def _descend(buckets: dict[int, dict]) -> dict:
-    """Empty the deficit buckets from the largest down; return bucket 0.
+def _descend(buckets: dict[int, list]) -> dict:
+    """Empty the deficit buckets from the largest down; return bucket 0
+    as a dict from each of its ideals to its Hilbert numerator.
 
-    buckets[s] maps each ideal that still needs s expansions to its
-    Hilbert numerator.  Each bucket's expansions go into the next bucket
-    down, deduplicated on insert.
+    buckets[s] lists an (ideal, numerator, last) triple for each ideal
+    that still needs s expansions, where last is the generator at which
+    the ideal was built, or () for a lifted or start ideal.  An ideal is
+    expanded only at its expandable generators above last in tuple
+    order, which builds every ideal of the level exactly once, from its
+    canonical parent J + (max C(J)) (see the module docstring).
     """
     for s in range(max(buckets, default=0), 0, -1):
-        below = buckets.setdefault(s - 1, {})
-        for ideal, num in buckets.pop(s, {}).items():
+        below = buckets.setdefault(s - 1, [])
+        for ideal, num, last in buckets.pop(s, ()):
             n = ideal.num_vars - 1
             for g in _expandable(ideal):
-                expanded = _expand(ideal, g)
-                if expanded not in below:
-                    below[expanded] = _expanded_numerator(num, sum(g), n)
-    return buckets.get(0, {})
+                if g > last:
+                    below.append(
+                        (_expand(ideal, g), _expanded_numerator(num, sum(g), n), g)
+                    )
+    return {ideal: num for ideal, num, _ in buckets.get(0, ())}
 
 
 def _level_columns(n: int, ts, width: int) -> list[tuple[int, ...]]:
@@ -145,7 +190,7 @@ def enumeration_levels(partition: GotzmannPartition, n: int):
         target_values = [target.evaluate(t) for t in ts]
         # the ideals of level j live in K[x_0, ..., x_{c+j}]
         columns = _level_columns(c + j, ts, max(map(len, nums.values()), default=0))
-        buckets: dict[int, dict] = {}
+        buckets: dict[int, list] = {}
         for ideal, num in nums.items():
             deltas = {
                 q - sum(map(mul, num, column))
@@ -157,7 +202,7 @@ def enumeration_levels(partition: GotzmannPartition, n: int):
                 )
             deficit = deltas.pop()
             if deficit >= 0:
-                buckets.setdefault(deficit, {})[ideal] = num
+                buckets.setdefault(deficit, []).append((ideal, num, ()))
         nums = _descend(buckets)
         yield nums
 

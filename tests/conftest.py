@@ -20,11 +20,13 @@ from borelpoints import (
     SampledPolynomial,
     binomial,
     borel_closure,
+    expand,
     monomials_of_degree,
     peel_to_partition,
 )
-from borelpoints.borel import exchange, exchange_amounts
+from borelpoints.borel import _expand, _expandable, exchange, exchange_amounts
 from borelpoints.monomial_ideal import canonical_key, max_index
+from borelpoints.reeves import _expanded_numerator
 
 
 def brute_standard_count(gens, num_vars, d):
@@ -233,6 +235,53 @@ def reference_expand(I, g):
     for j in range(max_index(g), I.num_vars - 1):
         insort(gens, g[:j] + (g[j] + 1,) + g[j + 1 :], key=canonical_key)
     return MonomialIdeal(I.num_vars, tuple(gens))
+
+
+def reference_descend(buckets, built=None):
+    """The deficit-bucket descent that deduplicates on insert, on buckets
+    in the layout of reeves._descend, whose last generators it ignores.
+
+    Every expansion of an ideal in bucket s, at every expandable
+    generator, goes into bucket s - 1 unless that bucket already holds
+    it; bucket 0 is returned as a dict from ideal to numerator.  built,
+    when given, collects every distinct ideal the descent builds.  The
+    library's reeves._descend builds each ideal once, from its canonical
+    parent, and tests no membership.
+    """
+    dicts = {s: {I: num for I, num, _ in bucket} for s, bucket in buckets.items()}
+    for s in range(max(dicts, default=0), 0, -1):
+        below = dicts.setdefault(s - 1, {})
+        for ideal, num in dicts.pop(s, {}).items():
+            n = ideal.num_vars - 1
+            for g in _expandable(ideal):
+                expanded = _expand(ideal, g)
+                if expanded not in below:
+                    below[expanded] = _expanded_numerator(num, sum(g), n)
+                    if built is not None:
+                        built.add(expanded)
+    return dicts.get(0, {})
+
+
+def brute_contractions(J):
+    """C(J), the c such that J + (c) expands at c to J, by brute force.
+
+    Tries every non-unit c = h / x_i, h a minimal generator of J, since
+    an expansion at c puts a multiple c x_i among the generators, and
+    keeps c when the public, checked expand of J + (c) at c gives J.
+    The reeves module lists C(J) in closed form.
+    """
+    out = set()
+    for h in J.gens:
+        for i, e in enumerate(h):
+            c = h[:i] + (e - 1,) + h[i + 1 :]
+            if e and any(c) and c not in out:
+                I = MonomialIdeal.from_generators(J.gens + (c,), J.num_vars)
+                try:
+                    if expand(I, c) == J:
+                        out.add(c)
+                except ValueError:  # I is not saturated strongly stable,
+                    pass  # or c is not an expandable generator of it
+    return out
 
 
 def reference_borel_closure(gens, ch, num_vars):

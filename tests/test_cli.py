@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -242,6 +246,21 @@ class TestOtherCommands:
         _, out, _ = run(capsys, "hp", "--macaulay", "4,3", "--json")
         assert json.loads(out)["partition"] == [1, 1, 1, 0]
 
+    def test_hp_evaluates_on_the_conjugate_side(self, capsys, monkeypatch):
+        # GotzmannPartition.evaluate sums over all r parts, which makes the
+        # default range 0..r+2 cost r^2; hp evaluates the d + 1 Macaulay
+        # parts instead
+        def forbidden(self, t):
+            raise AssertionError("hp must evaluate the Macaulay partition")
+
+        monkeypatch.setattr(GotzmannPartition, "evaluate", forbidden)
+        _, out, _ = run(
+            capsys, "hp", "--partition", "1,1,1,0", "--eval-from", "-3", "--json"
+        )
+        values = json.loads(out)["values"]
+        assert values["-3"] == -8
+        assert values["4"] == 13
+
     def test_hp_difference_of_constant_is_domain_error(self, capsys):
         code, _, err = run(capsys, "hp", "--partition", "0,0", "--op", "difference")
         assert code == 1
@@ -385,3 +404,25 @@ class TestIdealRows:
         zero, unit = MonomialIdeal.zero(3), MonomialIdeal.unit(3)
         self.assert_rows([zero, unit])
         assert [row["pretty"] for row in _ideal_rows([zero, unit])] == ["<0>", "<1>"]
+
+
+class TestClosedPipe:
+    def test_no_traceback_when_the_reader_leaves(self):
+        # about 1.2 MB of JSON, far past a pipe buffer; the reader takes
+        # 300 bytes and closes its end
+        src = Path(__file__).resolve().parents[1] / "src"
+        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+        points = ",".join(["0"] * 20)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "borelpoints.cli"]
+            + ["reeves", "--partition", points, "--n", "4", "--json"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=path),
+        )
+        head = proc.stdout.read(300)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=120) == 1
+        assert head.startswith(b'{\n  "partition": [')
+        assert "Traceback" not in err, err

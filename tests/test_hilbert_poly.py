@@ -100,11 +100,12 @@ class TestMacaulayConversion:
         assert MacaulayPartition((4, 3)).to_gotzmann().parts == (1, 1, 1, 0)
 
     def test_both_expressions_evaluate_equally(self):
-        # the conjugate-side evaluator is a fully independent formula
+        # the conjugate-side evaluator is a fully independent formula; the
+        # two are equal as polynomials, so at negative t too
         for parts in all_partitions(6, 3):
             b = GotzmannPartition(parts)
             e = b.to_macaulay()
-            for t in range(0, 6):
+            for t in range(-8, 9):
                 assert b.evaluate(t) == e.evaluate(t), (parts, t)
 
     def test_round_trip_on_grid(self):

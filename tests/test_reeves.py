@@ -19,7 +19,14 @@ from borelpoints.borel import _expand
 from borelpoints.monomial_ideal import hilbert_polynomial_values
 from borelpoints.reeves import _descend, _expanded_numerator, _level_columns
 
-from conftest import ideal, mini_grid, saturated_strongly_stable, trim
+from conftest import (
+    brute_contractions,
+    ideal,
+    mini_grid,
+    reference_descend,
+    saturated_strongly_stable,
+    trim,
+)
 
 
 class TestKnownFamilies:
@@ -95,8 +102,9 @@ class TestChainDedup:
             ([(1, 0, 0, 0), (0, 2, 0, 0)], 4),
         ]:
             I = ideal(gens, num_vars)
+            assert not brute_contractions(I)  # so it enters with last ()
             for steps in (1, 2, 3):
-                found = _descend({steps: {I: I.hilbert_numerator()}})
+                found = _descend({steps: [(I, I.hilbert_numerator(), ())]})
                 assert found.keys() == self.chains_reversed(I, steps)
 
 
@@ -155,13 +163,14 @@ class TestCarriedNumerators:
 
     def test_mini_grid(self, monkeypatch):
         # the walk ends every level with the numerators of its ideals, and
-        # the buckets it empties on the way hold every other ideal visited
+        # the buckets it empties on the way hold every other ideal visited,
+        # as (ideal, numerator, last) triples
         emptied = {}
 
         class Buckets(dict):
             def pop(self, *args):
                 bucket = super().pop(*args)
-                emptied.update(bucket)
+                emptied.update((I, num) for I, num, _ in bucket)
                 return bucket
 
         descend = reeves._descend
@@ -213,7 +222,7 @@ class TestCarriedNumerators:
             [tuple(int(i == j) for i in range(5)) for j in range(4)], 5
         )
         for steps in range(k):
-            found = _descend({steps: {start: (1, -4, 6, -4, 1)}})  # (1-t)^4
+            found = _descend({steps: [(start, (1, -4, 6, -4, 1), ())]})  # (1-t)^4
             self.check(found)
         assert found.keys() == enumerate_strongly_stable(
             GotzmannPartition((0,) * k), 4
@@ -249,3 +258,88 @@ class TestCarriedNumerators:
             assert trim(_expand(I, g).hilbert_numerator()) == trim(
                 _expanded_numerator(N, sum(g), n)
             )
+
+
+def listed_contractions(J):
+    """C(J) as the reeves module lists it: the non-unit c = h / x_{n-1},
+    h a minimal generator of J with h_{n-1} >= 1, such that c is not in J
+    and every x_i x_{i+1}^{-1} c is."""
+    n = J.num_vars - 1
+    out = set()
+    for h in J.gens:
+        if h[n - 1]:
+            c = h[: n - 1] + (h[n - 1] - 1,) + h[n:]
+            if any(c) and not J.contains(c):
+                if all(J.contains(up) for up in up_shifts(c)):
+                    out.add(c)
+    return out
+
+
+def up_shifts(c):
+    """Every x_i x_{i+1}^{-1} c."""
+    return [
+        c[:i] + (c[i] + 1, c[i + 1] - 1) + c[i + 2 :]
+        for i in range(len(c) - 1)
+        if c[i + 1]
+    ]
+
+
+class TestCanonicalParent:
+    # the walk expands each ideal only at generators above the one it was
+    # built at; it must give the levels of the deduplicating descent and
+    # build each of their ideals once
+    CELLS = mini_grid() + [(GotzmannPartition((0,) * k), 4) for k in range(1, 19)]
+
+    def test_same_levels_as_dedupe_descent_each_built_once(self, monkeypatch):
+        built = []
+
+        def counting_expand(I, g):
+            built.append(_expand(I, g))
+            return built[-1]
+
+        for partition, n in self.CELLS:
+            built.clear()
+            with monkeypatch.context() as m:
+                m.setattr(reeves, "_expand", counting_expand)
+                levels = list(enumeration_levels(partition, n))
+            visited = set()
+            with monkeypatch.context() as m:
+                m.setattr(reeves, "_descend", lambda b: reference_descend(b, visited))
+                assert levels == list(enumeration_levels(partition, n)), (
+                    partition.parts,
+                    n,
+                )
+            # one _expand call per distinct ideal the reference builds
+            assert len(built) == len(set(built))
+            assert set(built) == visited
+
+    @settings(max_examples=300, deadline=None)
+    @given(saturated_strongly_stable())
+    def test_contraction_recurrence(self, I):
+        # C(J) = {g} + {c in C(I) : g != x_{n-1} c, g != x_i x_{i+1}^{-1} c}
+        # for J = _expand(I, g), so max C(J) = g whenever g > max C(I)
+        n = I.num_vars - 1
+        contractions = brute_contractions(I)
+        assert contractions == listed_contractions(I)
+        for g in expandable_generators(I):
+            J = _expand(I, g)
+            killed = {
+                c
+                for c in contractions
+                if g == c[: n - 1] + (c[n - 1] + 1,) + c[n:] or g in up_shifts(c)
+            }
+            assert all(c < g for c in killed)
+            after = brute_contractions(J)
+            assert after == {g} | (contractions - killed)
+            if g > max(contractions, default=()):
+                assert max(after) == g
+
+    def test_lifts_and_start_have_no_contractions(self):
+        for partition, n in mini_grid():
+            for level in enumeration_levels(partition, n):
+                for I in level:
+                    assert not brute_contractions(I.lift()), str(I)
+        for c in range(1, 5):
+            gens = [tuple(int(i == k) for i in range(c + 1)) for k in range(c)]
+            start = ideal(gens, c + 1)
+            assert not brute_contractions(start)

@@ -1,11 +1,11 @@
 """Monomial ideals, Hilbert polynomials, and Borel-fixed points of Hilbert schemes.
 
 Exact, dependency-free computation with admissible Hilbert polynomials
-and monomial ideals; enumeration of all saturated strongly stable (and,
-in positive characteristic, Borel-fixed) ideals with a given Hilbert
-polynomial; and the closed-form classification predicates for Hilbert
-schemes with one, two, or three Borel-fixed points, verified against the
-enumeration.
+and monomial ideals; enumeration of all saturated Borel-fixed ideals
+with a given Hilbert polynomial (strongly stable in characteristic 0) by
+Reeves' walk, checked against an exhaustive search; and the closed-form
+classification predicates for Hilbert schemes with one, two, or three
+Borel-fixed points, verified against the enumeration.
 
 Everything is an immutable value and every operation is pure, so the
 whole API is safe for unrestricted concurrent use.

@@ -8,7 +8,9 @@ characteristic 0 only single-step exchanges (k = 1) are required, which is
 the strongly stable condition.  Characteristic 0 is modeled here as the
 exchange set {1}, so one code path covers both cases.  The rule is
 written once, in _exchanges; _exchange_orbit follows it to a closure, for
-borel_closure and the exhaustive oracle.
+borel_closure and the exhaustive oracle.  _borel_expandable and
+_borel_expand are the Reeves walk's moves in characteristic p, and
+_expandable and _expand its faster moves in characteristic 0.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from math import isqrt
 
-from .monomial_ideal import Monomial, MonomialIdeal, max_index
+from .monomial_ideal import Monomial, MonomialIdeal, canonical_key, divides, max_index
 
 # Primes below this bound are checked by exact trial division, at most
 # isqrt(2^31) = 46340 divisions.  Larger ones are refused: for exponents
@@ -92,6 +94,51 @@ def _exchanges(m: Monomial, ch: Characteristic):
         for k in exchange_amounts(m[j], ch):
             for i in range(j):
                 yield exchange(m, i, j, k)
+
+
+def _borel_expandable(I: MonomialIdeal, ch: Characteristic) -> list[Monomial]:
+    """The non-unit generators g of the saturated Borel-fixed (for ch)
+    ideal I at which _borel_expand gives a Borel-fixed ideal, in canonical
+    order.
+
+    g qualifies when no x_i^{-k} x_j^k g with i < j < n, 1 <= k <= g_i
+    and k digitwise below g_j + k lies in I: those are the monomials from
+    which a legal exchange of k from x_j to x_i lands on g.  The reeves
+    module proves that this is exactly when the expansion is Borel-fixed.
+    In characteristic 0 this is _expandable on the non-unit generators,
+    and the tests compare the two.
+    """
+    n = I.num_vars - 1
+    return [
+        g
+        for g in I.gens
+        if any(g)
+        and not any(
+            I.contains(exchange(g, j, i, k))
+            for i in range(n)
+            for k in range(1, g[i] + 1)
+            for j in range(i + 1, n)
+            if digitwise_leq(k, g[j] + k, ch)
+        )
+    ]
+
+
+def _borel_expand(I: MonomialIdeal, g: Monomial) -> MonomialIdeal:
+    """I with the generator g replaced by every g x_i, i < n, minimalized:
+    the expansion of the walk in characteristic p.  g must be one of
+    _borel_expandable(I, ch); then the result is saturated and Borel-fixed
+    for ch.  In characteristic 0 it equals _expand(I, g), which merges
+    only the g x_i with i >= max(g), the others being in I already.
+
+    Minimalizing only drops the g x_i that another generator divides.  The
+    other generators stay minimal, since none is a multiple of g, so none
+    is a multiple of any g x_i, and the g x_i share one degree, so none
+    divides another.
+    """
+    rest = [h for h in I.gens if h != g]
+    multiples = (g[:i] + (g[i] + 1,) + g[i + 1 :] for i in range(I.num_vars - 1))
+    rest += [m for m in multiples if not any(divides(h, m) for h in rest)]
+    return MonomialIdeal._trusted(I.num_vars, tuple(sorted(rest, key=canonical_key)))
 
 
 def _exchange_orbit(gens, ch: Characteristic) -> set[Monomial]:

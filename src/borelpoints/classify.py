@@ -9,6 +9,13 @@ predicates against actual enumeration over a grid of schemes.
 
 The two-point classification requires c >= 2; queries with c = 1 raise
 OutOfScopeError rather than guessing.
+
+Enumeration runs the Reeves walk in the cell's characteristic.  Only the
+primes up to the Gotzmann number r can differ from characteristic 0: a
+saturated ideal with Gotzmann number r is generated in degrees <= r
+(Gotzmann), so for a prime p > r every exponent of a minimal generator
+is below p, where digitwise_leq(k, l, p) is just k <= l, and being
+p-Borel is being strongly stable.  The tests check this on small cells.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from .hilbert_poly import GotzmannPartition
 from .monomial_ideal import MonomialIdeal
 from .borel import CHAR0, Characteristic
 from .reeves import enumerate_strongly_stable
-from .exhaustive import DEFAULT_MAX_AMBIENT, DEFAULT_MAX_GOTZMANN, enumerate_borel_fixed
+from .exhaustive import DEFAULT_MAX_AMBIENT, DEFAULT_MAX_GOTZMANN
 
 # the primes default_grid adds wherever the exhaustive search runs unforced
 ORACLE_CHARS = (2, 3)
@@ -156,12 +163,12 @@ def predict(coords: SchemeCoordinates) -> ClassificationVerdict:
 
 
 def count_borel_fixed(coords: SchemeCoordinates) -> tuple[int, frozenset[MonomialIdeal]]:
-    """Enumerated count and ideal set: the Reeves walk in characteristic 0,
-    the exhaustive search (guarded, see exhaustive) in characteristic p."""
-    if coords.char.is_zero:
-        ideals = enumerate_strongly_stable(coords.partition, coords.n)
-    else:
-        ideals = enumerate_borel_fixed(coords.partition, coords.n, coords.char)
+    """Enumerated count and ideal set, by the Reeves walk in the cell's
+    characteristic: the saturated strongly stable ideals in characteristic
+    0, the saturated p-Borel ones in characteristic p.  The walk has no
+    size guard; the exhaustive search (exhaustive.enumerate_borel_fixed)
+    stays the independent engine it is checked against."""
+    ideals = enumerate_strongly_stable(coords.partition, coords.n, coords.char)
     return len(ideals), ideals
 
 
@@ -281,9 +288,7 @@ def tree_children(
 
 def _annotate(coords: SchemeCoordinates, enumerate_counts: bool) -> tuple:
     verdict = predict(coords)
-    verified = None
-    if enumerate_counts and coords.char.is_zero:
-        verified = len(enumerate_strongly_stable(coords.partition, coords.n))
+    verified = count_borel_fixed(coords)[0] if enumerate_counts else None
     return verdict.predicted_count, verdict.matched_clause, verified
 
 

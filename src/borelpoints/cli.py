@@ -516,7 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--enumerate",
         action="store_true",
-        help="also enumerate counts at each node (char 0 only)",
+        help="also enumerate counts at each node",
     )
     p.set_defaults(func=cmd_tree)
 

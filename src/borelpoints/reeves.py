@@ -1,4 +1,4 @@
-"""Enumeration of saturated strongly stable ideals by expansion and lifting.
+"""Enumeration of saturated Borel-fixed ideals by expansion and lifting.
 
 This is Reeves' recursive generation scheme.  Writing d for the degree of
 the target polynomial p, the level-j target is the backward difference
@@ -40,13 +40,66 @@ expansion of an ideal in bucket s goes into bucket s - 1, and bucket 0
 is the level's output.  An ideal's Hilbert polynomial fixes its
 deficit, so no ideal can land in two buckets.
 
-No bucket is deduplicated: each ideal is built once, from one canonical
+The walk runs in every characteristic: in characteristic p > 0 it
+enumerates the saturated Borel-fixed (p-Borel) ideals, in
+characteristic 0 the saturated strongly stable ones.  Everything below
+is in S = K[x_0, ..., x_n], I is a saturated Borel-fixed ideal of S,
+"legal" refers to Pardue's rule (borel.digitwise_leq), and tuple order
+is plain tuple order, in which a legal exchange moves a monomial up.
+
+- Expandable.  A non-unit minimal generator g of I is expandable when
+  no v = x_i^{-k} x_j^k g with i < j < n, 1 <= k <= g_i and k digitwise
+  below g_j + k lies in I (borel._borel_expandable).  The expansion
+  (borel._borel_expand) drops g, adds every g x_i with i < n and
+  minimalizes; by the proof at _expanded_numerator it gives
+  J = I minus the g x_n^m, m >= 0, a saturated ideal whose Hilbert
+  polynomial is one more than that of I.  J is Borel-fixed exactly when
+  g is expandable.  A legal exchange of some w in J stays in I, so it
+  leaves J only if it lands on some g x_n^m.  An exchange out of x_n
+  would put x_i^{-k} g x_n^(m+k) in I, so x_i^{-k} g in I as I is
+  saturated, against the minimality of g.  For j < n, w = v x_n^m, and
+  neither the legality of the exchange, which compares k with
+  w_j = g_j + k, nor whether w is in J depends on m.  In
+  characteristic 0 the walk uses the faster _expandable and _expand
+  instead, which pick the same generators and build the same ideals
+  (the tests compare them): there every legal exchange is a chain of
+  adjacent ones.
+- Complete.  Let J be saturated and Borel-fixed with polynomial q_j,
+  S' = K[x_0, ..., x_{n-1}], J' = J restricted to x_n = 0, the ideal
+  of S' with the generators of J, and J'' = J' : x_{n-1}^infinity.  As
+  S/J = (S'/J')[x_n], S'/J' has polynomial q_{j-1}.  J'' is
+  Borel-fixed: an exchange of a generator h / x_{n-1}^e of J'' is the
+  same exchange of h, divided by x_{n-1}^e, and none moves an exponent
+  out of x_{n-1}, which the generator lacks.  For a Borel-fixed ideal,
+  saturating in the last variable saturates, so J'' is saturated with
+  polynomial q_{j-1}, by induction an ideal of level j - 1, and it
+  lifts to L = J'' S at level j.  At level 0, S'/J' has finite length
+  and L is the start ideal instead, whose L' = (x_0, ..., x_{c-1})
+  holds J' as J is proper; above level 0 write L' for J''.  Then R,
+  the set of monomials of L' that miss J', is finite, and
+  HP(S/J) - HP(S/L) = |R|: L is |R| expansions short of q_j.  If R is
+  not empty, let u be its element of largest degree that is largest in
+  tuple order within that degree.  Every u x_i, i < n, is in L' and of
+  larger degree, so in J', and every legal exchange of u is in L' and
+  larger in tuple order, so in J'.  Hence I = J + (u) is saturated and
+  Borel-fixed, u is a minimal generator of it, not the unit as L' is
+  proper, and u is expandable in I, since a v as above in I would lie
+  in J and exchange to u in J.  Expanding I at u gives J, as the u x_i
+  are in J.  The only monomial of I' that misses J' is u, as every
+  other multiple of u in S' is a multiple of some u x_i, so I lies
+  under the same L with R minus u.  Peeling R one element at a time
+  thus leads from J up to L, and by induction on |R| the walk, which in
+  characteristic p expands every ideal at every expandable generator,
+  reaches J from L.
+
+In characteristic p an ideal can be built from several parents, so
+_descend deduplicates each bucket on insert.  In characteristic 0 no
+bucket is deduplicated: each ideal is built once, from one canonical
 parent, by reverse search (Avis and Fukuda, "Reverse search for
 enumeration", 1996).  Every bucket entry carries the generator last at
-which it was built, () for the lifted and start ideals, and is expanded
-only at its expandable generators g > last, in plain tuple order.
-Everything below is in K[x_0, ..., x_n], and J'' is the restriction of
-J to x_n = 0, saturated in x_{n-1}.
+which it was built, () for the lifted and start ideals, and in
+characteristic 0 is expanded only at its expandable generators
+g > last, in tuple order.
 
 - Contractions.  Call c a contraction of J when J + (c) expands at c to
   J, and write C(J) for the set of them.  C(J) holds exactly the
@@ -69,29 +122,31 @@ J to x_n = 0, saturated in x_{n-1}.
   entry, () standing for the empty set: the walk builds J from I at g
   only when g > max C(I).  So it builds J only at g = max C(J), from
   I = J + (g), and only once.
-- The canonical parent is in the walk.  I = J + (max C(J)) has the same
-  I'' = J'', since g x_{n-1} is in J, and so lies under the same lift,
-  in bucket s + 1, where the completeness argument of the expansion
-  walk puts every ideal with that restriction and deficit.  Going down
-  from the top bucket, which holds only lifts, the walk reaches I, and
-  expands it at g, as max C(I) < g.
+- The canonical parent is in the walk.  If J is not the lift L it lies
+  under, the peeling above puts its u in C(J), so C(J) is not empty.
+  With g = max C(J), I = J + (g) lies under the same L, since
+  g x_{n-1} is in J and so g is in J'', and needs one expansion less.
+  By induction on that number the walk builds I from L, and it expands
+  I at g, as max C(I) < g.
 
 By induction on the deficit the walk builds every ideal exactly once,
-so it makes one _expand call per ideal and needs no membership test.
-It holds each ideal a level visits once, drops each bucket once it is
-emptied, and never stores the set of ideals reachable from any one
-ideal, so its memory is bounded by the ideals of one level.  The walk
-is for characteristic 0 only: Pardue's exchanges are not adjacent
-moves, so a walk in characteristic p needs its own parent rule.
+so in characteristic 0 it makes one _expand call per ideal and needs
+no membership test.  The closed form of C(J) rests on adjacent moves,
+which Pardue's exchanges are not, so it does not carry over to
+characteristic p.  In every characteristic the walk holds each ideal a
+level visits once, drops each bucket once it is emptied, and never
+stores the set of ideals reachable from any one ideal, so its memory is
+bounded by the ideals of one level.
 
 Preconditions are checked once, at the public boundary, and never inside
 the walk.  The public borel.expand and borel.expandable_generators check
 that their ideal is saturated and strongly stable; the walk calls their
-unchecked forms _expand and _expandable instead.  That is safe because
-the start ideal is saturated and strongly stable by construction, and
-both expansion and lifting preserve the property, so every ideal the
-walk visits has it.  The tests check it on the outputs, and check the
-carried numerators against hilbert_numerator.
+unchecked forms _expand and _expandable instead, and in characteristic p
+the unchecked _borel_expandable and _borel_expand.  That is safe because
+the start ideal is saturated and Borel-fixed in every characteristic by
+construction, and both expansion and lifting preserve the property, so
+every ideal the walk visits has it.  The tests check it on the outputs,
+and check the carried numerators against hilbert_numerator.
 """
 
 from __future__ import annotations
@@ -101,52 +156,80 @@ from operator import mul
 
 from .hilbert_poly import GotzmannPartition, binomial_poly
 from .monomial_ideal import MonomialIdeal
-from .borel import _expand, _expandable
+from .borel import (
+    CHAR0,
+    Characteristic,
+    _borel_expand,
+    _borel_expandable,
+    _expand,
+    _expandable,
+)
+
+
+def _one_minus_t_power(n: int) -> tuple[int, ...]:
+    """The coefficients of (1-t)^n."""
+    return tuple((-1) ** k * comb(n, k) for k in range(n + 1))
 
 
 def _expanded_numerator(
-    num: tuple[int, ...], a: int, n: int
+    num: tuple[int, ...], a: int, step: tuple[int, ...]
 ) -> tuple[int, ...]:
-    """N_J = N_I + t^a (1-t)^n for J = _expand(I, g) in K[x_0, ..., x_n],
-    where a = deg g.
+    """N_J = N_I + t^a (1-t)^n for an expansion J of I in K[x_0, ..., x_n]
+    at a generator g of degree a, where step holds the coefficients of
+    (1-t)^n, the same for every ideal of a level.
 
     J holds every monomial of I except the g * x_n^k, k >= 0.  These are
     not in J: a generator of J dividing g * x_n^k cannot be a new one
     g * x_j, which has j < n and so more x_j, and an old generator h != g
     is free of x_n because I is saturated, so h would divide g, against
     the minimality of g.  Every other multiple of g is in J: it is
-    divisible by some g * x_j with j < n, a new generator when
-    j >= max(g), and otherwise in J by strong stability of J, from
-    g * x_{max(g)}.  So the series of S/J exceeds that of S/I by
+    divisible by some g * x_j with j < n, which is in J.
+    borel._borel_expand adds every such g * x_j, and borel._expand those
+    with j >= max(g); for j < max(g) J holds g * x_j by strong
+    stability, from g * x_{max(g)}.  So the series of S/J exceeds that of S/I by
     t^a / (1-t), which is t^a (1-t)^n over the common denominator
     (1-t)^(n+1).
     """
-    out = list(num) + [0] * (a + n + 1 - len(num))
-    for k in range(n + 1):
-        out[a + k] += (-1) ** k * comb(n, k)
+    out = list(num) + [0] * (a + len(step) - len(num))
+    for k, coefficient in enumerate(step, a):
+        out[k] += coefficient
     return tuple(out)
 
 
-def _descend(buckets: dict[int, list]) -> dict:
+def _descend(
+    buckets: dict[int, list], step: tuple[int, ...], ch: Characteristic
+) -> dict:
     """Empty the deficit buckets from the largest down; return bucket 0
     as a dict from each of its ideals to its Hilbert numerator.
 
     buckets[s] lists an (ideal, numerator, last) triple for each ideal
     that still needs s expansions, where last is the generator at which
-    the ideal was built, or () for a lifted or start ideal.  An ideal is
-    expanded only at its expandable generators above last in tuple
-    order, which builds every ideal of the level exactly once, from its
-    canonical parent J + (max C(J)) (see the module docstring).
+    the ideal was built, or () for a lifted or start ideal; step holds
+    the coefficients of (1-t)^n for the level's ring K[x_0, ..., x_n].
+    In characteristic 0 an ideal is expanded only at its expandable
+    generators above last in tuple order, which builds every ideal of
+    the level exactly once, from its canonical parent J + (max C(J)).
+    In characteristic p it is expanded at every expandable generator,
+    and an expansion goes into the next bucket down unless that bucket
+    already holds it (see the module docstring).
     """
     for s in range(max(buckets, default=0), 0, -1):
         below = buckets.setdefault(s - 1, [])
-        for ideal, num, last in buckets.pop(s, ()):
-            n = ideal.num_vars - 1
-            for g in _expandable(ideal):
-                if g > last:
-                    below.append(
-                        (_expand(ideal, g), _expanded_numerator(num, sum(g), n), g)
-                    )
+        if ch.is_zero:
+            for ideal, num, last in buckets.pop(s, ()):
+                for g in _expandable(ideal):
+                    if g > last:
+                        num_g = _expanded_numerator(num, sum(g), step)
+                        below.append((_expand(ideal, g), num_g, g))
+        else:
+            seen = {entry[0] for entry in below}
+            for ideal, num, _ in buckets.pop(s, ()):
+                for g in _borel_expandable(ideal, ch):
+                    expanded = _borel_expand(ideal, g)
+                    if expanded not in seen:
+                        seen.add(expanded)
+                        num_g = _expanded_numerator(num, sum(g), step)
+                        below.append((expanded, num_g, g))
     return {ideal: num for ideal, num, _ in buckets.get(0, ())}
 
 
@@ -161,12 +244,15 @@ def _level_columns(n: int, ts, width: int) -> list[tuple[int, ...]]:
     return [tuple(binomial_poly(t, n - k, n) for k in range(width)) for t in ts]
 
 
-def enumeration_levels(partition: GotzmannPartition, n: int):
-    """Yield each level of the walk, ending in K[x_0, ..., x_n], as a dict
-    from every ideal of the level to its Hilbert numerator.
+def enumeration_levels(
+    partition: GotzmannPartition, n: int, ch: Characteristic = CHAR0
+):
+    """Yield each level of the walk in characteristic ch, ending in
+    K[x_0, ..., x_n], as a dict from every ideal of the level to its
+    Hilbert numerator.
 
-    Level j holds the ideals whose Hilbert polynomial is
-    difference^(d-j)(partition), d = partition.degree.
+    Level j holds the saturated Borel-fixed ideals whose Hilbert
+    polynomial is difference^(d-j)(partition), d = partition.degree.
     """
     if n <= partition.degree:
         raise ValueError("ambient dimension must exceed the polynomial degree")
@@ -182,7 +268,7 @@ def enumeration_levels(partition: GotzmannPartition, n: int):
         c + 1,
     )
     # Hilbert numerators of the current ideals: (1-t)^c for the start
-    nums = {start: tuple((-1) ** k * comb(c, k) for k in range(c + 1))}
+    nums = {start: _one_minus_t_power(c)}
     for j, target in enumerate(targets):
         if j > 0:
             nums = {ideal.lift(): num for ideal, num in nums.items()}
@@ -203,15 +289,16 @@ def enumeration_levels(partition: GotzmannPartition, n: int):
             deficit = deltas.pop()
             if deficit >= 0:
                 buckets.setdefault(deficit, []).append((ideal, num, ()))
-        nums = _descend(buckets)
+        nums = _descend(buckets, _one_minus_t_power(c + j), ch)
         yield nums
 
 
 def enumerate_strongly_stable(
-    partition: GotzmannPartition, n: int
+    partition: GotzmannPartition, n: int, ch: Characteristic = CHAR0
 ) -> frozenset[MonomialIdeal]:
-    """All saturated strongly stable ideals in K[x_0, ..., x_n] with the
-    given Hilbert polynomial, as a canonical deduplicated set."""
-    for level in enumeration_levels(partition, n):
+    """All saturated Borel-fixed ideals in K[x_0, ..., x_n] with the given
+    Hilbert polynomial in characteristic ch, as a canonical deduplicated
+    set: the strongly stable ones in characteristic 0, the default."""
+    for level in enumeration_levels(partition, n, ch):
         pass
     return frozenset(level)

@@ -237,14 +237,16 @@ def reference_expand(I, g):
     return MonomialIdeal(I.num_vars, tuple(gens))
 
 
-def reference_descend(buckets, built=None):
+def reference_descend(buckets, step, built=None):
     """The deficit-bucket descent that deduplicates on insert, on buckets
-    in the layout of reeves._descend, whose last generators it ignores.
+    in the layout of reeves._descend, whose last generators it ignores,
+    with the char-0 moves _expandable and _expand.
 
     Every expansion of an ideal in bucket s, at every expandable
     generator, goes into bucket s - 1 unless that bucket already holds
-    it; bucket 0 is returned as a dict from ideal to numerator.  built,
-    when given, collects every distinct ideal the descent builds.  The
+    it; bucket 0 is returned as a dict from ideal to numerator.  step
+    holds the coefficients of (1-t)^n, and built, when given, collects
+    every distinct ideal the descent builds.  In characteristic 0 the
     library's reeves._descend builds each ideal once, from its canonical
     parent, and tests no membership.
     """
@@ -252,11 +254,10 @@ def reference_descend(buckets, built=None):
     for s in range(max(dicts, default=0), 0, -1):
         below = dicts.setdefault(s - 1, {})
         for ideal, num in dicts.pop(s, {}).items():
-            n = ideal.num_vars - 1
             for g in _expandable(ideal):
                 expanded = _expand(ideal, g)
                 if expanded not in below:
-                    below[expanded] = _expanded_numerator(num, sum(g), n)
+                    below[expanded] = _expanded_numerator(num, sum(g), step)
                     if built is not None:
                         built.add(expanded)
     return dicts.get(0, {})

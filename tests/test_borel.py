@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 import math
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from borelpoints import (
@@ -27,7 +27,14 @@ from borelpoints import (
     monomials_of_degree,
 )
 from borelpoints import reeves
-from borelpoints.borel import _expand, _expandable, exchange
+from borelpoints.borel import (
+    _borel_expand,
+    _borel_expandable,
+    _expand,
+    _expandable,
+    exchange,
+)
+from borelpoints.reeves import _expanded_numerator, _one_minus_t_power
 
 from conftest import (
     ideal,
@@ -36,6 +43,7 @@ from conftest import (
     reference_expand,
     reference_expandable,
     saturated_strongly_stable,
+    trim,
 )
 
 P2 = Characteristic(2)
@@ -422,8 +430,72 @@ def assert_same_as_validated(J):
     assert MonomialIdeal.from_generators(J.gens, J.num_vars) == J
 
 
+@st.composite
+def saturated_p_borel(draw):
+    """A saturated p-Borel ideal other than the unit ideal, p = 2 or 3,
+    with its characteristic: the saturated Borel closure of up to three
+    small monomials."""
+    ch = Characteristic(draw(st.sampled_from([2, 3])))
+    num_vars = draw(st.integers(2, 4))
+    monomial = st.lists(
+        st.integers(0, 4), min_size=num_vars, max_size=num_vars
+    ).filter(lambda e: 1 <= sum(e) <= 5)
+    gens = draw(st.lists(monomial, min_size=1, max_size=3))
+    I = borel_closure([tuple(g) for g in gens], ch, num_vars).saturate()
+    assume(not I.is_unit)
+    return I, ch
+
+
+class TestBorelMoves:
+    # the walk's moves in characteristic p, borel._borel_expandable and
+    # borel._borel_expand
+
+    def test_char0_equals_expandable_and_expand_on_walk_visits(self, monkeypatch):
+        runs = mini_grid() + [(GotzmannPartition((0,) * 14), 4)]
+        seen = walk_visits(monkeypatch, runs)
+        assert len(seen) > 300
+        for I in seen:
+            gens = _borel_expandable(I, CHAR0)
+            assert gens == [g for g in _expandable(I) if any(g)], str(I)
+            for g in gens:
+                assert _borel_expand(I, g) == _expand(I, g), (str(I), g)
+
+    @settings(max_examples=300, deadline=None)
+    @given(saturated_p_borel())
+    def test_expandable_exactly_when_expansion_is_borel_fixed(self, case):
+        # the module docstring of reeves proves the equivalence and the
+        # numerator rule in every characteristic
+        I, ch = case
+        assert is_borel_fixed(I, ch)
+        N = I.hilbert_numerator()
+        step = _one_minus_t_power(I.num_vars - 1)
+        expandable = _borel_expandable(I, ch)
+        for g in I.gens:
+            if not any(g):
+                continue
+            J = _borel_expand(I, g)
+            assert J.saturate() == J
+            assert is_borel_fixed(J, ch) == (g in expandable), (str(I), g)
+            assert trim(J.hilbert_numerator()) == trim(
+                _expanded_numerator(N, sum(g), step)
+            )
+
+    def test_nonstandard_example(self):
+        # <x0^2, x1^2> is 2-Borel, not strongly stable.  x0^2 is blocked
+        # by x1^2, which exchanges to it in characteristic 2; x1^2 is
+        # expandable and gives <x0^2, x0*x1^2, x1^3>
+        p2 = Characteristic(2)
+        I = ideal([(2, 0, 0), (0, 2, 0)], 3)
+        assert _borel_expandable(I, p2) == [(0, 2, 0)]
+        assert not is_borel_fixed(_borel_expand(I, (2, 0, 0)), p2)
+        assert _borel_expand(I, (0, 2, 0)) == ideal(
+            [(2, 0, 0), (1, 2, 0), (0, 3, 0)], 3
+        )
+
+
 class TestTrustedConstruction:
-    # _expand and lift() skip the generator checks of MonomialIdeal
+    # _expand, _borel_expand and lift() skip the generator checks of
+    # MonomialIdeal
 
     def test_walk_outputs(self):
         for partition, n in mini_grid():
@@ -438,6 +510,20 @@ class TestTrustedConstruction:
         assert_same_as_validated(I.lift())
         for g in expandable_generators(I):
             assert_same_as_validated(_expand(I, g))
+
+    @settings(max_examples=100, deadline=None)
+    @given(saturated_p_borel())
+    def test_borel_expand_on_closures(self, case):
+        # _borel_expand drops only the new multiples another generator
+        # divides; from_generators minimalizes from scratch
+        I, _ = case
+        for g in I.gens:
+            if any(g):
+                J = _borel_expand(I, g)
+                assert_same_as_validated(J)
+                new = [g[:i] + (g[i] + 1,) + g[i + 1 :] for i in range(I.num_vars - 1)]
+                rest = [h for h in I.gens if h != g]
+                assert J == MonomialIdeal.from_generators(rest + new, I.num_vars)
 
     def test_public_construction_still_checks(self):
         with pytest.raises(ValueError):

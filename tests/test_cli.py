@@ -9,7 +9,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from borelpoints import GotzmannPartition, MonomialIdeal, enumerate_strongly_stable
+from borelpoints import (
+    Characteristic,
+    GotzmannPartition,
+    MonomialIdeal,
+    enumerate_borel_fixed,
+    enumerate_strongly_stable,
+)
 from borelpoints.cli import _dumps, _ideal_rows, _sorted_ideals, main
 
 from conftest import mini_grid
@@ -194,6 +200,23 @@ class TestClassifyCommand:
         assert payload["verified"] == 3
 
 
+    def test_verify_char_p_past_the_oracle_guard(self, capsys):
+        # characteristic p is enumerated by the Reeves walk, which has no
+        # guard: this cell (n = 4) lies past the exhaustive search's
+        code, out, _ = run(
+            capsys,
+            "classify", "--partition", "2,1,0,0", "--n", "4", "--char", "2",
+            "--verify", "--json",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["verified"] == 4
+        partition = GotzmannPartition((2, 1, 0, 0))
+        oracle = enumerate_borel_fixed(partition, 4, Characteristic(2), force=True)
+        rows = {tuple(map(tuple, row["generators"])) for row in payload["ideals"]}
+        assert rows == {I.gens for I in oracle}
+
+
 class TestEnumerationCommands:
     def test_reeves_twisted_cubic(self, capsys):
         code, out, _ = run(
@@ -309,6 +332,24 @@ class TestOtherCommands:
         left, right = payload["children"]
         assert left["partition"] == [0, 0] and left["n"] == 2
         assert right["partition"] == [1] and right["n"] == 3
+
+    def test_tree_enumerates_char_p(self, capsys):
+        _, out, _ = run(
+            capsys,
+            "tree", "--codim", "2", "--depth", "2", "--enumerate", "--char", "2",
+            "--json",
+        )
+        nodes, todo = [], [json.loads(out)]
+        while todo:
+            node = todo.pop()
+            nodes.append(node)
+            todo.extend(node["children"])
+        assert len(nodes) == 7
+        p2 = Characteristic(2)
+        for node in nodes:
+            partition = GotzmannPartition(tuple(node["partition"]))
+            oracle = enumerate_borel_fixed(partition, node["n"], p2, force=True)
+            assert node["verified"] == len(oracle), node
 
     def test_tree_depth_cap(self, capsys):
         code, _, err = run(capsys, "tree", "--codim", "2", "--depth", "9")

@@ -5,19 +5,29 @@ import pytest
 from hypothesis import given, settings
 
 from borelpoints import (
+    CHAR0,
+    Characteristic,
     GotzmannPartition,
     MonomialIdeal,
+    enumerate_borel_fixed,
     enumerate_strongly_stable,
     enumeration_levels,
     expand,
     expandable_generators,
+    is_borel_fixed,
     is_strongly_stable,
     lex_ideal,
 )
 from borelpoints import hilbert_poly, monomial_ideal, reeves
-from borelpoints.borel import _expand
+from borelpoints.borel import _borel_expand, _expand
+from borelpoints.classify import default_grid
 from borelpoints.monomial_ideal import hilbert_polynomial_values
-from borelpoints.reeves import _descend, _expanded_numerator, _level_columns
+from borelpoints.reeves import (
+    _descend,
+    _expanded_numerator,
+    _level_columns,
+    _one_minus_t_power,
+)
 
 from conftest import (
     brute_contractions,
@@ -104,7 +114,9 @@ class TestChainDedup:
             I = ideal(gens, num_vars)
             assert not brute_contractions(I)  # so it enters with last ()
             for steps in (1, 2, 3):
-                found = _descend({steps: [(I, I.hilbert_numerator(), ())]})
+                entry = (I, I.hilbert_numerator(), ())
+                step = _one_minus_t_power(num_vars - 1)
+                found = _descend({steps: [entry]}, step, CHAR0)
                 assert found.keys() == self.chains_reversed(I, steps)
 
 
@@ -174,7 +186,9 @@ class TestCarriedNumerators:
                 return bucket
 
         descend = reeves._descend
-        monkeypatch.setattr(reeves, "_descend", lambda b: descend(Buckets(b)))
+        monkeypatch.setattr(
+            reeves, "_descend", lambda b, *rest: descend(Buckets(b), *rest)
+        )
         for partition, n in mini_grid():
             levels = 0
             for nums in enumeration_levels(partition, n):
@@ -205,8 +219,8 @@ class TestCarriedNumerators:
         assert cell in mini_grid()
         assert len(next(enumeration_levels(*cell))) > 1  # level 0 expands
 
-        def wrong(num, a, n):
-            out = _expanded_numerator(num, a, n)
+        def wrong(num, a, step):
+            out = _expanded_numerator(num, a, step)
             return (out[0] + 1,) + out[1:]
 
         monkeypatch.setattr(reeves, "_expanded_numerator", wrong)
@@ -222,7 +236,8 @@ class TestCarriedNumerators:
             [tuple(int(i == j) for i in range(5)) for j in range(4)], 5
         )
         for steps in range(k):
-            found = _descend({steps: [(start, (1, -4, 6, -4, 1), ())]})  # (1-t)^4
+            step = (1, -4, 6, -4, 1)  # (1-t)^4
+            found = _descend({steps: [(start, step, ())]}, step, CHAR0)
             self.check(found)
         assert found.keys() == enumerate_strongly_stable(
             GotzmannPartition((0,) * k), 4
@@ -256,7 +271,7 @@ class TestCarriedNumerators:
         assert trim(I.lift().hilbert_numerator()) == trim(N)
         for g in expandable_generators(I):
             assert trim(_expand(I, g).hilbert_numerator()) == trim(
-                _expanded_numerator(N, sum(g), n)
+                _expanded_numerator(N, sum(g), _one_minus_t_power(n))
             )
 
 
@@ -304,7 +319,11 @@ class TestCanonicalParent:
                 levels = list(enumeration_levels(partition, n))
             visited = set()
             with monkeypatch.context() as m:
-                m.setattr(reeves, "_descend", lambda b: reference_descend(b, visited))
+                m.setattr(
+                    reeves,
+                    "_descend",
+                    lambda b, step, ch: reference_descend(b, step, visited),
+                )
                 assert levels == list(enumeration_levels(partition, n)), (
                     partition.parts,
                     n,
@@ -343,3 +362,91 @@ class TestCanonicalParent:
             gens = [tuple(int(i == k) for i in range(c + 1)) for k in range(c)]
             start = ideal(gens, c + 1)
             assert not brute_contractions(start)
+
+
+def least_prime_above(r):
+    p = r + 1
+    while any(p % q == 0 for q in range(2, p)):
+        p += 1
+    return p
+
+
+class TestCharacteristicP:
+    # in characteristic p the walk expands every ideal at every generator
+    # borel._borel_expandable allows and deduplicates each bucket; the
+    # exhaustive oracle is the independent check
+    FORCED = [
+        ((1, 1, 0, 0), 3),
+        ((2, 2, 0), 3),
+        ((1, 1, 1, 0), 3),
+        ((1, 1, 1, 0), 4),
+        ((2, 1, 0, 0), 4),
+    ]
+
+    def test_equals_oracle_on_default_grid(self):
+        cells = [c for c in default_grid() if not c.char.is_zero]
+        assert len(cells) == 50
+        for c in cells:
+            walk = enumerate_strongly_stable(c.partition, c.n, c.char)
+            oracle = enumerate_borel_fixed(c.partition, c.n, c.char)
+            assert walk == oracle, (c.partition.parts, c.n, c.char.value)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("parts, n", FORCED)
+    def test_equals_forced_oracle(self, parts, n, p):
+        partition, ch = GotzmannPartition(parts), Characteristic(p)
+        oracle = enumerate_borel_fixed(partition, n, ch, force=True)
+        assert enumerate_strongly_stable(partition, n, ch) == oracle
+
+    def test_no_ideal_twice_in_a_bucket(self, monkeypatch):
+        # expansions from different parents meet (the test checks that
+        # some do), and each bucket keeps one of them
+        buckets = []
+        built = []
+
+        class Buckets(dict):
+            def pop(self, *args):
+                buckets.append(super().pop(*args))
+                return buckets[-1]
+
+            def get(self, *args):
+                buckets.append(super().get(*args))
+                return buckets[-1]
+
+        def counting_expand(I, g):
+            built.append(_borel_expand(I, g))
+            return built[-1]
+
+        descend = reeves._descend
+        monkeypatch.setattr(
+            reeves, "_descend", lambda b, *rest: descend(Buckets(b), *rest)
+        )
+        monkeypatch.setattr(reeves, "_borel_expand", counting_expand)
+        for partition, n in mini_grid():
+            for p in (2, 3):
+                enumerate_strongly_stable(partition, n, Characteristic(p))
+        assert len(built) > len(set(built))
+        assert sum(map(len, buckets)) > len(buckets)
+        for bucket in buckets:
+            ideals = [I for I, _, _ in bucket]
+            assert len(ideals) == len(set(ideals))
+
+    def test_outputs_are_valid_with_carried_numerators(self):
+        for partition, n in mini_grid():
+            for p in (2, 3):
+                ch = Characteristic(p)
+                for nums in enumeration_levels(partition, n, ch):
+                    for I, num in nums.items():
+                        assert is_borel_fixed(I, ch), str(I)
+                        assert I.saturate() == I, str(I)
+                        assert trim(num) == trim(I.hilbert_numerator()), str(I)
+                assert nums.keys() >= enumerate_strongly_stable(partition, n)
+
+    def test_least_prime_above_gotzmann_number_gives_char0_set(self):
+        # minimal generators have degree <= r, so every exponent is below
+        # a prime p > r, where Pardue's rule is the strongly stable one
+        for partition, n in mini_grid():
+            p = least_prime_above(partition.gotzmann_number)
+            assert enumerate_strongly_stable(
+                partition, n, Characteristic(p)
+            ) == enumerate_strongly_stable(partition, n), (partition.parts, n, p)

@@ -187,14 +187,17 @@ def expandable_generators(I: MonomialIdeal) -> list[Monomial]:
         raise ValueError(f"expansion needs a strongly stable ideal, got {I}")
     if I.saturate() != I:
         raise ValueError(f"expansion needs a saturated ideal, got {I}")
-    return _expandable(I)
+    return _expandable(I, ())
 
 
-def _expandable(I: MonomialIdeal) -> list[Monomial]:
-    """expandable_generators without the precondition check."""
+def _expandable(I: MonomialIdeal, last: Monomial) -> list[Monomial]:
+    """expandable_generators without the precondition check, among the
+    generators above last in tuple order only; () admits them all."""
     gen_set = frozenset(I.gens)
     out = []
     for g in I.gens:
+        if g <= last:
+            continue
         for i in range(I.num_vars - 2):
             # g is blocked by x_i^{-1} x_{i+1} g
             if g[i] and g[:i] + (g[i] - 1, g[i + 1] + 1) + g[i + 2 :] in gen_set:

@@ -13,28 +13,42 @@ with one more variable for the next level.  Lifting can overshoot the
 next target by a constant, and ideals whose gap would be negative are
 dropped.
 
-The walk never computes a Hilbert polynomial from scratch.  It carries
-the numerator N(t) of each ideal's Hilbert series N(t)/(1-t)^(n+1) in
-K[x_0, ..., x_n], since both of its moves change N in closed form: the
-start ideal has N = (1-t)^c, an expansion at a generator of degree a
-adds t^a (1-t)^n (see _expanded_numerator), and a lift leaves N as it
-is, because S[x_{n+1}]/I S[x_{n+1}] = (S/I)[x_{n+1}] divides both the
-series and its denominator by 1 - t.  Every level ends in a dict from
-each of its ideals to its numerator, which is what the next lift needs
-and what enumeration_levels yields; the walk keeps no other record of a
-level.
+The walk never computes a Hilbert polynomial from scratch.  For I in
+S = K[x_0, ..., x_n] write the numerator of the Hilbert series
+N(t)/(1-t)^(n+1) of S/I as N(t) = sum_i h_i (1-t)^i, so that
+h_i = (-1)^i sum_k N_k C(k, i).  The series is sum_i h_i / (1-t)^(n+1-i),
+whose terms with i > n are polynomials, so the Hilbert polynomial of S/I
+is sum_{i <= n} h_i C(t + n - i, n - i), each binomial read as a
+polynomial in t.  The walk carries each ideal's coordinates
+h_c, ..., h_{c+d}.  The start ideal has N = (1-t)^c, so h = (1, 0, ..., 0);
+an expansion at a generator of degree a adds (-1)^i C(a, i) to h_{n+i}
+(_expanded_coordinates); and a lift leaves N and h as they are, because
+S[x_{n+1}]/I S[x_{n+1}] = (S/I)[x_{n+1}] divides both the series and its
+denominator by 1 - t.  So h_i = 0 for i < c throughout, the expansions
+of level j, in K[x_0, ..., x_{c+j}], change only h_{c+j} and above, and
+what they add past h_{c+d} no level reads.  Every level ends in a dict
+from each of its ideals to its coordinates, which is what the next lift
+needs and what enumeration_levels yields; the walk keeps no other record
+of a level.
 
-The gap, or deficit, at level j is q_j(t) - sum_i c_i C(t - i + n, n)
-with each binomial read as a polynomial in t (hilbert_poly.binomial_poly).
-That is an identity of polynomials, exact at every t and not only past
-the regularity, so the walk evaluates it at deg q_j + 2 points and raises
-ValueError unless it is constant.  All ideals of a level share n, so the
-binomials are tabulated once per level (_level_columns) and each deficit
-is a sum of integer products.
+The gap, or deficit, at level j is one subtraction.  Write
+p(t) = sum_{m <= d} tau_m C(t + m, m).  At t = -1 - i the binomial
+C(t + m, m) is 0 for i < m and (-1)^m C(i, m) otherwise, so binomial
+inversion gives tau_m = sum_{i <= m} (-1)^i C(m, i) p(-1 - i)
+(_polynomial_coordinates).  The backward difference takes C(t + m, m) to
+C(t + m - 1, m - 1) and C(t, 0) to 0, so
+q_j = sum_{m <= j} tau_{m+d-j} C(t + m, m), while an ideal of level j
+has the polynomial sum_{m <= j} h_{c+j-m} C(t + m, m).  An ideal lifted
+into level j ended level j - 1 with h_{c+k} = tau_{d-k} for k < j, and
+the expansions of level j leave those alone, so its deficit is the
+constant tau_{d-j} - h_{c+j}, and each expansion lowers it by one.  The
+buckets count the expansions apart from the coordinates, so the walk
+checks that every ideal of bucket 0 has h_{c+j} = tau_{d-j}, and raises
+ValueError otherwise.
 
 Within a level the ideals are expanded bucket by bucket (_descend).
 Bucket s lists the ideals still s expansions short of the target, each
-with its numerator.  The lifted ideals go into the bucket of their
+with its coordinates.  The lifted ideals go into the bucket of their
 deficit, and the buckets are emptied from the largest down to 1: every
 expansion of an ideal in bucket s goes into bucket s - 1, and bucket 0
 is the level's output.  An ideal's Hilbert polynomial fixes its
@@ -51,7 +65,7 @@ is plain tuple order, in which a legal exchange moves a monomial up.
   no v = x_i^{-k} x_j^k g with i < j < n, 1 <= k <= g_i and k digitwise
   below g_j + k lies in I (borel._borel_expandable).  The expansion
   (borel._borel_expand) drops g, adds every g x_i with i < n and
-  minimalizes; by the proof at _expanded_numerator it gives
+  minimalizes; by the proof at _expanded_coordinates it gives
   J = I minus the g x_n^m, m >= 0, a saturated ideal whose Hilbert
   polynomial is one more than that of I.  J is Borel-fixed exactly when
   g is expandable.  A legal exchange of some w in J stays in I, so it
@@ -99,7 +113,8 @@ parent, by reverse search (Avis and Fukuda, "Reverse search for
 enumeration", 1996).  Every bucket entry carries the generator last at
 which it was built, () for the lifted and start ideals, and in
 characteristic 0 is expanded only at its expandable generators
-g > last, in tuple order.
+g > last, in tuple order; _expandable tests no other generator for
+blocking.
 
 - Contractions.  Call c a contraction of J when J + (c) expands at c to
   J, and write C(J) for the set of them.  C(J) holds exactly the
@@ -108,7 +123,7 @@ g > last, in tuple order.
   is.  Such a c is a minimal generator of the saturated strongly stable
   I = J + (c), and the multiples of c that miss J are the c x_n^k,
   since c x_{n-1} = h and its up-shifts are in J; so J = _expand(I, c)
-  by the proof at _expanded_numerator.  Conversely an expansion at c
+  by the proof at _expanded_coordinates.  Conversely an expansion at c
   puts c x_{n-1} among the generators and keeps the up-shifts of c.
 - Lifts and the start have none.  The generators of a lifted ideal are
   free of x_{n-1} and x_n; the start's only candidate is the unit.
@@ -146,15 +161,14 @@ the unchecked _borel_expandable and _borel_expand.  That is safe because
 the start ideal is saturated and Borel-fixed in every characteristic by
 construction, and both expansion and lifting preserve the property, so
 every ideal the walk visits has it.  The tests check it on the outputs,
-and check the carried numerators against hilbert_numerator.
+and check the carried coordinates against hilbert_numerator.
 """
 
 from __future__ import annotations
 
 from math import comb
-from operator import mul
 
-from .hilbert_poly import GotzmannPartition, binomial_poly
+from .hilbert_poly import GotzmannPartition
 from .monomial_ideal import MonomialIdeal
 from .borel import (
     CHAR0,
@@ -166,82 +180,68 @@ from .borel import (
 )
 
 
-def _one_minus_t_power(n: int) -> tuple[int, ...]:
-    """The coefficients of (1-t)^n."""
-    return tuple((-1) ** k * comb(n, k) for k in range(n + 1))
+def _expanded_coordinates(h: tuple[int, ...], j: int, a: int) -> tuple[int, ...]:
+    """The coordinates of an expansion of I in K[x_0, ..., x_n] at a
+    generator of degree a, where h holds those of I and h[j] is h_n: each
+    h_{n+i} gains (-1)^i C(a, i).
 
-
-def _expanded_numerator(
-    num: tuple[int, ...], a: int, step: tuple[int, ...]
-) -> tuple[int, ...]:
-    """N_J = N_I + t^a (1-t)^n for an expansion J of I in K[x_0, ..., x_n]
-    at a generator g of degree a, where step holds the coefficients of
-    (1-t)^n, the same for every ideal of a level.
-
-    J holds every monomial of I except the g * x_n^k, k >= 0.  These are
-    not in J: a generator of J dividing g * x_n^k cannot be a new one
-    g * x_j, which has j < n and so more x_j, and an old generator h != g
-    is free of x_n because I is saturated, so h would divide g, against
-    the minimality of g.  Every other multiple of g is in J: it is
-    divisible by some g * x_j with j < n, which is in J.
-    borel._borel_expand adds every such g * x_j, and borel._expand those
-    with j >= max(g); for j < max(g) J holds g * x_j by strong
-    stability, from g * x_{max(g)}.  So the series of S/J exceeds that of S/I by
-    t^a / (1-t), which is t^a (1-t)^n over the common denominator
-    (1-t)^(n+1).
+    The expansion J of I at g holds every monomial of I except the
+    g * x_n^k, k >= 0.  These are not in J: a generator of J dividing
+    g * x_n^k cannot be a new one g * x_i, which has i < n and so more
+    x_i, and an old generator f != g is free of x_n because I is
+    saturated, so f would divide g, against the minimality of g.  Every
+    other multiple of g is in J: it is divisible by some g * x_i with
+    i < n, which is in J.  borel._borel_expand adds every such g * x_i,
+    and borel._expand those with i >= max(g); for i < max(g) J holds
+    g * x_i by strong stability, from g * x_{max(g)}.  So the series of
+    S/J exceeds that of S/I by t^a / (1-t), which is t^a (1-t)^n over the
+    common denominator (1-t)^(n+1), and
+    t^a (1-t)^n = sum_i (-1)^i C(a, i) (1-t)^(n+i).
     """
-    out = list(num) + [0] * (a + len(step) - len(num))
-    for k, coefficient in enumerate(step, a):
-        out[k] += coefficient
-    return tuple(out)
+    return h[:j] + tuple(x + (-1) ** i * comb(a, i) for i, x in enumerate(h[j:]))
 
 
-def _descend(
-    buckets: dict[int, list], step: tuple[int, ...], ch: Characteristic
-) -> dict:
+def _polynomial_coordinates(partition: GotzmannPartition) -> tuple[int, ...]:
+    """The tau_m with p(t) = sum_{m <= d} tau_m C(t + m, m), for the
+    partition's polynomial p of degree d (see the module docstring)."""
+    values = [partition.evaluate(-1 - i) for i in range(partition.degree + 1)]
+    return tuple(
+        sum((-1) ** i * comb(m, i) * values[i] for i in range(m + 1))
+        for m in range(len(values))
+    )
+
+
+def _descend(buckets: dict[int, list], j: int, ch: Characteristic) -> dict:
     """Empty the deficit buckets from the largest down; return bucket 0
-    as a dict from each of its ideals to its Hilbert numerator.
+    as a dict from each of its ideals to its coordinates.
 
-    buckets[s] lists an (ideal, numerator, last) triple for each ideal
-    that still needs s expansions, where last is the generator at which
-    the ideal was built, or () for a lifted or start ideal; step holds
-    the coefficients of (1-t)^n for the level's ring K[x_0, ..., x_n].
-    In characteristic 0 an ideal is expanded only at its expandable
-    generators above last in tuple order, which builds every ideal of
-    the level exactly once, from its canonical parent J + (max C(J)).
-    In characteristic p it is expanded at every expandable generator,
-    and an expansion goes into the next bucket down unless that bucket
-    already holds it (see the module docstring).
+    buckets[s] lists an (ideal, h, last) triple for each ideal that still
+    needs s expansions, where h holds its coordinates h_c, ..., h_{c+d},
+    h[j] being h_n for the level's ring K[x_0, ..., x_n], and last is the
+    generator at which the ideal was built, or () for a lifted or start
+    ideal.  In characteristic 0 an ideal is expanded only at its
+    expandable generators above last in tuple order, which builds every
+    ideal of the level exactly once, from its canonical parent
+    J + (max C(J)).  In characteristic p it is expanded at every
+    expandable generator, and an expansion goes into the next bucket down
+    unless that bucket already holds it (see the module docstring).
     """
     for s in range(max(buckets, default=0), 0, -1):
         below = buckets.setdefault(s - 1, [])
         if ch.is_zero:
-            for ideal, num, last in buckets.pop(s, ()):
-                for g in _expandable(ideal):
-                    if g > last:
-                        num_g = _expanded_numerator(num, sum(g), step)
-                        below.append((_expand(ideal, g), num_g, g))
+            for ideal, h, last in buckets.pop(s, ()):
+                for g in _expandable(ideal, last):
+                    h_g = _expanded_coordinates(h, j, sum(g))
+                    below.append((_expand(ideal, g), h_g, g))
         else:
             seen = {entry[0] for entry in below}
-            for ideal, num, _ in buckets.pop(s, ()):
+            for ideal, h, _ in buckets.pop(s, ()):
                 for g in _borel_expandable(ideal, ch):
                     expanded = _borel_expand(ideal, g)
                     if expanded not in seen:
                         seen.add(expanded)
-                        num_g = _expanded_numerator(num, sum(g), step)
-                        below.append((expanded, num_g, g))
-    return {ideal: num for ideal, num, _ in buckets.get(0, ())}
-
-
-def _level_columns(n: int, ts, width: int) -> list[tuple[int, ...]]:
-    """For each t in ts, the values C(t - k + n, n) for k < width, each
-    binomial read as a polynomial in t.
-
-    The Hilbert polynomial of a quotient of K[x_0, ..., x_n] whose series
-    has numerator N, len(N) <= width, is sum(map(mul, N, column)) at the
-    t of each column.
-    """
-    return [tuple(binomial_poly(t, n - k, n) for k in range(width)) for t in ts]
+                        below.append((expanded, _expanded_coordinates(h, j, sum(g)), g))
+    return {ideal: h for ideal, h, _ in buckets.get(0, ())}
 
 
 def enumeration_levels(
@@ -249,7 +249,7 @@ def enumeration_levels(
 ):
     """Yield each level of the walk in characteristic ch, ending in
     K[x_0, ..., x_n], as a dict from every ideal of the level to its
-    Hilbert numerator.
+    coordinates h_c, ..., h_{c+d} (see the module docstring).
 
     Level j holds the saturated Borel-fixed ideals whose Hilbert
     polynomial is difference^(d-j)(partition), d = partition.degree.
@@ -257,40 +257,26 @@ def enumeration_levels(
     if n <= partition.degree:
         raise ValueError("ambient dimension must exceed the polynomial degree")
     d = partition.degree
-    targets = [partition]
-    for _ in range(d):
-        targets.append(targets[-1].difference())
-    targets.reverse()  # targets[j] = difference^(d-j)(partition)
-
     c = n - d
-    start = MonomialIdeal.from_generators(
-        [tuple(1 if i == k else 0 for i in range(c + 1)) for k in range(c)],
-        c + 1,
+    tau = _polynomial_coordinates(partition)
+    start = MonomialIdeal._trusted(
+        c + 1, tuple(tuple(int(i == k) for i in range(c + 1)) for k in range(c))
     )
-    # Hilbert numerators of the current ideals: (1-t)^c for the start
-    nums = {start: _one_minus_t_power(c)}
-    for j, target in enumerate(targets):
+    level = {start: (1,) + (0,) * d}
+    for j in range(d + 1):
         if j > 0:
-            nums = {ideal.lift(): num for ideal, num in nums.items()}
-        ts = range(j + 2)  # deg q_j + 2 points
-        target_values = [target.evaluate(t) for t in ts]
-        # the ideals of level j live in K[x_0, ..., x_{c+j}]
-        columns = _level_columns(c + j, ts, max(map(len, nums.values()), default=0))
+            level = {ideal.lift(): h for ideal, h in level.items()}
+        target = tau[d - j]  # the coordinate of q_j at C(t, 0)
         buckets: dict[int, list] = {}
-        for ideal, num in nums.items():
-            deltas = {
-                q - sum(map(mul, num, column))
-                for q, column in zip(target_values, columns)
-            }
-            if len(deltas) != 1:
-                raise ValueError(
-                    f"Hilbert polynomial of {ideal} is not {target} plus a constant"
-                )
-            deficit = deltas.pop()
+        for ideal, h in level.items():
+            deficit = target - h[j]
             if deficit >= 0:
-                buckets.setdefault(deficit, []).append((ideal, num, ()))
-        nums = _descend(buckets, _one_minus_t_power(c + j), ch)
-        yield nums
+                buckets.setdefault(deficit, []).append((ideal, h, ()))
+        level = _descend(buckets, j, ch)
+        for ideal, h in level.items():
+            if h[j] != target:
+                raise ValueError(f"{ideal} misses its level-{j} target")
+        yield level
 
 
 def enumerate_strongly_stable(

@@ -7,6 +7,7 @@ implementation that cannot share their bugs.
 
 from bisect import insort
 from itertools import combinations_with_replacement
+from math import comb
 
 import pytest
 from hypothesis import assume
@@ -26,7 +27,7 @@ from borelpoints import (
 )
 from borelpoints.borel import _expand, _expandable, exchange, exchange_amounts
 from borelpoints.monomial_ideal import canonical_key, max_index
-from borelpoints.reeves import _expanded_numerator
+from borelpoints.reeves import _expanded_coordinates
 
 
 def brute_standard_count(gens, num_vars, d):
@@ -237,30 +238,80 @@ def reference_expand(I, g):
     return MonomialIdeal(I.num_vars, tuple(gens))
 
 
-def reference_descend(buckets, step, built=None):
+def one_minus_t_power(n):
+    """The coefficients of (1-t)^n."""
+    return tuple((-1) ** k * comb(n, k) for k in range(n + 1))
+
+
+def expanded_numerator(num, a, step):
+    """N_J = N_I + t^a (1-t)^n for an expansion J of I in K[x_0, ..., x_n]
+    at a generator of degree a, where step holds the coefficients of
+    (1-t)^n.  The reeves module proves the rule (at
+    reeves._expanded_coordinates), and the walk carries its effect on the
+    coordinates of the numerator instead."""
+    out = list(num) + [0] * (a + len(step) - len(num))
+    for k, coefficient in enumerate(step, a):
+        out[k] += coefficient
+    return tuple(out)
+
+
+def numerator_coordinates(num, lo, width):
+    """The h_i, lo <= i < lo + width, with N(t) = sum_i h_i (1-t)^i for the
+    numerator N with coefficients num: h_i = (-1)^i sum_k N_k C(k, i)."""
+    return tuple(
+        (-1) ** i * sum(c * comb(k, i) for k, c in enumerate(num))
+        for i in range(lo, lo + width)
+    )
+
+
+def coordinate_step_holds(N, N_J, n, a):
+    """Whether reeves._expanded_coordinates takes every coordinate of the
+    numerator N of I in K[x_0, ..., x_n] to that of N_J, the numerator of
+    the expansion of I at a generator of degree a."""
+    width = max(len(N), n + a + 1)  # past the last nonzero coordinate
+    h = numerator_coordinates(N, 0, width)
+    return numerator_coordinates(N_J, 0, width) == _expanded_coordinates(h, n, a)
+
+
+def reference_descend(buckets, j, built=None):
     """The deficit-bucket descent that deduplicates on insert, on buckets
     in the layout of reeves._descend, whose last generators it ignores,
     with the char-0 moves _expandable and _expand.
 
     Every expansion of an ideal in bucket s, at every expandable
     generator, goes into bucket s - 1 unless that bucket already holds
-    it; bucket 0 is returned as a dict from ideal to numerator.  step
-    holds the coefficients of (1-t)^n, and built, when given, collects
-    every distinct ideal the descent builds.  In characteristic 0 the
-    library's reeves._descend builds each ideal once, from its canonical
-    parent, and tests no membership.
+    it; bucket 0 is returned as a dict from ideal to coordinates.  The
+    descent carries numerators, from hilbert_numerator for the ideals it
+    is given and by expanded_numerator for the ones it builds, and reads
+    each ideal's coordinates off its numerator; it checks those against
+    the given coordinates and against the library's coordinate step
+    reeves._expanded_coordinates.  built, when given, collects every
+    distinct ideal the descent builds.  In characteristic 0 the library's
+    reeves._descend builds each ideal once, from its canonical parent,
+    and tests no membership.
     """
-    dicts = {s: {I: num for I, num, _ in bucket} for s, bucket in buckets.items()}
+    dicts = {}
+    for s, bucket in buckets.items():
+        dicts[s] = {}
+        for I, h, _ in bucket:
+            num = I.hilbert_numerator()
+            c = I.num_vars - 1 - j
+            assert h == numerator_coordinates(num, c, len(h)), str(I)
+            dicts[s][I] = num, h
     for s in range(max(dicts, default=0), 0, -1):
         below = dicts.setdefault(s - 1, {})
-        for ideal, num in dicts.pop(s, {}).items():
-            for g in _expandable(ideal):
+        for ideal, (num, h) in dicts.pop(s, {}).items():
+            n = ideal.num_vars - 1
+            for g in _expandable(ideal, ()):
                 expanded = _expand(ideal, g)
                 if expanded not in below:
-                    below[expanded] = _expanded_numerator(num, sum(g), step)
+                    num_g = expanded_numerator(num, sum(g), one_minus_t_power(n))
+                    h_g = numerator_coordinates(num_g, n - j, len(h))
+                    assert h_g == _expanded_coordinates(h, j, sum(g)), (str(ideal), g)
+                    below[expanded] = num_g, h_g
                     if built is not None:
                         built.add(expanded)
-    return dicts.get(0, {})
+    return {I: h for I, (_, h) in dicts.get(0, {}).items()}
 
 
 def brute_contractions(J):

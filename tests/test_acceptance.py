@@ -320,3 +320,49 @@ def test_criterion_7_forced_oracle_characteristic_two():
         120.0,
         detail=f"cells={len(cells)}, ideals={found}, failures={failures[:3]}",
     )
+
+
+def primes_up_to(r):
+    return [p for p in range(2, r + 1) if all(p % q for q in range(2, p))]
+
+
+def test_criterion_8_every_prime_up_to_the_gotzmann_number(sweep):
+    # a prime p > r gives the char-0 set (the classify docstring), so the
+    # criterion-3 cells at 0 and at each prime p <= r cover every
+    # characteristic
+    outputs, _ = sweep
+    t0 = time.perf_counter()
+    failures = []
+    cells = nonstandard = 0
+    for (parts, n), reeves_set in outputs.items():
+        partition = GotzmannPartition(parts)
+        for p in primes_up_to(len(parts)):
+            ch = Characteristic(p)
+            coords = SchemeCoordinates(partition, n, ch)
+            walk = enumerate_strongly_stable(partition, n, ch)
+            count = len(walk)
+            cells += 1
+            nonstandard += walk != reeves_set
+            if (count == 1) != predicate_unique(coords):
+                failures.append(("unique", parts, n, p, count))
+            if (count == 2) != predicate_two(coords):
+                failures.append(("two", parts, n, p, count))
+            if in_three_point_family(coords) and count != 3:
+                failures.append(("three", parts, n, p, count))
+            if not reeves_set <= walk:
+                failures.append(("reeves-not-subset", parts, n, p))
+            for I in walk:
+                if I.saturate() != I:
+                    failures.append(("unsaturated", parts, n, p, str(I)))
+                if not is_borel_fixed(I, ch):
+                    failures.append(("not-borel-fixed", parts, n, p, str(I)))
+                if I.hilbert_polynomial().polynomial != partition:
+                    failures.append(("hilbert-polynomial", parts, n, p, str(I)))
+    report(
+        8,
+        "classification sweep at every prime p <= r (walk in char p)",
+        cells > 0 and not failures,
+        time.perf_counter() - t0,
+        60.0,
+        detail=f"cells={cells}, nonstandard={nonstandard}, failures={failures[:3]}",
+    )

@@ -34,11 +34,13 @@ from borelpoints.borel import (
     _expandable,
     exchange,
 )
-from borelpoints.reeves import _expanded_numerator, _one_minus_t_power
 
 from conftest import (
+    coordinate_step_holds,
+    expanded_numerator,
     ideal,
     mini_grid,
+    one_minus_t_power,
     reference_borel_closure,
     reference_expand,
     reference_expandable,
@@ -305,9 +307,9 @@ def walk_visits(monkeypatch, runs):
     _expand while running each of runs."""
     seen = set()
 
-    def expandable(I):
+    def expandable(I, last):
         seen.add(I)
-        return _expandable(I)
+        return _expandable(I, last)
 
     def expand(I, g):
         J = _expand(I, g)
@@ -323,10 +325,13 @@ def walk_visits(monkeypatch, runs):
 
 
 def assert_helpers_match_reference(I):
-    gens = _expandable(I)
+    gens = _expandable(I, ())
     assert gens == reference_expandable(I), str(I)
     for g in gens:
         assert _expand(I, g) == reference_expand(I, g), (str(I), g)
+    # the walk's bound: only the generators above last are tested
+    for last in I.gens:
+        assert _expandable(I, last) == [g for g in gens if g > last], (str(I), last)
 
 
 class TestAgainstReferenceHelpers:
@@ -416,7 +421,7 @@ class TestAgainstReferenceHelpers:
     def test_block_merge_edge_cases(self, gens, num_vars, g, expected):
         I = ideal(gens, num_vars)
         assert I.gens == tuple(gens)
-        assert g in _expandable(I)
+        assert g in _expandable(I, ())
         assert _expand(I, g).gens == tuple(expected)
         assert_helpers_match_reference(I)
 
@@ -456,19 +461,20 @@ class TestBorelMoves:
         assert len(seen) > 300
         for I in seen:
             gens = _borel_expandable(I, CHAR0)
-            assert gens == [g for g in _expandable(I) if any(g)], str(I)
+            assert gens == [g for g in _expandable(I, ()) if any(g)], str(I)
             for g in gens:
                 assert _borel_expand(I, g) == _expand(I, g), (str(I), g)
 
     @settings(max_examples=300, deadline=None)
     @given(saturated_p_borel())
     def test_expandable_exactly_when_expansion_is_borel_fixed(self, case):
-        # the module docstring of reeves proves the equivalence and the
-        # numerator rule in every characteristic
+        # the module docstring of reeves proves the equivalence, the
+        # numerator rule and the coordinate step in every characteristic
         I, ch = case
         assert is_borel_fixed(I, ch)
+        n = I.num_vars - 1
         N = I.hilbert_numerator()
-        step = _one_minus_t_power(I.num_vars - 1)
+        step = one_minus_t_power(n)
         expandable = _borel_expandable(I, ch)
         for g in I.gens:
             if not any(g):
@@ -476,9 +482,9 @@ class TestBorelMoves:
             J = _borel_expand(I, g)
             assert J.saturate() == J
             assert is_borel_fixed(J, ch) == (g in expandable), (str(I), g)
-            assert trim(J.hilbert_numerator()) == trim(
-                _expanded_numerator(N, sum(g), step)
-            )
+            N_J = J.hilbert_numerator()
+            assert trim(N_J) == trim(expanded_numerator(N, sum(g), step))
+            assert coordinate_step_holds(N, N_J, n, sum(g)), (str(I), g)
 
     def test_nonstandard_example(self):
         # <x0^2, x1^2> is 2-Borel, not strongly stable.  x0^2 is blocked

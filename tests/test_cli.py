@@ -447,19 +447,25 @@ class TestIdealRows:
         assert [row["pretty"] for row in _ideal_rows([zero, unit])] == ["<0>", "<1>"]
 
 
+def checkout_env():
+    """The environment with this checkout's src first on PYTHONPATH, for
+    a subprocess that runs the package."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
 class TestClosedPipe:
     def test_no_traceback_when_the_reader_leaves(self):
         # about 1.2 MB of JSON, far past a pipe buffer; the reader takes
         # 300 bytes and closes its end
-        src = Path(__file__).resolve().parents[1] / "src"
-        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
         points = ",".join(["0"] * 20)
         proc = subprocess.Popen(
             [sys.executable, "-m", "borelpoints.cli"]
             + ["reeves", "--partition", points, "--n", "4", "--json"],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
-            env=dict(os.environ, PYTHONPATH=path),
+            env=checkout_env(),
         )
         head = proc.stdout.read(300)
         proc.stdout.close()
@@ -467,3 +473,16 @@ class TestClosedPipe:
         assert proc.wait(timeout=120) == 1
         assert head.startswith(b'{\n  "partition": [')
         assert "Traceback" not in err, err
+
+
+class TestPackageEntryPoint:
+    def test_python_dash_m_borelpoints(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "borelpoints", "hp", "--partition", "0", "--json"],
+            capture_output=True,
+            env=checkout_env(),
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr.decode()
+        doc = json.loads(proc.stdout)
+        assert doc["partition"] == [0] and doc["gotzmann_number"] == 1

@@ -1,5 +1,4 @@
 import tracemalloc
-from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -18,21 +17,24 @@ from borelpoints import (
     is_strongly_stable,
     lex_ideal,
 )
-from borelpoints import hilbert_poly, monomial_ideal, reeves
+from borelpoints import binomial_poly, hilbert_poly, monomial_ideal, reeves
 from borelpoints.borel import _borel_expand, _expand
 from borelpoints.classify import default_grid
-from borelpoints.monomial_ideal import hilbert_polynomial_values
 from borelpoints.reeves import (
     _descend,
-    _expanded_numerator,
-    _level_columns,
-    _one_minus_t_power,
+    _expanded_coordinates,
+    _polynomial_coordinates,
 )
 
 from conftest import (
+    all_partitions,
     brute_contractions,
+    coordinate_step_holds,
+    expanded_numerator,
     ideal,
     mini_grid,
+    numerator_coordinates,
+    one_minus_t_power,
     reference_descend,
     saturated_strongly_stable,
     trim,
@@ -114,9 +116,8 @@ class TestChainDedup:
             I = ideal(gens, num_vars)
             assert not brute_contractions(I)  # so it enters with last ()
             for steps in (1, 2, 3):
-                entry = (I, I.hilbert_numerator(), ())
-                step = _one_minus_t_power(num_vars - 1)
-                found = _descend({steps: [entry]}, step, CHAR0)
+                h = numerator_coordinates(I.hilbert_numerator(), num_vars - 1, 1)
+                found = _descend({steps: [(I, h, ())]}, 0, CHAR0)
                 assert found.keys() == self.chains_reversed(I, steps)
 
 
@@ -165,87 +166,111 @@ class TestPointsLadder:
         assert peak < 20 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
-class TestCarriedNumerators:
-    # the walk computes each ideal's Hilbert numerator from its parent's;
-    # check every one it records against the pivot recursion
+def check_coordinates(levels, c):
+    """Every carried coordinate vector h_c, ..., h_{c+d} against the one
+    read off the ideal's numerator from the pivot recursion, and the
+    coordinates below h_c, which the walk takes to be zero."""
+    for I, h in levels.items():
+        N = I.hilbert_numerator()
+        assert numerator_coordinates(N, 0, c) == (0,) * c, str(I)
+        assert h == numerator_coordinates(N, c, len(h)), str(I)
 
-    def check(self, nums):
-        for I, num in nums.items():
-            assert trim(num) == trim(I.hilbert_numerator()), str(I)
+
+def emptied_buckets(monkeypatch):
+    """A list that collects the (ideal, coordinates, last) triples of every
+    bucket reeves._descend empties from then on."""
+    emptied = []
+
+    class Buckets(dict):
+        def pop(self, *args):
+            bucket = super().pop(*args)
+            emptied.extend(bucket)
+            return bucket
+
+    descend = reeves._descend
+    monkeypatch.setattr(
+        reeves, "_descend", lambda b, *rest: descend(Buckets(b), *rest)
+    )
+    return emptied
+
+
+def descend_from_start(k, ch):
+    """The single level of k points in P^4, descended from the start ideal
+    <x_0, ..., x_3> directly by every number of steps up to the k - 1
+    that k points need; returns each descent's bucket 0."""
+    start = MonomialIdeal.from_generators(
+        [tuple(int(i == j) for i in range(5)) for j in range(4)], 5
+    )
+    return [_descend({steps: [(start, (1,), ())]}, 0, ch) for steps in range(k)]
+
+
+class TestCarriedNumerators:
+    # the walk carries each ideal's coordinates h_c, ..., h_{c+d}, the
+    # coefficients of its Hilbert numerator in powers of 1 - t, from its
+    # parent's; check every one it records against the pivot recursion
 
     def test_mini_grid(self, monkeypatch):
-        # the walk ends every level with the numerators of its ideals, and
+        # the walk ends every level with the coordinates of its ideals, and
         # the buckets it empties on the way hold every other ideal visited,
-        # as (ideal, numerator, last) triples
-        emptied = {}
-
-        class Buckets(dict):
-            def pop(self, *args):
-                bucket = super().pop(*args)
-                emptied.update((I, num) for I, num, _ in bucket)
-                return bucket
-
-        descend = reeves._descend
-        monkeypatch.setattr(
-            reeves, "_descend", lambda b, *rest: descend(Buckets(b), *rest)
-        )
+        # as (ideal, coordinates, last) triples
+        emptied = emptied_buckets(monkeypatch)
+        visited = 0
         for partition, n in mini_grid():
+            emptied.clear()
+            c = n - partition.degree
             levels = 0
-            for nums in enumeration_levels(partition, n):
-                self.check(nums)
+            for level in enumeration_levels(partition, n):
+                assert {len(h) for h in level.values()} == {partition.degree + 1}
+                check_coordinates(level, c)
                 levels += 1
             assert levels == partition.degree + 1
-        assert emptied
-        self.check(emptied)
+            check_coordinates({I: h for I, h, _ in emptied}, c)
+            visited += len(emptied)
+        assert visited
 
-    def test_level_columns(self):
-        # the walk's per-level binomial table gives the Hilbert polynomial
-        # values of every numerator it records
-        for partition, n in mini_grid():
-            for j, nums in enumerate(enumeration_levels(partition, n)):
-                (num_vars,) = {I.num_vars for I in nums}
-                ts = range(-2, j + 4)
-                width = max(map(len, nums.values()))
-                columns = _level_columns(num_vars - 1, ts, width)
-                for num in nums.values():
-                    assert [sum(map(mul, num, col)) for col in columns] == (
-                        hilbert_polynomial_values(num, num_vars, ts)
-                    )
+    def test_polynomial_coordinates(self):
+        # the walk's tau_m give p(t) = sum_m tau_m C(t + m, m) at every t,
+        # and the backward difference drops tau_0, so each level's target
+        # is a shift of the same tuple
+        for parts in all_partitions(6, 3):
+            partition = GotzmannPartition(parts)
+            tau = _polynomial_coordinates(partition)
+            assert len(tau) == partition.degree + 1
+            for t in range(-5, 11):
+                value = sum(x * binomial_poly(t, m, m) for m, x in enumerate(tau))
+                assert value == partition.evaluate(t), (parts, t)
+            if partition.degree:
+                assert _polynomial_coordinates(partition.difference()) == tau[1:]
 
     def test_non_constant_deficit_raises(self, monkeypatch):
-        # a wrong constant coefficient adds C(t + n, n) to the Hilbert
-        # polynomial, so after the first lift the deficit is not constant
+        # a coordinate step that adds 2 to h_n instead of 1 would make the
+        # next level's deficit non-constant; the check at the end of each
+        # level, against the bucket count, catches it at level 0
         cell = (GotzmannPartition((1, 1, 1, 0)), 3)
         assert cell in mini_grid()
         assert len(next(enumeration_levels(*cell))) > 1  # level 0 expands
 
-        def wrong(num, a, step):
-            out = _expanded_numerator(num, a, step)
-            return (out[0] + 1,) + out[1:]
+        def wrong(h, j, a):
+            out = _expanded_coordinates(h, j, a)
+            return out[:j] + (out[j] + 1,) + out[j + 1 :]
 
-        monkeypatch.setattr(reeves, "_expanded_numerator", wrong)
-        with pytest.raises(ValueError, match="plus a constant"):
+        monkeypatch.setattr(reeves, "_expanded_coordinates", wrong)
+        with pytest.raises(ValueError, match="misses its level-0 target"):
             enumerate_strongly_stable(*cell)
 
     @pytest.mark.parametrize("k", [14, 16])
     def test_points_in_p4(self, k):
-        # a single level: descend from the start ideal <x_0, ..., x_3>
-        # directly, by every number of steps up to the k - 1 that k points
-        # need, so every ideal the level visits is checked
-        start = MonomialIdeal.from_generators(
-            [tuple(int(i == j) for i in range(5)) for j in range(4)], 5
-        )
-        for steps in range(k):
-            step = (1, -4, 6, -4, 1)  # (1-t)^4
-            found = _descend({steps: [(start, step, ())]}, step, CHAR0)
-            self.check(found)
-        assert found.keys() == enumerate_strongly_stable(
+        # every ideal the level visits is checked
+        found = descend_from_start(k, CHAR0)
+        for level in found:
+            check_coordinates(level, 4)
+        assert found[-1].keys() == enumerate_strongly_stable(
             GotzmannPartition((0,) * k), 4
         )
 
     def test_walk_computes_no_hilbert_data(self, monkeypatch):
         def forbidden(*args):
-            raise AssertionError("the walk must carry its numerators")
+            raise AssertionError("the walk must carry its coordinates")
 
         monkeypatch.setattr(monomial_ideal, "_numerator", forbidden)
         monkeypatch.setattr(monomial_ideal, "hilbert_polynomial", forbidden)
@@ -254,25 +279,29 @@ class TestCarriedNumerators:
             assert enumerate_strongly_stable(partition, n)
 
     def test_every_level_recorded(self):
-        # the last level too: its numerators are bucket 0 of its descent
+        # the last level too: its coordinates are bucket 0 of its descent
         for parts, n in [((1, 1, 1, 0), 3), ((2, 1, 0, 0), 3), ((0,) * 8, 4)]:
             partition = GotzmannPartition(parts)
             levels = list(enumeration_levels(partition, n))
             assert len(levels) == partition.degree + 1
-            for nums in levels:
-                self.check(nums)
+            for level in levels:
+                check_coordinates(level, n - partition.degree)
             assert levels[-1].keys() == enumerate_strongly_stable(partition, n)
 
     @settings(max_examples=200, deadline=None)
     @given(saturated_strongly_stable())
     def test_expansion_and_lift(self, I):
+        # the numerator rule, and the library's coordinate step against
+        # the coordinates of the numerators, in full
         n = I.num_vars - 1
         N = I.hilbert_numerator()
         assert trim(I.lift().hilbert_numerator()) == trim(N)
         for g in expandable_generators(I):
-            assert trim(_expand(I, g).hilbert_numerator()) == trim(
-                _expanded_numerator(N, sum(g), _one_minus_t_power(n))
+            N_g = _expand(I, g).hilbert_numerator()
+            assert trim(N_g) == trim(
+                expanded_numerator(N, sum(g), one_minus_t_power(n))
             )
+            assert coordinate_step_holds(N, N_g, n, sum(g)), (str(I), g)
 
 
 def listed_contractions(J):
@@ -431,16 +460,27 @@ class TestCharacteristicP:
             ideals = [I for I, _, _ in bucket]
             assert len(ideals) == len(set(ideals))
 
-    def test_outputs_are_valid_with_carried_numerators(self):
-        for partition, n in mini_grid():
-            for p in (2, 3):
-                ch = Characteristic(p)
-                for nums in enumeration_levels(partition, n, ch):
-                    for I, num in nums.items():
+    def test_outputs_are_valid_with_carried_numerators(self, monkeypatch):
+        # every carried coordinate vector: the levels, the buckets emptied
+        # on the way, and the points-ladder descents
+        emptied = emptied_buckets(monkeypatch)
+        visited = 0
+        for p in (2, 3):
+            ch = Characteristic(p)
+            for partition, n in mini_grid():
+                emptied.clear()
+                c = n - partition.degree
+                for level in enumeration_levels(partition, n, ch):
+                    check_coordinates(level, c)
+                    for I in level:
                         assert is_borel_fixed(I, ch), str(I)
                         assert I.saturate() == I, str(I)
-                        assert trim(num) == trim(I.hilbert_numerator()), str(I)
-                assert nums.keys() >= enumerate_strongly_stable(partition, n)
+                check_coordinates({I: h for I, h, _ in emptied}, c)
+                visited += len(emptied)
+                assert level.keys() >= enumerate_strongly_stable(partition, n)
+            for level in descend_from_start(10, ch):
+                check_coordinates(level, 4)
+        assert visited
 
     def test_least_prime_above_gotzmann_number_gives_char0_set(self):
         # minimal generators have degree <= r, so every exponent is below

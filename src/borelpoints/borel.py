@@ -96,10 +96,12 @@ def _exchanges(m: Monomial, ch: Characteristic):
                 yield exchange(m, i, j, k)
 
 
-def _borel_expandable(I: MonomialIdeal, ch: Characteristic) -> list[Monomial]:
-    """The non-unit generators g of the saturated Borel-fixed (for ch)
-    ideal I at which _borel_expand gives a Borel-fixed ideal, in canonical
-    order.
+def _borel_expandable(
+    I: MonomialIdeal, last: Monomial, ch: Characteristic
+) -> list[Monomial]:
+    """The non-unit generators g > last in tuple order of the saturated
+    Borel-fixed (for ch) ideal I at which _borel_expand gives a
+    Borel-fixed ideal, in canonical order; last = () admits them all.
 
     g qualifies when no x_i^{-k} x_j^k g with i < j < n, 1 <= k <= g_i
     and k digitwise below g_j + k lies in I: those are the monomials from
@@ -112,7 +114,8 @@ def _borel_expandable(I: MonomialIdeal, ch: Characteristic) -> list[Monomial]:
     return [
         g
         for g in I.gens
-        if any(g)
+        if g > last
+        and any(g)
         and not any(
             I.contains(exchange(g, j, i, k))
             for i in range(n)
@@ -126,9 +129,10 @@ def _borel_expandable(I: MonomialIdeal, ch: Characteristic) -> list[Monomial]:
 def _borel_expand(I: MonomialIdeal, g: Monomial) -> MonomialIdeal:
     """I with the generator g replaced by every g x_i, i < n, minimalized:
     the expansion of the walk in characteristic p.  g must be one of
-    _borel_expandable(I, ch); then the result is saturated and Borel-fixed
-    for ch.  In characteristic 0 it equals _expand(I, g), which merges
-    only the g x_i with i >= max(g), the others being in I already.
+    _borel_expandable(I, (), ch); then the result is saturated and
+    Borel-fixed for ch.  In characteristic 0 it equals _expand(I, g),
+    which merges only the g x_i with i >= max(g), the others being in I
+    already.
 
     Minimalizing only drops the g x_i that another generator divides.  The
     other generators stay minimal, since none is a multiple of g, so none

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import OutOfScopeError
+from .errors import OutOfScopeError, SearchBoundError
 from .hilbert_poly import GotzmannPartition
 from .monomial_ideal import MonomialIdeal
 from .borel import CHAR0, Characteristic
@@ -301,11 +301,12 @@ def explore_tree(
 ) -> TreeNode:
     """Depth-bounded subtree of the scheme tree rooted at projective space
     of the given codimension, annotated with predicted (and optionally
-    enumerated) Borel-fixed point counts."""
+    enumerated) Borel-fixed point counts.  A depth above max_depth
+    raises SearchBoundError, the feasibility guard."""
     if codim < 1:
         raise ValueError("codimension must be positive")
     if depth > max_depth:
-        raise ValueError(f"depth {depth} exceeds the cap {max_depth}")
+        raise SearchBoundError(f"depth {depth} exceeds the cap {max_depth}")
 
     def build(coords: SchemeCoordinates, remaining: int) -> TreeNode:
         predicted, clause, verified = _annotate(coords, enumerate_counts)

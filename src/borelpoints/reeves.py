@@ -89,69 +89,52 @@ is plain tuple order, in which a legal exchange moves a monomial up.
   polynomial q_{j-1}, by induction an ideal of level j - 1, and it
   lifts to L = J'' S at level j.  At level 0, S'/J' has finite length
   and L is the start ideal instead, whose L' = (x_0, ..., x_{c-1})
-  holds J' as J is proper; above level 0 write L' for J''.  Then R,
-  the set of monomials of L' that miss J', is finite, and
-  HP(S/J) - HP(S/L) = |R|: L is |R| expansions short of q_j.  If R is
-  not empty, let u be its element of largest degree that is largest in
-  tuple order within that degree.  Every u x_i, i < n, is in L' and of
-  larger degree, so in J', and every legal exchange of u is in L' and
-  larger in tuple order, so in J'.  Hence I = J + (u) is saturated and
+  holds J' as J is proper; above level 0 write L' for J''.  Then
+  R(J), the set of monomials of L' that miss J', is finite, and
+  HP(S/J) - HP(S/L) = |R(J)|: L is |R(J)| expansions short of q_j.  If
+  R(J) is not empty, let u be its largest element in tuple order.
+  Every u x_i, i < n, and every legal exchange of u is in L' and larger
+  in tuple order, so not in R(J) but in J'.  Hence I = J + (u) is saturated and
   Borel-fixed, u is a minimal generator of it, not the unit as L' is
   proper, and u is expandable in I, since a v as above in I would lie
   in J and exchange to u in J.  Expanding I at u gives J, as the u x_i
   are in J.  The only monomial of I' that misses J' is u, as every
   other multiple of u in S' is a multiple of some u x_i, so I lies
-  under the same L with R minus u.  Peeling R one element at a time
-  thus leads from J up to L, and by induction on |R| the walk, which in
-  characteristic p expands every ideal at every expandable generator,
-  reaches J from L.
+  under the same L with R(I) = R(J) minus u.  Peeling R(J) one element
+  at a time thus leads from J up to L.
 
-In characteristic p an ideal can be built from several parents, so
-_descend deduplicates each bucket on insert.  In characteristic 0 no
-bucket is deduplicated: each ideal is built once, from one canonical
-parent, by reverse search (Avis and Fukuda, "Reverse search for
-enumeration", 1996).  Every bucket entry carries the generator last at
-which it was built, () for the lifted and start ideals, and in
-characteristic 0 is expanded only at its expandable generators
-g > last, in tuple order; _expandable tests no other generator for
-blocking.
+The walk builds each ideal once, from one canonical parent, by reverse
+search (Avis and Fukuda, "Reverse search for enumeration", 1996), and
+no bucket is searched for duplicates.  Every bucket entry carries the
+generator last at which it was built, () for the lifted and start
+ideals, and is expanded only at its expandable generators g > last in
+tuple order; _expandable and _borel_expandable test no other generator
+for blocking.  The argument is the same in every characteristic.
 
-- Contractions.  Call c a contraction of J when J + (c) expands at c to
-  J, and write C(J) for the set of them.  C(J) holds exactly the
-  non-unit c = h / x_{n-1}, h a minimal generator of J with
-  h_{n-1} >= 1, such that c is not in J and every x_i x_{i+1}^{-1} c
-  is.  Such a c is a minimal generator of the saturated strongly stable
-  I = J + (c), and the multiples of c that miss J are the c x_n^k,
-  since c x_{n-1} = h and its up-shifts are in J; so J = _expand(I, c)
-  by the proof at _expanded_coordinates.  Conversely an expansion at c
-  puts c x_{n-1} among the generators and keeps the up-shifts of c.
-- Lifts and the start have none.  The generators of a lifted ideal are
-  free of x_{n-1} and x_n; the start's only candidate is the unit.
-- The recurrence.  For J = _expand(I, g),
-  C(J) = {g} + {c in C(I) : g != x_{n-1} c, g != x_i x_{i+1}^{-1} c}.
-  A killed c is smaller than g, as g has one more x_{n-1} or moves one
-  exponent down in index.  So max C(J) >= g, with equality whenever
-  g > max C(I).  And if g = max C(J) then max C(I) < g, since every c
-  in C(I) is killed or survives into C(J), and g is in I, not in C(I).
-- One parent.  By induction on the walk, last = max C(J) for every
-  entry, () standing for the empty set: the walk builds J from I at g
-  only when g > max C(I).  So it builds J only at g = max C(J), from
-  I = J + (g), and only once.
-- The canonical parent is in the walk.  If J is not the lift L it lies
-  under, the peeling above puts its u in C(J), so C(J) is not empty.
-  With g = max C(J), I = J + (g) lies under the same L, since
-  g x_{n-1} is in J and so g is in J'', and needs one expansion less.
-  By induction on that number the walk builds I from L, and it expands
-  I at g, as max C(I) < g.
+- One step.  Let J be the expansion of I at g.  As g is free of x_n, J
+  misses exactly the g x_n^m of I, so I = J + (g) and J' = I' minus g.
+  As g x_{n-1} is in J', J'' = I'', so J lies under the same L as I,
+  and R(J) = R(I) + {g}, with g not in R(I) as g is in I'.
+- Last is max R.  A lifted ideal is a saturated ideal of the previous
+  level extended to S, so its J' is saturated, J'' = J' and R is empty;
+  the start ideal is its own L, so its R is empty too.  By induction on
+  the walk, last = max R(J) for every entry, () standing for the empty
+  set: the walk expands I at g only when g > last = max R(I), and then
+  max R(J) = g.
+- One parent.  So the walk builds J only at g = max R(J), only from
+  I = J + (g), and never an ideal whose R is empty.  The lifts of a
+  level are distinct, so by induction on |R| it holds each ideal at
+  most once.
+- The canonical parent is in the walk.  If J is not the L it lies
+  under, R(J) is not empty, and with u = max R(J) the peeling above
+  gives the parent I = J + (u), under the same L, with max R(I) < u.
+  By induction on |R| the walk builds I from L, and it expands I at u.
 
-By induction on the deficit the walk builds every ideal exactly once,
-so in characteristic 0 it makes one _expand call per ideal and needs
-no membership test.  The closed form of C(J) rests on adjacent moves,
-which Pardue's exchanges are not, so it does not carry over to
-characteristic p.  In every characteristic the walk holds each ideal a
-level visits once, drops each bucket once it is emptied, and never
-stores the set of ideals reachable from any one ideal, so its memory is
-bounded by the ideals of one level.
+So the walk builds every ideal exactly once: it makes one expansion
+per ideal and needs no membership test.  It holds each ideal a level
+visits once, drops each bucket once it is emptied, and never stores the
+set of ideals reachable from any one ideal, so its memory is bounded by
+the ideals of one level.
 
 Preconditions are checked once, at the public boundary, and never inside
 the walk.  The public borel.expand and borel.expandable_generators check
@@ -166,6 +149,7 @@ and check the carried coordinates against hilbert_numerator.
 
 from __future__ import annotations
 
+from functools import partial
 from math import comb
 
 from .hilbert_poly import GotzmannPartition
@@ -219,28 +203,21 @@ def _descend(buckets: dict[int, list], j: int, ch: Characteristic) -> dict:
     needs s expansions, where h holds its coordinates h_c, ..., h_{c+d},
     h[j] being h_n for the level's ring K[x_0, ..., x_n], and last is the
     generator at which the ideal was built, or () for a lifted or start
-    ideal.  In characteristic 0 an ideal is expanded only at its
-    expandable generators above last in tuple order, which builds every
-    ideal of the level exactly once, from its canonical parent
-    J + (max C(J)).  In characteristic p it is expanded at every
-    expandable generator, and an expansion goes into the next bucket down
-    unless that bucket already holds it (see the module docstring).
+    ideal.  An ideal is expanded only at its expandable generators above
+    last in tuple order, which builds every ideal of the level exactly
+    once, from its canonical parent J + (max R(J)) (see the module
+    docstring); ch picks the moves.
     """
+    if ch.is_zero:
+        expandable, expand = _expandable, _expand
+    else:
+        expandable, expand = partial(_borel_expandable, ch=ch), _borel_expand
     for s in range(max(buckets, default=0), 0, -1):
         below = buckets.setdefault(s - 1, [])
-        if ch.is_zero:
-            for ideal, h, last in buckets.pop(s, ()):
-                for g in _expandable(ideal, last):
-                    h_g = _expanded_coordinates(h, j, sum(g))
-                    below.append((_expand(ideal, g), h_g, g))
-        else:
-            seen = {entry[0] for entry in below}
-            for ideal, h, _ in buckets.pop(s, ()):
-                for g in _borel_expandable(ideal, ch):
-                    expanded = _borel_expand(ideal, g)
-                    if expanded not in seen:
-                        seen.add(expanded)
-                        below.append((expanded, _expanded_coordinates(h, j, sum(g)), g))
+        for ideal, h, last in buckets.pop(s, ()):
+            for g in expandable(ideal, last):
+                h_g = _expanded_coordinates(h, j, sum(g))
+                below.append((expand(ideal, g), h_g, g))
     return {ideal: h for ideal, h, _ in buckets.get(0, ())}
 
 

@@ -6,6 +6,7 @@ implementation that cannot share their bugs.
 """
 
 from bisect import insort
+from functools import partial
 from itertools import combinations_with_replacement
 from math import comb
 
@@ -25,7 +26,14 @@ from borelpoints import (
     monomials_of_degree,
     peel_to_partition,
 )
-from borelpoints.borel import _expand, _expandable, exchange, exchange_amounts
+from borelpoints.borel import (
+    _borel_expand,
+    _borel_expandable,
+    _expand,
+    _expandable,
+    exchange,
+    exchange_amounts,
+)
 from borelpoints.monomial_ideal import canonical_key, max_index
 from borelpoints.reeves import _expanded_coordinates
 
@@ -273,10 +281,11 @@ def coordinate_step_holds(N, N_J, n, a):
     return numerator_coordinates(N_J, 0, width) == _expanded_coordinates(h, n, a)
 
 
-def reference_descend(buckets, j, built=None):
+def reference_descend(buckets, j, ch, built=None):
     """The deficit-bucket descent that deduplicates on insert, on buckets
     in the layout of reeves._descend, whose last generators it ignores,
-    with the char-0 moves _expandable and _expand.
+    with the moves _expandable and _expand in characteristic 0 and
+    _borel_expandable and _borel_expand in characteristic p.
 
     Every expansion of an ideal in bucket s, at every expandable
     generator, goes into bucket s - 1 unless that bucket already holds
@@ -286,10 +295,14 @@ def reference_descend(buckets, j, built=None):
     each ideal's coordinates off its numerator; it checks those against
     the given coordinates and against the library's coordinate step
     reeves._expanded_coordinates.  built, when given, collects every
-    distinct ideal the descent builds.  In characteristic 0 the library's
-    reeves._descend builds each ideal once, from its canonical parent,
-    and tests no membership.
+    distinct ideal the descent builds.  The library's reeves._descend
+    builds each ideal once, from its canonical parent, and tests no
+    membership.
     """
+    if ch.is_zero:
+        expandable, expand = _expandable, _expand
+    else:
+        expandable, expand = partial(_borel_expandable, ch=ch), _borel_expand
     dicts = {}
     for s, bucket in buckets.items():
         dicts[s] = {}
@@ -302,8 +315,8 @@ def reference_descend(buckets, j, built=None):
         below = dicts.setdefault(s - 1, {})
         for ideal, (num, h) in dicts.pop(s, {}).items():
             n = ideal.num_vars - 1
-            for g in _expandable(ideal, ()):
-                expanded = _expand(ideal, g)
+            for g in expandable(ideal, ()):
+                expanded = expand(ideal, g)
                 if expanded not in below:
                     num_g = expanded_numerator(num, sum(g), one_minus_t_power(n))
                     h_g = numerator_coordinates(num_g, n - j, len(h))
@@ -320,7 +333,7 @@ def brute_contractions(J):
     Tries every non-unit c = h / x_i, h a minimal generator of J, since
     an expansion at c puts a multiple c x_i among the generators, and
     keeps c when the public, checked expand of J + (c) at c gives J.
-    The reeves module lists C(J) in closed form.
+    test_reeves.listed_contractions gives C(J) in closed form.
     """
     out = set()
     for h in J.gens:

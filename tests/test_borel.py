@@ -460,9 +460,10 @@ class TestBorelMoves:
         seen = walk_visits(monkeypatch, runs)
         assert len(seen) > 300
         for I in seen:
-            gens = _borel_expandable(I, CHAR0)
-            assert gens == [g for g in _expandable(I, ()) if any(g)], str(I)
-            for g in gens:
+            for last in ((),) + I.gens:
+                expected = [g for g in _expandable(I, last) if any(g)]
+                assert _borel_expandable(I, last, CHAR0) == expected, (str(I), last)
+            for g in _borel_expandable(I, (), CHAR0):
                 assert _borel_expand(I, g) == _expand(I, g), (str(I), g)
 
     @settings(max_examples=300, deadline=None)
@@ -475,7 +476,7 @@ class TestBorelMoves:
         n = I.num_vars - 1
         N = I.hilbert_numerator()
         step = one_minus_t_power(n)
-        expandable = _borel_expandable(I, ch)
+        expandable = _borel_expandable(I, (), ch)
         for g in I.gens:
             if not any(g):
                 continue
@@ -492,7 +493,7 @@ class TestBorelMoves:
         # expandable and gives <x0^2, x0*x1^2, x1^3>
         p2 = Characteristic(2)
         I = ideal([(2, 0, 0), (0, 2, 0)], 3)
-        assert _borel_expandable(I, p2) == [(0, 2, 0)]
+        assert _borel_expandable(I, (), p2) == [(0, 2, 0)]
         assert not is_borel_fixed(_borel_expand(I, (2, 0, 0)), p2)
         assert _borel_expand(I, (0, 2, 0)) == ideal(
             [(2, 0, 0), (1, 2, 0), (0, 3, 0)], 3

@@ -6,6 +6,7 @@ from borelpoints import (
     GotzmannPartition,
     OutOfScopeError,
     SchemeCoordinates,
+    SearchBoundError,
     count_borel_fixed,
     default_grid,
     enumerate_borel_fixed,
@@ -223,7 +224,7 @@ class TestTree:
             assert node.coords.codim == 3
 
     def test_depth_cap(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(SearchBoundError):
             explore_tree(2, 9, max_depth=8)
 
     def test_enumerated_counts(self):

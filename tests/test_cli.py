@@ -353,7 +353,7 @@ class TestOtherCommands:
 
     def test_tree_depth_cap(self, capsys):
         code, _, err = run(capsys, "tree", "--codim", "2", "--depth", "9")
-        assert code == 1
+        assert code == 3
         assert "cap" in err
 
 

@@ -194,6 +194,24 @@ def emptied_buckets(monkeypatch):
     return emptied
 
 
+class HeldBuckets(dict):
+    """Deficit buckets that add each bucket reeves._descend takes out,
+    bucket 0 included, to the list held; every bucket is complete by
+    then."""
+
+    def __init__(self, buckets, held):
+        super().__init__(buckets)
+        self.held = held
+
+    def pop(self, *args):
+        self.held.append(super().pop(*args))
+        return self.held[-1]
+
+    def get(self, *args):
+        self.held.append(super().get(*args))
+        return self.held[-1]
+
+
 def descend_from_start(k, ch):
     """The single level of k points in P^4, descended from the start ideal
     <x_0, ..., x_3> directly by every number of steps up to the k - 1
@@ -305,9 +323,9 @@ class TestCarriedNumerators:
 
 
 def listed_contractions(J):
-    """C(J) as the reeves module lists it: the non-unit c = h / x_{n-1},
-    h a minimal generator of J with h_{n-1} >= 1, such that c is not in J
-    and every x_i x_{i+1}^{-1} c is."""
+    """C(J) in closed form, for J strongly stable: the non-unit
+    c = h / x_{n-1}, h a minimal generator of J with h_{n-1} >= 1, such
+    that c is not in J and every x_i x_{i+1}^{-1} c is."""
     n = J.num_vars - 1
     out = set()
     for h in J.gens:
@@ -328,38 +346,103 @@ def up_shifts(c):
     ]
 
 
+def peel_set(J, j):
+    """R(J), the monomials of L' that miss J', by brute force, for an ideal
+    J of level j (see the reeves module docstring).  J' is J restricted to
+    x_n = 0, and L' is J'' = J' : x_{n-1}^infinity above level 0 and the
+    start's L' = (x_0, ..., x_{n-1}) at level 0.  Every monomial of R is a
+    generator of L' times monomials whose partial products all miss J',
+    so a search from the generators by one variable at a time finds R.
+    Returns R as monomials of S, with no x_n."""
+    n = J.num_vars - 1
+    J1 = ideal([g[:-1] for g in J.gens], n)
+    if j == 0:
+        L1 = ideal([tuple(int(i == k) for i in range(n)) for k in range(n)], n)
+    else:
+        L1 = J1.saturate()
+    todo = [m for m in L1.gens if not J1.contains(m)]
+    found = set(todo)
+    while todo:
+        m = todo.pop()
+        for i in range(n):
+            v = m[:i] + (m[i] + 1,) + m[i + 1 :]
+            if v not in found and not J1.contains(v):
+                found.add(v)
+                todo.append(v)
+                assert len(found) < 10**4, f"R({J}) is not finite"
+    return {m + (0,) for m in found}
+
+
 class TestCanonicalParent:
     # the walk expands each ideal only at generators above the one it was
     # built at; it must give the levels of the deduplicating descent and
-    # build each of their ideals once
-    CELLS = mini_grid() + [(GotzmannPartition((0,) * k), 4) for k in range(1, 19)]
-
+    # build each of their ideals once, in every characteristic
     def test_same_levels_as_dedupe_descent_each_built_once(self, monkeypatch):
-        built = []
+        # up to 18 points in P^4 in characteristic 0, and up to 14 in
+        # characteristic p, whose moves are slower
+        for p, points in ((0, 18), (2, 14), (3, 14)):
+            ch = Characteristic(p)
+            cells = mini_grid() + [
+                (GotzmannPartition((0,) * k), 4) for k in range(1, points + 1)
+            ]
+            # count the expansions in the characteristic's own move
+            name = "_expand" if ch.is_zero else "_borel_expand"
+            expand = getattr(reeves, name)
+            built = []
 
-        def counting_expand(I, g):
-            built.append(_expand(I, g))
-            return built[-1]
+            def counting_expand(I, g):
+                built.append(expand(I, g))
+                return built[-1]
 
-        for partition, n in self.CELLS:
-            built.clear()
-            with monkeypatch.context() as m:
-                m.setattr(reeves, "_expand", counting_expand)
-                levels = list(enumeration_levels(partition, n))
-            visited = set()
-            with monkeypatch.context() as m:
-                m.setattr(
-                    reeves,
-                    "_descend",
-                    lambda b, step, ch: reference_descend(b, step, visited),
-                )
-                assert levels == list(enumeration_levels(partition, n)), (
-                    partition.parts,
-                    n,
-                )
-            # one _expand call per distinct ideal the reference builds
-            assert len(built) == len(set(built))
-            assert set(built) == visited
+            for partition, n in cells:
+                built.clear()
+                with monkeypatch.context() as m:
+                    m.setattr(reeves, name, counting_expand)
+                    levels = list(enumeration_levels(partition, n, ch))
+                visited = set()
+                with monkeypatch.context() as m:
+                    m.setattr(
+                        reeves,
+                        "_descend",
+                        lambda *args: reference_descend(*args, visited),
+                    )
+                    assert levels == list(enumeration_levels(partition, n, ch)), (
+                        partition.parts,
+                        n,
+                        p,
+                    )
+                # one expansion per distinct ideal the reference builds
+                assert len(built) == len(set(built)), (partition.parts, n, p)
+                assert set(built) == visited, (partition.parts, n, p)
+
+    def test_last_is_max_of_peel_set(self, monkeypatch):
+        # the invariant the build-once proof rests on: every entry's last
+        # is max R(J), () for an empty R, and R is empty exactly for the
+        # lifted and start ideals
+        descents = []
+        descend = reeves._descend
+
+        def recording_descend(buckets, j, ch):
+            given = [entry for bucket in buckets.values() for entry in bucket]
+            held = []
+            descents.append((j, given, held))
+            return descend(HeldBuckets(buckets, held), j, ch)
+
+        monkeypatch.setattr(reeves, "_descend", recording_descend)
+        for p in (0, 2, 3):
+            for partition, n in mini_grid():
+                descents.clear()
+                list(enumeration_levels(partition, n, Characteristic(p)))
+                for j, given, held in descents:
+                    for J, _, last in given:
+                        assert last == () and not peel_set(J, j), str(J)
+                    entries = [entry for bucket in held for entry in bucket]
+                    empty = 0
+                    for J, _, last in entries:
+                        R = peel_set(J, j)
+                        assert last == max(R, default=()), (str(J), last, p)
+                        empty += not R
+                    assert empty == len(given), (partition.parts, n, p)
 
     @settings(max_examples=300, deadline=None)
     @given(saturated_strongly_stable())
@@ -401,9 +484,10 @@ def least_prime_above(r):
 
 
 class TestCharacteristicP:
-    # in characteristic p the walk expands every ideal at every generator
-    # borel._borel_expandable allows and deduplicates each bucket; the
-    # exhaustive oracle is the independent check
+    # in characteristic p the walk expands each ideal at the generators
+    # above the one it was built at that borel._borel_expandable allows,
+    # and searches no bucket for duplicates; the exhaustive oracle is the
+    # independent check
     FORCED = [
         ((1, 1, 0, 0), 3),
         ((2, 2, 0), 3),
@@ -427,20 +511,23 @@ class TestCharacteristicP:
         oracle = enumerate_borel_fixed(partition, n, ch, force=True)
         assert enumerate_strongly_stable(partition, n, ch) == oracle
 
+    @pytest.mark.parametrize("p, count", [(2, 2450), (3, 1560)])
+    def test_points_in_p4(self, p, count):
+        # k = 20 points in P^4 hold nonstandard ideals at p = 2 and 3 (the
+        # char-0 count is 1068); the walk does not check what it visits
+        partition, ch = GotzmannPartition((0,) * 20), Characteristic(p)
+        found = enumerate_strongly_stable(partition, 4, ch)
+        assert len(found) == count
+        for I in found:
+            assert is_borel_fixed(I, ch), str(I)
+            assert I.saturate() == I, str(I)
+            assert I.hilbert_polynomial().polynomial == partition, str(I)
+
     def test_no_ideal_twice_in_a_bucket(self, monkeypatch):
-        # expansions from different parents meet (the test checks that
-        # some do), and each bucket keeps one of them
+        # each cell builds every distinct ideal once, with no bucket
+        # searched for duplicates, so no bucket holds an ideal twice
         buckets = []
         built = []
-
-        class Buckets(dict):
-            def pop(self, *args):
-                buckets.append(super().pop(*args))
-                return buckets[-1]
-
-            def get(self, *args):
-                buckets.append(super().get(*args))
-                return buckets[-1]
 
         def counting_expand(I, g):
             built.append(_borel_expand(I, g))
@@ -448,13 +535,19 @@ class TestCharacteristicP:
 
         descend = reeves._descend
         monkeypatch.setattr(
-            reeves, "_descend", lambda b, *rest: descend(Buckets(b), *rest)
+            reeves,
+            "_descend",
+            lambda b, *rest: descend(HeldBuckets(b, buckets), *rest),
         )
         monkeypatch.setattr(reeves, "_borel_expand", counting_expand)
+        total = 0
         for partition, n in mini_grid():
             for p in (2, 3):
+                built.clear()
                 enumerate_strongly_stable(partition, n, Characteristic(p))
-        assert len(built) > len(set(built))
+                assert len(built) == len(set(built)), (partition.parts, n, p)
+                total += len(built)
+        assert total
         assert sum(map(len, buckets)) > len(buckets)
         for bucket in buckets:
             ideals = [I for I, _, _ in bucket]

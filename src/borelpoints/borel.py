@@ -15,11 +15,12 @@ _expandable and _expand its faster moves in characteristic 0.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from math import isqrt
+from operator import le
 
-from .monomial_ideal import Monomial, MonomialIdeal, canonical_key, divides, max_index
+from .monomial_ideal import Monomial, MonomialIdeal, max_index
 
 # Primes below this bound are checked by exact trial division, at most
 # isqrt(2^31) = 46340 divisions.  Larger ones are refused: for exponents
@@ -109,20 +110,45 @@ def _borel_expandable(
     module proves that this is exactly when the expansion is Borel-fixed.
     In characteristic 0 this is _expandable on the non-unit generators,
     and the tests compare the two.
+
+    Such a blocker v has the degree a of g, so only generators of degree
+    at most a can divide it, and one of degree a divides it only when it
+    equals it.  Canonical order sorts by degree first, so the generators
+    of degree below a are the ones before the first of degree a, found by
+    bisection on the degrees, computed once per call.  v lies in I
+    exactly when it is a generator, a set lookup, or one of those lower
+    generators divides it.  Whether k is digitwise below l is worked out
+    once per call for each pair (k, l) that comes up.
     """
+    gens = I.gens
+    gen_set = frozenset(gens)
+    degrees = list(map(sum, gens))
     n = I.num_vars - 1
+    legal = {}  # (k, l) -> whether k is digitwise below l
+
+    def blocked(g, lower):
+        for i in range(n):
+            for j in range(i + 1, n):
+                for k in range(1, g[i] + 1):
+                    l = g[j] + k
+                    ok = legal.get((k, l))
+                    if ok is None:
+                        ok = legal[k, l] = digitwise_leq(k, l, ch)
+                    if ok:
+                        v = list(g)
+                        v[i] -= k
+                        v[j] = l
+                        v = tuple(v)
+                        if v in gen_set or (
+                            lower and any(all(map(le, f, v)) for f in lower)
+                        ):
+                            return True
+        return False
+
     return [
         g
-        for g in I.gens
-        if g > last
-        and any(g)
-        and not any(
-            I.contains(exchange(g, j, i, k))
-            for i in range(n)
-            for k in range(1, g[i] + 1)
-            for j in range(i + 1, n)
-            if digitwise_leq(k, g[j] + k, ch)
-        )
+        for g, a in zip(gens, degrees)
+        if g > last and a and not blocked(g, gens[: bisect_left(degrees, a)])
     ]
 
 
@@ -137,12 +163,32 @@ def _borel_expand(I: MonomialIdeal, g: Monomial) -> MonomialIdeal:
     Minimalizing only drops the g x_i that another generator divides.  The
     other generators stay minimal, since none is a multiple of g, so none
     is a multiple of any g x_i, and the g x_i share one degree, so none
-    divides another.
+    divides another.  A generator h dividing g x_i has degree at most
+    a + 1, a = deg g, and not a + 1, since then h would equal g x_i, a
+    multiple of the generator g.  So each g x_i is tested for
+    divisibility by the generators of degree at most a other than g only.
+
+    Canonical order sorts by degree and, within one degree, by descending
+    exponent tuple.  The g x_i that remain all have degree a + 1, so they
+    belong in the block of that degree, which starts after g and the
+    generators of g's own degree that follow it; merging them into that
+    block in descending tuple order, and leaving every other generator
+    where it is, gives the canonical order, as in _expand.  The tests
+    compare this with from_generators.
     """
-    rest = [h for h in I.gens if h != g]
-    multiples = (g[:i] + (g[i] + 1,) + g[i + 1 :] for i in range(I.num_vars - 1))
-    rest += [m for m in multiples if not any(divides(h, m) for h in rest)]
-    return MonomialIdeal._trusted(I.num_vars, tuple(sorted(rest, key=canonical_key)))
+    gens = I.gens
+    a = sum(g)
+    i = gens.index(g)
+    lo = bisect_right(gens, a, i + 1, key=sum)  # start of degree a + 1
+    hi = bisect_right(gens, a + 1, lo, key=sum)  # end of degree a + 1
+    lower = gens[:i] + gens[i + 1 : lo]
+    block = list(gens[lo:hi])
+    for k in range(I.num_vars - 1):
+        m = g[:k] + (g[k] + 1,) + g[k + 1 :]
+        if not any(all(map(le, h, m)) for h in lower):
+            block.append(m)
+    block.sort(reverse=True)
+    return MonomialIdeal._trusted(I.num_vars, lower + tuple(block) + gens[hi:])
 
 
 def _exchange_orbit(gens, ch: Characteristic) -> set[Monomial]:

@@ -32,6 +32,11 @@ from .exhaustive import DEFAULT_MAX_AMBIENT, DEFAULT_MAX_GOTZMANN
 # the primes default_grid adds wherever the exhaustive search runs unforced
 ORACLE_CHARS = (2, 3)
 
+# explore_tree's depth ceiling, whatever max_depth says: a tree of depth D
+# has 2^(D+1) - 1 nodes, and memory grows about 3.3x per two levels (62 MB
+# and 0.65 s at D = 12 on a 2-vCPU VM, so gigabytes at D = 20)
+MAX_TREE_DEPTH = 12
+
 
 @dataclass(frozen=True)
 class SchemeCoordinates:
@@ -301,12 +306,14 @@ def explore_tree(
 ) -> TreeNode:
     """Depth-bounded subtree of the scheme tree rooted at projective space
     of the given codimension, annotated with predicted (and optionally
-    enumerated) Borel-fixed point counts.  A depth above max_depth
-    raises SearchBoundError, the feasibility guard."""
+    enumerated) Borel-fixed point counts.  A depth above max_depth, or
+    above MAX_TREE_DEPTH whatever max_depth says, raises
+    SearchBoundError, the feasibility guard."""
     if codim < 1:
         raise ValueError("codimension must be positive")
-    if depth > max_depth:
-        raise SearchBoundError(f"depth {depth} exceeds the cap {max_depth}")
+    cap = min(max_depth, MAX_TREE_DEPTH)
+    if depth > cap:
+        raise SearchBoundError(f"depth {depth} exceeds the cap {cap}")
 
     def build(coords: SchemeCoordinates, remaining: int) -> TreeNode:
         predicted, clause, verified = _annotate(coords, enumerate_counts)

@@ -512,7 +512,12 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, partition=False, char=True)
     p.add_argument("--codim", type=int, required=True)
     p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--max-depth", type=int, default=8, help="depth cap")
+    p.add_argument(
+        "--max-depth",
+        type=int,
+        default=8,
+        help=f"depth cap, at most {_classify.MAX_TREE_DEPTH}",
+    )
     p.add_argument(
         "--enumerate",
         action="store_true",

@@ -27,14 +27,13 @@ from borelpoints import (
     peel_to_partition,
 )
 from borelpoints.borel import (
-    _borel_expand,
-    _borel_expandable,
     _expand,
     _expandable,
+    digitwise_leq,
     exchange,
     exchange_amounts,
 )
-from borelpoints.monomial_ideal import canonical_key, max_index
+from borelpoints.monomial_ideal import canonical_key, divides, max_index
 from borelpoints.reeves import _expanded_coordinates
 
 
@@ -246,6 +245,41 @@ def reference_expand(I, g):
     return MonomialIdeal(I.num_vars, tuple(gens))
 
 
+def reference_borel_expandable(I, last, ch):
+    """The non-unit generators g > last of a saturated Borel-fixed (for
+    ch) ideal at which the expansion stays Borel-fixed, by the
+    definition: g is blocked when some x_i^{-k} x_j^k g with i < j < n,
+    1 <= k <= g_i and k digitwise below g_j + k lies in I, tested with
+    MonomialIdeal.contains.  The library's borel._borel_expandable tests
+    the same against the generators of degree at most deg g only."""
+    n = I.num_vars - 1
+    return [
+        g
+        for g in I.gens
+        if g > last
+        and any(g)
+        and not any(
+            I.contains(exchange(g, j, i, k))
+            for i in range(n)
+            for k in range(1, g[i] + 1)
+            for j in range(i + 1, n)
+            if digitwise_leq(k, g[j] + k, ch)
+        )
+    ]
+
+
+def reference_borel_expand(I, g):
+    """I with g replaced by every g x_i, i < n: the multiples no other
+    generator divides join the other generators, which are sorted afresh
+    by canonical_key.  The library's borel._borel_expand tests the
+    multiples against the generators of degree at most deg g only and
+    merges them into their degree block."""
+    rest = [h for h in I.gens if h != g]
+    multiples = (g[:i] + (g[i] + 1,) + g[i + 1 :] for i in range(I.num_vars - 1))
+    rest += [m for m in multiples if not any(divides(h, m) for h in rest)]
+    return MonomialIdeal(I.num_vars, tuple(sorted(rest, key=canonical_key)))
+
+
 def one_minus_t_power(n):
     """The coefficients of (1-t)^n."""
     return tuple((-1) ** k * comb(n, k) for k in range(n + 1))
@@ -285,7 +319,8 @@ def reference_descend(buckets, j, ch, built=None):
     """The deficit-bucket descent that deduplicates on insert, on buckets
     in the layout of reeves._descend, whose last generators it ignores,
     with the moves _expandable and _expand in characteristic 0 and
-    _borel_expandable and _borel_expand in characteristic p.
+    reference_borel_expandable and reference_borel_expand in
+    characteristic p.
 
     Every expansion of an ideal in bucket s, at every expandable
     generator, goes into bucket s - 1 unless that bucket already holds
@@ -302,7 +337,8 @@ def reference_descend(buckets, j, ch, built=None):
     if ch.is_zero:
         expandable, expand = _expandable, _expand
     else:
-        expandable, expand = partial(_borel_expandable, ch=ch), _borel_expand
+        expandable = partial(reference_borel_expandable, ch=ch)
+        expand = reference_borel_expand
     dicts = {}
     for s, bucket in buckets.items():
         dicts[s] = {}

@@ -42,6 +42,8 @@ from conftest import (
     mini_grid,
     one_minus_t_power,
     reference_borel_closure,
+    reference_borel_expand,
+    reference_borel_expandable,
     reference_expand,
     reference_expandable,
     saturated_strongly_stable,
@@ -302,25 +304,32 @@ class TestIncrementalExpand:
             assert E.saturate() == E
 
 
-def walk_visits(monkeypatch, runs):
-    """Every ideal the Reeves walk passes to _expandable or gets back from
-    _expand while running each of runs."""
+def walk_visits(monkeypatch, runs, ch=CHAR0):
+    """Every ideal the Reeves walk in characteristic ch passes to its
+    expandable-generators move or gets back from its expansion move
+    (_expandable and _expand in characteristic 0, _borel_expandable and
+    _borel_expand in characteristic p) while running each of runs."""
+    if ch.is_zero:
+        names = "_expandable", "_expand"
+    else:
+        names = "_borel_expandable", "_borel_expand"
+    expandable, expand = (getattr(reeves, name) for name in names)
     seen = set()
 
-    def expandable(I, last):
+    def spy_expandable(I, last, **kwargs):
         seen.add(I)
-        return _expandable(I, last)
+        return expandable(I, last, **kwargs)
 
-    def expand(I, g):
-        J = _expand(I, g)
+    def spy_expand(I, g):
+        J = expand(I, g)
         seen.add(J)
         return J
 
     with monkeypatch.context() as m:
-        m.setattr(reeves, "_expandable", expandable)
-        m.setattr(reeves, "_expand", expand)
+        m.setattr(reeves, names[0], spy_expandable)
+        m.setattr(reeves, names[1], spy_expand)
         for partition, n in runs:
-            enumerate_strongly_stable(partition, n)
+            enumerate_strongly_stable(partition, n, ch)
     return seen
 
 
@@ -451,9 +460,33 @@ def saturated_p_borel(draw):
     return I, ch
 
 
+def assert_borel_moves_match_reference(I, ch):
+    # order included: lists and generator tuples compare in order
+    for last in ((),) + I.gens:
+        expected = reference_borel_expandable(I, last, ch)
+        assert _borel_expandable(I, last, ch) == expected, (str(I), last, ch.value)
+    for g in I.gens:
+        if any(g):
+            J = _borel_expand(I, g)
+            assert J.gens == reference_borel_expand(I, g).gens, (str(I), g)
+
+
 class TestBorelMoves:
     # the walk's moves in characteristic p, borel._borel_expandable and
     # borel._borel_expand
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_equal_references_on_walk_visits(self, monkeypatch, p):
+        ch = Characteristic(p)
+        seen = walk_visits(monkeypatch, mini_grid(), ch)
+        assert len(seen) > 100
+        for I in seen:
+            assert_borel_moves_match_reference(I, ch)
+
+    @settings(max_examples=300, deadline=None)
+    @given(saturated_p_borel())
+    def test_equal_references_on_closures(self, case):
+        assert_borel_moves_match_reference(*case)
 
     def test_char0_equals_expandable_and_expand_on_walk_visits(self, monkeypatch):
         runs = mini_grid() + [(GotzmannPartition((0,) * 14), 4)]

@@ -21,6 +21,7 @@ from borelpoints import (
     unique_point_clause,
     verify_classification,
 )
+from borelpoints.classify import MAX_TREE_DEPTH
 
 from conftest import all_partitions
 
@@ -226,6 +227,13 @@ class TestTree:
     def test_depth_cap(self):
         with pytest.raises(SearchBoundError):
             explore_tree(2, 9, max_depth=8)
+
+    def test_depth_ceiling_holds_whatever_max_depth_says(self):
+        assert MAX_TREE_DEPTH == 12
+        for depth in (MAX_TREE_DEPTH + 1, 20, 10**9):
+            with pytest.raises(SearchBoundError, match="cap 12"):
+                explore_tree(2, depth, max_depth=depth)
+        assert explore_tree(2, 9, max_depth=9).children
 
     def test_enumerated_counts(self):
         tree = explore_tree(2, 2, enumerate_counts=True)

@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -355,6 +356,32 @@ class TestOtherCommands:
         code, _, err = run(capsys, "tree", "--codim", "2", "--depth", "9")
         assert code == 3
         assert "cap" in err
+
+    def test_tree_depth_ceiling(self):
+        # --max-depth cannot lift the cap past the ceiling: depth 20 would
+        # build 2^21 nodes.  The child's address space is capped at 512 MiB,
+        # so a broken ceiling fails here instead of exhausting memory
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))
+
+        argv = ["tree", "--codim", "2", "--depth", "20", "--max-depth", "20"]
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "borelpoints", *argv, "--json"],
+            capture_output=True,
+            env=checkout_env(),
+            timeout=120,
+            preexec_fn=limit_memory,
+        )
+        assert time.perf_counter() - start < 30
+        err = proc.stderr.decode()
+        assert proc.returncode == 3, err
+        assert proc.stdout == b""
+        assert "Traceback" not in err, err
+        assert json.loads(err) == {
+            "error": "depth 20 exceeds the cap 12",
+            "exit_code": 3,
+        }
 
 
 class TestDeterminism:

@@ -17,7 +17,7 @@ from borelpoints import (
     is_strongly_stable,
     lex_ideal,
 )
-from borelpoints import binomial_poly, hilbert_poly, monomial_ideal, reeves
+from borelpoints import binomial_poly, borel, hilbert_poly, monomial_ideal, reeves
 from borelpoints.borel import _borel_expand, _expand
 from borelpoints.classify import default_grid
 from borelpoints.reeves import (
@@ -552,6 +552,36 @@ class TestCharacteristicP:
         for bucket in buckets:
             ideals = [I for I, _, _ in bucket]
             assert len(ideals) == len(set(ideals))
+
+    def test_moves_call_no_membership_test_or_sort_key(self, monkeypatch):
+        # the char-p moves test blockers by a generator-set lookup and an
+        # inline divisibility check against lower degrees, and merge the
+        # new multiples into their degree block instead of sorting by
+        # canonical_key
+        calls = []
+
+        def counted(name, f):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return f(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            MonomialIdeal, "contains", counted("contains", MonomialIdeal.contains)
+        )
+        for module in (monomial_ideal, borel, reeves):
+            for name in ("canonical_key", "divides"):
+                if hasattr(module, name):
+                    f = counted(name, getattr(module, name))
+                    monkeypatch.setattr(module, name, f)
+        partition, ch = GotzmannPartition((0,) * 14), Characteristic(2)
+        assert len(enumerate_strongly_stable(partition, 4, ch)) == 278
+        assert calls == []
+        # the counters count
+        I = MonomialIdeal.from_generators([(0, 1, 0), (1, 0, 0)], 3)
+        I.contains((1, 1, 0))
+        assert {"canonical_key", "divides", "contains"} <= set(calls)
 
     def test_outputs_are_valid_with_carried_numerators(self, monkeypatch):
         # every carried coordinate vector: the levels, the buckets emptied

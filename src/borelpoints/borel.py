@@ -117,27 +117,21 @@ def _borel_expandable(
     of degree below a are the ones before the first of degree a, found by
     bisection on the degrees, computed once per call.  v lies in I
     exactly when it is a generator, a set lookup, or one of those lower
-    generators divides it.  Whether k is digitwise below l is worked out
-    once per call for each pair (k, l) that comes up.
+    generators divides it.
     """
     gens = I.gens
     gen_set = frozenset(gens)
     degrees = list(map(sum, gens))
     n = I.num_vars - 1
-    legal = {}  # (k, l) -> whether k is digitwise below l
 
     def blocked(g, lower):
         for i in range(n):
             for j in range(i + 1, n):
                 for k in range(1, g[i] + 1):
-                    l = g[j] + k
-                    ok = legal.get((k, l))
-                    if ok is None:
-                        ok = legal[k, l] = digitwise_leq(k, l, ch)
-                    if ok:
+                    if digitwise_leq(k, g[j] + k, ch):
                         v = list(g)
                         v[i] -= k
-                        v[j] = l
+                        v[j] += k
                         v = tuple(v)
                         if v in gen_set or (
                             lower and any(all(map(le, f, v)) for f in lower)

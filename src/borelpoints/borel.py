@@ -10,12 +10,15 @@ exchange set {1}, so one code path covers both cases.  The rule is
 written once, in _exchanges; _exchange_orbit follows it to a closure, for
 borel_closure and the exhaustive oracle.  _borel_expandable and
 _borel_expand are the Reeves walk's moves in characteristic p, and
-_expandable and _expand its faster moves in characteristic 0.
+_expandable and _expand its faster moves in characteristic 0.  Both
+expandability tests look a generator's blockers up among the generators
+(the lemma at _borel_expandable): in characteristic 0 the adjacent
+single-step ones, in characteristic p every legal one.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from math import isqrt
 from operator import le
@@ -104,46 +107,45 @@ def _borel_expandable(
     Borel-fixed (for ch) ideal I at which _borel_expand gives a
     Borel-fixed ideal, in canonical order; last = () admits them all.
 
-    g qualifies when no x_i^{-k} x_j^k g with i < j < n, 1 <= k <= g_i
-    and k digitwise below g_j + k lies in I: those are the monomials from
-    which a legal exchange of k from x_j to x_i lands on g.  The reeves
-    module proves that this is exactly when the expansion is Borel-fixed.
-    In characteristic 0 this is _expandable on the non-unit generators,
-    and the tests compare the two.
+    A blocker of g is a v = x_i^{-k} x_j^k g with i < j < n, 1 <= k <= g_i
+    and k digitwise below g_j + k, so that a legal exchange takes v to g.
+    The reeves module proves that g qualifies exactly when no blocker of
+    g lies in I, and by the lemma below, when none is a generator: one
+    set lookup each.  In characteristic 0 this is _expandable on the
+    non-unit generators, which looks up only the blockers with k = 1 and
+    j = i + 1; the tests compare the two.
 
-    Such a blocker v has the degree a of g, so only generators of degree
-    at most a can divide it, and one of degree a divides it only when it
-    equals it.  Canonical order sorts by degree first, so the generators
-    of degree below a are the ones before the first of degree a, found by
-    bisection on the degrees, computed once per call.  v lies in I
-    exactly when it is a generator, a set lookup, or one of those lower
-    generators divides it.
+    Lemma.  If I is Borel-fixed for ch and g is a minimal generator, a
+    blocker v of g that lies in I is a minimal generator.
+
+    Proof.  Some generator f divides v; suppose f != v.  Then
+    deg f < deg g, and f does not divide g, as g is minimal, so
+    f_j = g_j + s with 1 <= s <= k, f_i <= g_i - k and f_l <= g_l for
+    every other l.  Some t with s <= t <= k is digitwise below g_j + s.
+    Adding g_j and k in base p carries nowhere, as k is digitwise below
+    g_j + k.  If adding g_j and s carries nowhere either, take t = s.
+    Otherwise let p^e be the highest place it carries into, and t the
+    least multiple of p^e that is at least s.  As adding s carries into
+    p^e and adding k does not, k mod p^e < s mod p^e, and with s <= k
+    this gives t <= k.  The digits of t are those of g_j + s minus those
+    of g_j at the places >= e, and 0 below.  So Pardue's rule puts
+    f' = x_j^{-t} x_i^t f in I, and f' divides g with deg f' < deg g,
+    against the minimality of g.  In characteristic 0, k = s = t = 1.
     """
     gens = I.gens
     gen_set = frozenset(gens)
-    degrees = list(map(sum, gens))
     n = I.num_vars - 1
 
-    def blocked(g, lower):
+    def blocked(g):
         for i in range(n):
             for j in range(i + 1, n):
                 for k in range(1, g[i] + 1):
                     if digitwise_leq(k, g[j] + k, ch):
-                        v = list(g)
-                        v[i] -= k
-                        v[j] += k
-                        v = tuple(v)
-                        if v in gen_set or (
-                            lower and any(all(map(le, f, v)) for f in lower)
-                        ):
+                        if exchange(g, j, i, k) in gen_set:  # x_i^{-k} x_j^k g
                             return True
         return False
 
-    return [
-        g
-        for g, a in zip(gens, degrees)
-        if g > last and a and not blocked(g, gens[: bisect_left(degrees, a)])
-    ]
+    return [g for g in gens if g > last and any(g) and not blocked(g)]
 
 
 def _borel_expand(I: MonomialIdeal, g: Monomial) -> MonomialIdeal:
@@ -162,13 +164,9 @@ def _borel_expand(I: MonomialIdeal, g: Monomial) -> MonomialIdeal:
     multiple of the generator g.  So each g x_i is tested for
     divisibility by the generators of degree at most a other than g only.
 
-    Canonical order sorts by degree and, within one degree, by descending
-    exponent tuple.  The g x_i that remain all have degree a + 1, so they
-    belong in the block of that degree, which starts after g and the
-    generators of g's own degree that follow it; merging them into that
-    block in descending tuple order, and leaving every other generator
-    where it is, gives the canonical order, as in _expand.  The tests
-    compare this with from_generators.
+    The g x_i that remain all have degree a + 1 and are merged into the
+    block of that degree, which gives the canonical order by the argument
+    at _expand.  The tests compare this with from_generators.
     """
     gens = I.gens
     a = sum(g)

@@ -62,8 +62,9 @@ is in S = K[x_0, ..., x_n], I is a saturated Borel-fixed ideal of S,
 is plain tuple order, in which a legal exchange moves a monomial up.
 
 - Expandable.  A non-unit minimal generator g of I is expandable when
-  no v = x_i^{-k} x_j^k g with i < j < n, 1 <= k <= g_i and k digitwise
-  below g_j + k lies in I (borel._borel_expandable).  The expansion
+  no blocker v = x_i^{-k} x_j^k g (i < j < n, 1 <= k <= g_i, k digitwise
+  below g_j + k) is a generator of I, which by the lemma at
+  borel._borel_expandable says that no blocker lies in I.  The expansion
   (borel._borel_expand) drops g, adds every g x_i with i < n and
   minimalizes; by the proof at _expanded_coordinates it gives
   J = I minus the g x_n^m, m >= 0, a saturated ideal whose Hilbert

@@ -250,8 +250,9 @@ def reference_borel_expandable(I, last, ch):
     ch) ideal at which the expansion stays Borel-fixed, by the
     definition: g is blocked when some x_i^{-k} x_j^k g with i < j < n,
     1 <= k <= g_i and k digitwise below g_j + k lies in I, tested with
-    MonomialIdeal.contains.  The library's borel._borel_expandable tests
-    the same against the generators of degree at most deg g only."""
+    MonomialIdeal.contains.  The library's borel._borel_expandable only
+    looks each such monomial up among the generators, by the lemma in its
+    docstring."""
     n = I.num_vars - 1
     return [
         g

@@ -471,6 +471,20 @@ def assert_borel_moves_match_reference(I, ch):
             assert J.gens == reference_borel_expand(I, g).gens, (str(I), g)
 
 
+def assert_blockers_in_ideal_are_generators(I, ch):
+    # the lemma at borel._borel_expandable: a blocker x_i^{-k} x_j^k g of a
+    # generator g lies in I exactly when it is a generator of I
+    gen_set = set(I.gens)
+    n = I.num_vars - 1
+    for g in I.gens:
+        for i in range(n):
+            for j in range(i + 1, n):
+                for k in range(1, g[i] + 1):
+                    if digitwise_leq(k, g[j] + k, ch):
+                        v = exchange(g, j, i, k)
+                        assert I.contains(v) == (v in gen_set), (str(I), g, v)
+
+
 class TestBorelMoves:
     # the walk's moves in characteristic p, borel._borel_expandable and
     # borel._borel_expand
@@ -487,6 +501,19 @@ class TestBorelMoves:
     @given(saturated_p_borel())
     def test_equal_references_on_closures(self, case):
         assert_borel_moves_match_reference(*case)
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_blockers_in_ideal_are_generators_on_walk_visits(self, monkeypatch, p):
+        ch = Characteristic(p)
+        seen = walk_visits(monkeypatch, mini_grid(), ch)
+        assert len(seen) > 100
+        for I in seen:
+            assert_blockers_in_ideal_are_generators(I, ch)
+
+    @settings(max_examples=300, deadline=None)
+    @given(saturated_p_borel())
+    def test_blockers_in_ideal_are_generators_on_closures(self, case):
+        assert_blockers_in_ideal_are_generators(*case)
 
     def test_char0_equals_expandable_and_expand_on_walk_visits(self, monkeypatch):
         runs = mini_grid() + [(GotzmannPartition((0,) * 14), 4)]

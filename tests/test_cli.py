@@ -17,6 +17,7 @@ from borelpoints import (
     enumerate_borel_fixed,
     enumerate_strongly_stable,
 )
+from borelpoints import cli
 from borelpoints.cli import _dumps, _ideal_rows, _sorted_ideals, main
 
 from conftest import mini_grid
@@ -122,8 +123,10 @@ class TestMalformedInput:
 
 
 class TestSizeGuard:
-    """A Gotzmann number too large to build a partition for trips the
-    size guard (exit 3) before anything is allocated."""
+    """A Gotzmann number too large to build a partition for, more
+    variables than check-ideal and lex take, or more hp evaluation points
+    than the default range can have trips the size guard (exit 3) before
+    anything is allocated."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -140,6 +143,83 @@ class TestSizeGuard:
         payload = json.loads(err)
         assert payload["exit_code"] == 3
         assert "Gotzmann number" in payload["error"]
+
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            (
+                ["check-ideal", "--gens", "x0", "--num-vars", "100000"],
+                "100000 variables, above 200",
+            ),
+            (
+                [
+                    "check-ideal",
+                    "--ideal-json",
+                    '{"num_vars": 100000, "generators": []}',
+                ],
+                "100000 variables, above 200",
+            ),
+            (["lex", "--partition", "0", "--n", "100000"], "100001 variables, above 200"),
+            (["lex", "--counts", ",".join(["1"] * 10000)], "10001 variables, above 200"),
+            (
+                ["hp", "--partition", "0", "--eval-to", "100000000"],
+                "100000001 evaluation points, above 100003",
+            ),
+        ],
+        ids=["check-ideal-num-vars", "check-ideal-json", "lex-n", "lex-counts", "hp"],
+    )
+    def test_guard_trips_before_any_work(self, argv, error):
+        # each input would run for minutes or take gigabytes unguarded; the
+        # child's address space is capped at 512 MiB, so a missing guard
+        # fails here instead of exhausting memory
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))
+
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "borelpoints", *argv, "--json"],
+            capture_output=True,
+            env=checkout_env(),
+            timeout=120,
+            preexec_fn=limit_memory,
+        )
+        assert time.perf_counter() - start < 30
+        err = proc.stderr.decode()
+        assert proc.returncode == 3, err
+        assert proc.stdout == b""
+        assert "Traceback" not in err, err
+        assert json.loads(err) == {
+            "error": f"size bound exceeded: {error}",
+            "exit_code": 3,
+        }
+
+    def test_variable_bound_is_inclusive(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_NUM_VARS", 3)
+        cases = [
+            (["check-ideal", "--gens", "x0", "--num-vars"], "3", "4"),
+            (["lex", "--partition", "0", "--n"], "2", "3"),
+            (["lex", "--counts"], "1,1", "1,1,1"),
+        ]
+        for argv, at, above in cases:
+            assert run(capsys, *argv, at)[0] == 0, argv
+            code, _, err = run(capsys, *argv, above)
+            assert code == 3 and "4 variables, above 3" in err, argv
+        # above the bound the ideal is not built, so its malformed
+        # generator is not reported
+        ideal_json = '{"num_vars": %d, "generators": [[1, 0, 0]]}'
+        assert run(capsys, "check-ideal", "--ideal-json", ideal_json % 3)[0] == 0
+        code, _, err = run(capsys, "check-ideal", "--ideal-json", ideal_json % 4)
+        assert code == 3 and "4 variables, above 3" in err
+
+    def test_evaluation_range_bound_is_inclusive(self, capsys, monkeypatch):
+        # the bound is MAX_GOTZMANN_NUMBER + 3, the most points the default
+        # range 0..r+2 can have
+        monkeypatch.setattr(cli, "MAX_GOTZMANN_NUMBER", 5)
+        assert run(capsys, "hp", "--partition", "0", "--eval-to", "7")[0] == 0
+        code, _, err = run(capsys, "hp", "--partition", "0", "--eval-to", "8")
+        assert code == 3 and "9 evaluation points, above 8" in err
+        argv = "hp", "--partition", "0", "--eval-from", "-3", "--eval-to", "4"
+        assert run(capsys, *argv)[0] == 0
 
 
 class TestCharacteristicInput:

@@ -8,12 +8,10 @@ characteristic 0 only single-step exchanges (k = 1) are required, which is
 the strongly stable condition.  Characteristic 0 is modeled here as the
 exchange set {1}, so one code path covers both cases.  The rule is
 written once, in _exchanges; _exchange_orbit follows it to a closure, for
-borel_closure and the exhaustive oracle.  _borel_expandable and
-_borel_expand are the Reeves walk's moves in characteristic p, and
-_expandable and _expand its faster moves in characteristic 0.  Both
-expandability tests look a generator's blockers up among the generators
-(the lemma at _borel_expandable): in characteristic 0 the adjacent
-single-step ones, in characteristic p every legal one.
+borel_closure and the exhaustive oracle.  The Reeves walk's moves are
+_expandable, which looks up a generator's adjacent p-power blockers
+among the generators in every characteristic (the lemmas there), and
+_expand, or _borel_expand in characteristic p.
 """
 
 from __future__ import annotations
@@ -100,58 +98,10 @@ def _exchanges(m: Monomial, ch: Characteristic):
                 yield exchange(m, i, j, k)
 
 
-def _borel_expandable(
-    I: MonomialIdeal, last: Monomial, ch: Characteristic
-) -> list[Monomial]:
-    """The non-unit generators g > last in tuple order of the saturated
-    Borel-fixed (for ch) ideal I at which _borel_expand gives a
-    Borel-fixed ideal, in canonical order; last = () admits them all.
-
-    A blocker of g is a v = x_i^{-k} x_j^k g with i < j < n, 1 <= k <= g_i
-    and k digitwise below g_j + k, so that a legal exchange takes v to g.
-    The reeves module proves that g qualifies exactly when no blocker of
-    g lies in I, and by the lemma below, when none is a generator: one
-    set lookup each.  In characteristic 0 this is _expandable on the
-    non-unit generators, which looks up only the blockers with k = 1 and
-    j = i + 1; the tests compare the two.
-
-    Lemma.  If I is Borel-fixed for ch and g is a minimal generator, a
-    blocker v of g that lies in I is a minimal generator.
-
-    Proof.  Some generator f divides v; suppose f != v.  Then
-    deg f < deg g, and f does not divide g, as g is minimal, so
-    f_j = g_j + s with 1 <= s <= k, f_i <= g_i - k and f_l <= g_l for
-    every other l.  Some t with s <= t <= k is digitwise below g_j + s.
-    Adding g_j and k in base p carries nowhere, as k is digitwise below
-    g_j + k.  If adding g_j and s carries nowhere either, take t = s.
-    Otherwise let p^e be the highest place it carries into, and t the
-    least multiple of p^e that is at least s.  As adding s carries into
-    p^e and adding k does not, k mod p^e < s mod p^e, and with s <= k
-    this gives t <= k.  The digits of t are those of g_j + s minus those
-    of g_j at the places >= e, and 0 below.  So Pardue's rule puts
-    f' = x_j^{-t} x_i^t f in I, and f' divides g with deg f' < deg g,
-    against the minimality of g.  In characteristic 0, k = s = t = 1.
-    """
-    gens = I.gens
-    gen_set = frozenset(gens)
-    n = I.num_vars - 1
-
-    def blocked(g):
-        for i in range(n):
-            for j in range(i + 1, n):
-                for k in range(1, g[i] + 1):
-                    if digitwise_leq(k, g[j] + k, ch):
-                        if exchange(g, j, i, k) in gen_set:  # x_i^{-k} x_j^k g
-                            return True
-        return False
-
-    return [g for g in gens if g > last and any(g) and not blocked(g)]
-
-
 def _borel_expand(I: MonomialIdeal, g: Monomial) -> MonomialIdeal:
     """I with the generator g replaced by every g x_i, i < n, minimalized:
-    the expansion of the walk in characteristic p.  g must be one of
-    _borel_expandable(I, (), ch); then the result is saturated and
+    the expansion of the walk in characteristic p.  g must be a non-unit
+    one of _expandable(I, (), ch); then the result is saturated and
     Borel-fixed for ch.  In characteristic 0 it equals _expand(I, g),
     which merges only the g x_i with i >= max(g), the others being in I
     already.
@@ -229,21 +179,76 @@ def expandable_generators(I: MonomialIdeal) -> list[Monomial]:
         raise ValueError(f"expansion needs a strongly stable ideal, got {I}")
     if I.saturate() != I:
         raise ValueError(f"expansion needs a saturated ideal, got {I}")
-    return _expandable(I, ())
+    return _expandable(I, (), CHAR0)
 
 
-def _expandable(I: MonomialIdeal, last: Monomial) -> list[Monomial]:
-    """expandable_generators without the precondition check, among the
-    generators above last in tuple order only; () admits them all."""
-    gen_set = frozenset(I.gens)
+def _expandable(
+    I: MonomialIdeal, last: Monomial, ch: Characteristic
+) -> list[Monomial]:
+    """The generators g > last in tuple order of the saturated Borel-fixed
+    (for ch) ideal I at which the walk's expansion stays Borel-fixed, in
+    canonical order; last = () admits them all, and the unit qualifies.
+
+    A blocker of g is a v = x_i^{-k} x_j^k g with i < j < n, 1 <= k <= g_i
+    and k digitwise below g_j + k, so that a legal exchange takes v to g.
+    The reeves module proves that g qualifies exactly when no blocker of
+    g lies in I.  By Lemma 2 that holds when no adjacent p-power blocker
+    x_l^{-q} x_{l+1}^q g (q = p^e <= g_l, digit e of g_{l+1} below p - 1)
+    lies in I, and by Lemma 1 when none is a generator.  Characteristic 0
+    reads as a base above every exponent: q = 1, and nothing carries.
+
+    Lemma 1.  If I is Borel-fixed for ch and g is a minimal generator, a
+    blocker v of g that lies in I is a minimal generator.
+
+    Proof.  Some generator f divides v; suppose f != v.  Then
+    deg f < deg g, and f does not divide g, as g is minimal, so
+    f_j = g_j + s with 1 <= s <= k, f_i <= g_i - k and f_l <= g_l for
+    every other l.  Some t with s <= t <= k is digitwise below g_j + s.
+    Adding g_j and k in base p carries nowhere, as k is digitwise below
+    g_j + k.  If adding g_j and s carries nowhere either, take t = s.
+    Otherwise let p^e be the highest place it carries into, and t the
+    least multiple of p^e that is at least s.  As adding s carries into
+    p^e and adding k does not, k mod p^e < s mod p^e, and with s <= k
+    this gives t <= k.  The digits of t are those of g_j + s minus those
+    of g_j at the places >= e, and 0 below.  So Pardue's rule puts
+    f' = x_j^{-t} x_i^t f in I, and f' divides g with deg f' < deg g,
+    against the minimality of g.  In characteristic 0, k = s = t = 1.
+
+    Lemma 2.  If I is Borel-fixed for ch and a blocker
+    v = x_i^{-k} x_j^k g lies in I, so does an adjacent p-power blocker
+    x_l^{-q} x_{l+1}^q g with i <= l < j.
+
+    Proof.  Let q = p^e be the lowest nonzero place of k.  Moving k - q,
+    digitwise below k and so below g_j + k, from x_j back to x_i in v is
+    legal and puts w = x_i^{-q} x_j^q g in I, a blocker, as q <= g_i and
+    digit e of g_j is at most p - 2 (digit e of k is not 0).  Induct on
+    j - i; j = i + 1 is the claim.  Otherwise let l = j - 1.  If digit e
+    of g_l is below p - 1, moving q from x_j (its digit e in w is not 0)
+    to x_l in w is legal and puts the blocker x_i^{-q} x_l^q g of the
+    pair (i, l) in I.  Otherwise digit e of w_l = g_l is p - 1, and
+    moving q from x_l to x_i in w is legal and puts x_l^{-q} x_j^q g, an
+    adjacent p-power blocker, in I.  In characteristic 0, k = q = 1 and
+    only the first case arises.
+    """
+    gens = I.gens
+    gen_set = frozenset(gens)
+    p = ch.value or 2 + (sum(gens[-1]) if gens else 0)  # gens[-1] has the top degree
+    pairs = range(I.num_vars - 2)
     out = []
-    for g in I.gens:
+    for g in gens:
         if g <= last:
             continue
-        for i in range(I.num_vars - 2):
-            # g is blocked by x_i^{-1} x_{i+1} g
-            if g[i] and g[:i] + (g[i] - 1, g[i + 1] + 1) + g[i + 2 :] in gen_set:
-                break
+        for l in pairs:
+            q = 1
+            while q <= g[l]:
+                if g[:l] + (g[l] - q, g[l + 1] + q) + g[l + 2 :] in gen_set and (
+                    g[l + 1] // q % p < p - 1  # no carry: a blocker
+                ):
+                    break
+                q *= p
+            else:
+                continue
+            break  # g is blocked
         else:
             out.append(g)
     return out

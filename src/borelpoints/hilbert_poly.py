@@ -29,6 +29,13 @@ from .errors import NotAdmissibleError, SearchBoundError
 MAX_GOTZMANN_NUMBER = 10**5
 
 
+def _check_gotzmann_number(r: int) -> None:
+    if r > MAX_GOTZMANN_NUMBER:
+        raise SearchBoundError(
+            f"size bound exceeded: Gotzmann number above {MAX_GOTZMANN_NUMBER}"
+        )
+
+
 def binomial(j: int, k: int) -> int:
     """C(j, k) with the counting convention: 0 unless j >= k >= 0."""
     if j < 0 or k < 0 or j < k:
@@ -148,10 +155,7 @@ class MacaulayPartition:
         The result has e_0 parts, so above MAX_GOTZMANN_NUMBER this raises
         SearchBoundError before it builds anything.
         """
-        if self.parts[0] > MAX_GOTZMANN_NUMBER:
-            raise SearchBoundError(
-                f"size bound exceeded: Gotzmann number above {MAX_GOTZMANN_NUMBER}"
-            )
+        _check_gotzmann_number(self.parts[0])
         e = self.parts + (0,)
         parts = []
         for i in range(self.degree, -1, -1):
@@ -242,7 +246,8 @@ def partition_from_values(values) -> GotzmannPartition:
     subtracting C(t + d, d + 1) - C(t + d - e_d, d + 1) leaves a
     polynomial of lower degree whose top difference is e_{d-1}, and so on
     down to e_0.  Raises NotAdmissibleError for the zero polynomial, or
-    when the parts are not those of an admissible polynomial.
+    when the parts are not those of an admissible polynomial.  The first
+    part above MAX_GOTZMANN_NUMBER raises SearchBoundError, since e_0 >= it.
     """
     rem = list(values)
     d = _window_degree(rem)
@@ -254,6 +259,7 @@ def partition_from_values(values) -> GotzmannPartition:
         for _ in range(i):
             row = [row[k + 1] - row[k] for k in range(len(row) - 1)]
         e[i] = row[0]
+        _check_gotzmann_number(e[i])
         for t in range(len(rem)):
             rem[t] -= binomial_poly(t, i, i + 1) - binomial_poly(t, i - e[i], i + 1)
     return MacaulayPartition(tuple(e)).to_gotzmann()

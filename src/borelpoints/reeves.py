@@ -63,8 +63,9 @@ is plain tuple order, in which a legal exchange moves a monomial up.
 
 - Expandable.  A non-unit minimal generator g of I is expandable when
   no blocker v = x_i^{-k} x_j^k g (i < j < n, 1 <= k <= g_i, k digitwise
-  below g_j + k) is a generator of I, which by the lemma at
-  borel._borel_expandable says that no blocker lies in I.  The expansion
+  below g_j + k) lies in I; by the lemmas at borel._expandable, which
+  tests this in every characteristic, exactly when no adjacent p-power
+  blocker x_l^{-q} x_{l+1}^q g is a generator of I.  The expansion
   (borel._borel_expand) drops g, adds every g x_i with i < n and
   minimalizes; by the proof at _expanded_coordinates it gives
   J = I minus the g x_n^m, m >= 0, a saturated ideal whose Hilbert
@@ -75,10 +76,8 @@ is plain tuple order, in which a legal exchange moves a monomial up.
   saturated, against the minimality of g.  For j < n, w = v x_n^m, and
   neither the legality of the exchange, which compares k with
   w_j = g_j + k, nor whether w is in J depends on m.  In
-  characteristic 0 the walk uses the faster _expandable and _expand
-  instead, which pick the same generators and build the same ideals
-  (the tests compare them): there every legal exchange is a chain of
-  adjacent ones.
+  characteristic 0 the walk expands with the faster _expand instead,
+  which builds the same ideals (the tests compare them).
 - Complete.  Let J be saturated and Borel-fixed with polynomial q_j,
   S' = K[x_0, ..., x_{n-1}], J' = J restricted to x_n = 0, the ideal
   of S' with the generators of J, and J'' = J' : x_{n-1}^infinity.  As
@@ -109,8 +108,8 @@ search (Avis and Fukuda, "Reverse search for enumeration", 1996), and
 no bucket is searched for duplicates.  Every bucket entry carries the
 generator last at which it was built, () for the lifted and start
 ideals, and is expanded only at its expandable generators g > last in
-tuple order; _expandable and _borel_expandable test no other generator
-for blocking.  The argument is the same in every characteristic.
+tuple order; _expandable tests no other generator for blocking.  The
+argument is the same in every characteristic.
 
 - One step.  Let J be the expansion of I at g.  As g is free of x_n, J
   misses exactly the g x_n^m of I, so I = J + (g) and J' = I' minus g.
@@ -140,29 +139,21 @@ the ideals of one level.
 Preconditions are checked once, at the public boundary, and never inside
 the walk.  The public borel.expand and borel.expandable_generators check
 that their ideal is saturated and strongly stable; the walk calls their
-unchecked forms _expand and _expandable instead, and in characteristic p
-the unchecked _borel_expandable and _borel_expand.  That is safe because
-the start ideal is saturated and Borel-fixed in every characteristic by
-construction, and both expansion and lifting preserve the property, so
-every ideal the walk visits has it.  The tests check it on the outputs,
-and check the carried coordinates against hilbert_numerator.
+unchecked forms _expandable and _expand instead, and in characteristic p
+the unchecked _borel_expand.  That is safe because the start ideal is
+saturated and Borel-fixed in every characteristic by construction, and
+both expansion and lifting preserve the property, so every ideal the
+walk visits has it.  The tests check it on the outputs, and check the
+carried coordinates against hilbert_numerator.
 """
 
 from __future__ import annotations
 
-from functools import partial
 from math import comb
 
 from .hilbert_poly import GotzmannPartition
 from .monomial_ideal import MonomialIdeal
-from .borel import (
-    CHAR0,
-    Characteristic,
-    _borel_expand,
-    _borel_expandable,
-    _expand,
-    _expandable,
-)
+from .borel import CHAR0, Characteristic, _borel_expand, _expand, _expandable
 
 
 def _expanded_coordinates(h: tuple[int, ...], j: int, a: int) -> tuple[int, ...]:
@@ -207,16 +198,13 @@ def _descend(buckets: dict[int, list], j: int, ch: Characteristic) -> dict:
     ideal.  An ideal is expanded only at its expandable generators above
     last in tuple order, which builds every ideal of the level exactly
     once, from its canonical parent J + (max R(J)) (see the module
-    docstring); ch picks the moves.
+    docstring); ch picks the expansion.
     """
-    if ch.is_zero:
-        expandable, expand = _expandable, _expand
-    else:
-        expandable, expand = partial(_borel_expandable, ch=ch), _borel_expand
+    expand = _expand if ch.is_zero else _borel_expand
     for s in range(max(buckets, default=0), 0, -1):
         below = buckets.setdefault(s - 1, [])
         for ideal, h, last in buckets.pop(s, ()):
-            for g in expandable(ideal, last):
+            for g in _expandable(ideal, last, ch):
                 h_g = _expanded_coordinates(h, j, sum(g))
                 below.append((expand(ideal, g), h_g, g))
     return {ideal: h for ideal, h, _ in buckets.get(0, ())}

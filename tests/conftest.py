@@ -250,9 +250,9 @@ def reference_borel_expandable(I, last, ch):
     ch) ideal at which the expansion stays Borel-fixed, by the
     definition: g is blocked when some x_i^{-k} x_j^k g with i < j < n,
     1 <= k <= g_i and k digitwise below g_j + k lies in I, tested with
-    MonomialIdeal.contains.  The library's borel._borel_expandable only
-    looks each such monomial up among the generators, by the lemma in its
-    docstring."""
+    MonomialIdeal.contains.  The library's borel._expandable looks up
+    only the adjacent p-power ones among the generators, by the lemmas in
+    its docstring."""
     n = I.num_vars - 1
     return [
         g
@@ -336,7 +336,7 @@ def reference_descend(buckets, j, ch, built=None):
     membership.
     """
     if ch.is_zero:
-        expandable, expand = _expandable, _expand
+        expandable, expand = partial(_expandable, ch=ch), _expand
     else:
         expandable = partial(reference_borel_expandable, ch=ch)
         expand = reference_borel_expand

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 import math
+from itertools import accumulate, product
+from operator import le
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -29,7 +31,7 @@ from borelpoints import (
 from borelpoints import reeves
 from borelpoints.borel import (
     _borel_expand,
-    _borel_expandable,
+    _exchanges,
     _expand,
     _expandable,
     exchange,
@@ -306,19 +308,16 @@ class TestIncrementalExpand:
 
 def walk_visits(monkeypatch, runs, ch=CHAR0):
     """Every ideal the Reeves walk in characteristic ch passes to its
-    expandable-generators move or gets back from its expansion move
-    (_expandable and _expand in characteristic 0, _borel_expandable and
-    _borel_expand in characteristic p) while running each of runs."""
-    if ch.is_zero:
-        names = "_expandable", "_expand"
-    else:
-        names = "_borel_expandable", "_borel_expand"
+    expandable-generators move _expandable or gets back from its
+    expansion move (_expand in characteristic 0, _borel_expand in
+    characteristic p) while running each of runs."""
+    names = "_expandable", ("_expand" if ch.is_zero else "_borel_expand")
     expandable, expand = (getattr(reeves, name) for name in names)
     seen = set()
 
-    def spy_expandable(I, last, **kwargs):
+    def spy_expandable(I, last, ch):
         seen.add(I)
-        return expandable(I, last, **kwargs)
+        return expandable(I, last, ch)
 
     def spy_expand(I, g):
         J = expand(I, g)
@@ -334,13 +333,14 @@ def walk_visits(monkeypatch, runs, ch=CHAR0):
 
 
 def assert_helpers_match_reference(I):
-    gens = _expandable(I, ())
+    gens = _expandable(I, (), CHAR0)
     assert gens == reference_expandable(I), str(I)
     for g in gens:
         assert _expand(I, g) == reference_expand(I, g), (str(I), g)
     # the walk's bound: only the generators above last are tested
     for last in I.gens:
-        assert _expandable(I, last) == [g for g in gens if g > last], (str(I), last)
+        expected = [g for g in gens if g > last]
+        assert _expandable(I, last, CHAR0) == expected, (str(I), last)
 
 
 class TestAgainstReferenceHelpers:
@@ -430,7 +430,7 @@ class TestAgainstReferenceHelpers:
     def test_block_merge_edge_cases(self, gens, num_vars, g, expected):
         I = ideal(gens, num_vars)
         assert I.gens == tuple(gens)
-        assert g in _expandable(I, ())
+        assert g in _expandable(I, (), CHAR0)
         assert _expand(I, g).gens == tuple(expected)
         assert_helpers_match_reference(I)
 
@@ -464,7 +464,7 @@ def assert_borel_moves_match_reference(I, ch):
     # order included: lists and generator tuples compare in order
     for last in ((),) + I.gens:
         expected = reference_borel_expandable(I, last, ch)
-        assert _borel_expandable(I, last, ch) == expected, (str(I), last, ch.value)
+        assert _expandable(I, last, ch) == expected, (str(I), last, ch.value)
     for g in I.gens:
         if any(g):
             J = _borel_expand(I, g)
@@ -472,7 +472,7 @@ def assert_borel_moves_match_reference(I, ch):
 
 
 def assert_blockers_in_ideal_are_generators(I, ch):
-    # the lemma at borel._borel_expandable: a blocker x_i^{-k} x_j^k g of a
+    # Lemma 1 at borel._expandable: a blocker x_i^{-k} x_j^k g of a
     # generator g lies in I exactly when it is a generator of I
     gen_set = set(I.gens)
     n = I.num_vars - 1
@@ -485,9 +485,44 @@ def assert_blockers_in_ideal_are_generators(I, ch):
                         assert I.contains(v) == (v in gen_set), (str(I), g, v)
 
 
+def adjacent_p_power_blockers(g, p):
+    """The x_l^{-q} x_{l+1}^q g, l + 1 < len(g), with q = p^e <= g_l and
+    digit e of g_{l+1} below p - 1: the blockers borel._expandable looks
+    up, with the window's last coordinate standing for some x_j, j < n."""
+    out = set()
+    for l in range(len(g) - 1):
+        q = 1
+        while q <= g[l]:
+            if g[l + 1] // q % p < p - 1:
+                out.add(exchange(g, l + 1, l, q))
+            q *= p
+    return out
+
+
+def orbit_meets(v, targets, ch):
+    """Whether the exchange orbit of v meets targets.  A legal exchange
+    moves mass to a lower index, so it lowers no prefix sum
+    v_0 + ... + v_l, and a monomial with some prefix sum above that of
+    each target reaches none: the search drops it."""
+    tops = [tuple(accumulate(t)) for t in targets]
+    seen = {v}
+    todo = [v]
+    while todo:
+        w = todo.pop()
+        if w in targets:
+            return True
+        for u in _exchanges(w, ch):
+            if u not in seen:
+                seen.add(u)
+                sums = tuple(accumulate(u))
+                if any(all(map(le, sums, top)) for top in tops):
+                    todo.append(u)
+    return False
+
+
 class TestBorelMoves:
-    # the walk's moves in characteristic p, borel._borel_expandable and
-    # borel._borel_expand
+    # the walk's moves: borel._expandable in every characteristic and
+    # borel._borel_expand in characteristic p
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_equal_references_on_walk_visits(self, monkeypatch, p):
@@ -502,6 +537,11 @@ class TestBorelMoves:
     def test_equal_references_on_closures(self, case):
         assert_borel_moves_match_reference(*case)
 
+    @settings(max_examples=200, deadline=None)
+    @given(saturated_strongly_stable())
+    def test_equal_references_on_char0_closures(self, I):
+        assert_borel_moves_match_reference(I, CHAR0)
+
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_blockers_in_ideal_are_generators_on_walk_visits(self, monkeypatch, p):
         ch = Characteristic(p)
@@ -515,15 +555,42 @@ class TestBorelMoves:
     def test_blockers_in_ideal_are_generators_on_closures(self, case):
         assert_blockers_in_ideal_are_generators(*case)
 
+    @pytest.mark.parametrize(
+        "p, coordinates, bound",
+        [(2, 3, 9), (2, 4, 5), (3, 3, 9), (3, 4, 5), (5, 3, 9), (5, 4, 5)],
+    )
+    def test_every_blocker_reaches_an_adjacent_p_power_blocker(
+        self, p, coordinates, bound
+    ):
+        # Lemma 2 at borel._expandable on a window: legal exchanges move
+        # mass to lower indices only, so whether the orbit of a blocker
+        # x_i^{-k} x_j^k g holds an adjacent p-power blocker depends on
+        # g_i, ..., g_j alone; here i = 0 and j is the last coordinate,
+        # for every g with exponents at most bound
+        ch = Characteristic(p)
+        cases = 0
+        for g in product(range(bound + 1), repeat=coordinates):
+            targets = adjacent_p_power_blockers(g, p)
+            for k in range(1, g[0] + 1):
+                if digitwise_leq(k, g[-1] + k, ch):
+                    v = exchange(g, coordinates - 1, 0, k)
+                    assert orbit_meets(v, targets, ch), (g, k)
+                    cases += 1
+        assert cases > 1000
+
     def test_char0_equals_expandable_and_expand_on_walk_visits(self, monkeypatch):
+        # in characteristic 0 the one move equals both references, and
+        # _borel_expand equals _expand at its generators
         runs = mini_grid() + [(GotzmannPartition((0,) * 14), 4)]
         seen = walk_visits(monkeypatch, runs)
         assert len(seen) > 300
         for I in seen:
+            gens = reference_expandable(I)
             for last in ((),) + I.gens:
-                expected = [g for g in _expandable(I, last) if any(g)]
-                assert _borel_expandable(I, last, CHAR0) == expected, (str(I), last)
-            for g in _borel_expandable(I, (), CHAR0):
+                expected = reference_borel_expandable(I, last, CHAR0)
+                assert expected == [g for g in gens if g > last], (str(I), last)
+                assert _expandable(I, last, CHAR0) == expected, (str(I), last)
+            for g in _expandable(I, (), CHAR0):
                 assert _borel_expand(I, g) == _expand(I, g), (str(I), g)
 
     @settings(max_examples=300, deadline=None)
@@ -536,7 +603,7 @@ class TestBorelMoves:
         n = I.num_vars - 1
         N = I.hilbert_numerator()
         step = one_minus_t_power(n)
-        expandable = _borel_expandable(I, (), ch)
+        expandable = _expandable(I, (), ch)
         for g in I.gens:
             if not any(g):
                 continue
@@ -553,11 +620,21 @@ class TestBorelMoves:
         # expandable and gives <x0^2, x0*x1^2, x1^3>
         p2 = Characteristic(2)
         I = ideal([(2, 0, 0), (0, 2, 0)], 3)
-        assert _borel_expandable(I, (), p2) == [(0, 2, 0)]
+        assert _expandable(I, (), p2) == [(0, 2, 0)]
         assert not is_borel_fixed(_borel_expand(I, (2, 0, 0)), p2)
         assert _borel_expand(I, (0, 2, 0)) == ideal(
             [(2, 0, 0), (1, 2, 0), (0, 3, 0)], 3
         )
+        # the digit test: in <x0^2, x0*x1, x1^2> at p = 2 the generator
+        # x1^2 = x0^{-1} x1 * x0*x1 blocks x0*x1 in characteristic 0 only,
+        # since adding 1 and 1 carries; expanding there gives <x0^2, x1^2>
+        I = ideal([(2, 0, 0), (1, 1, 0), (0, 2, 0)], 3)
+        assert _expandable(I, (), p2) == [(1, 1, 0), (0, 2, 0)]
+        assert reference_borel_expandable(I, (), p2) == [(1, 1, 0), (0, 2, 0)]
+        assert _expandable(I, (), CHAR0) == [(0, 2, 0)]
+        J = _borel_expand(I, (1, 1, 0))
+        assert J == ideal([(2, 0, 0), (0, 2, 0)], 3)
+        assert is_borel_fixed(J, p2)
 
 
 class TestTrustedConstruction:

@@ -165,8 +165,21 @@ class TestSizeGuard:
                 ["hp", "--partition", "0", "--eval-to", "100000000"],
                 "100000001 evaluation points, above 100003",
             ),
+            # the peel of the Hilbert polynomial stops at its first part
+            # above the bound; peeling every part took over 100 s
+            (
+                ["check-ideal", "--gens", "x0^3,x1^3,x2^3", "--num-vars", "32"],
+                "Gotzmann number above 100000",
+            ),
         ],
-        ids=["check-ideal-num-vars", "check-ideal-json", "lex-n", "lex-counts", "hp"],
+        ids=[
+            "check-ideal-num-vars",
+            "check-ideal-json",
+            "lex-n",
+            "lex-counts",
+            "hp",
+            "check-ideal-gotzmann",
+        ],
     )
     def test_guard_trips_before_any_work(self, argv, error):
         # each input would run for minutes or take gigabytes unguarded; the

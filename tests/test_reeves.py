@@ -485,7 +485,7 @@ def least_prime_above(r):
 
 class TestCharacteristicP:
     # in characteristic p the walk expands each ideal at the generators
-    # above the one it was built at that borel._borel_expandable allows,
+    # above the one it was built at that borel._expandable allows,
     # and searches no bucket for duplicates; the exhaustive oracle is the
     # independent check
     FORCED = [

@@ -11,7 +11,7 @@ written once, in _exchanges; _exchange_orbit follows it to a closure, for
 borel_closure and the exhaustive oracle.  The Reeves walk's moves are
 _expandable, which looks up a generator's adjacent p-power blockers
 among the generators in every characteristic (the lemmas there), and
-_expand, or _borel_expand in characteristic p.
+_expand, which keeps or drops each new multiple by the lemma there.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from math import isqrt
 from operator import le
 
-from .monomial_ideal import Monomial, MonomialIdeal, max_index
+from .monomial_ideal import Monomial, MonomialIdeal
 
 # Primes below this bound are checked by exact trial division, at most
 # isqrt(2^31) = 46340 divisions.  Larger ones are refused: for exponents
@@ -96,41 +96,6 @@ def _exchanges(m: Monomial, ch: Characteristic):
         for k in exchange_amounts(m[j], ch):
             for i in range(j):
                 yield exchange(m, i, j, k)
-
-
-def _borel_expand(I: MonomialIdeal, g: Monomial) -> MonomialIdeal:
-    """I with the generator g replaced by every g x_i, i < n, minimalized:
-    the expansion of the walk in characteristic p.  g must be a non-unit
-    one of _expandable(I, (), ch); then the result is saturated and
-    Borel-fixed for ch.  In characteristic 0 it equals _expand(I, g),
-    which merges only the g x_i with i >= max(g), the others being in I
-    already.
-
-    Minimalizing only drops the g x_i that another generator divides.  The
-    other generators stay minimal, since none is a multiple of g, so none
-    is a multiple of any g x_i, and the g x_i share one degree, so none
-    divides another.  A generator h dividing g x_i has degree at most
-    a + 1, a = deg g, and not a + 1, since then h would equal g x_i, a
-    multiple of the generator g.  So each g x_i is tested for
-    divisibility by the generators of degree at most a other than g only.
-
-    The g x_i that remain all have degree a + 1 and are merged into the
-    block of that degree, which gives the canonical order by the argument
-    at _expand.  The tests compare this with from_generators.
-    """
-    gens = I.gens
-    a = sum(g)
-    i = gens.index(g)
-    lo = bisect_right(gens, a, i + 1, key=sum)  # start of degree a + 1
-    hi = bisect_right(gens, a + 1, lo, key=sum)  # end of degree a + 1
-    lower = gens[:i] + gens[i + 1 : lo]
-    block = list(gens[lo:hi])
-    for k in range(I.num_vars - 1):
-        m = g[:k] + (g[k] + 1,) + g[k + 1 :]
-        if not any(all(map(le, h, m)) for h in lower):
-            block.append(m)
-    block.sort(reverse=True)
-    return MonomialIdeal._trusted(I.num_vars, lower + tuple(block) + gens[hi:])
 
 
 def _exchange_orbit(gens, ch: Characteristic) -> set[Monomial]:
@@ -267,42 +232,79 @@ def expand(I: MonomialIdeal, g: Monomial) -> MonomialIdeal:
         raise ValueError(f"{g} is not an expandable generator of {I}")
     if not any(g):
         raise ValueError("cannot expand at the unit monomial")
-    return _expand(I, g)
+    return _expand(I, g, CHAR0)
 
 
-def _expand(I: MonomialIdeal, g: Monomial) -> MonomialIdeal:
-    """expand without the checks: g must be a non-unit expandable generator
-    of the saturated strongly stable ideal I.
+def _expand(I: MonomialIdeal, g: Monomial, ch: Characteristic) -> MonomialIdeal:
+    """expand without the checks, in characteristic ch: I with the
+    generator g replaced by every g x_k, k < n, that no other generator
+    divides.  g must be a non-unit one of _expandable(I, (), ch), I being
+    saturated and Borel-fixed for ch; then the result is too (see the
+    reeves module), and it needs no other minimalization.  The generators
+    other than g stay minimal, since none is a multiple of g, so none is
+    a multiple of any g x_k, and the g x_k share one degree, so none
+    divides another.  A generator dividing g x_k has degree at most
+    a = deg g, and not a + 1, since then it would equal g x_k, a multiple
+    of the generator g.  Which g x_k survive is decided by the lemma
+    below, and only where it leaves the answer open is g x_k tested
+    against the generators of degree at most a other than g.
 
-    The result needs no minimalization.  The generators other than g stay
-    minimal, since none of them is a multiple of g, and the new multiples
-    g*x_j share one degree, so none divides another.  Nor can another
-    generator h divide some g*x_j: h would have one more x_j than g and
-    no more of any other variable, so shifting that x_j down to some x_i
-    with i < j and h_i < g_i (strong stability) would put a divisor of g
-    in I.  As g is minimal, that divisor is g, so h = x_i^{-1} x_j g.
-    Shifting its x_j down to x_{i+1} puts x_i^{-1} x_{i+1} g in I, and by
-    the same argument as a minimal generator, which would block g.  So
-    the multiples are simply merged into the generators.
+    Lemma.  Let high = max(g), and top the largest index <= high with
+    g_top mod p != 0, or 0 if there is none; characteristic 0 reads as
+    base p = a + 2, above every exponent of g, so there top = high.
+    (a) For k < top, some other generator divides g x_k.
+    (b) For k > high, none does.
+    (c) For k = high with g_high mod p != p - 1, none does.  This holds
+        whenever top < high, as g_high is then a multiple of p.
+    (d) Otherwise, for top <= k < high, or k = high with
+        g_high mod p = p - 1, either may happen.
+    In characteristic 0 only (a)-(c) arise, so the survivors are exactly
+    the g x_k with k >= max(g).
+
+    Proof.  Key step: for k < n, a generator f != g divides g x_k exactly
+    when x_i^{-1} x_k g lies in I for some i != k with g_i > 0.  If f
+    divides g x_k, then f does not divide g, as g is minimal, and
+    f != g x_k, which is not minimal, so w = g x_k / f is a nonzero
+    monomial free of x_k, and x_i^{-1} x_k g, a multiple of f, lies in I
+    for every x_i dividing w; such an i has i != k and g_i > 0.
+    Conversely a generator dividing x_i^{-1} x_k g divides g x_k, and it
+    is not g, which has one more x_i.  (a) x_top^{-1} x_k g is a legal
+    exchange of g, as 1 is digitwise below g_top, so it lies in I.
+    (b) Every i with g_i > 0 has i < k, and x_i^{-1} x_k g is a blocker of
+    g (see _expandable), as 1 is digitwise below g_k + 1 = 1; no blocker
+    of an expandable g lies in I.  (c) As in (b): 1 is digitwise below
+    g_high + 1 exactly when g_high mod p != p - 1.
 
     Canonical order sorts by degree and, within one degree, by descending
-    exponent tuple.  The multiples all have degree deg g + 1, so they
-    belong in the block of that degree, which starts after g and the
-    generators of g's own degree that follow it; merging them into that
-    block in descending tuple order, and leaving every other generator
-    where it is, gives the canonical order.  The tests compare this with
-    from_generators.
+    exponent tuple.  The survivors all have degree a + 1, so they belong
+    in the block of that degree, which starts after g and the generators
+    of g's own degree that follow it.  They come out in descending tuple
+    order, as g x_k > g x_l for k < l; merging them into that block, and
+    leaving every other generator where it is, gives the canonical order.
+    The tests compare this with from_generators and with the references
+    in the tests' conftest.
     """
     gens = I.gens
     a = sum(g)
     i = gens.index(g)
     lo = bisect_right(gens, a, i + 1, key=sum)  # start of degree a + 1
     hi = bisect_right(gens, a + 1, lo, key=sum)  # end of degree a + 1
-    block = [
-        g[:j] + (g[j] + 1,) + g[j + 1 :] for j in range(max_index(g), I.num_vars - 1)
-    ]
-    block += gens[lo:hi]
-    block.sort(reverse=True)
-    return MonomialIdeal._trusted(
-        I.num_vars, gens[:i] + gens[i + 1 : lo] + tuple(block) + gens[hi:]
-    )
+    lower = gens[:i] + gens[i + 1 : lo]
+    n = I.num_vars - 1
+    high = n - 1  # g is free of x_n, as I is saturated, and not the unit
+    while not g[high]:
+        high -= 1
+    top = kept = high  # g x_k is dropped for k < top and kept for k >= kept
+    p = ch.value  # in characteristic 0, base a + 2, 0 < g_high < p - 1: no (d)
+    if p and not 0 < g[high] % p < p - 1:
+        kept += g[high] % p == p - 1
+        while top and g[top] % p == 0:
+            top -= 1
+    block = [g[:k] + (g[k] + 1,) + g[k + 1 :] for k in range(kept, n)]
+    if top < kept:  # case (d): scan
+        scan = (g[:k] + (g[k] + 1,) + g[k + 1 :] for k in range(top, kept))
+        block[:0] = [m for m in scan if not any(all(map(le, h, m)) for h in lower)]
+    if lo < hi:
+        block += gens[lo:hi]
+        block.sort(reverse=True)
+    return MonomialIdeal._trusted(I.num_vars, lower + tuple(block) + gens[hi:])

@@ -505,7 +505,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_check_ideal)
 
     p = sub.add_parser(
-        "reeves", help="enumerate saturated strongly stable ideals (char 0)"
+        "reeves",
+        help="enumerate saturated strongly stable ideals "
+        "(char 0; for char p use classify --verify --char P)",
     )
     common(p, n=True, n_required=True)
     p.set_defaults(func=cmd_reeves)

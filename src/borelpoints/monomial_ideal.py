@@ -15,7 +15,6 @@ generator lcms) live in the tests, which check that all three agree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .hilbert_poly import (
     GotzmannPartition,
@@ -245,7 +244,6 @@ def _poly_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
 def _numerator(gens: tuple[Monomial, ...], num_vars: int) -> tuple[int, ...]:
     if not gens:
         return (1,)

@@ -66,8 +66,8 @@ is plain tuple order, in which a legal exchange moves a monomial up.
   below g_j + k) lies in I; by the lemmas at borel._expandable, which
   tests this in every characteristic, exactly when no adjacent p-power
   blocker x_l^{-q} x_{l+1}^q g is a generator of I.  The expansion
-  (borel._borel_expand) drops g, adds every g x_i with i < n and
-  minimalizes; by the proof at _expanded_coordinates it gives
+  (borel._expand) drops g and adds every g x_i with i < n that no other
+  generator divides; by the proof at _expanded_coordinates it gives
   J = I minus the g x_n^m, m >= 0, a saturated ideal whose Hilbert
   polynomial is one more than that of I.  J is Borel-fixed exactly when
   g is expandable.  A legal exchange of some w in J stays in I, so it
@@ -75,9 +75,7 @@ is plain tuple order, in which a legal exchange moves a monomial up.
   would put x_i^{-k} g x_n^(m+k) in I, so x_i^{-k} g in I as I is
   saturated, against the minimality of g.  For j < n, w = v x_n^m, and
   neither the legality of the exchange, which compares k with
-  w_j = g_j + k, nor whether w is in J depends on m.  In
-  characteristic 0 the walk expands with the faster _expand instead,
-  which builds the same ideals (the tests compare them).
+  w_j = g_j + k, nor whether w is in J depends on m.
 - Complete.  Let J be saturated and Borel-fixed with polynomial q_j,
   S' = K[x_0, ..., x_{n-1}], J' = J restricted to x_n = 0, the ideal
   of S' with the generators of J, and J'' = J' : x_{n-1}^infinity.  As
@@ -139,8 +137,8 @@ the ideals of one level.
 Preconditions are checked once, at the public boundary, and never inside
 the walk.  The public borel.expand and borel.expandable_generators check
 that their ideal is saturated and strongly stable; the walk calls their
-unchecked forms _expandable and _expand instead, and in characteristic p
-the unchecked _borel_expand.  That is safe because the start ideal is
+unchecked forms _expandable and _expand instead, in every
+characteristic.  That is safe because the start ideal is
 saturated and Borel-fixed in every characteristic by construction, and
 both expansion and lifting preserve the property, so every ideal the
 walk visits has it.  The tests check it on the outputs, and check the
@@ -153,7 +151,7 @@ from math import comb
 
 from .hilbert_poly import GotzmannPartition
 from .monomial_ideal import MonomialIdeal
-from .borel import CHAR0, Characteristic, _borel_expand, _expand, _expandable
+from .borel import CHAR0, Characteristic, _expand, _expandable
 
 
 def _expanded_coordinates(h: tuple[int, ...], j: int, a: int) -> tuple[int, ...]:
@@ -167,11 +165,10 @@ def _expanded_coordinates(h: tuple[int, ...], j: int, a: int) -> tuple[int, ...]
     x_i, and an old generator f != g is free of x_n because I is
     saturated, so f would divide g, against the minimality of g.  Every
     other multiple of g is in J: it is divisible by some g * x_i with
-    i < n, which is in J.  borel._borel_expand adds every such g * x_i,
-    and borel._expand those with i >= max(g); for i < max(g) J holds
-    g * x_i by strong stability, from g * x_{max(g)}.  So the series of
-    S/J exceeds that of S/I by t^a / (1-t), which is t^a (1-t)^n over the
-    common denominator (1-t)^(n+1), and
+    i < n, which borel._expand adds to J unless another generator of I,
+    which stays in J, divides it.  So the series of S/J exceeds that of
+    S/I by t^a / (1-t), which is t^a (1-t)^n over the common denominator
+    (1-t)^(n+1), and
     t^a (1-t)^n = sum_i (-1)^i C(a, i) (1-t)^(n+i).
     """
     return h[:j] + tuple(x + (-1) ** i * comb(a, i) for i, x in enumerate(h[j:]))
@@ -198,15 +195,14 @@ def _descend(buckets: dict[int, list], j: int, ch: Characteristic) -> dict:
     ideal.  An ideal is expanded only at its expandable generators above
     last in tuple order, which builds every ideal of the level exactly
     once, from its canonical parent J + (max R(J)) (see the module
-    docstring); ch picks the expansion.
+    docstring).
     """
-    expand = _expand if ch.is_zero else _borel_expand
     for s in range(max(buckets, default=0), 0, -1):
         below = buckets.setdefault(s - 1, [])
         for ideal, h, last in buckets.pop(s, ()):
             for g in _expandable(ideal, last, ch):
                 h_g = _expanded_coordinates(h, j, sum(g))
-                below.append((expand(ideal, g), h_g, g))
+                below.append((_expand(ideal, g, ch), h_g, g))
     return {ideal: h for ideal, h, _ in buckets.get(0, ())}
 
 

@@ -6,7 +6,7 @@ implementation that cannot share their bugs.
 """
 
 from bisect import insort
-from functools import partial
+from functools import lru_cache, partial
 from itertools import combinations_with_replacement
 from math import comb
 
@@ -27,12 +27,12 @@ from borelpoints import (
     peel_to_partition,
 )
 from borelpoints.borel import (
-    _expand,
     _expandable,
     digitwise_leq,
     exchange,
     exchange_amounts,
 )
+from borelpoints import monomial_ideal
 from borelpoints.monomial_ideal import canonical_key, divides, max_index
 from borelpoints.reeves import _expanded_coordinates
 
@@ -85,6 +85,20 @@ def hilbert_function_by_lcm(ideal, d):
 
 def ideal(gens, num_vars):
     return MonomialIdeal.from_generators(gens, num_vars)
+
+
+@pytest.fixture(scope="session", autouse=True)
+def numerator_memo():
+    """One memo of monomial_ideal._numerator for the whole session.
+
+    The library keeps no process-wide cache.  The tests ask for the
+    numerators of many ideals that share subproblems, and the recursion
+    calls _numerator through the module global, so rebinding that to a
+    cached wrapper lets every call share them."""
+    raw = monomial_ideal._numerator
+    monomial_ideal._numerator = lru_cache(maxsize=None)(raw)
+    yield
+    monomial_ideal._numerator = raw
 
 
 @pytest.fixture(scope="session")
@@ -236,9 +250,10 @@ def reference_expandable(I):
 
 
 def reference_expand(I, g):
-    """The expansion of I at the expandable generator g, each new multiple
-    inserted at its canonical place by bisection on canonical_key.  The
-    library's borel._expand merges them into their degree block."""
+    """The expansion of I at the expandable generator g in characteristic
+    0: the g x_j with j >= max(g) replace g, each inserted at its
+    canonical place by bisection on canonical_key.  The library's
+    borel._expand merges the new multiples into their degree block."""
     gens = [h for h in I.gens if h != g]
     for j in range(max_index(g), I.num_vars - 1):
         insort(gens, g[:j] + (g[j] + 1,) + g[j + 1 :], key=canonical_key)
@@ -272,9 +287,10 @@ def reference_borel_expandable(I, last, ch):
 def reference_borel_expand(I, g):
     """I with g replaced by every g x_i, i < n: the multiples no other
     generator divides join the other generators, which are sorted afresh
-    by canonical_key.  The library's borel._borel_expand tests the
-    multiples against the generators of degree at most deg g only and
-    merges them into their degree block."""
+    by canonical_key.  The library's borel._expand decides most
+    multiples by the lemma in its docstring, tests the rest against the
+    generators of degree at most deg g only, and merges them into their
+    degree block."""
     rest = [h for h in I.gens if h != g]
     multiples = (g[:i] + (g[i] + 1,) + g[i + 1 :] for i in range(I.num_vars - 1))
     rest += [m for m in multiples if not any(divides(h, m) for h in rest)]
@@ -319,8 +335,8 @@ def coordinate_step_holds(N, N_J, n, a):
 def reference_descend(buckets, j, ch, built=None):
     """The deficit-bucket descent that deduplicates on insert, on buckets
     in the layout of reeves._descend, whose last generators it ignores,
-    with the moves _expandable and _expand in characteristic 0 and
-    reference_borel_expandable and reference_borel_expand in
+    with the moves _expandable and reference_expand in characteristic 0
+    and reference_borel_expandable and reference_borel_expand in
     characteristic p.
 
     Every expansion of an ideal in bucket s, at every expandable
@@ -336,7 +352,7 @@ def reference_descend(buckets, j, ch, built=None):
     membership.
     """
     if ch.is_zero:
-        expandable, expand = partial(_expandable, ch=ch), _expand
+        expandable, expand = partial(_expandable, ch=ch), reference_expand
     else:
         expandable = partial(reference_borel_expandable, ch=ch)
         expand = reference_borel_expand

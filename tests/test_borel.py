@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 import math
-from itertools import accumulate, product
+from collections import Counter
+from itertools import accumulate, combinations_with_replacement, product
 from operator import le
 
 from hypothesis import assume, given, settings
@@ -30,7 +31,6 @@ from borelpoints import (
 )
 from borelpoints import reeves
 from borelpoints.borel import (
-    _borel_expand,
     _exchanges,
     _expand,
     _expandable,
@@ -291,7 +291,7 @@ class TestIncrementalExpand:
         for partition, n in mini_grid():
             for I in enumerate_strongly_stable(partition, n):
                 for g in expandable_generators(I):
-                    assert _expand(I, g) == expand_from_scratch(I, g), (
+                    assert _expand(I, g, CHAR0) == expand_from_scratch(I, g), (
                         str(I),
                         g,
                     )
@@ -300,7 +300,7 @@ class TestIncrementalExpand:
     @given(saturated_strongly_stable())
     def test_matches_from_generators_on_closures(self, I):
         for g in expandable_generators(I):
-            E = _expand(I, g)
+            E = _expand(I, g, CHAR0)
             assert E == expand_from_scratch(I, g)
             assert is_strongly_stable(E)
             assert E.saturate() == E
@@ -309,24 +309,21 @@ class TestIncrementalExpand:
 def walk_visits(monkeypatch, runs, ch=CHAR0):
     """Every ideal the Reeves walk in characteristic ch passes to its
     expandable-generators move _expandable or gets back from its
-    expansion move (_expand in characteristic 0, _borel_expand in
-    characteristic p) while running each of runs."""
-    names = "_expandable", ("_expand" if ch.is_zero else "_borel_expand")
-    expandable, expand = (getattr(reeves, name) for name in names)
+    expansion move _expand while running each of runs."""
     seen = set()
 
     def spy_expandable(I, last, ch):
         seen.add(I)
-        return expandable(I, last, ch)
+        return _expandable(I, last, ch)
 
-    def spy_expand(I, g):
-        J = expand(I, g)
+    def spy_expand(I, g, ch):
+        J = _expand(I, g, ch)
         seen.add(J)
         return J
 
     with monkeypatch.context() as m:
-        m.setattr(reeves, names[0], spy_expandable)
-        m.setattr(reeves, names[1], spy_expand)
+        m.setattr(reeves, "_expandable", spy_expandable)
+        m.setattr(reeves, "_expand", spy_expand)
         for partition, n in runs:
             enumerate_strongly_stable(partition, n, ch)
     return seen
@@ -336,7 +333,7 @@ def assert_helpers_match_reference(I):
     gens = _expandable(I, (), CHAR0)
     assert gens == reference_expandable(I), str(I)
     for g in gens:
-        assert _expand(I, g) == reference_expand(I, g), (str(I), g)
+        assert _expand(I, g, CHAR0) == reference_expand(I, g), (str(I), g)
     # the walk's bound: only the generators above last are tested
     for last in I.gens:
         expected = [g for g in gens if g > last]
@@ -431,7 +428,7 @@ class TestAgainstReferenceHelpers:
         I = ideal(gens, num_vars)
         assert I.gens == tuple(gens)
         assert g in _expandable(I, (), CHAR0)
-        assert _expand(I, g).gens == tuple(expected)
+        assert _expand(I, g, CHAR0).gens == tuple(expected)
         assert_helpers_match_reference(I)
 
 
@@ -465,10 +462,9 @@ def assert_borel_moves_match_reference(I, ch):
     for last in ((),) + I.gens:
         expected = reference_borel_expandable(I, last, ch)
         assert _expandable(I, last, ch) == expected, (str(I), last, ch.value)
-    for g in I.gens:
-        if any(g):
-            J = _borel_expand(I, g)
-            assert J.gens == reference_borel_expand(I, g).gens, (str(I), g)
+    for g in reference_borel_expandable(I, (), ch):
+        J = _expand(I, g, ch)
+        assert J.gens == reference_borel_expand(I, g).gens, (str(I), g, ch.value)
 
 
 def assert_blockers_in_ideal_are_generators(I, ch):
@@ -520,9 +516,23 @@ def orbit_meets(v, targets, ch):
     return False
 
 
+def lemma_case(g, k, p):
+    """The case, "a" to "d", of the lemma at borel._expand that decides
+    whether g x_k survives the expansion at g, in base p."""
+    high = max(i for i, e in enumerate(g) if e)
+    top = max((i for i in range(high + 1) if g[i] % p), default=0)
+    if k < top:
+        return "a"
+    if k > high:
+        return "b"
+    if k == high and g[high] % p != p - 1:
+        return "c"
+    return "d"
+
+
 class TestBorelMoves:
-    # the walk's moves: borel._expandable in every characteristic and
-    # borel._borel_expand in characteristic p
+    # the walk's moves, borel._expandable and borel._expand, in every
+    # characteristic
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_equal_references_on_walk_visits(self, monkeypatch, p):
@@ -579,8 +589,7 @@ class TestBorelMoves:
         assert cases > 1000
 
     def test_char0_equals_expandable_and_expand_on_walk_visits(self, monkeypatch):
-        # in characteristic 0 the one move equals both references, and
-        # _borel_expand equals _expand at its generators
+        # in characteristic 0 each move equals both references
         runs = mini_grid() + [(GotzmannPartition((0,) * 14), 4)]
         seen = walk_visits(monkeypatch, runs)
         assert len(seen) > 300
@@ -591,13 +600,17 @@ class TestBorelMoves:
                 assert expected == [g for g in gens if g > last], (str(I), last)
                 assert _expandable(I, last, CHAR0) == expected, (str(I), last)
             for g in _expandable(I, (), CHAR0):
-                assert _borel_expand(I, g) == _expand(I, g), (str(I), g)
+                J = _expand(I, g, CHAR0)
+                assert J.gens == reference_expand(I, g).gens, (str(I), g)
+                assert J.gens == reference_borel_expand(I, g).gens, (str(I), g)
 
     @settings(max_examples=300, deadline=None)
     @given(saturated_p_borel())
     def test_expandable_exactly_when_expansion_is_borel_fixed(self, case):
         # the module docstring of reeves proves the equivalence, the
-        # numerator rule and the coordinate step in every characteristic
+        # numerator rule and the coordinate step in every characteristic;
+        # the expansion at a blocked g is the reference's, as _expand
+        # needs an expandable one
         I, ch = case
         assert is_borel_fixed(I, ch)
         n = I.num_vars - 1
@@ -607,7 +620,9 @@ class TestBorelMoves:
         for g in I.gens:
             if not any(g):
                 continue
-            J = _borel_expand(I, g)
+            J = reference_borel_expand(I, g)
+            if g in expandable:
+                assert _expand(I, g, ch) == J, (str(I), g)
             assert J.saturate() == J
             assert is_borel_fixed(J, ch) == (g in expandable), (str(I), g)
             N_J = J.hilbert_numerator()
@@ -617,14 +632,21 @@ class TestBorelMoves:
     def test_nonstandard_example(self):
         # <x0^2, x1^2> is 2-Borel, not strongly stable.  x0^2 is blocked
         # by x1^2, which exchanges to it in characteristic 2; x1^2 is
-        # expandable and gives <x0^2, x0*x1^2, x1^3>
+        # expandable and gives <x0^2, x0*x1^2, x1^3>: x0*x1^2 falls in
+        # case (d) of the lemma at borel._expand, and the scan keeps it
+        # where the char-0 rule would drop it
         p2 = Characteristic(2)
         I = ideal([(2, 0, 0), (0, 2, 0)], 3)
         assert _expandable(I, (), p2) == [(0, 2, 0)]
-        assert not is_borel_fixed(_borel_expand(I, (2, 0, 0)), p2)
-        assert _borel_expand(I, (0, 2, 0)) == ideal(
+        assert not is_borel_fixed(reference_borel_expand(I, (2, 0, 0)), p2)
+        assert lemma_case((0, 2, 0), 0, 2) == "d"
+        assert _expand(I, (0, 2, 0), p2) == ideal(
             [(2, 0, 0), (1, 2, 0), (0, 3, 0)], 3
         )
+        # in <x0, x1^2> the same case (d) drops x0*x1^2, a multiple of x0
+        I = ideal([(1, 0, 0), (0, 2, 0)], 3)
+        assert _expandable(I, (), p2) == [(1, 0, 0), (0, 2, 0)]
+        assert _expand(I, (0, 2, 0), p2) == ideal([(1, 0, 0), (0, 3, 0)], 3)
         # the digit test: in <x0^2, x0*x1, x1^2> at p = 2 the generator
         # x1^2 = x0^{-1} x1 * x0*x1 blocks x0*x1 in characteristic 0 only,
         # since adding 1 and 1 carries; expanding there gives <x0^2, x1^2>
@@ -632,13 +654,48 @@ class TestBorelMoves:
         assert _expandable(I, (), p2) == [(1, 1, 0), (0, 2, 0)]
         assert reference_borel_expandable(I, (), p2) == [(1, 1, 0), (0, 2, 0)]
         assert _expandable(I, (), CHAR0) == [(0, 2, 0)]
-        J = _borel_expand(I, (1, 1, 0))
+        J = _expand(I, (1, 1, 0), p2)
         assert J == ideal([(2, 0, 0), (0, 2, 0)], 3)
         assert is_borel_fixed(J, p2)
 
+    @pytest.mark.parametrize("p", [0, 2, 3, 5])
+    def test_lemma_cases_on_small_closures(self, p):
+        # the lemma at borel._expand on every expandable generator of the
+        # closures of one or two x_n-free monomials, with exponents at
+        # most 4 in 3 variables and at most 3 in 4: (a) drops g x_k,
+        # (b) and (c) keep it, and only case (d), absent in
+        # characteristic 0, needs the scan
+        ch = Characteristic(p)
+        ideals = set()
+        for num_vars, bound in ((3, 4), (4, 3)):
+            monomials = [
+                m + (0,)
+                for m in product(range(bound + 1), repeat=num_vars - 1)
+                if any(m)
+            ]
+            for pair in combinations_with_replacement(monomials, 2):
+                ideals.add(borel_closure(pair, ch, num_vars))
+        outcomes = Counter()
+        for I in ideals:
+            for g in reference_borel_expandable(I, (), ch):
+                J = reference_borel_expand(I, g)
+                assert _expand(I, g, ch).gens == J.gens, (str(I), g, p)
+                if ch.is_zero:
+                    assert reference_expand(I, g).gens == J.gens, (str(I), g)
+                kept = set(J.gens)
+                for k in range(I.num_vars - 1):
+                    m = g[:k] + (g[k] + 1,) + g[k + 1 :]
+                    outcomes[lemma_case(g, k, p or sum(g) + 2), m in kept] += 1
+        assert not outcomes["a", True], outcomes
+        assert not outcomes["b", False] and not outcomes["c", False], outcomes
+        cases = {case for case, _ in outcomes}
+        assert cases == ({"a", "b", "c"} if ch.is_zero else {"a", "b", "c", "d"})
+        if p in (2, 3):
+            assert outcomes["d", True] and outcomes["d", False], outcomes
+
 
 class TestTrustedConstruction:
-    # _expand, _borel_expand and lift() skip the generator checks of
+    # _expand and lift() skip the generator checks of
     # MonomialIdeal
 
     def test_walk_outputs(self):
@@ -646,28 +703,27 @@ class TestTrustedConstruction:
             for I in enumerate_strongly_stable(partition, n):
                 assert_same_as_validated(I.lift())
                 for g in expandable_generators(I):
-                    assert_same_as_validated(_expand(I, g))
+                    assert_same_as_validated(_expand(I, g, CHAR0))
 
     @settings(max_examples=100, deadline=None)
     @given(saturated_strongly_stable())
     def test_closures(self, I):
         assert_same_as_validated(I.lift())
         for g in expandable_generators(I):
-            assert_same_as_validated(_expand(I, g))
+            assert_same_as_validated(_expand(I, g, CHAR0))
 
     @settings(max_examples=100, deadline=None)
     @given(saturated_p_borel())
     def test_borel_expand_on_closures(self, case):
-        # _borel_expand drops only the new multiples another generator
+        # _expand drops only the new multiples another generator
         # divides; from_generators minimalizes from scratch
-        I, _ = case
-        for g in I.gens:
-            if any(g):
-                J = _borel_expand(I, g)
-                assert_same_as_validated(J)
-                new = [g[:i] + (g[i] + 1,) + g[i + 1 :] for i in range(I.num_vars - 1)]
-                rest = [h for h in I.gens if h != g]
-                assert J == MonomialIdeal.from_generators(rest + new, I.num_vars)
+        I, ch = case
+        for g in reference_borel_expandable(I, (), ch):
+            J = _expand(I, g, ch)
+            assert_same_as_validated(J)
+            new = [g[:i] + (g[i] + 1,) + g[i + 1 :] for i in range(I.num_vars - 1)]
+            rest = [h for h in I.gens if h != g]
+            assert J == MonomialIdeal.from_generators(rest + new, I.num_vars)
 
     def test_public_construction_still_checks(self):
         with pytest.raises(ValueError):
@@ -743,4 +799,4 @@ class TestPublicPreconditions:
                     name = getattr(target, "id", None) or getattr(target, "attr", None)
                     if name in ("lru_cache", "cache"):
                         cached.add(f"{path.stem}.{node.name}")
-        assert cached == {"monomial_ideal._numerator"}
+        assert cached == set()

@@ -18,7 +18,7 @@ from borelpoints import (
     lex_ideal,
 )
 from borelpoints import binomial_poly, borel, hilbert_poly, monomial_ideal, reeves
-from borelpoints.borel import _borel_expand, _expand
+from borelpoints.borel import _expand
 from borelpoints.classify import default_grid
 from borelpoints.reeves import (
     _descend,
@@ -315,7 +315,7 @@ class TestCarriedNumerators:
         N = I.hilbert_numerator()
         assert trim(I.lift().hilbert_numerator()) == trim(N)
         for g in expandable_generators(I):
-            N_g = _expand(I, g).hilbert_numerator()
+            N_g = _expand(I, g, CHAR0).hilbert_numerator()
             assert trim(N_g) == trim(
                 expanded_numerator(N, sum(g), one_minus_t_power(n))
             )
@@ -385,19 +385,17 @@ class TestCanonicalParent:
             cells = mini_grid() + [
                 (GotzmannPartition((0,) * k), 4) for k in range(1, points + 1)
             ]
-            # count the expansions in the characteristic's own move
-            name = "_expand" if ch.is_zero else "_borel_expand"
-            expand = getattr(reeves, name)
+            # count the expansions in the walk's one move
             built = []
 
-            def counting_expand(I, g):
-                built.append(expand(I, g))
+            def counting_expand(I, g, ch):
+                built.append(_expand(I, g, ch))
                 return built[-1]
 
             for partition, n in cells:
                 built.clear()
                 with monkeypatch.context() as m:
-                    m.setattr(reeves, name, counting_expand)
+                    m.setattr(reeves, "_expand", counting_expand)
                     levels = list(enumeration_levels(partition, n, ch))
                 visited = set()
                 with monkeypatch.context() as m:
@@ -453,7 +451,7 @@ class TestCanonicalParent:
         contractions = brute_contractions(I)
         assert contractions == listed_contractions(I)
         for g in expandable_generators(I):
-            J = _expand(I, g)
+            J = _expand(I, g, CHAR0)
             killed = {
                 c
                 for c in contractions
@@ -529,8 +527,8 @@ class TestCharacteristicP:
         buckets = []
         built = []
 
-        def counting_expand(I, g):
-            built.append(_borel_expand(I, g))
+        def counting_expand(I, g, ch):
+            built.append(_expand(I, g, ch))
             return built[-1]
 
         descend = reeves._descend
@@ -539,7 +537,7 @@ class TestCharacteristicP:
             "_descend",
             lambda b, *rest: descend(HeldBuckets(b, buckets), *rest),
         )
-        monkeypatch.setattr(reeves, "_borel_expand", counting_expand)
+        monkeypatch.setattr(reeves, "_expand", counting_expand)
         total = 0
         for partition, n in mini_grid():
             for p in (2, 3):

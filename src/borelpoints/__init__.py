@@ -45,7 +45,11 @@ from .borel import (
     is_strongly_stable,
 )
 from .lex import LexCounts, counts_for_partition, lex_ideal, lex_ideal_from_counts
-from .reeves import enumerate_strongly_stable, enumeration_levels
+from .reeves import (
+    count_strongly_stable,
+    enumerate_strongly_stable,
+    enumeration_levels,
+)
 from .exhaustive import enumerate_borel_fixed, search_levels
 from .classify import (
     ClassificationVerdict,

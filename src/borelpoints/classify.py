@@ -16,6 +16,11 @@ saturated ideal with Gotzmann number r is generated in degrees <= r
 (Gotzmann), so for a prime p > r every exponent of a minimal generator
 is below p, where digitwise_leq(k, l, p) is just k <= l, and being
 p-Borel is being strongly stable.  The tests check this on small cells.
+
+verify_classification and explore_tree read only the number of points,
+so they call reeves.count_strongly_stable, which counts the last level of
+the walk without making the expansions that end it.  count_borel_fixed returns the set
+too, for `classify --verify`, which lists the ideals.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from .errors import OutOfScopeError, SearchBoundError
 from .hilbert_poly import GotzmannPartition
 from .monomial_ideal import MonomialIdeal
 from .borel import CHAR0, Characteristic
-from .reeves import enumerate_strongly_stable
+from .reeves import count_strongly_stable, enumerate_strongly_stable
 from .exhaustive import DEFAULT_MAX_AMBIENT, DEFAULT_MAX_GOTZMANN
 
 # the primes default_grid adds wherever the exhaustive search runs unforced
@@ -172,7 +177,11 @@ def count_borel_fixed(coords: SchemeCoordinates) -> tuple[int, frozenset[Monomia
     characteristic: the saturated strongly stable ideals in characteristic
     0, the saturated p-Borel ones in characteristic p.  The walk has no
     size guard; the exhaustive search (exhaustive.enumerate_borel_fixed)
-    stays the independent engine it is checked against."""
+    stays the independent engine it is checked against.  Callers that
+    need only the count (verify_classification, explore_tree) call
+    reeves.count_strongly_stable instead, which counts the expansions
+    that end the last level without making them; this one is for callers
+    that read the ideals."""
     ideals = enumerate_strongly_stable(coords.partition, coords.n, coords.char)
     return len(ideals), ideals
 
@@ -244,7 +253,7 @@ def verify_classification(grid) -> VerificationReport:
     """
     report = VerificationReport()
     for coords in grid:
-        count, _ = count_borel_fixed(coords)
+        count = count_strongly_stable(coords.partition, coords.n, coords.char)
         unique = predicate_unique(coords)
         in_scope = coords.codim >= 2
         two = predicate_two(coords) if in_scope else False
@@ -293,7 +302,11 @@ def tree_children(
 
 def _annotate(coords: SchemeCoordinates, enumerate_counts: bool) -> tuple:
     verdict = predict(coords)
-    verified = count_borel_fixed(coords)[0] if enumerate_counts else None
+    verified = (
+        count_strongly_stable(coords.partition, coords.n, coords.char)
+        if enumerate_counts
+        else None
+    )
     return verdict.predicted_count, verdict.matched_clause, verified
 
 

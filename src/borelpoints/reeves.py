@@ -32,11 +32,8 @@ needs and what enumeration_levels yields; the walk keeps no other record
 of a level.
 
 The gap, or deficit, at level j is one subtraction.  Write
-p(t) = sum_{m <= d} tau_m C(t + m, m).  At t = -1 - i the binomial
-C(t + m, m) is 0 for i < m and (-1)^m C(i, m) otherwise, so binomial
-inversion gives tau_m = sum_{i <= m} (-1)^i C(m, i) p(-1 - i)
-(_polynomial_coordinates).  The backward difference takes C(t + m, m) to
-C(t + m - 1, m - 1) and C(t, 0) to 0, so
+p(t) = sum_{m <= d} tau_m C(t + m, m).  The backward difference takes
+C(t + m, m) to C(t + m - 1, m - 1) and C(t, 0) to 0, so
 q_j = sum_{m <= j} tau_{m+d-j} C(t + m, m), while an ideal of level j
 has the polynomial sum_{m <= j} h_{c+j-m} C(t + m, m).  An ideal lifted
 into level j ended level j - 1 with h_{c+k} = tau_{d-k} for k < j, and
@@ -46,13 +43,15 @@ buckets count the expansions apart from the coordinates, so the walk
 checks that every ideal of bucket 0 has h_{c+j} = tau_{d-j}, and raises
 ValueError otherwise.
 
-Within a level the ideals are expanded bucket by bucket (_descend).
-Bucket s lists the ideals still s expansions short of the target, each
-with its coordinates.  The lifted ideals go into the bucket of their
-deficit, and the buckets are emptied from the largest down to 1: every
-expansion of an ideal in bucket s goes into bucket s - 1, and bucket 0
-is the level's output.  An ideal's Hilbert polynomial fixes its
-deficit, so no ideal can land in two buckets.
+Within a level the ideals are expanded bucket by bucket.  Bucket s
+lists the ideals still s expansions short of the target, each with its
+coordinates.  The lifted ideals go into the bucket of their deficit,
+and the buckets are emptied from the largest down to 1: every expansion
+of an ideal in bucket s goes into bucket s - 1, and bucket 0 is the
+level's output.  _descend empties the buckets down to 2 and _complete
+empties bucket 1, so the last level can stop short of it (see Counting
+below).  An ideal's Hilbert polynomial fixes its deficit, so no ideal
+can land in two buckets.
 
 The walk runs in every characteristic: in characteristic p > 0 it
 enumerates the saturated Borel-fixed (p-Borel) ideals, in
@@ -134,6 +133,20 @@ visits once, drops each bucket once it is emptied, and never stores the
 set of ideals reachable from any one ideal, so its memory is bounded by
 the ideals of one level.
 
+Counting.  count_strongly_stable reads the size of the last level
+without making the expansions into its bucket 0.  Its ideals are the lifted ideals of deficit 0,
+whose R is empty, and one expansion of an entry of bucket 1 at each of
+the entry's expandable generators g > last, whose R holds g.  By the
+argument above, no two of these are the same ideal, none equals a
+lifted one, and every ideal of the level is one of them: an ideal with
+R(J) empty is lifted, and any other is built from its canonical parent,
+which is one expansion short and so in bucket 1.  So the count is
+|bucket 0| plus the sum over bucket 1 of |_expandable(I, last, ch)|.
+Only the coordinate h_{c+d} tells the count anything, as an expansion
+at level d changes no other: it adds C(a, 0) = 1 to it.  So the count
+checks h_{c+d} = tau_0 on bucket 0 and h_{c+d} = tau_0 - 1 on bucket 1,
+which is the check _complete makes on the expanded level.
+
 Preconditions are checked once, at the public boundary, and never inside
 the walk.  The public borel.expand and borel.expandable_generators check
 that their ideal is saturated and strongly stable; the walk calls their
@@ -176,46 +189,77 @@ def _expanded_coordinates(h: tuple[int, ...], j: int, a: int) -> tuple[int, ...]
 
 def _polynomial_coordinates(partition: GotzmannPartition) -> tuple[int, ...]:
     """The tau_m with p(t) = sum_{m <= d} tau_m C(t + m, m), for the
-    partition's polynomial p of degree d (see the module docstring)."""
-    values = [partition.evaluate(-1 - i) for i in range(partition.degree + 1)]
+    partition's polynomial p of degree d (see the module docstring).
+
+    With the backward difference D, D^k C(t + m, m) = C(t + m - k, m - k),
+    which at t = -1 is 1 for m = k and 0 for m > k, so tau_k = (D^k p)(-1).
+    The partition b_0 >= ... >= b_{r-1} gives p(t) = sum_j C(t + b_j - j, b_j),
+    and D^k takes C(t + b - j, b) to C(t + b - j - k, b - k), 0 for k > b,
+    which at t = -1 is C(b - k - j - 1, b - k) = (-1)^(b-k) C(j, b - k), a
+    binomial with a negative top unless it is 0.  So
+    tau_k = sum_{j : b_j >= k} (-1)^(b_j - k) C(j, b_j - k).
+    """
     return tuple(
-        sum((-1) ** i * comb(m, i) * values[i] for i in range(m + 1))
-        for m in range(len(values))
+        sum(
+            (-1) ** (b - k) * comb(j, b - k)
+            for j, b in enumerate(partition.parts)
+            if b >= k
+        )
+        for k in range(partition.degree + 1)
     )
 
 
-def _descend(buckets: dict[int, list], j: int, ch: Characteristic) -> dict:
-    """Empty the deficit buckets from the largest down; return bucket 0
-    as a dict from each of its ideals to its coordinates.
+def _expansions(bucket: list, j: int, ch: Characteristic) -> list:
+    """The (J, h_J, g) triple of every expansion J of every (ideal, h, last)
+    triple of bucket at an expandable generator g above last in tuple
+    order, h_J being J's coordinates, with h[j] = h_n for the level's ring
+    K[x_0, ..., x_n].  Expanding only above last builds every ideal of the
+    level exactly once, from its canonical parent J + (max R(J)) (see the
+    module docstring)."""
+    return [
+        (_expand(ideal, g, ch), _expanded_coordinates(h, j, sum(g)), g)
+        for ideal, h, last in bucket
+        for g in _expandable(ideal, last, ch)
+    ]
+
+
+def _descend(
+    buckets: dict[int, list], j: int, ch: Characteristic
+) -> tuple[list, list]:
+    """Empty the deficit buckets from the largest down to bucket 2, each
+    into the bucket below it; take out and return buckets 0 and 1.
 
     buckets[s] lists an (ideal, h, last) triple for each ideal that still
-    needs s expansions, where h holds its coordinates h_c, ..., h_{c+d},
-    h[j] being h_n for the level's ring K[x_0, ..., x_n], and last is the
-    generator at which the ideal was built, or () for a lifted or start
-    ideal.  An ideal is expanded only at its expandable generators above
-    last in tuple order, which builds every ideal of the level exactly
-    once, from its canonical parent J + (max R(J)) (see the module
-    docstring).
+    needs s expansions, where h holds its coordinates h_c, ..., h_{c+d} and
+    last is the generator at which the ideal was built, or () for a lifted
+    or start ideal.  _complete expands bucket 1 into bucket 0, and
+    count_strongly_stable counts what that would give.
     """
-    for s in range(max(buckets, default=0), 0, -1):
-        below = buckets.setdefault(s - 1, [])
-        for ideal, h, last in buckets.pop(s, ()):
-            for g in _expandable(ideal, last, ch):
-                h_g = _expanded_coordinates(h, j, sum(g))
-                below.append((_expand(ideal, g, ch), h_g, g))
-    return {ideal: h for ideal, h, _ in buckets.get(0, ())}
+    for s in range(max(buckets, default=0), 1, -1):
+        buckets.setdefault(s - 1, []).extend(_expansions(buckets.pop(s), j, ch))
+    return buckets.pop(0, []), buckets.pop(1, [])
 
 
-def enumeration_levels(
-    partition: GotzmannPartition, n: int, ch: Characteristic = CHAR0
-):
-    """Yield each level of the walk in characteristic ch, ending in
-    K[x_0, ..., x_n], as a dict from every ideal of the level to its
-    coordinates h_c, ..., h_{c+d} (see the module docstring).
+def _check(entries: list, j: int, target: int) -> None:
+    """Raise ValueError unless every (ideal, h, last) entry has h[j] = target."""
+    for ideal, h, _ in entries:
+        if h[j] != target:
+            raise ValueError(f"{ideal} misses its level-{j} target")
 
-    Level j holds the saturated Borel-fixed ideals whose Hilbert
-    polynomial is difference^(d-j)(partition), d = partition.degree.
-    """
+
+def _complete(zero: list, one: list, j: int, ch: Characteristic, target: int) -> dict:
+    """Expand bucket 1 into bucket 0 and return level j as a dict from each
+    of its ideals to its coordinates, each checked to have the level's
+    target coordinate h_{c+j} = target."""
+    zero += _expansions(one, j, ch)
+    _check(zero, j, target)
+    return {ideal: h for ideal, h, _ in zero}
+
+
+def _walk(partition: GotzmannPartition, n: int, ch: Characteristic):
+    """Yield every level of the walk but the last, as enumeration_levels
+    does; return the last level's buckets 0 and 1 and its target
+    coordinate tau_0, with every bucket above 1 emptied."""
     if n <= partition.degree:
         raise ValueError("ambient dimension must exceed the polynomial degree")
     d = partition.degree
@@ -234,11 +278,25 @@ def enumeration_levels(
             deficit = target - h[j]
             if deficit >= 0:
                 buckets.setdefault(deficit, []).append((ideal, h, ()))
-        level = _descend(buckets, j, ch)
-        for ideal, h in level.items():
-            if h[j] != target:
-                raise ValueError(f"{ideal} misses its level-{j} target")
+        zero, one = _descend(buckets, j, ch)
+        if j == d:
+            return zero, one, target
+        level = _complete(zero, one, j, ch, target)
         yield level
+
+
+def enumeration_levels(
+    partition: GotzmannPartition, n: int, ch: Characteristic = CHAR0
+):
+    """Yield each level of the walk in characteristic ch, ending in
+    K[x_0, ..., x_n], as a dict from every ideal of the level to its
+    coordinates h_c, ..., h_{c+d} (see the module docstring).
+
+    Level j holds the saturated Borel-fixed ideals whose Hilbert
+    polynomial is difference^(d-j)(partition), d = partition.degree.
+    """
+    zero, one, target = yield from _walk(partition, n, ch)
+    yield _complete(zero, one, partition.degree, ch, target)
 
 
 def enumerate_strongly_stable(
@@ -250,3 +308,22 @@ def enumerate_strongly_stable(
     for level in enumeration_levels(partition, n, ch):
         pass
     return frozenset(level)
+
+
+def count_strongly_stable(
+    partition: GotzmannPartition, n: int, ch: Characteristic = CHAR0
+) -> int:
+    """len(enumerate_strongly_stable(partition, n, ch)), without making
+    the expansions that end the last level: the lifted ideals already on
+    target, plus one ideal per expandable generator above last of each
+    entry one expansion short (see "Counting" in the module docstring)."""
+    walk = _walk(partition, n, ch)
+    try:
+        while True:
+            next(walk)
+    except StopIteration as done:
+        zero, one, target = done.value
+    j = partition.degree
+    _check(zero, j, target)
+    _check(one, j, target - 1)  # an expansion adds C(a, 0) = 1 to h_n
+    return len(zero) + sum(len(_expandable(I, last, ch)) for I, _, last in one)

@@ -350,6 +350,10 @@ def reference_descend(buckets, j, ch, built=None):
     distinct ideal the descent builds.  The library's reeves._descend
     builds each ideal once, from its canonical parent, and tests no
     membership.
+
+    Like reeves._descend it returns buckets 0 and 1 as lists of
+    (ideal, coordinates, last) triples, but it has emptied bucket 1 too,
+    so bucket 1 is empty, and every last is ().
     """
     if ch.is_zero:
         expandable, expand = partial(_expandable, ch=ch), reference_expand
@@ -377,7 +381,7 @@ def reference_descend(buckets, j, ch, built=None):
                     below[expanded] = num_g, h_g
                     if built is not None:
                         built.add(expanded)
-    return {I: h for I, (_, h) in dicts.get(0, {}).items()}
+    return [(I, h, ()) for I, (_, h) in dicts.get(0, {}).items()], []
 
 
 def brute_contractions(J):

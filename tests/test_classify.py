@@ -21,6 +21,7 @@ from borelpoints import (
     unique_point_clause,
     verify_classification,
 )
+from borelpoints import classify
 from borelpoints.classify import MAX_TREE_DEPTH
 
 from conftest import all_partitions
@@ -167,6 +168,22 @@ class TestVerification:
             by_char[cell["char"]] = by_char.get(cell["char"], 0) + 1
         assert by_char == {0: 418, 2: 25, 3: 25}
 
+    def test_report_equals_one_from_enumerated_sets(self, monkeypatch):
+        # verify_classification counts the expansions that end the walk
+        # without making them; the report must be the one count_borel_fixed's
+        # sets give
+        grid = default_grid()
+        counted = verify_classification(grid).to_json_dict()
+        enumerated = []
+
+        def set_size(partition, n, ch):
+            enumerated.append(count_borel_fixed(SchemeCoordinates(partition, n, ch))[0])
+            return enumerated[-1]
+
+        monkeypatch.setattr(classify, "count_strongly_stable", set_size)
+        assert counted == verify_classification(grid).to_json_dict()
+        assert len(enumerated) == len(grid)
+
     def test_unique_predicate_at_codim_one(self):
         # the unique-point criterion also covers codimension 1, where the
         # two-point classification is out of scope
@@ -246,6 +263,24 @@ class TestTree:
         for node in collect(tree):
             if node.predicted_count in (1, 2, 3):
                 assert node.verified_count == node.predicted_count
+
+    @pytest.mark.parametrize("ch", [CHAR0, P2])
+    def test_enumerated_counts_equal_set_sizes(self, ch):
+        tree = explore_tree(2, 3, enumerate_counts=True, char=ch)
+
+        def collect(node):
+            yield node
+            for child in node.children:
+                yield from collect(child)
+
+        nodes = list(collect(tree))
+        assert len(nodes) == 15
+        for node in nodes:
+            assert node.coords.char == ch
+            assert node.verified_count == count_borel_fixed(node.coords)[0], (
+                node.coords.partition.parts,
+                node.coords.n,
+            )
 
 
 class TestPredict:

@@ -8,6 +8,7 @@ from borelpoints import (
     Characteristic,
     GotzmannPartition,
     MonomialIdeal,
+    count_strongly_stable,
     enumerate_borel_fixed,
     enumerate_strongly_stable,
     enumeration_levels,
@@ -21,6 +22,7 @@ from borelpoints import binomial_poly, borel, hilbert_poly, monomial_ideal, reev
 from borelpoints.borel import _expand
 from borelpoints.classify import default_grid
 from borelpoints.reeves import (
+    _complete,
     _descend,
     _expanded_coordinates,
     _polynomial_coordinates,
@@ -117,7 +119,7 @@ class TestChainDedup:
             assert not brute_contractions(I)  # so it enters with last ()
             for steps in (1, 2, 3):
                 h = numerator_coordinates(I.hilbert_numerator(), num_vars - 1, 1)
-                found = _descend({steps: [(I, h, ())]}, 0, CHAR0)
+                found = descend_level_zero(I, h, steps, CHAR0)
                 assert found.keys() == self.chains_reversed(I, steps)
 
 
@@ -176,9 +178,18 @@ def check_coordinates(levels, c):
         assert h == numerator_coordinates(N, c, len(h)), str(I)
 
 
+def descend_level_zero(I, h, steps, ch):
+    """Level 0 from the single entry (I, h, ()) that is steps expansions
+    short of it, h = (h_c,): the descent's bucket 0 once bucket 1 is
+    expanded into it, as a dict from ideal to coordinates."""
+    zero, one = _descend({steps: [(I, h, ())]}, 0, ch)
+    return _complete(zero, one, 0, ch, h[0] + steps)
+
+
 def emptied_buckets(monkeypatch):
     """A list that collects the (ideal, coordinates, last) triples of every
-    bucket reeves._descend empties from then on."""
+    bucket reeves._descend takes out from then on: every bucket above 1 as
+    it empties it, and buckets 1 and 0 as it returns them."""
     emptied = []
 
     class Buckets(dict):
@@ -196,8 +207,9 @@ def emptied_buckets(monkeypatch):
 
 class HeldBuckets(dict):
     """Deficit buckets that add each bucket reeves._descend takes out,
-    bucket 0 included, to the list held; every bucket is complete by
-    then."""
+    buckets 1 and 0 included, to the list held.  reeves._complete then
+    expands bucket 1 into that same bucket-0 list, so every bucket held
+    is complete once the level is."""
 
     def __init__(self, buckets, held):
         super().__init__(buckets)
@@ -205,10 +217,6 @@ class HeldBuckets(dict):
 
     def pop(self, *args):
         self.held.append(super().pop(*args))
-        return self.held[-1]
-
-    def get(self, *args):
-        self.held.append(super().get(*args))
         return self.held[-1]
 
 
@@ -219,7 +227,7 @@ def descend_from_start(k, ch):
     start = MonomialIdeal.from_generators(
         [tuple(int(i == j) for i in range(5)) for j in range(4)], 5
     )
-    return [_descend({steps: [(start, (1,), ())]}, 0, ch) for steps in range(k)]
+    return [descend_level_zero(start, (1,), steps, ch) for steps in range(k)]
 
 
 class TestCarriedNumerators:
@@ -611,3 +619,91 @@ class TestCharacteristicP:
             assert enumerate_strongly_stable(
                 partition, n, Characteristic(p)
             ) == enumerate_strongly_stable(partition, n), (partition.parts, n, p)
+
+
+class TestCount:
+    # count_strongly_stable runs the walk but stops the last level at
+    # bucket 1, and counts the expandable generators above last there
+
+    def test_equals_enumeration_on_mini_grid(self):
+        for p in (0, 2, 3, 5):
+            ch = Characteristic(p)
+            for partition, n in mini_grid():
+                found = enumerate_strongly_stable(partition, n, ch)
+                assert count_strongly_stable(partition, n, ch) == len(found), (
+                    partition.parts,
+                    n,
+                    p,
+                )
+
+    def test_equals_enumeration_on_default_grid(self):
+        cells = default_grid()
+        assert len(cells) == 468
+        for c in cells:
+            found = enumerate_strongly_stable(c.partition, c.n, c.char)
+            count = count_strongly_stable(c.partition, c.n, c.char)
+            assert count == len(found), (c.partition.parts, c.n, c.char.value)
+
+    @pytest.mark.parametrize("p", [0, 2, 3])
+    def test_equals_enumeration_on_points_in_p4(self, p):
+        ch = Characteristic(p)
+        for k in range(1, 21):
+            partition = GotzmannPartition((0,) * k)
+            found = enumerate_strongly_stable(partition, 4, ch)
+            assert count_strongly_stable(partition, 4, ch) == len(found), k
+
+    def test_counts_lifted_and_expanded_ideals(self):
+        # the last level of this cell holds lifted ideals already on
+        # target besides those built from bucket 1, so dropping either
+        # term changes the count
+        partition, n = GotzmannPartition((1, 1, 1, 0)), 3
+        levels = list(enumeration_levels(partition, n))
+        lifted = {I.lift() for I in levels[0]}
+        assert lifted & levels[1].keys()
+        assert levels[1].keys() - lifted
+        assert count_strongly_stable(partition, n) == len(levels[1]) == 3
+
+    def test_ambient_dimension_must_exceed_degree(self):
+        for n in (0, 1):
+            with pytest.raises(ValueError, match="must exceed"):
+                count_strongly_stable(GotzmannPartition((1, 1, 0)), n)
+
+    def test_non_constant_deficit_raises(self, monkeypatch):
+        # the wrong coordinate step of TestCarriedNumerators, on a single
+        # level that starts three expansions short: the entries built into
+        # bucket 1 miss tau_0 - 1
+        partition, n = GotzmannPartition((0, 0, 0, 0)), 2
+        assert _polynomial_coordinates(partition)[0] - 1 == 3
+
+        def wrong(h, j, a):
+            out = _expanded_coordinates(h, j, a)
+            return out[:j] + (out[j] + 1,) + out[j + 1 :]
+
+        monkeypatch.setattr(reeves, "_expanded_coordinates", wrong)
+        with pytest.raises(ValueError, match="misses its level-0 target"):
+            count_strongly_stable(partition, n)
+
+    def test_makes_no_expansion_into_the_last_level(self, monkeypatch):
+        # the count makes every expansion the enumeration makes except
+        # those into the last level's bucket 0, the ones it counts
+        built = []
+
+        def recording_expand(I, g, ch):
+            built.append(_expand(I, g, ch))
+            return built[-1]
+
+        monkeypatch.setattr(reeves, "_expand", recording_expand)
+        cells = mini_grid() + [(GotzmannPartition((0,) * 12), 4)]
+        saved = 0
+        for p in (0, 2):
+            ch = Characteristic(p)
+            for partition, n in cells:
+                built.clear()
+                found = enumerate_strongly_stable(partition, n, ch)
+                walked = set(built)
+                built.clear()
+                assert count_strongly_stable(partition, n, ch) == len(found)
+                assert not found & set(built), (partition.parts, n, p)
+                assert set(built) == walked - found, (partition.parts, n, p)
+                saved += len(walked & found)
+        assert saved

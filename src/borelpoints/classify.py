@@ -37,9 +37,10 @@ from .exhaustive import DEFAULT_MAX_AMBIENT, DEFAULT_MAX_GOTZMANN
 # the primes default_grid adds wherever the exhaustive search runs unforced
 ORACLE_CHARS = (2, 3)
 
-# explore_tree's depth ceiling, whatever max_depth says: a tree of depth D
-# has 2^(D+1) - 1 nodes, and memory grows about 3.3x per two levels (62 MB
-# and 0.65 s at D = 12 on a 2-vCPU VM, so gigabytes at D = 20)
+# explore_tree's depth cap: a tree of depth D has 2^(D+1) - 1 nodes, and
+# memory grows about 3.3x per two levels.  On a 2-vCPU VM, depth 12 takes
+# 0.55 s and 62 MB, 3.6 s with enumerated counts, and 6.7 s at codimension
+# 4 in characteristic 2 with counts; depth 20 would take gigabytes.
 MAX_TREE_DEPTH = 12
 
 
@@ -248,30 +249,29 @@ def verify_classification(grid) -> VerificationReport:
     """Replay the predicates against enumeration on every grid cell.
 
     For each cell checks (count == 1) iff predicate_unique, (count == 2)
-    iff predicate_two, and three-point family implies count == 3.
-    Discrepancies are collected, not raised.
+    iff predicate_two (codimension >= 2), and three-point family implies
+    count == 3.  The three predicates never hold together, so predict,
+    which tries them in that order, names the one that holds, and each
+    is evaluated once.  Discrepancies are collected, not raised.
     """
     report = VerificationReport()
     for coords in grid:
         count = count_strongly_stable(coords.partition, coords.n, coords.char)
-        unique = predicate_unique(coords)
-        in_scope = coords.codim >= 2
-        two = predicate_two(coords) if in_scope else False
-        three = in_three_point_family(coords) if in_scope else False
-        problems = []
-        if (count == 1) != unique:
-            problems.append("unique-point predicate mismatch")
-        if in_scope and (count == 2) != two:
-            problems.append("two-point predicate mismatch")
-        if three and count != 3:
-            problems.append("three-point family count mismatch")
         verdict = predict(coords)
+        predicted = verdict.predicted_count
+        problems = []
+        if (count == 1) != (predicted == 1):
+            problems.append("unique-point predicate mismatch")
+        if coords.codim >= 2 and (count == 2) != (predicted == 2):
+            problems.append("two-point predicate mismatch")
+        if predicted == 3 and count != 3:
+            problems.append("three-point family count mismatch")
         cell = {
             "partition": list(coords.partition.parts),
             "n": coords.n,
             "char": coords.char.value,
             "clause": verdict.matched_clause,
-            "predicted": verdict.predicted_count,
+            "predicted": predicted,
             "verified": count,
         }
         report.cells.append(cell)
@@ -314,19 +314,16 @@ def explore_tree(
     codim: int,
     depth: int,
     enumerate_counts: bool = False,
-    max_depth: int = 8,
     char: Characteristic = CHAR0,
 ) -> TreeNode:
     """Depth-bounded subtree of the scheme tree rooted at projective space
     of the given codimension, annotated with predicted (and optionally
-    enumerated) Borel-fixed point counts.  A depth above max_depth, or
-    above MAX_TREE_DEPTH whatever max_depth says, raises
-    SearchBoundError, the feasibility guard."""
+    enumerated) Borel-fixed point counts.  A depth above MAX_TREE_DEPTH
+    raises SearchBoundError, the feasibility guard."""
     if codim < 1:
         raise ValueError("codimension must be positive")
-    cap = min(max_depth, MAX_TREE_DEPTH)
-    if depth > cap:
-        raise SearchBoundError(f"depth {depth} exceeds the cap {cap}")
+    if depth > MAX_TREE_DEPTH:
+        raise SearchBoundError(f"depth {depth} exceeds the cap {MAX_TREE_DEPTH}")
 
     def build(coords: SchemeCoordinates, remaining: int) -> TreeNode:
         predicted, clause, verified = _annotate(coords, enumerate_counts)

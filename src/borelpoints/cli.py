@@ -37,6 +37,14 @@ from . import classify as _classify
 # `lex --partition 0` takes 0.46 s at --n 200 and 88 s at --n 2000.
 MAX_NUM_VARS = 200
 
+# check-ideal also refuses generators whose degrees sum above this before
+# any work.  An ideal with finite-dimensional quotient has no Gotzmann
+# number to bound it, and one large exponent costs time and memory linear
+# in it: unguarded, `check-ideal --gens x0,x1,x2^D --num-vars 3` took
+# 0.2 / 0.8 / 7.0 s and 18 / 39 / 245 MB for D = 10^5 / 10^6 / 10^7 on a
+# 2-vCPU VM.  The 200 generators x_i^500, at the bound, take 2-3 s.
+MAX_DEGREE_SUM = 10**5
+
 
 class _UsageError(Exception):
     pass
@@ -73,6 +81,15 @@ def _check_num_vars(num_vars: int) -> None:
     if num_vars > MAX_NUM_VARS:
         raise SearchBoundError(
             f"size bound exceeded: {num_vars} variables, above {MAX_NUM_VARS}"
+        )
+
+
+def _check_degree_sum(gens) -> None:
+    total = sum(sum(g) for g in gens)
+    if total > MAX_DEGREE_SUM:
+        raise SearchBoundError(
+            f"size bound exceeded: generator degrees sum to {total}, "
+            f"above {MAX_DEGREE_SUM}"
         )
 
 
@@ -214,6 +231,7 @@ def _parse_ideal_args(args) -> MonomialIdeal:
                 '--ideal-json must be {"num_vars": N, "generators": [[...], ...]}'
             )
         _check_num_vars(data["num_vars"])
+        _check_degree_sum(data["generators"])
         return MonomialIdeal.from_json_dict(data)
     if args.gens is None or args.num_vars is None:
         raise _UsageError("provide --gens with --num-vars, or --ideal-json")
@@ -227,6 +245,7 @@ def _parse_ideal_args(args) -> MonomialIdeal:
                 raise _UsageError(
                     f"--gens: malformed monomial {tok.strip()!r} ({exc})"
                 )
+    _check_degree_sum(gens)
     return MonomialIdeal.from_generators(gens, args.num_vars)
 
 
@@ -445,7 +464,6 @@ def cmd_tree(args) -> int:
         args.codim,
         args.depth,
         enumerate_counts=args.enumerate,
-        max_depth=args.max_depth,
         char=args.char,
     )
     return _emit(args, _tree_payload(node), _tree_lines(node))
@@ -538,12 +556,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tree", help="the binary tree of Hilbert schemes")
     common(p, partition=False, char=True)
     p.add_argument("--codim", type=int, required=True)
-    p.add_argument("--depth", type=int, required=True)
     p.add_argument(
-        "--max-depth",
+        "--depth",
         type=int,
-        default=8,
-        help=f"depth cap, at most {_classify.MAX_TREE_DEPTH}",
+        required=True,
+        help=f"tree depth, at most {_classify.MAX_TREE_DEPTH}",
     )
     p.add_argument(
         "--enumerate",

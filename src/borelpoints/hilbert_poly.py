@@ -12,6 +12,11 @@ with e_0 >= e_1 >= ... >= e_d > 0, where d = b_1 is the degree and
 r = e_0 is the Gotzmann number.  Everything here manipulates the integer
 partitions (b_1, ..., b_r) and (e_0, ..., e_d) directly, so all arithmetic
 is exact; no rational coefficients ever appear.
+
+peel_to_partition is the one way from values to a partition: it peels
+the Macaulay parts e_d, ..., e_0 off the values of p on any window of
+d + 2 or more consecutive integers, and refuses a part above
+MAX_GOTZMANN_NUMBER before it builds anything from it.
 """
 
 from __future__ import annotations
@@ -200,59 +205,26 @@ def _window_degree(row: list[int]) -> int:
     return k - 1
 
 
-def peel_to_partition(
-    samples: SampledPolynomial, max_parts: int | None = None
-) -> GotzmannPartition:
-    """Recover the partition of an admissible polynomial from its values.
+def peel_to_partition(samples: SampledPolynomial) -> GotzmannPartition:
+    """The partition of the admissible polynomial p sampled in the window.
 
-    Greedy peel: the degree of the running remainder gives the next part,
-    and the corresponding term is subtracted pointwise.  The remainder of
-    an admissible polynomial hits zero after exactly r steps.  Inadmissible
-    samples are detected by a non-monotone part, a negative remainder at
-    the window top, or the iteration cap (default: the value at the window
-    top plus degree + 2, which bounds r for any admissible input).
+    The Macaulay parts are peeled from the top, as a polynomial identity,
+    so any window works that has at least two more values than the
+    degree of p: none needs to lie past any regularity.  If p has degree
+    d, its d-th finite difference is the constant e_d, and subtracting
+    C(t + d, d + 1) - C(t + d - e_d, d + 1) at every t of the window
+    leaves a polynomial of lower degree whose top difference is e_{d-1},
+    and so on down to e_0.  Raises NotAdmissibleError for the zero
+    polynomial, for a window too short to fix the degree, and when the
+    parts are not those of an admissible polynomial.  The first part
+    above MAX_GOTZMANN_NUMBER raises SearchBoundError before anything is
+    built from it, since e_0 is at least that part.
     """
-    values = list(samples.values)
-    width = len(values)
-    d0 = _window_degree(list(values))
-    if d0 < 0:
-        raise NotAdmissibleError("zero polynomial has no partition")
-    cap = max_parts if max_parts is not None else values[-1] + d0 + 2
-    parts: list[int] = []
-    q = values
-    while any(q):
-        if len(parts) >= cap:
-            raise NotAdmissibleError("peel exceeded the iteration cap")
-        d = _window_degree(list(q))
-        if parts and d > parts[-1]:
-            raise NotAdmissibleError("peeled parts are not weakly decreasing")
-        j = len(parts) + 1
-        for idx in range(width):
-            t = samples.base + idx
-            q[idx] -= binomial_poly(t, d - j + 1, d)
-        if q[-1] < 0:
-            raise NotAdmissibleError("peel went negative at the window top")
-        parts.append(d)
-    return GotzmannPartition(tuple(parts))
-
-
-def partition_from_values(values) -> GotzmannPartition:
-    """Partition of the polynomial p whose values p(0), p(1), ... are given.
-
-    The values must be exact polynomial values, at least two more of them
-    than the degree of p; unlike peel_to_partition this needs no window
-    past any regularity.  The Macaulay parts are peeled from the top: if
-    p has degree d, its d-th finite difference is the constant e_d, and
-    subtracting C(t + d, d + 1) - C(t + d - e_d, d + 1) leaves a
-    polynomial of lower degree whose top difference is e_{d-1}, and so on
-    down to e_0.  Raises NotAdmissibleError for the zero polynomial, or
-    when the parts are not those of an admissible polynomial.  The first
-    part above MAX_GOTZMANN_NUMBER raises SearchBoundError, since e_0 >= it.
-    """
-    rem = list(values)
+    rem = list(samples.values)
     d = _window_degree(rem)
     if d < 0:
         raise NotAdmissibleError("zero polynomial has no partition")
+    ts = range(samples.base, samples.base + len(rem))
     e = [0] * (d + 1)
     for i in range(d, -1, -1):
         row = rem
@@ -260,6 +232,6 @@ def partition_from_values(values) -> GotzmannPartition:
             row = [row[k + 1] - row[k] for k in range(len(row) - 1)]
         e[i] = row[0]
         _check_gotzmann_number(e[i])
-        for t in range(len(rem)):
-            rem[t] -= binomial_poly(t, i, i + 1) - binomial_poly(t, i - e[i], i + 1)
+        for k, t in enumerate(ts):
+            rem[k] -= binomial_poly(t, i, i + 1) - binomial_poly(t, i - e[i], i + 1)
     return MacaulayPartition(tuple(e)).to_gotzmann()

@@ -18,9 +18,10 @@ from dataclasses import dataclass
 
 from .hilbert_poly import (
     GotzmannPartition,
+    SampledPolynomial,
     binomial,
     binomial_poly,
-    partition_from_values,
+    peel_to_partition,
 )
 
 Monomial = tuple[int, ...]
@@ -303,7 +304,6 @@ class HilbertData:
     (the zero polynomial has no partition).
     """
 
-    ideal: MonomialIdeal
     polynomial: GotzmannPartition | None
     stabilization_degree: int
 
@@ -324,7 +324,7 @@ def hilbert_polynomial(ideal: MonomialIdeal) -> HilbertData:
     (-1)^n c_top.  The stabilization degree is therefore
     max(deg N - n, 0), with no window to sample or verify.  The
     partition is read off the exact values HP(0), ..., HP(n+1) by
-    partition_from_values; an all-zero HP (the unit ideal, or any ideal
+    peel_to_partition; an all-zero HP (the unit ideal, or any ideal
     with finite-dimensional quotient) is reported with polynomial None.
     """
     n = ideal.num_vars - 1
@@ -332,5 +332,5 @@ def hilbert_polynomial(ideal: MonomialIdeal) -> HilbertData:
     deg = max((j for j, c in enumerate(num) if c), default=-1)
     stab = max(deg - n, 0)
     values = hilbert_polynomial_values(num, ideal.num_vars, range(n + 2))
-    part = partition_from_values(values) if any(values) else None
-    return HilbertData(ideal, part, stab)
+    part = peel_to_partition(SampledPolynomial(0, values)) if any(values) else None
+    return HilbertData(part, stab)

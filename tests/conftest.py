@@ -19,12 +19,11 @@ from borelpoints import (
     GotzmannPartition,
     MonomialIdeal,
     NotAdmissibleError,
-    SampledPolynomial,
     binomial,
+    binomial_poly,
     borel_closure,
     expand,
     monomials_of_degree,
-    peel_to_partition,
 )
 from borelpoints.borel import (
     _expandable,
@@ -197,16 +196,59 @@ def trim(coefficients):
     return coefficients
 
 
+def top_difference(values):
+    """(d, D) for the polynomial through the values: its degree d, by
+    finite differences, and its constant d-th difference D; (-1, 0) for
+    all zeros.  A nonzero row of one value means the window is too short
+    to certify the degree."""
+    row, d, top = list(values), -1, 0
+    while any(row):
+        if len(row) == 1:
+            raise NotAdmissibleError("window too short to determine a polynomial")
+        d, top = d + 1, row[0]
+        row = [b - a for a, b in zip(row, row[1:])]
+    return d, top
+
+
+def reference_peel(base, values):
+    """The greedy Gotzmann peel of the values p(base), p(base + 1), ...:
+    the partition of p, as a cross-check of the library's Macaulay peel
+    hilbert_poly.peel_to_partition.
+
+    The degree d of the running remainder is the next part b_j, and
+    C(t + d - j + 1, d) is subtracted at every t of the window.  For an
+    admissible p the top difference of the remainder counts the parts
+    still to come that equal d, and each subtraction lowers it by one, so
+    the peel ends after r steps on any window of deg p + 2 or more
+    values.  A top difference that is not positive means p is not
+    admissible.
+    """
+    q = list(values)
+    d, top = top_difference(q)
+    if d < 0:
+        raise NotAdmissibleError("zero polynomial has no partition")
+    parts = []
+    while d >= 0:
+        if top <= 0:
+            raise NotAdmissibleError("the remainder's top difference is not positive")
+        j = len(parts) + 1
+        for k in range(len(q)):
+            q[k] -= binomial_poly(base + k, d - j + 1, d)
+        parts.append(d)
+        d, top = top_difference(q)
+    return GotzmannPartition(tuple(parts))
+
+
 def reference_hilbert_polynomial(ideal):
     """The Hilbert polynomial by sampling, as a cross-check of the exact
     engine: (polynomial, stabilization_degree), or None when the window
     never stabilizes.
 
     Samples the Hilbert function on a window based at
-    D = maxgendeg + num_vars, peels the partition, then verifies
-    agreement at three further degrees.  On verification failure the
-    window base is doubled, up to three times.  An all-zero window yields
-    the zero polynomial, reported as None.
+    D = maxgendeg + num_vars, peels the partition with reference_peel,
+    then verifies agreement at three further degrees.  On verification
+    failure the window base is doubled, up to three times.  An all-zero
+    window yields the zero polynomial, reported as None.
     """
     n = ideal.num_vars - 1
     base0 = max(ideal.max_generator_degree + ideal.num_vars, 1)
@@ -219,7 +261,7 @@ def reference_hilbert_polynomial(ideal):
             part = None
         else:
             try:
-                part = peel_to_partition(SampledPolynomial(base, tuple(window)))
+                part = reference_peel(base, window)
             except NotAdmissibleError:
                 continue
         expected = (lambda d: 0) if part is None else part.evaluate

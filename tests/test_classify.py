@@ -95,10 +95,20 @@ class TestThreePointFamily:
 
 class TestPredicateConsistency:
     def test_exclusive_on_grid(self):
+        # at most one predicate holds, and predict names it:
+        # verify_classification reads predict alone
         for parts in all_partitions(6, 3):
             for c in (2, 3):
-                cell = coords(parts, c + parts[0])
-                assert not (predicate_unique(cell) and predicate_two(cell))
+                for ch in (CHAR0, P2):
+                    cell = coords(parts, c + parts[0], ch)
+                    held = [
+                        predicate_unique(cell),
+                        predicate_two(cell),
+                        in_three_point_family(cell),
+                    ]
+                    assert sum(held) <= 1, (parts, c, ch)
+                    predicted = predict(cell).predicted_count
+                    assert [predicted == k for k in (1, 2, 3)] == held, (parts, c, ch)
 
     def test_characteristic_only_matters_for_the_plane_quadruple(self):
         for parts in all_partitions(6, 3):
@@ -167,6 +177,34 @@ class TestVerification:
         for cell in report.cells:
             by_char[cell["char"]] = by_char.get(cell["char"], 0) + 1
         assert by_char == {0: 418, 2: 25, 3: 25}
+
+    def test_problems_are_those_of_the_three_predicates(self, monkeypatch):
+        # every count from 0 to 4 on every cell, codimension 1 included,
+        # against the predicates evaluated one by one
+        grid = [
+            coords(parts, c + parts[0], ch)
+            for parts in all_partitions(5, 2)
+            for c in (1, 2, 3)
+            for ch in (CHAR0, P2)
+        ]
+        for count in range(5):
+            monkeypatch.setattr(classify, "count_strongly_stable", lambda *a: count)
+            report = verify_classification(grid)
+            found = {
+                (tuple(d["partition"]), d["n"], d["char"]): d["problems"]
+                for d in report.discrepancies
+            }
+            for cell in grid:
+                in_scope = cell.codim >= 2
+                problems = []
+                if (count == 1) != predicate_unique(cell):
+                    problems.append("unique-point predicate mismatch")
+                if in_scope and (count == 2) != predicate_two(cell):
+                    problems.append("two-point predicate mismatch")
+                if in_scope and in_three_point_family(cell) and count != 3:
+                    problems.append("three-point family count mismatch")
+                key = (cell.partition.parts, cell.n, cell.char.value)
+                assert found.get(key, []) == problems, (key, count)
 
     def test_report_equals_one_from_enumerated_sets(self, monkeypatch):
         # verify_classification counts the expansions that end the walk
@@ -241,16 +279,17 @@ class TestTree:
         for node in collect(tree):
             assert node.coords.codim == 3
 
-    def test_depth_cap(self):
-        with pytest.raises(SearchBoundError):
-            explore_tree(2, 9, max_depth=8)
-
-    def test_depth_ceiling_holds_whatever_max_depth_says(self):
+    def test_depth_ceiling(self, monkeypatch):
         assert MAX_TREE_DEPTH == 12
         for depth in (MAX_TREE_DEPTH + 1, 20, 10**9):
             with pytest.raises(SearchBoundError, match="cap 12"):
-                explore_tree(2, depth, max_depth=depth)
-        assert explore_tree(2, 9, max_depth=9).children
+                explore_tree(2, depth)
+        assert explore_tree(2, 9).children
+        # the cap is inclusive, and read when the tree is asked for
+        monkeypatch.setattr(classify, "MAX_TREE_DEPTH", 2)
+        assert explore_tree(2, 2).children
+        with pytest.raises(SearchBoundError, match="depth 3 exceeds the cap 2"):
+            explore_tree(2, 3)
 
     def test_enumerated_counts(self):
         tree = explore_tree(2, 2, enumerate_counts=True)

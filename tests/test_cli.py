@@ -171,6 +171,12 @@ class TestSizeGuard:
                 ["check-ideal", "--gens", "x0^3,x1^3,x2^3", "--num-vars", "32"],
                 "Gotzmann number above 100000",
             ),
+            # finite-dimensional quotient, so no Gotzmann number to trip:
+            # unguarded, this took 10 s and 244 MB
+            (
+                ["check-ideal", "--gens", "x0,x1,x2^10000000", "--num-vars", "3"],
+                "generator degrees sum to 10000002, above 100000",
+            ),
         ],
         ids=[
             "check-ideal-num-vars",
@@ -179,6 +185,7 @@ class TestSizeGuard:
             "lex-counts",
             "hp",
             "check-ideal-gotzmann",
+            "check-ideal-degree",
         ],
     )
     def test_guard_trips_before_any_work(self, argv, error):
@@ -223,6 +230,20 @@ class TestSizeGuard:
         assert run(capsys, "check-ideal", "--ideal-json", ideal_json % 3)[0] == 0
         code, _, err = run(capsys, "check-ideal", "--ideal-json", ideal_json % 4)
         assert code == 3 and "4 variables, above 3" in err
+
+    def test_degree_sum_bound_is_inclusive(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_DEGREE_SUM", 4)
+        argv = "check-ideal", "--num-vars", "3", "--gens"
+        assert run(capsys, *argv, "x0*x1,x2^2")[0] == 0
+        code, _, err = run(capsys, *argv, "x0*x1,x2^3")
+        assert code == 3 and "degrees sum to 5, above 4" in err
+        # the degrees of the generators as given, before minimalization
+        code, _, err = run(capsys, *argv, "x0,x0*x1^4")
+        assert code == 3 and "degrees sum to 6, above 4" in err
+        ideal_json = '{"num_vars": 3, "generators": [[1, 1, 0], [0, 0, %d]]}'
+        assert run(capsys, "check-ideal", "--ideal-json", ideal_json % 2)[0] == 0
+        code, _, err = run(capsys, "check-ideal", "--ideal-json", ideal_json % 3)
+        assert code == 3 and "degrees sum to 5, above 4" in err
 
     def test_evaluation_range_bound_is_inclusive(self, capsys, monkeypatch):
         # the bound is MAX_GOTZMANN_NUMBER + 3, the most points the default
@@ -445,36 +466,32 @@ class TestOtherCommands:
             oracle = enumerate_borel_fixed(partition, node["n"], p2, force=True)
             assert node["verified"] == len(oracle), node
 
-    def test_tree_depth_cap(self, capsys):
-        code, _, err = run(capsys, "tree", "--codim", "2", "--depth", "9")
-        assert code == 3
-        assert "cap" in err
-
     def test_tree_depth_ceiling(self):
-        # --max-depth cannot lift the cap past the ceiling: depth 20 would
-        # build 2^21 nodes.  The child's address space is capped at 512 MiB,
-        # so a broken ceiling fails here instead of exhausting memory
+        # depth 20 would build 2^21 nodes.  The child's address space is
+        # capped at 512 MiB, so a broken ceiling fails here instead of
+        # exhausting memory
         def limit_memory():
             resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))
 
-        argv = ["tree", "--codim", "2", "--depth", "20", "--max-depth", "20"]
-        start = time.perf_counter()
-        proc = subprocess.run(
-            [sys.executable, "-m", "borelpoints", *argv, "--json"],
-            capture_output=True,
-            env=checkout_env(),
-            timeout=120,
-            preexec_fn=limit_memory,
-        )
-        assert time.perf_counter() - start < 30
-        err = proc.stderr.decode()
-        assert proc.returncode == 3, err
-        assert proc.stdout == b""
-        assert "Traceback" not in err, err
-        assert json.loads(err) == {
-            "error": "depth 20 exceeds the cap 12",
-            "exit_code": 3,
-        }
+        for depth in ("13", "20", "1000000000"):
+            argv = ["tree", "--codim", "2", "--depth", depth]
+            start = time.perf_counter()
+            proc = subprocess.run(
+                [sys.executable, "-m", "borelpoints", *argv, "--json"],
+                capture_output=True,
+                env=checkout_env(),
+                timeout=120,
+                preexec_fn=limit_memory,
+            )
+            assert time.perf_counter() - start < 30
+            err = proc.stderr.decode()
+            assert proc.returncode == 3, err
+            assert proc.stdout == b""
+            assert "Traceback" not in err, err
+            assert json.loads(err) == {
+                "error": f"depth {depth} exceeds the cap 12",
+                "exit_code": 3,
+            }
 
 
 class TestDeterminism:

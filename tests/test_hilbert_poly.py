@@ -13,9 +13,9 @@ from borelpoints import (
     peel_to_partition,
 )
 
-from borelpoints.hilbert_poly import MAX_GOTZMANN_NUMBER, partition_from_values
+from borelpoints.hilbert_poly import MAX_GOTZMANN_NUMBER
 
-from conftest import all_partitions, constant_difference
+from conftest import all_partitions, constant_difference, reference_peel
 
 
 def sample(partition, base, width):
@@ -219,10 +219,44 @@ class TestPeel:
         with pytest.raises(NotAdmissibleError):
             peel_to_partition(s)
 
-    def test_iteration_cap(self):
-        s = SampledPolynomial(5, (10, 10, 10))
-        with pytest.raises(NotAdmissibleError):
-            peel_to_partition(s, max_parts=3)
+    def test_equals_reference_peel_on_any_window(self):
+        # windows from t = 0 on, below the Gotzmann number too, where p
+        # can be negative
+        for parts in all_partitions(8, 4):
+            b = GotzmannPartition(parts)
+            for base in range(b.gotzmann_number + 2):
+                for width in (b.degree + 2, b.degree + 3):
+                    s = sample(b, base, width)
+                    assert peel_to_partition(s) == b, (parts, base, width)
+                    assert reference_peel(s.base, s.values) == b, (parts, base, width)
+
+    def test_reference_peel_rejects_what_the_peel_rejects(self):
+        for base, values in [
+            (5, (5, 6, 7, 8)),
+            (4, tuple(t * t for t in range(4, 9))),
+            (0, (1, 2, 4, 8, 16)),
+            (3, (0, 0, 0)),
+            (5, (7, 9)),
+            (0, (-1, -1)),
+        ]:
+            with pytest.raises(NotAdmissibleError):
+                peel_to_partition(SampledPolynomial(base, values))
+            with pytest.raises(NotAdmissibleError):
+                reference_peel(base, values)
+
+    def test_size_guard_before_any_part_is_built(self):
+        # e_0 is the constant itself; its partition would have that many
+        # parts, so the peel refuses it as it reads it
+        for r in (MAX_GOTZMANN_NUMBER + 1, 10**100):
+            with pytest.raises(SearchBoundError):
+                peel_to_partition(SampledPolynomial(0, (r, r)))
+        # a top part above the bound is refused before the lower ones
+        e = MacaulayPartition((10**100, 10**50))
+        s = SampledPolynomial(7, tuple(e.evaluate(t) for t in range(7, 11)))
+        with pytest.raises(SearchBoundError):
+            peel_to_partition(s)
+        r = MAX_GOTZMANN_NUMBER
+        assert peel_to_partition(SampledPolynomial(0, (r, r))).gotzmann_number == r
 
     def test_window_degree(self):
         assert SampledPolynomial(0, (7, 7, 7)).degree() == 0
@@ -237,24 +271,30 @@ class TestPeel:
 
 
 class TestPartitionFromValues:
+    """The values p(0), p(1), ... that hilbert_polynomial peels."""
+
+    @staticmethod
+    def peel(values):
+        return peel_to_partition(SampledPolynomial(0, values))
+
     def test_round_trip_on_grid(self):
         # values from t = 0 on, well below the Gotzmann number
         for parts in all_partitions(8, 4):
             b = GotzmannPartition(parts)
             values = [b.evaluate(t) for t in range(b.degree + 2)]
-            assert partition_from_values(values) == b, parts
+            assert self.peel(values) == b, parts
 
     def test_twisted_cubic(self):
-        assert partition_from_values([1, 4, 7]).parts == (1, 1, 1, 0)
+        assert self.peel([1, 4, 7]).parts == (1, 1, 1, 0)
 
     def test_rejects_inadmissible(self):
         for values in ([0, 1, 2], [0, 1, 4, 9], [-1, -1], [0, 0, 0]):
             with pytest.raises(NotAdmissibleError):
-                partition_from_values(values)
+                self.peel(values)
 
     def test_window_too_short(self):
         with pytest.raises(NotAdmissibleError):
-            partition_from_values([1, 4])
+            self.peel([1, 4])
 
 
 class TestConstantDifference:

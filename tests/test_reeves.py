@@ -301,6 +301,7 @@ class TestCarriedNumerators:
         monkeypatch.setattr(monomial_ideal, "_numerator", forbidden)
         monkeypatch.setattr(monomial_ideal, "hilbert_polynomial", forbidden)
         monkeypatch.setattr(hilbert_poly, "peel_to_partition", forbidden)
+        monkeypatch.setattr(monomial_ideal, "peel_to_partition", forbidden)
         for partition, n in mini_grid():
             assert enumerate_strongly_stable(partition, n)
 

@@ -19,7 +19,6 @@ from .errors import (
 from .hilbert_poly import (
     GotzmannPartition,
     MacaulayPartition,
-    SampledPolynomial,
     binomial,
     binomial_poly,
     peel_to_partition,

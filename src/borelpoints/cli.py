@@ -20,6 +20,8 @@ from .errors import NotAdmissibleError, OutOfScopeError, SearchBoundError
 from .hilbert_poly import MAX_GOTZMANN_NUMBER, GotzmannPartition, MacaulayPartition
 from .monomial_ideal import (
     MonomialIdeal,
+    canonical_key,
+    divides,
     format_ideal,
     format_monomial,
     parse_monomial,
@@ -31,10 +33,11 @@ from .exhaustive import enumerate_borel_fixed
 from . import classify as _classify
 
 
-# check-ideal and lex refuse more variables than this before any work.
-# On a 2-vCPU VM `check-ideal --gens x0` takes 0.85 s in 200 variables and
-# about 68 s in 800 (hilbert_polynomial is about cubic in the degree), and
-# `lex --partition 0` takes 0.46 s at --n 200 and 88 s at --n 2000.
+# check-ideal, lex and the walk's entry points refuse more variables than
+# this before any work.  On a 2-vCPU VM `check-ideal --gens x0` takes 0.09 /
+# 0.49 s in 800 / 2000 variables (the peel is quadratic in the degree), so
+# the Gotzmann-number guard and the numerator bound it; `lex --partition 0`
+# takes 0.23 / 3.7 s at --n 199 / 799, minimalizing its generators.
 MAX_NUM_VARS = 200
 
 # check-ideal also refuses generators whose degrees sum above this before
@@ -44,6 +47,12 @@ MAX_NUM_VARS = 200
 # 0.2 / 0.8 / 7.0 s and 18 / 39 / 245 MB for D = 10^5 / 10^6 / 10^7 on a
 # 2-vCPU VM.  The 200 generators x_i^500, at the bound, take 2-3 s.
 MAX_DEGREE_SUM = 10**5
+
+# check-ideal stops its saturation test past this many steps, one per
+# exponent compared (see _is_saturated).  On a 2-vCPU VM random ideals of
+# 100-300 generators in 10-20 variables reach it in 0.8-3.0 s; the
+# square-free quadrics x_i x_j pass in 30 variables (1.6 s), not in 34.
+MAX_SATURATION_WORK = 10**8
 
 
 class _UsageError(Exception):
@@ -91,6 +100,43 @@ def _check_degree_sum(gens) -> None:
             f"size bound exceeded: generator degrees sum to {total}, "
             f"above {MAX_DEGREE_SUM}"
         )
+
+
+def _is_saturated(ideal: MonomialIdeal) -> bool:
+    """Whether I is its saturation, the intersection of the I : x_i^inf,
+    each I with x_i set to 1 and so I itself if x_i divides no generator.
+    It is folded with lcm pairs, minimalized after each step; an lcm or a
+    divisibility test costs one step per variable."""
+    gens, n, work = ideal.gens, ideal.num_vars, 0
+
+    def spend(steps: int) -> None:
+        nonlocal work
+        work += steps * n
+        if work > MAX_SATURATION_WORK:
+            raise SearchBoundError(f"size bound exceeded: saturation test above {MAX_SATURATION_WORK} steps")
+
+    def minimal(monomials) -> list:
+        kept = []
+        for m in sorted(set(monomials), key=canonical_key):
+            spend(1 + len(kept))
+            if not any(divides(k, m) for k in kept):
+                kept.append(m)
+        return kept
+
+    colons = []
+    for i in range(n):
+        if not any(g[i] for g in gens):
+            return True
+        colons.append(minimal(g[:i] + (0,) + g[i + 1 :] for g in gens))
+    # the fold so far is I + (rest), rest its minimal generators outside I:
+    # as the fold holds I, those are the ones that are not generators of I
+    own = set(gens)
+    rest = [m for m in colons[0] if m not in own]
+    for colon in colons[1:]:
+        spend(len(rest) * len(colon))
+        lcms = [tuple(map(max, f, g)) for f in rest for g in colon]
+        rest = [m for m in minimal(list(gens) + lcms) if m not in own]
+    return not rest
 
 
 def _partition(args) -> GotzmannPartition:
@@ -306,6 +352,7 @@ def cmd_lex(args) -> int:
 def cmd_check_ideal(args) -> int:
     ideal = _parse_ideal_args(args)
     ch = args.char
+    saturated = _is_saturated(ideal)
     data = ideal.hilbert_polynomial()
     ss = is_strongly_stable(ideal)
     bf = is_borel_fixed(ideal, ch)
@@ -315,7 +362,7 @@ def cmd_check_ideal(args) -> int:
         "strongly_stable": ss,
         "borel_fixed": bf,
         "nonstandard": bf and not ss,
-        "saturated": ideal.saturate() == ideal,
+        "saturated": saturated,
         "hilbert_polynomial": None
         if data.polynomial is None
         else list(data.polynomial.parts),
@@ -325,7 +372,7 @@ def cmd_check_ideal(args) -> int:
         f"ideal             {ideal}",
         f"strongly stable   {ss}",
         f"borel fixed (p={ch}) {bf}",
-        f"saturated         {payload['saturated']}",
+        f"saturated         {saturated}",
         f"hilbert poly      "
         + ("0" if data.polynomial is None else str(data.polynomial)),
     ]
@@ -334,6 +381,7 @@ def cmd_check_ideal(args) -> int:
 
 def cmd_reeves(args) -> int:
     partition = _partition(args)
+    _check_num_vars(args.n + 1)
     ideals = _sorted_ideals(enumerate_strongly_stable(partition, args.n))
     rows = _ideal_rows(ideals)
     payload = {
@@ -379,6 +427,7 @@ def cmd_classify(args) -> int:
     verified = None
     ideals = None
     if args.verify:
+        _check_num_vars(args.n + 1)
         verified, ideal_set = _classify.count_borel_fixed(coords)
         ideals = _sorted_ideals(ideal_set)
     payload = {
@@ -426,6 +475,7 @@ def cmd_verify(args) -> int:
             )
             for cell in spec
         ]
+    _check_num_vars(max((cell.n for cell in grid), default=0) + 1)
     report = _classify.verify_classification(grid)
     payload = report.to_json_dict()
     lines = [f"checked {len(report.cells)} cells"]
@@ -460,6 +510,8 @@ def _tree_lines(node: _classify.TreeNode, indent: int = 0):
 def cmd_tree(args) -> int:
     if args.depth < 0:
         raise _UsageError("--depth must be nonnegative")
+    if args.enumerate:
+        _check_num_vars(args.codim + args.depth + 1)
     node = _classify.explore_tree(
         args.codim,
         args.depth,

@@ -13,10 +13,10 @@ r = e_0 is the Gotzmann number.  Everything here manipulates the integer
 partitions (b_1, ..., b_r) and (e_0, ..., e_d) directly, so all arithmetic
 is exact; no rational coefficients ever appear.
 
-peel_to_partition is the one way from values to a partition: it peels
-the Macaulay parts e_d, ..., e_0 off the values of p on any window of
-d + 2 or more consecutive integers, and refuses a part above
-MAX_GOTZMANN_NUMBER before it builds anything from it.
+Between partitions and ideals p travels as its coordinates tau,
+p(t) = sum_{m <= d} tau_m C(t + m, m): GotzmannPartition.coordinates
+computes them, and peel_to_partition, the one way back, peels the
+Macaulay parts off them, refusing one above MAX_GOTZMANN_NUMBER first.
 """
 
 from __future__ import annotations
@@ -95,6 +95,27 @@ class GotzmannPartition:
             binomial_poly(t, b - j, b) for j, b in enumerate(self.parts)
         )
 
+    def coordinates(self) -> tuple[int, ...]:
+        """The tau_m with p(t) = sum_{m <= d} tau_m C(t + m, m), for the
+        polynomial p of degree d; peel_to_partition inverts this.
+
+        With the backward difference D, D^k C(t + m, m) = C(t + m - k, m - k),
+        which at t = -1 is 1 for m = k and 0 for m > k, so tau_k = (D^k p)(-1).
+        The partition b_0 >= ... >= b_{r-1} gives p(t) = sum_j C(t + b_j - j, b_j),
+        and D^k takes C(t + b - j, b) to C(t + b - j - k, b - k), 0 for k > b,
+        which at t = -1 is C(b - k - j - 1, b - k) = (-1)^(b-k) C(j, b - k), a
+        binomial with a negative top unless it is 0.  So
+        tau_k = sum_{j : b_j >= k} (-1)^(b_j - k) C(j, b_j - k).
+        """
+        return tuple(
+            sum(
+                (-1) ** (b - k) * comb(j, b - k)
+                for j, b in enumerate(self.parts)
+                if b >= k
+            )
+            for k in range(self.degree + 1)
+        )
+
     def to_macaulay(self) -> "MacaulayPartition":
         """Conjugate-side representation (e_0, ..., e_d) with e_0 = r."""
         d = self.degree
@@ -171,67 +192,30 @@ class MacaulayPartition:
         return "(" + ", ".join(str(e) for e in self.parts) + ")"
 
 
-@dataclass(frozen=True)
-class SampledPolynomial:
-    """Integer polynomial values p(base), p(base+1), ..., on a finite window.
-
-    The window must be wide enough that the finite-difference order is at
-    most width - 2; the slack row certifies the samples really do come from
-    a polynomial of that degree.
+def peel_to_partition(tau) -> GotzmannPartition:
+    """The partition of p(t) = sum_m tau_m C(t + m, m), tau perhaps with
+    trailing zeros.  The Macaulay parts are peeled from the top: e_d =
+    tau_d for p of degree d, and subtracting the term
+    C(t + d, d + 1) - C(t + d - e_d, d + 1) leaves top coordinate e_{d-1}.
+    By Pascal's rule C(t + i, i + 1) - C(t + i - e, i + 1) is the sum of
+    the C(t + i - k, i), k = 1..e, each the sum over j <= i of
+    (-1)^j C(k, j) C(t + i - j, i - j), so the term holds e in coordinate
+    i and (-1)^j C(e + 1, j + 1) in coordinate i - j, j >= 1.  Raises
+    NotAdmissibleError for the zero polynomial and at the first part
+    that is not positive or breaks the weak decrease, and SearchBoundError
+    at the first part above MAX_GOTZMANN_NUMBER (e_0 is at least that
+    part), each before anything is built from the part.
     """
-
-    base: int
-    values: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(int(v) for v in self.values))
-        if not self.values:
-            raise NotAdmissibleError("empty sample window")
-
-    def degree(self) -> int:
-        """Degree determined by finite differences; -1 for the zero samples."""
-        return _window_degree(list(self.values))
-
-
-def _window_degree(row: list[int]) -> int:
-    k = 0
-    while any(row):
-        if len(row) == 1:
-            raise NotAdmissibleError(
-                "window too short to determine a polynomial"
-            )
-        row = [row[i + 1] - row[i] for i in range(len(row) - 1)]
-        k += 1
-    return k - 1
-
-
-def peel_to_partition(samples: SampledPolynomial) -> GotzmannPartition:
-    """The partition of the admissible polynomial p sampled in the window.
-
-    The Macaulay parts are peeled from the top, as a polynomial identity,
-    so any window works that has at least two more values than the
-    degree of p: none needs to lie past any regularity.  If p has degree
-    d, its d-th finite difference is the constant e_d, and subtracting
-    C(t + d, d + 1) - C(t + d - e_d, d + 1) at every t of the window
-    leaves a polynomial of lower degree whose top difference is e_{d-1},
-    and so on down to e_0.  Raises NotAdmissibleError for the zero
-    polynomial, for a window too short to fix the degree, and when the
-    parts are not those of an admissible polynomial.  The first part
-    above MAX_GOTZMANN_NUMBER raises SearchBoundError before anything is
-    built from it, since e_0 is at least that part.
-    """
-    rem = list(samples.values)
-    d = _window_degree(rem)
+    rem = list(tau)
+    d = max((m for m, x in enumerate(rem) if x), default=-1)
     if d < 0:
         raise NotAdmissibleError("zero polynomial has no partition")
-    ts = range(samples.base, samples.base + len(rem))
     e = [0] * (d + 1)
     for i in range(d, -1, -1):
-        row = rem
-        for _ in range(i):
-            row = [row[k + 1] - row[k] for k in range(len(row) - 1)]
-        e[i] = row[0]
+        e[i] = rem[i]
         _check_gotzmann_number(e[i])
-        for k, t in enumerate(ts):
-            rem[k] -= binomial_poly(t, i, i + 1) - binomial_poly(t, i - e[i], i + 1)
+        if e[i] <= 0 or (i < d and e[i] < e[i + 1]):
+            raise NotAdmissibleError("Macaulay parts must be positive and weakly decreasing")
+        for j in range(1, i + 1):
+            rem[i - j] -= (-1) ** j * comb(e[i] + 1, j + 1)
     return MacaulayPartition(tuple(e)).to_gotzmann()

@@ -15,14 +15,9 @@ generator lcms) live in the tests, which check that all three agree.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
-from .hilbert_poly import (
-    GotzmannPartition,
-    SampledPolynomial,
-    binomial,
-    binomial_poly,
-    peel_to_partition,
-)
+from .hilbert_poly import GotzmannPartition, binomial, peel_to_partition
 
 Monomial = tuple[int, ...]
 
@@ -280,20 +275,6 @@ def _function_value(numerator, num_vars: int, d: int) -> int:
     return sum(c * binomial(d - j + n, n) for j, c in enumerate(numerator) if c)
 
 
-def hilbert_polynomial_values(numerator, num_vars: int, ts) -> list[int]:
-    """HP(t) for each t in ts, for the quotient whose Hilbert series is
-    numerator(t) / (1 - t)^num_vars.
-
-    HP(t) = sum_j c_j C(t - j + n, n) with each binomial read as a
-    polynomial in t (binomial_poly), so the values are exact at every t,
-    also below the degree where HF and HP meet.  Trailing zero
-    coefficients change nothing.
-    """
-    n = num_vars - 1
-    terms = [(n - j, c) for j, c in enumerate(numerator) if c]
-    return [sum(c * binomial_poly(t, a, n) for a, c in terms) for t in ts]
-
-
 @dataclass(frozen=True)
 class HilbertData:
     """The Hilbert polynomial of S/I and the degree from which the Hilbert
@@ -322,15 +303,17 @@ def hilbert_polynomial(ideal: MonomialIdeal) -> HilbertData:
     only where d - j + n < 0, so HF(d) = HP(d) for all d >= deg N - n,
     while at d = deg N - n - 1 exactly the top term differs, by
     (-1)^n c_top.  The stabilization degree is therefore
-    max(deg N - n, 0), with no window to sample or verify.  The
-    partition is read off the exact values HP(0), ..., HP(n+1) by
-    peel_to_partition; an all-zero HP (the unit ideal, or any ideal
-    with finite-dimensional quotient) is reported with polynomial None.
+    max(deg N - n, 0).  The partition is peeled by peel_to_partition off
+    the coordinates tau_m = h_{n-m} of HP in the basis C(t + m, m), the
+    form of GotzmannPartition.coordinates, where
+    h_i = (-1)^i sum_j c_j C(j, i) (see the reeves docstring).  An
+    all-zero HP (the unit ideal, or any ideal with finite-dimensional
+    quotient) has polynomial None.
     """
     n = ideal.num_vars - 1
     num = ideal.hilbert_numerator()
     deg = max((j for j, c in enumerate(num) if c), default=-1)
     stab = max(deg - n, 0)
-    values = hilbert_polynomial_values(num, ideal.num_vars, range(n + 2))
-    part = peel_to_partition(SampledPolynomial(0, values)) if any(values) else None
+    h = [(-1) ** i * sum(c * comb(j, i) for j, c in enumerate(num)) for i in range(n + 1)]
+    part = peel_to_partition(h[::-1]) if any(h) else None
     return HilbertData(part, stab)

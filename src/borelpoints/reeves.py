@@ -32,7 +32,9 @@ needs and what enumeration_levels yields; the walk keeps no other record
 of a level.
 
 The gap, or deficit, at level j is one subtraction.  Write
-p(t) = sum_{m <= d} tau_m C(t + m, m).  The backward difference takes
+p(t) = sum_{m <= d} tau_m C(t + m, m) (GotzmannPartition.coordinates,
+which hilbert_poly.peel_to_partition inverts; hilbert_polynomial reads
+tau_m = h_{n-m} off a numerator).  The backward difference takes
 C(t + m, m) to C(t + m - 1, m - 1) and C(t, 0) to 0, so
 q_j = sum_{m <= j} tau_{m+d-j} C(t + m, m), while an ideal of level j
 has the polynomial sum_{m <= j} h_{c+j-m} C(t + m, m).  An ideal lifted
@@ -187,28 +189,6 @@ def _expanded_coordinates(h: tuple[int, ...], j: int, a: int) -> tuple[int, ...]
     return h[:j] + tuple(x + (-1) ** i * comb(a, i) for i, x in enumerate(h[j:]))
 
 
-def _polynomial_coordinates(partition: GotzmannPartition) -> tuple[int, ...]:
-    """The tau_m with p(t) = sum_{m <= d} tau_m C(t + m, m), for the
-    partition's polynomial p of degree d (see the module docstring).
-
-    With the backward difference D, D^k C(t + m, m) = C(t + m - k, m - k),
-    which at t = -1 is 1 for m = k and 0 for m > k, so tau_k = (D^k p)(-1).
-    The partition b_0 >= ... >= b_{r-1} gives p(t) = sum_j C(t + b_j - j, b_j),
-    and D^k takes C(t + b - j, b) to C(t + b - j - k, b - k), 0 for k > b,
-    which at t = -1 is C(b - k - j - 1, b - k) = (-1)^(b-k) C(j, b - k), a
-    binomial with a negative top unless it is 0.  So
-    tau_k = sum_{j : b_j >= k} (-1)^(b_j - k) C(j, b_j - k).
-    """
-    return tuple(
-        sum(
-            (-1) ** (b - k) * comb(j, b - k)
-            for j, b in enumerate(partition.parts)
-            if b >= k
-        )
-        for k in range(partition.degree + 1)
-    )
-
-
 def _expansions(bucket: list, j: int, ch: Characteristic) -> list:
     """The (J, h_J, g) triple of every expansion J of every (ideal, h, last)
     triple of bucket at an expandable generator g above last in tuple
@@ -264,7 +244,7 @@ def _walk(partition: GotzmannPartition, n: int, ch: Characteristic):
         raise ValueError("ambient dimension must exceed the polynomial degree")
     d = partition.degree
     c = n - d
-    tau = _polynomial_coordinates(partition)
+    tau = partition.coordinates()
     start = MonomialIdeal._trusted(
         c + 1, tuple(tuple(int(i == k) for i in range(c + 1)) for k in range(c))
     )

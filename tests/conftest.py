@@ -7,7 +7,7 @@ implementation that cannot share their bugs.
 
 from bisect import insort
 from functools import lru_cache, partial
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 from math import comb
 
 import pytest
@@ -118,6 +118,25 @@ def ideal_zoo():
         ideal([(0, 0, 2)], 3),
         ideal([(1, 2, 0), (0, 0, 4)], 3),
     ]
+
+
+def reference_is_saturated(ideal):
+    """Whether I equals I : m^infinity, m the irrelevant ideal, by brute
+    force: I is not saturated exactly when some monomial f outside I has
+    f x_i^N in I for every i.  Capping each exponent of f at the largest
+    exponent M_j of x_j in a generator, with N = max M_j, changes neither
+    test, so the box 0 <= f_j <= M_j holds a witness if there is one."""
+    caps = [max((g[j] for g in ideal.gens), default=0) for j in range(ideal.num_vars)]
+    N = max(caps, default=0)
+    for f in product(*(range(c + 1) for c in caps)):
+        if ideal.contains(f):
+            continue
+        if all(
+            ideal.contains(f[:i] + (f[i] + N,) + f[i + 1 :])
+            for i in range(ideal.num_vars)
+        ):
+            return False
+    return True
 
 
 def all_partitions(max_length, max_part):

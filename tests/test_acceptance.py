@@ -14,6 +14,7 @@ from borelpoints import (
     Characteristic,
     GotzmannPartition,
     SchemeCoordinates,
+    binomial_poly,
     enumerate_borel_fixed,
     enumerate_strongly_stable,
     expand,
@@ -24,7 +25,6 @@ from borelpoints import (
     peel_to_partition,
     predicate_two,
     predicate_unique,
-    SampledPolynomial,
 )
 
 from conftest import all_partitions, constant_difference, from_macaulay
@@ -185,12 +185,14 @@ def test_criterion_5_property_suites(sweep):
     # partition calculus round trips and conjugacy on the large grid
     for parts in all_partitions(8, 4):
         b = GotzmannPartition(parts)
-        base, width = b.gotzmann_number, b.degree + 3
-        window = SampledPolynomial(
-            base, tuple(b.evaluate(t) for t in range(base, base + width))
-        )
-        if peel_to_partition(window) != b:
+        tau = b.coordinates()
+        if peel_to_partition(tau) != b:
             failures.append(("peel", parts))
+        base, width = b.gotzmann_number, b.degree + 3
+        for t in range(base, base + width):
+            value = sum(x * binomial_poly(t, m, m) for m, x in enumerate(tau))
+            if value != b.evaluate(t):
+                failures.append(("coordinates", parts, t))
         e = b.to_macaulay()
         if from_macaulay(e) != b or e.parts[0] != b.gotzmann_number:
             failures.append(("conjugacy", parts))

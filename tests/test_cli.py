@@ -17,10 +17,10 @@ from borelpoints import (
     enumerate_borel_fixed,
     enumerate_strongly_stable,
 )
-from borelpoints import cli
-from borelpoints.cli import _dumps, _ideal_rows, _sorted_ideals, main
+from borelpoints import classify, cli, is_borel_fixed, monomials_of_degree
+from borelpoints.cli import _dumps, _ideal_rows, _is_saturated, _sorted_ideals, main
 
-from conftest import mini_grid
+from conftest import ideal, mini_grid, reference_is_saturated
 
 
 def run(capsys, *argv):
@@ -124,9 +124,9 @@ class TestMalformedInput:
 
 class TestSizeGuard:
     """A Gotzmann number too large to build a partition for, more
-    variables than check-ideal and lex take, or more hp evaluation points
-    than the default range can have trips the size guard (exit 3) before
-    anything is allocated."""
+    variables than check-ideal, lex and the walk's entry points take, or
+    more hp evaluation points than the default range can have trips the
+    size guard (exit 3) before anything is allocated."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -177,6 +177,23 @@ class TestSizeGuard:
                 ["check-ideal", "--gens", "x0,x1,x2^10000000", "--num-vars", "3"],
                 "generator degrees sum to 10000002, above 100000",
             ),
+            # unguarded, a MemoryError traceback after 27 s under 1.5 GB
+            (["reeves", "--partition", "0", "--n", "20000"], "20001 variables, above 200"),
+            # unguarded, still testing stability after 30 s
+            (
+                ["classify", "--partition", "0", "--n", "800", "--verify"],
+                "801 variables, above 200",
+            ),
+            # every cell is checked before the first one runs
+            (
+                ["verify", "--grid", '[{"partition": [0], "n": 2}, {"partition": [0], "n": 800}]'],
+                "801 variables, above 200",
+            ),
+            # the deepest nodes lie in projective space of dimension codim + depth
+            (
+                ["tree", "--codim", "800", "--depth", "2", "--enumerate"],
+                "803 variables, above 200",
+            ),
         ],
         ids=[
             "check-ideal-num-vars",
@@ -186,6 +203,10 @@ class TestSizeGuard:
             "hp",
             "check-ideal-gotzmann",
             "check-ideal-degree",
+            "reeves",
+            "classify-verify",
+            "verify-grid",
+            "tree-enumerate",
         ],
     )
     def test_guard_trips_before_any_work(self, argv, error):
@@ -219,16 +240,33 @@ class TestSizeGuard:
             (["check-ideal", "--gens", "x0", "--num-vars"], "3", "4"),
             (["lex", "--partition", "0", "--n"], "2", "3"),
             (["lex", "--counts"], "1,1", "1,1,1"),
+            (["reeves", "--partition", "0", "--n"], "2", "3"),
+            (["classify", "--partition", "0", "--verify", "--n"], "2", "3"),
+            (["verify", "--grid"], '[{"partition": [0], "n": 2}]', '[{"partition": [0], "n": 3}]'),
+            (["tree", "--codim", "2", "--enumerate", "--depth"], "0", "1"),
         ]
         for argv, at, above in cases:
             assert run(capsys, *argv, at)[0] == 0, argv
             code, _, err = run(capsys, *argv, above)
             assert code == 3 and "4 variables, above 3" in err, argv
+        # without enumerating, classify and tree build no ideal
+        assert run(capsys, "classify", "--partition", "0", "--n", "3")[0] == 0
+        assert run(capsys, "tree", "--codim", "2", "--depth", "1")[0] == 0
         # above the bound the ideal is not built, so its malformed
         # generator is not reported
         ideal_json = '{"num_vars": %d, "generators": [[1, 0, 0]]}'
         assert run(capsys, "check-ideal", "--ideal-json", ideal_json % 3)[0] == 0
         code, _, err = run(capsys, "check-ideal", "--ideal-json", ideal_json % 4)
+        assert code == 3 and "4 variables, above 3" in err
+
+    def test_grid_checked_before_any_cell_runs(self, capsys, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(cli, "MAX_NUM_VARS", 3)
+        monkeypatch.setattr(classify, "verify_classification", forbidden)
+        grid = '[{"partition": [0], "n": 2}, {"partition": [0], "n": 3}]'
+        code, _, err = run(capsys, "verify", "--grid", grid)
         assert code == 3 and "4 variables, above 3" in err
 
     def test_degree_sum_bound_is_inclusive(self, capsys, monkeypatch):
@@ -254,6 +292,70 @@ class TestSizeGuard:
         assert code == 3 and "9 evaluation points, above 8" in err
         argv = "hp", "--partition", "0", "--eval-from", "-3", "--eval-to", "4"
         assert run(capsys, *argv)[0] == 0
+
+
+class TestSaturated:
+    """check-ideal reports whether I equals its saturation by the
+    irrelevant ideal, the intersection of the I : x_i^infinity."""
+
+    def test_examples(self):
+        # (x0 x3, x1 x3) = (x3) and (x0, x1) intersected is saturated,
+        # though not equal to I : x3^infinity
+        assert _is_saturated(ideal([(1, 0, 0, 1), (0, 1, 0, 1)], 4))
+        assert not _is_saturated(ideal([(3, 0, 0), (0, 3, 0), (0, 0, 3)], 3))
+        # x0 (x0, x1): x0 times every variable lies in I, x0 does not
+        assert not _is_saturated(ideal([(2, 0), (1, 1)], 2))
+        assert _is_saturated(MonomialIdeal.zero(3))
+        assert _is_saturated(MonomialIdeal.unit(3))
+
+    def test_zoo(self, ideal_zoo):
+        for I in ideal_zoo:
+            assert _is_saturated(I) == reference_is_saturated(I), I
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(2, 4).flatmap(
+            lambda n: st.lists(
+                st.tuples(*[st.integers(0, 3)] * n), min_size=1, max_size=5
+            ).map(lambda gens: MonomialIdeal.from_generators(gens, n))
+        )
+    )
+    def test_random_ideals(self, I):
+        assert _is_saturated(I) == reference_is_saturated(I), I
+
+    def test_borel_fixed_ideals_strip_the_last_variable(self):
+        # for a Borel-fixed ideal saturation is I : x_n^infinity; the walk's
+        # ideals are saturated, their truncations above the top generator
+        # degree are Borel-fixed and not
+        for partition, n in mini_grid():
+            for I in enumerate_strongly_stable(partition, n):
+                top = I.max_generator_degree + 1
+                J = MonomialIdeal.from_generators(
+                    [m for m in monomials_of_degree(top, n + 1) if I.contains(m)], n + 1
+                )
+                assert is_borel_fixed(J, Characteristic(0))
+                for K in (I, J):
+                    assert _is_saturated(K) == (K.saturate() == K), K
+                assert not _is_saturated(J), J
+
+    def test_budget_is_inclusive(self, capsys, monkeypatch):
+        # (x0 x1, x0 x2, x1 x2) in 3 variables, 3 steps per lcm or test:
+        # the colons (x1, x2), (x0, x2), (x0, x1) take 1 + 2 + 3 candidates
+        # steps each; outside I, x1 and x2 meet (x0, x2) in 2 * 2 lcm pairs,
+        # minimalized with I to (x2, x0 x1) in 1 + 2 + 3 + 3; x2 meets
+        # (x0, x1) in 2 pairs, minimalized with I to I in 1 + 2 + 3
+        steps = 3 * (3 * 6 + 4 + 9 + 2 + 6)
+        argv = "check-ideal", "--gens", "x0*x1,x0*x2,x1*x2", "--num-vars", "3"
+        monkeypatch.setattr(cli, "MAX_SATURATION_WORK", steps)
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and "saturated         True" in out
+        monkeypatch.setattr(cli, "MAX_SATURATION_WORK", steps - 1)
+        code, _, err = run(capsys, *argv, "--json")
+        assert code == 3
+        assert json.loads(err) == {
+            "error": f"size bound exceeded: saturation test above {steps - 1} steps",
+            "exit_code": 3,
+        }
 
 
 class TestCharacteristicInput:

@@ -6,22 +6,36 @@ from borelpoints import (
     GotzmannPartition,
     MacaulayPartition,
     NotAdmissibleError,
-    SampledPolynomial,
     SearchBoundError,
     binomial,
     binomial_poly,
     peel_to_partition,
 )
 
+from borelpoints import hilbert_poly
 from borelpoints.hilbert_poly import MAX_GOTZMANN_NUMBER
 
 from conftest import all_partitions, constant_difference, reference_peel
 
 
-def sample(partition, base, width):
-    return SampledPolynomial(
-        base, tuple(partition.evaluate(t) for t in range(base, base + width))
-    )
+def values(partition, base, width):
+    return [partition.evaluate(t) for t in range(base, base + width)]
+
+
+def polynomial_value(tau, t):
+    """sum_m tau_m C(t + m, m), the polynomial with coordinates tau."""
+    return sum(x * binomial_poly(t, m, m) for m, x in enumerate(tau))
+
+
+# inadmissible polynomials as (coordinates, values at t = 0, 1, ...):
+# t = C(t + 1, 1) - 1, t^2 = 2 C(t + 2, 2) - 3 C(t + 1, 1) + 1, the
+# constant -1, and the zero polynomial
+INADMISSIBLE = [
+    ((-1, 1), (0, 1, 2)),
+    ((1, -3, 2), (0, 1, 4, 9)),
+    ((-1,), (-1, -1)),
+    ((0, 0, 0), (0, 0, 0)),
+]
 
 
 class TestBinomials:
@@ -180,121 +194,122 @@ class TestOperations:
 
 class TestPeel:
     def test_linear_example(self):
-        s = SampledPolynomial(5, tuple(2 * t + 1 for t in range(5, 9)))
-        assert peel_to_partition(s).parts == (1, 1)
+        # 2t + 1 = 2 C(t + 1, 1) - 1
+        assert peel_to_partition((-1, 2)).parts == (1, 1)
 
     def test_constant_example(self):
-        s = SampledPolynomial(5, (1, 1))
-        assert peel_to_partition(s).parts == (0,)
+        assert peel_to_partition((1,)).parts == (0,)
 
     def test_twisted_cubic_example(self):
-        s = SampledPolynomial(6, tuple(3 * t + 1 for t in range(6, 10)))
-        assert peel_to_partition(s).parts == (1, 1, 1, 0)
+        # 3t + 1 = 3 C(t + 1, 1) - 2; trailing zeros change nothing
+        assert peel_to_partition((-2, 3)).parts == (1, 1, 1, 0)
+        assert peel_to_partition((-2, 3, 0, 0)).parts == (1, 1, 1, 0)
 
     def test_round_trip_on_grid(self):
         for parts in all_partitions(8, 4):
             b = GotzmannPartition(parts)
-            base = b.gotzmann_number
-            width = b.degree + 3
-            assert peel_to_partition(sample(b, base, width)) == b, parts
+            assert peel_to_partition(b.coordinates()) == b, parts
 
     def test_rejects_plain_t(self):
-        # p(t) = t is not an admissible Hilbert polynomial
-        s = SampledPolynomial(5, (5, 6, 7, 8))
+        # p(t) = t is not an admissible Hilbert polynomial: e_0 = 0
         with pytest.raises(NotAdmissibleError):
-            peel_to_partition(s)
+            peel_to_partition((-1, 1))
 
     def test_rejects_t_squared(self):
-        s = SampledPolynomial(4, tuple(t * t for t in range(4, 9)))
         with pytest.raises(NotAdmissibleError):
-            peel_to_partition(s)
-
-    def test_rejects_non_polynomial_window(self):
-        s = SampledPolynomial(0, (1, 2, 4, 8, 16))
-        with pytest.raises(NotAdmissibleError):
-            peel_to_partition(s)
+            peel_to_partition((1, -3, 2))
 
     def test_rejects_zero_samples(self):
-        s = SampledPolynomial(3, (0, 0, 0))
-        with pytest.raises(NotAdmissibleError):
-            peel_to_partition(s)
+        for tau in [(0, 0, 0), (0,), ()]:
+            with pytest.raises(NotAdmissibleError):
+                peel_to_partition(tau)
+
+    def test_rejects_a_part_before_using_it(self):
+        # a negative part would reach comb with a negative top, which
+        # raises a bare ValueError: e_2 = -3, and e_1 = -3 below e_2 = 1
+        for tau in [(0, 0, -3), (0, -4, 1)]:
+            with pytest.raises(NotAdmissibleError):
+                peel_to_partition(tau)
+
+    def test_rejects_increasing_parts(self):
+        # e_1 = 3, then e_0 = -4 + C(4, 2) = 2 < 3
+        with pytest.raises(NotAdmissibleError, match="weakly decreasing"):
+            peel_to_partition((-4, 3))
+        # e = (10^6, 1, 2): refused at e_1, before e_0 meets the size guard
+        with pytest.raises(NotAdmissibleError, match="weakly decreasing"):
+            peel_to_partition((10**6, -2, 2))
+        assert peel_to_partition((-3, 3)) == MacaulayPartition((3, 3)).to_gotzmann()
 
     def test_equals_reference_peel_on_any_window(self):
-        # windows from t = 0 on, below the Gotzmann number too, where p
-        # can be negative
+        # the reference peels values on windows from t = 0 on, below the
+        # Gotzmann number too, where p can be negative
         for parts in all_partitions(8, 4):
             b = GotzmannPartition(parts)
+            assert peel_to_partition(b.coordinates()) == b, parts
             for base in range(b.gotzmann_number + 2):
                 for width in (b.degree + 2, b.degree + 3):
-                    s = sample(b, base, width)
-                    assert peel_to_partition(s) == b, (parts, base, width)
-                    assert reference_peel(s.base, s.values) == b, (parts, base, width)
+                    got = reference_peel(base, values(b, base, width))
+                    assert got == b, (parts, base, width)
 
     def test_reference_peel_rejects_what_the_peel_rejects(self):
-        for base, values in [
-            (5, (5, 6, 7, 8)),
-            (4, tuple(t * t for t in range(4, 9))),
-            (0, (1, 2, 4, 8, 16)),
-            (3, (0, 0, 0)),
-            (5, (7, 9)),
-            (0, (-1, -1)),
-        ]:
+        for tau, window in INADMISSIBLE:
+            assert [polynomial_value(tau, t) for t in range(len(window))] == list(
+                window
+            )
             with pytest.raises(NotAdmissibleError):
-                peel_to_partition(SampledPolynomial(base, values))
+                peel_to_partition(tau)
             with pytest.raises(NotAdmissibleError):
-                reference_peel(base, values)
+                reference_peel(0, window)
+        # windows with no coordinates: not a polynomial, or too short
+        for base, window in [(0, (1, 2, 4, 8, 16)), (5, (7, 9))]:
+            with pytest.raises(NotAdmissibleError):
+                reference_peel(base, window)
 
-    def test_size_guard_before_any_part_is_built(self):
+    def test_size_guard_before_any_part_is_built(self, monkeypatch):
         # e_0 is the constant itself; its partition would have that many
         # parts, so the peel refuses it as it reads it
         for r in (MAX_GOTZMANN_NUMBER + 1, 10**100):
             with pytest.raises(SearchBoundError):
-                peel_to_partition(SampledPolynomial(0, (r, r)))
-        # a top part above the bound is refused before the lower ones
-        e = MacaulayPartition((10**100, 10**50))
-        s = SampledPolynomial(7, tuple(e.evaluate(t) for t in range(7, 11)))
-        with pytest.raises(SearchBoundError):
-            peel_to_partition(s)
+                peel_to_partition((r,))
         r = MAX_GOTZMANN_NUMBER
-        assert peel_to_partition(SampledPolynomial(0, (r, r))).gotzmann_number == r
+        assert peel_to_partition((r,)).gotzmann_number == r
+        # a top part above the bound is refused before any binomial is
+        # taken of it: e = (10^100, 10^50) has tau_1 = e_1
+        tau = (10**100 - (10**50 + 1) * 10**50 // 2, 10**50)
 
-    def test_window_degree(self):
-        assert SampledPolynomial(0, (7, 7, 7)).degree() == 0
-        assert SampledPolynomial(2, (5, 7, 9, 11)).degree() == 1
-        assert SampledPolynomial(0, (0, 0)).degree() == -1
+        def forbidden(*args):
+            raise AssertionError("a binomial of a part above the bound")
 
-    def test_window_too_short(self):
-        with pytest.raises(NotAdmissibleError):
-            SampledPolynomial(5, (7,)).degree()
-        with pytest.raises(NotAdmissibleError):
-            SampledPolynomial(5, (7, 9)).degree()  # linear needs 3 points
+        monkeypatch.setattr(hilbert_poly, "comb", forbidden)
+        with pytest.raises(SearchBoundError):
+            peel_to_partition(tau)
 
 
 class TestPartitionFromValues:
-    """The values p(0), p(1), ... that hilbert_polynomial peels."""
-
-    @staticmethod
-    def peel(values):
-        return peel_to_partition(SampledPolynomial(0, values))
+    """The values p(0), p(1), ... from t = 0 on: reference_peel, which
+    reference_hilbert_polynomial uses, reads them, and the library peels
+    the coordinates of the same polynomial."""
 
     def test_round_trip_on_grid(self):
         # values from t = 0 on, well below the Gotzmann number
         for parts in all_partitions(8, 4):
             b = GotzmannPartition(parts)
-            values = [b.evaluate(t) for t in range(b.degree + 2)]
-            assert self.peel(values) == b, parts
+            assert reference_peel(0, values(b, 0, b.degree + 2)) == b, parts
 
     def test_twisted_cubic(self):
-        assert self.peel([1, 4, 7]).parts == (1, 1, 1, 0)
+        assert reference_peel(0, [1, 4, 7]).parts == (1, 1, 1, 0)
+        assert peel_to_partition((-2, 3)).parts == (1, 1, 1, 0)
 
     def test_rejects_inadmissible(self):
-        for values in ([0, 1, 2], [0, 1, 4, 9], [-1, -1], [0, 0, 0]):
+        for tau, window in INADMISSIBLE:
             with pytest.raises(NotAdmissibleError):
-                self.peel(values)
+                reference_peel(0, window)
+            with pytest.raises(NotAdmissibleError):
+                peel_to_partition(tau)
 
     def test_window_too_short(self):
         with pytest.raises(NotAdmissibleError):
-            self.peel([1, 4])
+            reference_peel(0, [1, 4])
 
 
 class TestConstantDifference:

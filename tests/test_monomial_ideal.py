@@ -8,13 +8,16 @@ from borelpoints import (
     binomial,
     enumerate_strongly_stable,
     format_monomial,
+    lex_ideal,
     monomials_of_degree,
     parse_monomial,
 )
+from borelpoints import monomial_ideal
 from borelpoints.monomial_ideal import divides, max_index
 
 from conftest import (
     acceptance_sweep_cells,
+    all_partitions,
     brute_standard_count,
     hilbert_function_by_enumeration,
     hilbert_function_by_lcm,
@@ -195,6 +198,26 @@ class TestHilbertPolynomial:
         I = ideal([(2, 0, 0, 0), (1, 1, 0, 0), (0, 2, 0, 0), (0, 1, 1, 0)], 4)
         assert I.hilbert_polynomial().polynomial.parts == (1, 1, 0)
         assert not is_borel_fixed(I, CHAR0)
+
+    def test_numerator_coordinates_are_the_partitions(self, monkeypatch):
+        # the tau hilbert_polynomial reads off a numerator and the tau of
+        # GotzmannPartition.coordinates are one convention: on lex ideals,
+        # whose polynomial is known, they agree up to trailing zeros
+        peeled = []
+
+        def spy(tau):
+            peeled.append(list(tau))
+            return peel(tau)
+
+        peel = monomial_ideal.peel_to_partition
+        monkeypatch.setattr(monomial_ideal, "peel_to_partition", spy)
+        for parts in all_partitions(6, 3):
+            b = GotzmannPartition(parts)
+            for n in range(b.degree + 1, b.degree + 4):
+                peeled.clear()
+                assert lex_ideal(b, n).hilbert_polynomial().polynomial == b
+                tau = list(b.coordinates())
+                assert peeled == [tau + [0] * (n - b.degree)], (parts, n)
 
 
 def assert_matches_sampling(I):

@@ -25,7 +25,6 @@ from borelpoints.reeves import (
     _complete,
     _descend,
     _expanded_coordinates,
-    _polynomial_coordinates,
 )
 
 from conftest import (
@@ -255,18 +254,19 @@ class TestCarriedNumerators:
         assert visited
 
     def test_polynomial_coordinates(self):
-        # the walk's tau_m give p(t) = sum_m tau_m C(t + m, m) at every t,
-        # and the backward difference drops tau_0, so each level's target
-        # is a shift of the same tuple
+        # the coordinates tau_m the walk reads its targets from give
+        # p(t) = sum_m tau_m C(t + m, m) at every t, and the backward
+        # difference drops tau_0, so each level's target is a shift of the
+        # same tuple
         for parts in all_partitions(6, 3):
             partition = GotzmannPartition(parts)
-            tau = _polynomial_coordinates(partition)
+            tau = partition.coordinates()
             assert len(tau) == partition.degree + 1
             for t in range(-5, 11):
                 value = sum(x * binomial_poly(t, m, m) for m, x in enumerate(tau))
                 assert value == partition.evaluate(t), (parts, t)
             if partition.degree:
-                assert _polynomial_coordinates(partition.difference()) == tau[1:]
+                assert partition.difference().coordinates() == tau[1:]
 
     def test_non_constant_deficit_raises(self, monkeypatch):
         # a coordinate step that adds 2 to h_n instead of 1 would make the
@@ -674,7 +674,7 @@ class TestCount:
         # level that starts three expansions short: the entries built into
         # bucket 1 miss tau_0 - 1
         partition, n = GotzmannPartition((0, 0, 0, 0)), 2
-        assert _polynomial_coordinates(partition)[0] - 1 == 3
+        assert partition.coordinates()[0] - 1 == 3
 
         def wrong(h, j, a):
             out = _expanded_coordinates(h, j, a)

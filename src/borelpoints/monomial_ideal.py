@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
+from .errors import SearchBoundError
 from .hilbert_poly import GotzmannPartition, binomial, peel_to_partition
 
 Monomial = tuple[int, ...]
@@ -173,6 +174,55 @@ class MonomialIdeal:
         stripped = [g[:-1] + (0,) for g in self.gens]
         return MonomialIdeal.from_generators(stripped, self.num_vars)
 
+    def is_saturated(self, max_steps: int) -> bool:
+        """Whether I equals its saturation by the irrelevant ideal m, for any
+        monomial ideal (saturate() is that only for Borel-fixed ideals): it
+        does unless some u outside I has every u x_i in I, each u_i then
+        below top_i, the largest exponent of x_i in a generator.  A greedy
+        climb looks for such a u first, raising each u_i as far as u stays
+        outside I once a generator bounds it.  Else I : m, the intersection
+        of the I : x_i = I + (C_i), C_i the g / x_i below top, is folded as
+        I + (R), R the minimal lcms outside I of R and C_i.  A divisibility
+        test or an lcm is a step per variable, minimalizing k monomials
+        k^2 / 2 tests; past max_steps, SearchBoundError."""
+        gens, n, steps = self.gens, self.num_vars, 0
+
+        def spend(tests: int) -> None:
+            nonlocal steps
+            steps += tests * n
+            if steps > max_steps:
+                raise SearchBoundError(f"size bound exceeded: saturation test above {max_steps} steps")
+
+        top = tuple(map(max, zip(*gens)))
+        if not gens or not all(top):
+            return True
+        u, left, stuck = [0] * n, list(range(n)), None
+        while left and left != stuck:
+            spend(len(left) * len(gens))
+            stuck, left = left, []
+            for i in stuck:
+                bounds = [g[i] for g in gens if divides(g, u[:i] + [top[i]] + u[i + 1 :])]
+                if bounds:
+                    u[i] = min(bounds) - 1
+                else:
+                    left.append(i)
+        if not left:
+            return False
+        colons = []
+        for i in range(n):
+            lowered = {g[:i] + (g[i] - 1,) + g[i + 1 :] for g in gens if g[i]}
+            colon = {c for c in lowered if all(map(int.__lt__, c, top))}
+            spend(len(colon) ** 2 // 2)
+            colons.append(_minimal_gens(colon))
+        colons.sort(key=len)
+        rest = colons[0]
+        for colon in colons[1:]:
+            spend(len(rest) * len(colon) * (len(gens) + 1))
+            outside = {m for f in rest for c in colon if not self.contains(m := tuple(map(max, f, c)))}
+            spend(len(outside) ** 2 // 2)
+            rest = _minimal_gens(outside)
+        return not rest
+
     def lift(self) -> "MonomialIdeal":
         """Same generators in a ring with one more variable."""
         return MonomialIdeal._trusted(
@@ -227,10 +277,6 @@ def _poly_add(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     )
 
 
-def _poly_shift(a: tuple[int, ...], k: int) -> tuple[int, ...]:
-    return (0,) * k + a
-
-
 def _poly_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
@@ -265,7 +311,7 @@ def _numerator(gens: tuple[Monomial, ...], num_vars: int) -> tuple[int, ...]:
         tuple(g[:k] + (max(g[k] - 1, 0),) + g[k + 1 :] for g in gens)
     )
     return _poly_add(
-        _numerator(left, num_vars), _poly_shift(_numerator(colon, num_vars), 1)
+        _numerator(left, num_vars), (0,) + _numerator(colon, num_vars)
     )
 
 
@@ -277,13 +323,9 @@ def _function_value(numerator, num_vars: int, d: int) -> int:
 
 @dataclass(frozen=True)
 class HilbertData:
-    """The Hilbert polynomial of S/I and the degree from which the Hilbert
-    function agrees with it.
-
-    polynomial is None exactly when the Hilbert polynomial is zero: for
-    the unit ideal, and for any ideal with finite-dimensional quotient
-    (the zero polynomial has no partition).
-    """
+    """The Hilbert polynomial of S/I, None exactly when it is zero (the zero
+    polynomial has no partition: the unit ideal, or a finite-dimensional
+    quotient), and the degree from which the Hilbert function agrees."""
 
     polynomial: GotzmannPartition | None
     stabilization_degree: int
@@ -306,14 +348,12 @@ def hilbert_polynomial(ideal: MonomialIdeal) -> HilbertData:
     max(deg N - n, 0).  The partition is peeled by peel_to_partition off
     the coordinates tau_m = h_{n-m} of HP in the basis C(t + m, m), the
     form of GotzmannPartition.coordinates, where
-    h_i = (-1)^i sum_j c_j C(j, i) (see the reeves docstring).  An
-    all-zero HP (the unit ideal, or any ideal with finite-dimensional
-    quotient) has polynomial None.
+    h_i = (-1)^i sum_j c_j C(j, i) (see the reeves docstring); the sums
+    skip the zero c_j, which can be most of a long numerator.
     """
     n = ideal.num_vars - 1
-    num = ideal.hilbert_numerator()
-    deg = max((j for j, c in enumerate(num) if c), default=-1)
-    stab = max(deg - n, 0)
-    h = [(-1) ** i * sum(c * comb(j, i) for j, c in enumerate(num)) for i in range(n + 1)]
+    terms = [(j, c) for j, c in enumerate(ideal.hilbert_numerator()) if c]
+    stab = max(max((j for j, _ in terms), default=0) - n, 0)
+    h = [(-1) ** i * sum(c * comb(j, i) for j, c in terms) for i in range(n + 1)]
     part = peel_to_partition(h[::-1]) if any(h) else None
     return HilbertData(part, stab)

@@ -17,10 +17,10 @@ from borelpoints import (
     enumerate_borel_fixed,
     enumerate_strongly_stable,
 )
-from borelpoints import classify, cli, is_borel_fixed, monomials_of_degree
-from borelpoints.cli import _dumps, _ideal_rows, _is_saturated, _sorted_ideals, main
+from borelpoints import classify, cli
+from borelpoints.cli import _dumps, _ideal_rows, _sorted_ideals, main
 
-from conftest import ideal, mini_grid, reference_is_saturated
+from conftest import mini_grid
 
 
 def run(capsys, *argv):
@@ -296,66 +296,37 @@ class TestSizeGuard:
 
 class TestSaturated:
     """check-ideal reports whether I equals its saturation by the
-    irrelevant ideal, the intersection of the I : x_i^infinity."""
+    irrelevant ideal (MonomialIdeal.is_saturated), after the Hilbert
+    polynomial, and past cli.MAX_SATURATION_WORK steps exits 3."""
 
-    def test_examples(self):
+    def test_borel_fixed_saturation_is_not_enough(self, capsys):
         # (x0 x3, x1 x3) = (x3) and (x0, x1) intersected is saturated,
         # though not equal to I : x3^infinity
-        assert _is_saturated(ideal([(1, 0, 0, 1), (0, 1, 0, 1)], 4))
-        assert not _is_saturated(ideal([(3, 0, 0), (0, 3, 0), (0, 0, 3)], 3))
-        # x0 (x0, x1): x0 times every variable lies in I, x0 does not
-        assert not _is_saturated(ideal([(2, 0), (1, 1)], 2))
-        assert _is_saturated(MonomialIdeal.zero(3))
-        assert _is_saturated(MonomialIdeal.unit(3))
-
-    def test_zoo(self, ideal_zoo):
-        for I in ideal_zoo:
-            assert _is_saturated(I) == reference_is_saturated(I), I
-
-    @settings(max_examples=300, deadline=None)
-    @given(
-        st.integers(2, 4).flatmap(
-            lambda n: st.lists(
-                st.tuples(*[st.integers(0, 3)] * n), min_size=1, max_size=5
-            ).map(lambda gens: MonomialIdeal.from_generators(gens, n))
-        )
-    )
-    def test_random_ideals(self, I):
-        assert _is_saturated(I) == reference_is_saturated(I), I
-
-    def test_borel_fixed_ideals_strip_the_last_variable(self):
-        # for a Borel-fixed ideal saturation is I : x_n^infinity; the walk's
-        # ideals are saturated, their truncations above the top generator
-        # degree are Borel-fixed and not
-        for partition, n in mini_grid():
-            for I in enumerate_strongly_stable(partition, n):
-                top = I.max_generator_degree + 1
-                J = MonomialIdeal.from_generators(
-                    [m for m in monomials_of_degree(top, n + 1) if I.contains(m)], n + 1
-                )
-                assert is_borel_fixed(J, Characteristic(0))
-                for K in (I, J):
-                    assert _is_saturated(K) == (K.saturate() == K), K
-                assert not _is_saturated(J), J
+        code, out, _ = run(capsys, "check-ideal", "--gens", "x0*x3,x1*x3", "--num-vars", "4")
+        assert code == 0 and "saturated         True" in out
 
     def test_budget_is_inclusive(self, capsys, monkeypatch):
-        # (x0 x1, x0 x2, x1 x2) in 3 variables, 3 steps per lcm or test:
-        # the colons (x1, x2), (x0, x2), (x0, x1) take 1 + 2 + 3 candidates
-        # steps each; outside I, x1 and x2 meet (x0, x2) in 2 * 2 lcm pairs,
-        # minimalized with I to (x2, x0 x1) in 1 + 2 + 3 + 3; x2 meets
-        # (x0, x1) in 2 pairs, minimalized with I to I in 1 + 2 + 3
-        steps = 3 * (3 * 6 + 4 + 9 + 2 + 6)
-        argv = "check-ideal", "--gens", "x0*x1,x0*x2,x1*x2", "--num-vars", "3"
-        monkeypatch.setattr(cli, "MAX_SATURATION_WORK", steps)
+        # 14 steps, counted in TestIsSaturated::test_budget_is_inclusive
+        argv = "check-ideal", "--gens", "x0^2*x1,x0*x1^2", "--num-vars", "2"
+        monkeypatch.setattr(cli, "MAX_SATURATION_WORK", 14)
         code, out, _ = run(capsys, *argv)
-        assert code == 0 and "saturated         True" in out
-        monkeypatch.setattr(cli, "MAX_SATURATION_WORK", steps - 1)
+        assert code == 0 and "saturated         False" in out
+        monkeypatch.setattr(cli, "MAX_SATURATION_WORK", 13)
         code, _, err = run(capsys, *argv, "--json")
         assert code == 3
         assert json.loads(err) == {
-            "error": f"size bound exceeded: saturation test above {steps - 1} steps",
+            "error": "size bound exceeded: saturation test above 13 steps",
             "exit_code": 3,
         }
+
+    def test_hilbert_polynomial_comes_first(self, capsys, monkeypatch):
+        # an ideal the Gotzmann-number guard refuses is refused by it, as
+        # before the saturation test existed
+        monkeypatch.setattr(cli, "MAX_SATURATION_WORK", 0)
+        code, _, err = run(
+            capsys, "check-ideal", "--gens", "x0^3,x1^3,x2^3", "--num-vars", "32"
+        )
+        assert code == 3 and "Gotzmann number above" in err
 
 
 class TestCharacteristicInput:

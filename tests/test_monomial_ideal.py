@@ -1,18 +1,23 @@
+from math import comb
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from borelpoints import (
+    CHAR0,
     GotzmannPartition,
     MonomialIdeal,
     binomial,
     enumerate_strongly_stable,
     format_monomial,
+    is_borel_fixed,
     lex_ideal,
     monomials_of_degree,
     parse_monomial,
 )
 from borelpoints import monomial_ideal
+from borelpoints.errors import SearchBoundError
 from borelpoints.monomial_ideal import divides, max_index
 
 from conftest import (
@@ -22,8 +27,12 @@ from conftest import (
     hilbert_function_by_enumeration,
     hilbert_function_by_lcm,
     ideal,
+    mini_grid,
     reference_hilbert_polynomial,
+    reference_is_saturated,
 )
+
+BIG = 10**12
 
 
 class TestMonomialBasics:
@@ -199,6 +208,21 @@ class TestHilbertPolynomial:
         assert I.hilbert_polynomial().polynomial.parts == (1, 1, 0)
         assert not is_borel_fixed(I, CHAR0)
 
+    def test_coordinate_sums_skip_zero_coefficients(self, monkeypatch):
+        # (x0^1000) in 5 variables has numerator 1 - t^1000: two nonzero
+        # coefficients, so two binomials per coordinate, not 1001
+        calls = []
+
+        def counting(a, b):
+            calls.append((a, b))
+            return comb(a, b)
+
+        monkeypatch.setattr(monomial_ideal, "comb", counting)
+        I = ideal([(1000, 0, 0, 0, 0)], 5)
+        assert I.hilbert_numerator()[1:-1] == (0,) * 999
+        assert_matches_sampling(I)
+        assert len(calls) == 2 * 5
+
     def test_numerator_coordinates_are_the_partitions(self, monkeypatch):
         # the tau hilbert_polynomial reads off a numerator and the tau of
         # GotzmannPartition.coordinates are one convention: on lex ideals,
@@ -272,6 +296,85 @@ class TestSaturate:
         for I in ideal_zoo:
             once = I.saturate()
             assert once.saturate() == once
+
+
+class TestIsSaturated:
+    """is_saturated: whether I equals its saturation by the irrelevant
+    ideal, for any monomial ideal, within a step budget."""
+
+    def test_examples(self):
+        # (x0 x3, x1 x3) = (x3) and (x0, x1) intersected is saturated,
+        # though not equal to I : x3^infinity
+        assert ideal([(1, 0, 0, 1), (0, 1, 0, 1)], 4).is_saturated(BIG)
+        assert not ideal([(3, 0, 0), (0, 3, 0), (0, 0, 3)], 3).is_saturated(BIG)
+        # x0 (x0, x1): x0 times every variable lies in I, x0 does not
+        assert not ideal([(2, 0), (1, 1)], 2).is_saturated(BIG)
+        assert MonomialIdeal.zero(3).is_saturated(BIG)
+        assert MonomialIdeal.unit(3).is_saturated(BIG)
+
+    def test_zoo(self, ideal_zoo):
+        for I in ideal_zoo:
+            assert I.is_saturated(BIG) == reference_is_saturated(I), I
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda n: st.lists(
+                st.tuples(*[st.integers(0, 3)] * n), min_size=0, max_size=6
+            ).map(lambda gens: MonomialIdeal.from_generators(gens, n))
+        )
+    )
+    def test_random_ideals(self, I):
+        assert I.is_saturated(BIG) == reference_is_saturated(I), I
+
+    def test_borel_fixed_ideals_strip_the_last_variable(self):
+        # for a Borel-fixed ideal saturation is I : x_n^infinity; the walk's
+        # ideals are saturated, their truncations above the top generator
+        # degree are Borel-fixed and not
+        for partition, n in mini_grid():
+            for I in enumerate_strongly_stable(partition, n):
+                top = I.max_generator_degree + 1
+                J = MonomialIdeal.from_generators(
+                    [m for m in monomials_of_degree(top, n + 1) if I.contains(m)], n + 1
+                )
+                assert is_borel_fixed(J, CHAR0)
+                for K in (I, J):
+                    assert K.is_saturated(BIG) == (K.saturate() == K), K
+                assert not J.is_saturated(BIG), J
+
+    def test_budget_is_inclusive(self):
+        # x0 x1 (x0, x1), 2 steps per test: the climb finds no bound, 2 * 2
+        # tests; both colons are {x0 x1} below top (2, 2), no tests to
+        # minimalize; the fold's one lcm pair costs 2 + 1 tests and leaves
+        # x0 x1, outside I, so I is not saturated
+        I = ideal([(2, 1), (1, 2)], 2)
+        steps = 2 * (4 + 3)
+        assert steps == 14 and not I.is_saturated(steps)
+        with pytest.raises(SearchBoundError, match="above 13 steps"):
+            I.is_saturated(steps - 1)
+
+    def test_climb_finds_the_socle_of_artinian_ideals(self):
+        # one pass of 3 * 3 tests raises u to (2, 2, 2), with no fold
+        I = ideal([(3, 0, 0), (0, 3, 0), (0, 0, 3)], 3)
+        assert not I.is_saturated(27)
+        with pytest.raises(SearchBoundError):
+            I.is_saturated(26)
+        # m^3 in 16 variables has 816 generators and is answered by the climb
+        m3 = MonomialIdeal.from_generators(monomials_of_degree(3, 16), 16)
+        assert not m3.is_saturated(16 * 16 * len(m3.gens))
+
+    def test_exponent_bound_prunes_square_free_ideals(self):
+        # every g / x_i of a square-free ideal reaches the top exponent 1 in
+        # another variable, so the colons are empty after the climb's pass
+        quadrics = [m for m in monomials_of_degree(2, 50) if max(m) == 1]
+        I = MonomialIdeal.from_generators(quadrics, 50)
+        assert I.is_saturated(50 * 50 * len(quadrics))
+
+    def test_fold_when_the_climb_is_stuck(self):
+        # x3 (x0^2, x1^2, x2^2, x3), with u x3 in I for u = x0 x1 x2 x3:
+        # climbing x0 first finds no bound, as every generator holds x3
+        I = ideal([(2, 0, 0, 1), (0, 2, 0, 1), (0, 0, 2, 1), (0, 0, 0, 2)], 4)
+        assert not I.is_saturated(BIG) and not reference_is_saturated(I)
 
 
 class TestLiftAndDifference:

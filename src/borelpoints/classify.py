@@ -19,8 +19,9 @@ p-Borel is being strongly stable.  The tests check this on small cells.
 
 verify_classification and explore_tree read only the number of points,
 so they call reeves.count_strongly_stable, which counts the last level of
-the walk without making the expansions that end it.  count_borel_fixed returns the set
-too, for `classify --verify`, which lists the ideals.
+the depth-first walk without making the expansions that end it, and
+holds only the walk's path.  count_borel_fixed returns the set too, for
+`classify --verify`, which lists the ideals.
 """
 
 from __future__ import annotations
@@ -181,8 +182,8 @@ def count_borel_fixed(coords: SchemeCoordinates) -> tuple[int, frozenset[Monomia
     stays the independent engine it is checked against.  Callers that
     need only the count (verify_classification, explore_tree) call
     reeves.count_strongly_stable instead, which counts the expansions
-    that end the last level without making them; this one is for callers
-    that read the ideals."""
+    that end the last level without making them and keeps no ideal it
+    has counted; this one is for callers that read the ideals."""
     ideals = enumerate_strongly_stable(coords.partition, coords.n, coords.char)
     return len(ideals), ideals
 

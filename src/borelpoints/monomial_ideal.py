@@ -304,12 +304,16 @@ def _numerator(gens: tuple[Monomial, ...], num_vars: int) -> tuple[int, ...]:
         for g in gens:
             out = _poly_mul(out, (1,) + (0,) * (sum(g) - 1) + (-1,))
         return out
-    with_k = tuple(g for g in gens if g[k] == 0)
+    # I + (x_k) is minimally generated by x_k and the generators free of
+    # x_k.  In I : x_k a free generator divides no lowered g / x_k, else
+    # it would divide g, so only the lowered ones are minimalized, and the
+    # free ones are tested against those alone.
+    free = [g for g in gens if not g[k]]
     pivot = tuple(1 if i == k else 0 for i in range(num_vars))
-    left = _minimal_gens(with_k + (pivot,))
-    colon = _minimal_gens(
-        tuple(g[:k] + (max(g[k] - 1, 0),) + g[k + 1 :] for g in gens)
-    )
+    lowered = _minimal_gens(g[:k] + (g[k] - 1,) + g[k + 1 :] for g in gens if g[k])
+    kept = [f for f in free if not any(divides(m, f) for m in lowered)]
+    left = tuple(sorted(free + [pivot], key=canonical_key))
+    colon = tuple(sorted(kept + list(lowered), key=canonical_key))
     return _poly_add(
         _numerator(left, num_vars), (0,) + _numerator(colon, num_vars)
     )

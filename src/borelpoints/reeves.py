@@ -26,10 +26,7 @@ an expansion at a generator of degree a adds (-1)^i C(a, i) to h_{n+i}
 S[x_{n+1}]/I S[x_{n+1}] = (S/I)[x_{n+1}] divides both the series and its
 denominator by 1 - t.  So h_i = 0 for i < c throughout, the expansions
 of level j, in K[x_0, ..., x_{c+j}], change only h_{c+j} and above, and
-what they add past h_{c+d} no level reads.  Every level ends in a dict
-from each of its ideals to its coordinates, which is what the next lift
-needs and what enumeration_levels yields; the walk keeps no other record
-of a level.
+what they add past h_{c+d} no level reads.
 
 The gap, or deficit, at level j is one subtraction.  Write
 p(t) = sum_{m <= d} tau_m C(t + m, m) (GotzmannPartition.coordinates,
@@ -41,19 +38,18 @@ has the polynomial sum_{m <= j} h_{c+j-m} C(t + m, m).  An ideal lifted
 into level j ended level j - 1 with h_{c+k} = tau_{d-k} for k < j, and
 the expansions of level j leave those alone, so its deficit is the
 constant tau_{d-j} - h_{c+j}, and each expansion lowers it by one.  The
-buckets count the expansions apart from the coordinates, so the walk
-checks that every ideal of bucket 0 has h_{c+j} = tau_{d-j}, and raises
-ValueError otherwise.
+walk carries the deficit apart from the coordinates, so it checks that
+every ideal it reaches with deficit 0 has h_{c+j} = tau_{d-j}, and
+raises ValueError otherwise.
 
-Within a level the ideals are expanded bucket by bucket.  Bucket s
-lists the ideals still s expansions short of the target, each with its
-coordinates.  The lifted ideals go into the bucket of their deficit,
-and the buckets are emptied from the largest down to 1: every expansion
-of an ideal in bucket s goes into bucket s - 1, and bucket 0 is the
-level's output.  _descend empties the buckets down to 2 and _complete
-empties bucket 1, so the last level can stop short of it (see Counting
-below).  An ideal's Hilbert polynomial fixes its deficit, so no ideal
-can land in two buckets.
+The walk is depth first, on one explicit stack of entries
+(ideal, h, last, j, s): an ideal of level j, its coordinates, the
+generator last at which it was built (see below), and its deficit s.
+An entry of deficit s > 0 is replaced by its expansions, each of
+deficit s - 1.  An entry of deficit 0 is an ideal of level j; below
+level d it is replaced by its lift, of deficit tau_{d-j-1} - h_{c+j+1},
+unless that is negative.  The depth of the walk is the sum of the
+deficits on a path, about k for k points, so it uses no recursion.
 
 The walk runs in every characteristic: in characteristic p > 0 it
 enumerates the saturated Borel-fixed (p-Borel) ideals, in
@@ -104,7 +100,7 @@ is plain tuple order, in which a legal exchange moves a monomial up.
 
 The walk builds each ideal once, from one canonical parent, by reverse
 search (Avis and Fukuda, "Reverse search for enumeration", 1996), and
-no bucket is searched for duplicates.  Every bucket entry carries the
+searches no set of ideals for duplicates.  Every entry carries the
 generator last at which it was built, () for the lifted and start
 ideals, and is expanded only at its expandable generators g > last in
 tuple order; _expandable tests no other generator for blocking.  The
@@ -130,24 +126,25 @@ argument is the same in every characteristic.
   By induction on |R| the walk builds I from L, and it expands I at u.
 
 So the walk builds every ideal exactly once: it makes one expansion
-per ideal and needs no membership test.  It holds each ideal a level
-visits once, drops each bucket once it is emptied, and never stores the
-set of ideals reachable from any one ideal, so its memory is bounded by
-the ideals of one level.
+per ideal and needs no membership test.  The stack holds the path from
+the start to the entry at hand and, for each entry on it, the
+expansions or the lift not yet walked, so a count's memory is bounded
+by the path.  enumeration_levels also keeps every ideal of every level.
 
 Counting.  count_strongly_stable reads the size of the last level
-without making the expansions into its bucket 0.  Its ideals are the lifted ideals of deficit 0,
-whose R is empty, and one expansion of an entry of bucket 1 at each of
-the entry's expandable generators g > last, whose R holds g.  By the
-argument above, no two of these are the same ideal, none equals a
-lifted one, and every ideal of the level is one of them: an ideal with
-R(J) empty is lifted, and any other is built from its canonical parent,
-which is one expansion short and so in bucket 1.  So the count is
-|bucket 0| plus the sum over bucket 1 of |_expandable(I, last, ch)|.
-Only the coordinate h_{c+d} tells the count anything, as an expansion
-at level d changes no other: it adds C(a, 0) = 1 to it.  So the count
-checks h_{c+d} = tau_0 on bucket 0 and h_{c+d} = tau_0 - 1 on bucket 1,
-which is the check _complete makes on the expanded level.
+without making the expansions that end it.  Its ideals are the lifted
+entries of deficit 0, whose R is empty, and one expansion of an entry
+of deficit 1 at each of the entry's expandable generators g > last,
+whose R holds g.  By the argument above, no two of these are the same
+ideal, none equals a lifted one, and every ideal of the level is one of
+them: an ideal with R(J) empty is lifted, and any other is built from
+its canonical parent, which is one expansion short.  So the count adds
+1 for an entry of level d and deficit 0, and |_expandable(I, last, ch)|
+for one of deficit 1, which it does not expand.  Only the coordinate
+h_{c+d} tells the count anything, as an expansion at level d changes
+no other: it adds C(a, 0) = 1 to it.  So the count checks
+h_{c+d} = tau_0 - 1 on an entry of deficit 1, which is the check its
+expansions would meet.
 
 Preconditions are checked once, at the public boundary, and never inside
 the walk.  The public borel.expand and borel.expandable_generators check
@@ -161,8 +158,6 @@ carried coordinates against hilbert_numerator.
 """
 
 from __future__ import annotations
-
-from math import comb
 
 from .hilbert_poly import GotzmannPartition
 from .monomial_ideal import MonomialIdeal
@@ -186,60 +181,19 @@ def _expanded_coordinates(h: tuple[int, ...], j: int, a: int) -> tuple[int, ...]
     (1-t)^(n+1), and
     t^a (1-t)^n = sum_i (-1)^i C(a, i) (1-t)^(n+i).
     """
-    return h[:j] + tuple(x + (-1) ** i * comb(a, i) for i, x in enumerate(h[j:]))
+    if j == len(h) - 1:  # every expansion of the last level
+        return h[:j] + (h[j] + 1,)
+    out, step = list(h[:j]), 1
+    for i, x in enumerate(h[j:]):
+        out.append(x + step)
+        step = -step * (a - i) // (i + 1)  # (-1)^(i+1) C(a, i+1), exactly
+    return tuple(out)
 
 
-def _expansions(bucket: list, j: int, ch: Characteristic) -> list:
-    """The (J, h_J, g) triple of every expansion J of every (ideal, h, last)
-    triple of bucket at an expandable generator g above last in tuple
-    order, h_J being J's coordinates, with h[j] = h_n for the level's ring
-    K[x_0, ..., x_n].  Expanding only above last builds every ideal of the
-    level exactly once, from its canonical parent J + (max R(J)) (see the
-    module docstring)."""
-    return [
-        (_expand(ideal, g, ch), _expanded_coordinates(h, j, sum(g)), g)
-        for ideal, h, last in bucket
-        for g in _expandable(ideal, last, ch)
-    ]
-
-
-def _descend(
-    buckets: dict[int, list], j: int, ch: Characteristic
-) -> tuple[list, list]:
-    """Empty the deficit buckets from the largest down to bucket 2, each
-    into the bucket below it; take out and return buckets 0 and 1.
-
-    buckets[s] lists an (ideal, h, last) triple for each ideal that still
-    needs s expansions, where h holds its coordinates h_c, ..., h_{c+d} and
-    last is the generator at which the ideal was built, or () for a lifted
-    or start ideal.  _complete expands bucket 1 into bucket 0, and
-    count_strongly_stable counts what that would give.
-    """
-    for s in range(max(buckets, default=0), 1, -1):
-        buckets.setdefault(s - 1, []).extend(_expansions(buckets.pop(s), j, ch))
-    return buckets.pop(0, []), buckets.pop(1, [])
-
-
-def _check(entries: list, j: int, target: int) -> None:
-    """Raise ValueError unless every (ideal, h, last) entry has h[j] = target."""
-    for ideal, h, _ in entries:
-        if h[j] != target:
-            raise ValueError(f"{ideal} misses its level-{j} target")
-
-
-def _complete(zero: list, one: list, j: int, ch: Characteristic, target: int) -> dict:
-    """Expand bucket 1 into bucket 0 and return level j as a dict from each
-    of its ideals to its coordinates, each checked to have the level's
-    target coordinate h_{c+j} = target."""
-    zero += _expansions(one, j, ch)
-    _check(zero, j, target)
-    return {ideal: h for ideal, h, _ in zero}
-
-
-def _walk(partition: GotzmannPartition, n: int, ch: Characteristic):
-    """Yield every level of the walk but the last, as enumeration_levels
-    does; return the last level's buckets 0 and 1 and its target
-    coordinate tau_0, with every bucket above 1 emptied."""
+def _start(partition: GotzmannPartition, n: int) -> tuple[list, tuple[int, ...]]:
+    """The stack that starts the walk to partition in K[x_0, ..., x_n],
+    holding the entry of the start ideal, and the targets tau.  tau_d
+    counts the parts equal to d, so the start is never above target."""
     if n <= partition.degree:
         raise ValueError("ambient dimension must exceed the polynomial degree")
     d = partition.degree
@@ -248,21 +202,46 @@ def _walk(partition: GotzmannPartition, n: int, ch: Characteristic):
     start = MonomialIdeal._trusted(
         c + 1, tuple(tuple(int(i == k) for i in range(c + 1)) for k in range(c))
     )
-    level = {start: (1,) + (0,) * d}
-    for j in range(d + 1):
-        if j > 0:
-            level = {ideal.lift(): h for ideal, h in level.items()}
-        target = tau[d - j]  # the coordinate of q_j at C(t, 0)
-        buckets: dict[int, list] = {}
-        for ideal, h in level.items():
-            deficit = target - h[j]
-            if deficit >= 0:
-                buckets.setdefault(deficit, []).append((ideal, h, ()))
-        zero, one = _descend(buckets, j, ch)
-        if j == d:
-            return zero, one, target
-        level = _complete(zero, one, j, ch, target)
-        yield level
+    return [(start, (1,) + (0,) * d, (), 0, tau[d] - 1)], tau
+
+
+def _search(
+    stack: list, tau: tuple[int, ...], ch: Characteristic, levels: list | None = None
+) -> int:
+    """Walk the tree below the (ideal, h, last, j, s) entries of stack
+    depth first, emptying it (see the module docstring), and return the
+    number of ideals of level d = len(tau) - 1 it reaches.
+
+    With levels, a list of d + 1 dicts, add every ideal of level j to
+    levels[j], mapped to its coordinates.  Without, count each entry of
+    level d one expansion short by its expandable generators instead of
+    expanding it.
+    """
+    d = len(tau) - 1
+    count = 0
+    while stack:
+        ideal, h, last, j, s = stack.pop()
+        if s == 0:
+            if h[j] != tau[d - j]:
+                raise ValueError(f"{ideal} misses its level-{j} target")
+            if levels is not None:
+                levels[j][ideal] = h
+            if j == d:
+                count += 1
+                continue
+            s = tau[d - j - 1] - h[j + 1]
+            if s >= 0:
+                stack.append((ideal.lift(), h, (), j + 1, s))
+        elif s == 1 and j == d and levels is None:
+            if h[j] != tau[0] - 1:  # an expansion adds C(a, 0) = 1 to h_n
+                raise ValueError(f"{ideal} misses its level-{j} target")
+            count += len(_expandable(ideal, last, ch))
+        else:
+            for g in _expandable(ideal, last, ch):
+                stack.append(
+                    (_expand(ideal, g, ch), _expanded_coordinates(h, j, sum(g)), g, j, s - 1)
+                )
+    return count
 
 
 def enumeration_levels(
@@ -274,9 +253,12 @@ def enumeration_levels(
 
     Level j holds the saturated Borel-fixed ideals whose Hilbert
     polynomial is difference^(d-j)(partition), d = partition.degree.
+    The walk is depth first, so the levels are yielded once it ends.
     """
-    zero, one, target = yield from _walk(partition, n, ch)
-    yield _complete(zero, one, partition.degree, ch, target)
+    stack, tau = _start(partition, n)
+    levels = [{} for _ in tau]
+    _search(stack, tau, ch, levels)
+    yield from levels
 
 
 def enumerate_strongly_stable(
@@ -293,17 +275,9 @@ def enumerate_strongly_stable(
 def count_strongly_stable(
     partition: GotzmannPartition, n: int, ch: Characteristic = CHAR0
 ) -> int:
-    """len(enumerate_strongly_stable(partition, n, ch)), without making
-    the expansions that end the last level: the lifted ideals already on
-    target, plus one ideal per expandable generator above last of each
-    entry one expansion short (see "Counting" in the module docstring)."""
-    walk = _walk(partition, n, ch)
-    try:
-        while True:
-            next(walk)
-    except StopIteration as done:
-        zero, one, target = done.value
-    j = partition.degree
-    _check(zero, j, target)
-    _check(one, j, target - 1)  # an expansion adds C(a, 0) = 1 to h_n
-    return len(zero) + sum(len(_expandable(I, last, ch)) for I, _, last in one)
+    """len(enumerate_strongly_stable(partition, n, ch)), holding only the
+    path of the walk and without making the expansions that end the last
+    level: the lifted ideals already on target, plus one ideal per
+    expandable generator above last of each entry one expansion short
+    (see "Counting" in the module docstring)."""
+    return _search(*_start(partition, n), ch)

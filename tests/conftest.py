@@ -394,11 +394,11 @@ def coordinate_step_holds(N, N_J, n, a):
 
 
 def reference_descend(buckets, j, ch, built=None):
-    """The deficit-bucket descent that deduplicates on insert, on buckets
-    in the layout of reeves._descend, whose last generators it ignores,
-    with the moves _expandable and reference_expand in characteristic 0
-    and reference_borel_expandable and reference_borel_expand in
-    characteristic p.
+    """The deficit-bucket descent that deduplicates on insert, with the
+    moves _expandable and reference_expand in characteristic 0 and
+    reference_borel_expandable and reference_borel_expand in
+    characteristic p.  buckets maps each deficit s to a dict from the
+    ideals of level j that are s expansions short to their coordinates.
 
     Every expansion of an ideal in bucket s, at every expandable
     generator, goes into bucket s - 1 unless that bucket already holds
@@ -408,13 +408,8 @@ def reference_descend(buckets, j, ch, built=None):
     each ideal's coordinates off its numerator; it checks those against
     the given coordinates and against the library's coordinate step
     reeves._expanded_coordinates.  built, when given, collects every
-    distinct ideal the descent builds.  The library's reeves._descend
-    builds each ideal once, from its canonical parent, and tests no
-    membership.
-
-    Like reeves._descend it returns buckets 0 and 1 as lists of
-    (ideal, coordinates, last) triples, but it has emptied bucket 1 too,
-    so bucket 1 is empty, and every last is ().
+    distinct ideal the descent builds.  The library's walk builds each
+    ideal once, from its canonical parent, and tests no membership.
     """
     if ch.is_zero:
         expandable, expand = partial(_expandable, ch=ch), reference_expand
@@ -424,7 +419,7 @@ def reference_descend(buckets, j, ch, built=None):
     dicts = {}
     for s, bucket in buckets.items():
         dicts[s] = {}
-        for I, h, _ in bucket:
+        for I, h in bucket.items():
             num = I.hilbert_numerator()
             c = I.num_vars - 1 - j
             assert h == numerator_coordinates(num, c, len(h)), str(I)
@@ -442,7 +437,34 @@ def reference_descend(buckets, j, ch, built=None):
                     below[expanded] = num_g, h_g
                     if built is not None:
                         built.add(expanded)
-    return [(I, h, ()) for I, (_, h) in dicts.get(0, {}).items()], []
+    return {I: h for I, (_, h) in dicts.get(0, {}).items()}
+
+
+def reference_levels(partition, n, ch, built=None):
+    """The Reeves walk level by level, as a cross-check of the library's
+    depth-first walk: the start ideal <x_0, ..., x_{c-1}>, or the lifts
+    of the last level, go into buckets by their deficit to the level's
+    target, ideals with a negative deficit are dropped, and
+    reference_descend empties the buckets.  Returns the d + 1 levels as
+    dicts from ideal to coordinates, as reeves.enumeration_levels yields
+    them, each ideal checked to meet its target; built, when given,
+    collects every distinct ideal the descents build."""
+    d = partition.degree
+    c = n - d
+    tau = partition.coordinates()
+    start = ideal([tuple(int(i == k) for i in range(c + 1)) for k in range(c)], c + 1)
+    level, levels = {start: (1,) + (0,) * d}, []
+    for j in range(d + 1):
+        if j:
+            level = {I.lift(): h for I, h in level.items()}
+        buckets = {}
+        for I, h in level.items():
+            if tau[d - j] >= h[j]:
+                buckets.setdefault(tau[d - j] - h[j], {})[I] = h
+        level = reference_descend(buckets, j, ch, built)
+        assert all(h[j] == tau[d - j] for h in level.values()), (partition.parts, j)
+        levels.append(level)
+    return levels
 
 
 def brute_contractions(J):

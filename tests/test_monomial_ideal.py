@@ -1,3 +1,4 @@
+from functools import partial
 from math import comb
 
 import pytest
@@ -28,8 +29,10 @@ from conftest import (
     hilbert_function_by_lcm,
     ideal,
     mini_grid,
+    one_minus_t_power,
     reference_hilbert_polynomial,
     reference_is_saturated,
+    trim,
 )
 
 BIG = 10**12
@@ -257,6 +260,42 @@ monomial_ideals = st.integers(1, 4).flatmap(
         st.tuples(*[st.integers(0, 4)] * num_vars), max_size=5
     ).map(lambda gens: MonomialIdeal.from_generators(gens, num_vars))
 )
+
+
+def numerator_from_function(hf, num_vars, top):
+    """The coefficients N_0, ..., N_top of N(t) = (1-t)^num_vars times
+    sum_d hf(d) t^d, the Hilbert function hf read as a series."""
+    return tuple(
+        sum((-1) ** i * comb(num_vars, i) * hf(k - i) for i in range(min(k, num_vars) + 1))
+        for k in range(top + 1)
+    )
+
+
+class TestNumerator:
+    # the pivot recursion against the two brute references, coefficient by
+    # coefficient up to the degree of the lcm of all generators, past
+    # which the numerator has none
+
+    @settings(max_examples=200, deadline=None)
+    @given(monomial_ideals)
+    def test_random_ideals(self, I):
+        top = sum(map(max, zip(*I.gens))) if I.gens else 0
+        N = trim(I.hilbert_numerator())
+        assert len(N) <= top + 1, str(I)
+        N += (0,) * (top + 1 - len(N))
+        for reference in (hilbert_function_by_enumeration, hilbert_function_by_lcm):
+            hf = partial(reference, I)
+            assert numerator_from_function(hf, I.num_vars, top) == N, str(I)
+
+    def test_square_free_quadrics_in_20_variables(self):
+        # S/I is the ring of 20 points on the coordinate axes, with
+        # HF(0) = 1 and HF(d) = 20 after, so N(t) = (1 + 19t)(1-t)^19.
+        # Every colon I : x_k holds all the other variables
+        quadrics = [m for m in monomials_of_degree(2, 20) if max(m) == 1]
+        I = MonomialIdeal.from_generators(quadrics, 20)
+        step = one_minus_t_power(19)
+        expected = tuple(a + 19 * b for a, b in zip(step + (0,), (0,) + step))
+        assert trim(I.hilbert_numerator()) == expected
 
 
 class TestExactAgainstSampling:

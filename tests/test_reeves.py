@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 
 import pytest
@@ -21,11 +22,7 @@ from borelpoints import (
 from borelpoints import binomial_poly, borel, hilbert_poly, monomial_ideal, reeves
 from borelpoints.borel import _expand
 from borelpoints.classify import default_grid
-from borelpoints.reeves import (
-    _complete,
-    _descend,
-    _expanded_coordinates,
-)
+from borelpoints.reeves import _expanded_coordinates
 
 from conftest import (
     all_partitions,
@@ -36,7 +33,7 @@ from conftest import (
     mini_grid,
     numerator_coordinates,
     one_minus_t_power,
-    reference_descend,
+    reference_levels,
     saturated_strongly_stable,
     trim,
 )
@@ -119,6 +116,7 @@ class TestChainDedup:
             for steps in (1, 2, 3):
                 h = numerator_coordinates(I.hilbert_numerator(), num_vars - 1, 1)
                 found = descend_level_zero(I, h, steps, CHAR0)
+                assert found
                 assert found.keys() == self.chains_reversed(I, steps)
 
 
@@ -155,8 +153,8 @@ class TestPointsLadder:
             assert I.hilbert_polynomial().polynomial == partition, str(I)
 
     def test_memory_bounded_by_one_level(self):
-        # the walk holds whole buckets of ideals, never the reachable set
-        # of each; a memo of those sets peaked at about 108 MB here
+        # the walk holds its levels and its path, never the set reachable
+        # from each ideal; a memo of those sets peaked at about 108 MB here
         tracemalloc.start()
         try:
             found = enumerate_strongly_stable(GotzmannPartition((0,) * 24), 4)
@@ -167,66 +165,48 @@ class TestPointsLadder:
         assert peak < 20 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
-def check_coordinates(levels, c):
-    """Every carried coordinate vector h_c, ..., h_{c+d} against the one
-    read off the ideal's numerator from the pivot recursion, and the
-    coordinates below h_c, which the walk takes to be zero."""
-    for I, h in levels.items():
+def check_coordinates(pairs, c):
+    """Every carried coordinate vector h_c, ..., h_{c+d} of the (ideal, h)
+    pairs against the one read off the ideal's numerator from the pivot
+    recursion, and the coordinates below h_c, which the walk takes to be
+    zero."""
+    for I, h in pairs:
         N = I.hilbert_numerator()
         assert numerator_coordinates(N, 0, c) == (0,) * c, str(I)
         assert h == numerator_coordinates(N, c, len(h)), str(I)
 
 
 def descend_level_zero(I, h, steps, ch):
-    """Level 0 from the single entry (I, h, ()) that is steps expansions
-    short of it, h = (h_c,): the descent's bucket 0 once bucket 1 is
-    expanded into it, as a dict from ideal to coordinates."""
-    zero, one = _descend({steps: [(I, h, ())]}, 0, ch)
-    return _complete(zero, one, 0, ch, h[0] + steps)
+    """Level 0 of the walk from the single entry (I, h, (), 0, steps), an
+    ideal steps expansions short of level 0 with h = (h_c,), as a dict
+    from ideal to coordinates."""
+    level = {}
+    reeves._search([(I, h, (), 0, steps)], (h[0] + steps,), ch, [level])
+    return level
 
 
-def emptied_buckets(monkeypatch):
-    """A list that collects the (ideal, coordinates, last) triples of every
-    bucket reeves._descend takes out from then on: every bucket above 1 as
-    it empties it, and buckets 1 and 0 as it returns them."""
-    emptied = []
+class RecordedStack(list):
+    """A walk stack that adds every entry popped from it to the list
+    popped."""
 
-    class Buckets(dict):
-        def pop(self, *args):
-            bucket = super().pop(*args)
-            emptied.extend(bucket)
-            return bucket
+    def __init__(self, entries, popped):
+        super().__init__(entries)
+        self.popped = popped
 
-    descend = reeves._descend
-    monkeypatch.setattr(
-        reeves, "_descend", lambda b, *rest: descend(Buckets(b), *rest)
-    )
-    return emptied
+    def pop(self):
+        self.popped.append(super().pop())
+        return self.popped[-1]
 
 
-class HeldBuckets(dict):
-    """Deficit buckets that add each bucket reeves._descend takes out,
-    buckets 1 and 0 included, to the list held.  reeves._complete then
-    expands bucket 1 into that same bucket-0 list, so every bucket held
-    is complete once the level is."""
-
-    def __init__(self, buckets, held):
-        super().__init__(buckets)
-        self.held = held
-
-    def pop(self, *args):
-        self.held.append(super().pop(*args))
-        return self.held[-1]
-
-
-def descend_from_start(k, ch):
-    """The single level of k points in P^4, descended from the start ideal
-    <x_0, ..., x_3> directly by every number of steps up to the k - 1
-    that k points need; returns each descent's bucket 0."""
-    start = MonomialIdeal.from_generators(
-        [tuple(int(i == j) for i in range(5)) for j in range(4)], 5
-    )
-    return [descend_level_zero(start, (1,), steps, ch) for steps in range(k)]
+def walk_entries(partition, n, ch=CHAR0):
+    """Every (ideal, h, last, j, s) entry the walk to partition in
+    K[x_0, ..., x_n] pops, in the order it pops them, and the levels it
+    collects, which must be those enumeration_levels yields."""
+    stack, tau = reeves._start(partition, n)
+    popped, levels = [], [{} for _ in tau]
+    reeves._search(RecordedStack(stack, popped), tau, ch, levels)
+    assert levels == list(enumeration_levels(partition, n, ch))
+    return popped, levels
 
 
 class TestCarriedNumerators:
@@ -234,24 +214,23 @@ class TestCarriedNumerators:
     # coefficients of its Hilbert numerator in powers of 1 - t, from its
     # parent's; check every one it records against the pivot recursion
 
-    def test_mini_grid(self, monkeypatch):
+    def test_mini_grid(self):
         # the walk ends every level with the coordinates of its ideals, and
-        # the buckets it empties on the way hold every other ideal visited,
-        # as (ideal, coordinates, last) triples
-        emptied = emptied_buckets(monkeypatch)
+        # every entry it pops carries its ideal's coordinates and, apart
+        # from them, its deficit to the level's target
         visited = 0
         for partition, n in mini_grid():
-            emptied.clear()
-            c = n - partition.degree
-            levels = 0
-            for level in enumeration_levels(partition, n):
-                assert {len(h) for h in level.values()} == {partition.degree + 1}
-                check_coordinates(level, c)
-                levels += 1
-            assert levels == partition.degree + 1
-            check_coordinates({I: h for I, h, _ in emptied}, c)
-            visited += len(emptied)
-        assert visited
+            d, c, tau = partition.degree, n - partition.degree, partition.coordinates()
+            entries, levels = walk_entries(partition, n)
+            assert len(levels) == d + 1
+            for level in levels:
+                assert {len(h) for h in level.values()} == {d + 1}
+                check_coordinates(level.items(), c)
+            check_coordinates(((I, h) for I, h, *_ in entries), c)
+            for I, h, _, j, s in entries:
+                assert s == tau[d - j] - h[j], (str(I), j, s)
+            visited += len(entries)
+        assert visited > len(mini_grid())
 
     def test_polynomial_coordinates(self):
         # the coordinates tau_m the walk reads its targets from give
@@ -286,13 +265,13 @@ class TestCarriedNumerators:
 
     @pytest.mark.parametrize("k", [14, 16])
     def test_points_in_p4(self, k):
-        # every ideal the level visits is checked
-        found = descend_from_start(k, CHAR0)
-        for level in found:
-            check_coordinates(level, 4)
-        assert found[-1].keys() == enumerate_strongly_stable(
-            GotzmannPartition((0,) * k), 4
-        )
+        # every ideal the walk visits is checked, and it gives the level of
+        # the level-by-level reference walk
+        partition = GotzmannPartition((0,) * k)
+        entries, levels = walk_entries(partition, 4)
+        check_coordinates(((I, h) for I, h, *_ in entries), 4)
+        assert len(entries) > len(levels[0])
+        assert levels == reference_levels(partition, 4, CHAR0)
 
     def test_walk_computes_no_hilbert_data(self, monkeypatch):
         def forbidden(*args):
@@ -306,13 +285,13 @@ class TestCarriedNumerators:
             assert enumerate_strongly_stable(partition, n)
 
     def test_every_level_recorded(self):
-        # the last level too: its coordinates are bucket 0 of its descent
+        # the last level too
         for parts, n in [((1, 1, 1, 0), 3), ((2, 1, 0, 0), 3), ((0,) * 8, 4)]:
             partition = GotzmannPartition(parts)
             levels = list(enumeration_levels(partition, n))
             assert len(levels) == partition.degree + 1
             for level in levels:
-                check_coordinates(level, n - partition.degree)
+                check_coordinates(level.items(), n - partition.degree)
             assert levels[-1].keys() == enumerate_strongly_stable(partition, n)
 
     @settings(max_examples=200, deadline=None)
@@ -389,67 +368,53 @@ class TestCanonicalParent:
     def test_same_levels_as_dedupe_descent_each_built_once(self, monkeypatch):
         # up to 18 points in P^4 in characteristic 0, and up to 14 in
         # characteristic p, whose moves are slower
+        built = []
+
+        def counting_expand(I, g, ch):
+            built.append(_expand(I, g, ch))
+            return built[-1]
+
+        total = 0
         for p, points in ((0, 18), (2, 14), (3, 14)):
             ch = Characteristic(p)
             cells = mini_grid() + [
                 (GotzmannPartition((0,) * k), 4) for k in range(1, points + 1)
             ]
-            # count the expansions in the walk's one move
-            built = []
-
-            def counting_expand(I, g, ch):
-                built.append(_expand(I, g, ch))
-                return built[-1]
-
             for partition, n in cells:
                 built.clear()
                 with monkeypatch.context() as m:
                     m.setattr(reeves, "_expand", counting_expand)
                     levels = list(enumeration_levels(partition, n, ch))
                 visited = set()
-                with monkeypatch.context() as m:
-                    m.setattr(
-                        reeves,
-                        "_descend",
-                        lambda *args: reference_descend(*args, visited),
-                    )
-                    assert levels == list(enumeration_levels(partition, n, ch)), (
-                        partition.parts,
-                        n,
-                        p,
-                    )
+                assert levels == reference_levels(partition, n, ch, visited), (
+                    partition.parts,
+                    n,
+                    p,
+                )
                 # one expansion per distinct ideal the reference builds
                 assert len(built) == len(set(built)), (partition.parts, n, p)
                 assert set(built) == visited, (partition.parts, n, p)
+                total += len(built)
+        assert total
 
-    def test_last_is_max_of_peel_set(self, monkeypatch):
+    def test_last_is_max_of_peel_set(self):
         # the invariant the build-once proof rests on: every entry's last
         # is max R(J), () for an empty R, and R is empty exactly for the
         # lifted and start ideals
-        descents = []
-        descend = reeves._descend
-
-        def recording_descend(buckets, j, ch):
-            given = [entry for bucket in buckets.values() for entry in bucket]
-            held = []
-            descents.append((j, given, held))
-            return descend(HeldBuckets(buckets, held), j, ch)
-
-        monkeypatch.setattr(reeves, "_descend", recording_descend)
+        checked = built = 0
         for p in (0, 2, 3):
+            ch = Characteristic(p)
             for partition, n in mini_grid():
-                descents.clear()
-                list(enumeration_levels(partition, n, Characteristic(p)))
-                for j, given, held in descents:
-                    for J, _, last in given:
-                        assert last == () and not peel_set(J, j), str(J)
-                    entries = [entry for bucket in held for entry in bucket]
-                    empty = 0
-                    for J, _, last in entries:
-                        R = peel_set(J, j)
-                        assert last == max(R, default=()), (str(J), last, p)
-                        empty += not R
-                    assert empty == len(given), (partition.parts, n, p)
+                entries, levels = walk_entries(partition, n, ch)
+                lifts = [{I.lift() for I in level} for level in levels]
+                for J, _, last, j, _ in entries:
+                    R = peel_set(J, j)
+                    assert last == max(R, default=()), (str(J), last, p)
+                    if not R:  # the start, or a lift of level j - 1
+                        assert J in lifts[j - 1] if j else J == entries[0][0]
+                    checked += 1
+                    built += bool(R)
+        assert built and checked > built
 
     @settings(max_examples=300, deadline=None)
     @given(saturated_strongly_stable())
@@ -493,7 +458,7 @@ def least_prime_above(r):
 class TestCharacteristicP:
     # in characteristic p the walk expands each ideal at the generators
     # above the one it was built at that borel._expandable allows,
-    # and searches no bucket for duplicates; the exhaustive oracle is the
+    # and searches no set for duplicates; the exhaustive oracle is the
     # independent check
     FORCED = [
         ((1, 1, 0, 0), 3),
@@ -530,35 +495,28 @@ class TestCharacteristicP:
             assert I.saturate() == I, str(I)
             assert I.hilbert_polynomial().polynomial == partition, str(I)
 
-    def test_no_ideal_twice_in_a_bucket(self, monkeypatch):
-        # each cell builds every distinct ideal once, with no bucket
-        # searched for duplicates, so no bucket holds an ideal twice
-        buckets = []
+    def test_no_ideal_built_twice(self, monkeypatch):
+        # each cell builds every distinct ideal once, with no set searched
+        # for duplicates, so no two entries the walk pops hold one ideal
         built = []
 
         def counting_expand(I, g, ch):
             built.append(_expand(I, g, ch))
             return built[-1]
 
-        descend = reeves._descend
-        monkeypatch.setattr(
-            reeves,
-            "_descend",
-            lambda b, *rest: descend(HeldBuckets(b, buckets), *rest),
-        )
-        monkeypatch.setattr(reeves, "_expand", counting_expand)
         total = 0
         for partition, n in mini_grid():
             for p in (2, 3):
                 built.clear()
-                enumerate_strongly_stable(partition, n, Characteristic(p))
+                with monkeypatch.context() as m:
+                    m.setattr(reeves, "_expand", counting_expand)
+                    enumerate_strongly_stable(partition, n, Characteristic(p))
                 assert len(built) == len(set(built)), (partition.parts, n, p)
+                entries, _ = walk_entries(partition, n, Characteristic(p))
+                ideals = [I for I, *_ in entries]
+                assert len(ideals) == len(set(ideals)), (partition.parts, n, p)
                 total += len(built)
         assert total
-        assert sum(map(len, buckets)) > len(buckets)
-        for bucket in buckets:
-            ideals = [I for I, _, _ in bucket]
-            assert len(ideals) == len(set(ideals))
 
     def test_moves_call_no_membership_test_or_sort_key(self, monkeypatch):
         # the char-p moves test blockers by a generator-set lookup and an
@@ -590,27 +548,25 @@ class TestCharacteristicP:
         I.contains((1, 1, 0))
         assert {"canonical_key", "divides", "contains"} <= set(calls)
 
-    def test_outputs_are_valid_with_carried_numerators(self, monkeypatch):
-        # every carried coordinate vector: the levels, the buckets emptied
-        # on the way, and the points-ladder descents
-        emptied = emptied_buckets(monkeypatch)
+    def test_outputs_are_valid_with_carried_numerators(self):
+        # every carried coordinate vector: the levels and every entry the
+        # walk pops, on the mini grid and on 10 points in P^4
         visited = 0
+        cells = mini_grid() + [(GotzmannPartition((0,) * 10), 4)]
         for p in (2, 3):
             ch = Characteristic(p)
-            for partition, n in mini_grid():
-                emptied.clear()
+            for partition, n in cells:
                 c = n - partition.degree
-                for level in enumeration_levels(partition, n, ch):
-                    check_coordinates(level, c)
+                entries, levels = walk_entries(partition, n, ch)
+                for level in levels:
+                    check_coordinates(level.items(), c)
                     for I in level:
                         assert is_borel_fixed(I, ch), str(I)
                         assert I.saturate() == I, str(I)
-                check_coordinates({I: h for I, h, _ in emptied}, c)
-                visited += len(emptied)
+                check_coordinates(((I, h) for I, h, *_ in entries), c)
+                visited += len(entries)
                 assert level.keys() >= enumerate_strongly_stable(partition, n)
-            for level in descend_from_start(10, ch):
-                check_coordinates(level, 4)
-        assert visited
+        assert visited > len(cells)
 
     def test_least_prime_above_gotzmann_number_gives_char0_set(self):
         # minimal generators have degree <= r, so every exponent is below
@@ -623,8 +579,9 @@ class TestCharacteristicP:
 
 
 class TestCount:
-    # count_strongly_stable runs the walk but stops the last level at
-    # bucket 1, and counts the expandable generators above last there
+    # count_strongly_stable runs the walk but does not expand the entries
+    # of the last level one expansion short: it counts their expandable
+    # generators above last
 
     def test_equals_enumeration_on_mini_grid(self):
         for p in (0, 2, 3, 5):
@@ -655,8 +612,8 @@ class TestCount:
 
     def test_counts_lifted_and_expanded_ideals(self):
         # the last level of this cell holds lifted ideals already on
-        # target besides those built from bucket 1, so dropping either
-        # term changes the count
+        # target besides those built from entries one expansion short, so
+        # dropping either term changes the count
         partition, n = GotzmannPartition((1, 1, 1, 0)), 3
         levels = list(enumeration_levels(partition, n))
         lifted = {I.lift() for I in levels[0]}
@@ -686,7 +643,7 @@ class TestCount:
 
     def test_makes_no_expansion_into_the_last_level(self, monkeypatch):
         # the count makes every expansion the enumeration makes except
-        # those into the last level's bucket 0, the ones it counts
+        # those that end the last level, the ones it counts
         built = []
 
         def recording_expand(I, g, ch):
@@ -708,3 +665,59 @@ class TestCount:
                 assert set(built) == walked - found, (partition.parts, n, p)
                 saved += len(walked & found)
         assert saved
+
+
+def frame_depth():
+    """The number of Python frames on the stack of the caller."""
+    frame, depth = sys._getframe(1), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+class TestWalkShape:
+    # the walk is depth first: it gives the levels of the level-by-level
+    # reference walk, a count holds only its path, and it does not recurse
+
+    def test_equals_reference_on_default_grid(self):
+        cells = default_grid()
+        assert len(cells) == 468
+        for c in cells:
+            reference = reference_levels(c.partition, c.n, c.char)
+            cell = (c.partition.parts, c.n, c.char.value)
+            assert list(enumeration_levels(c.partition, c.n, c.char)) == reference, cell
+            assert count_strongly_stable(c.partition, c.n, c.char) == len(
+                reference[-1]
+            ), cell
+
+    @pytest.mark.parametrize("p", [0, 2, 3])
+    def test_equals_reference_on_points_in_p4(self, p):
+        ch = Characteristic(p)
+        for k in range(1, 17):
+            partition = GotzmannPartition((0,) * k)
+            reference = reference_levels(partition, 4, ch)
+            assert list(enumeration_levels(partition, 4, ch)) == reference, k
+            assert count_strongly_stable(partition, 4, ch) == len(reference[0]), k
+
+    def test_count_holds_only_the_path(self):
+        # the level-by-level walk held all of the last level's entries one
+        # expansion short here, a peak of 2.61 MB
+        tracemalloc.start()
+        try:
+            count = count_strongly_stable(GotzmannPartition((0,) * 24), 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == 3707
+        assert peak < 2**19, f"peak {peak / 2**20:.2f} MB"
+
+    def test_count_does_not_recurse(self):
+        # 24 points in P^4 are 23 expansions deep; 15 frames cover the
+        # count's calls into its moves, not a frame per expansion
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(frame_depth() + 15)
+        try:
+            count = count_strongly_stable(GotzmannPartition((0,) * 24), 4)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert count == 3707

@@ -19,9 +19,11 @@ p-Borel is being strongly stable.  The tests check this on small cells.
 
 verify_classification and explore_tree read only the number of points,
 so they call reeves.count_strongly_stable, which counts the last level of
-the depth-first walk without making the expansions that end it, and
-holds only the walk's path.  count_borel_fixed returns the set too, for
-`classify --verify`, which lists the ideals.
+the depth-first walk without making the expansions that end it, skips
+every branch whose lift must overshoot the next level's target (a degree
+bound on the coordinates it carries), and holds only the walk's path.
+count_borel_fixed returns the set too, for `classify --verify`, which
+lists the ideals.
 """
 
 from __future__ import annotations
@@ -39,9 +41,11 @@ from .exhaustive import DEFAULT_MAX_AMBIENT, DEFAULT_MAX_GOTZMANN
 ORACLE_CHARS = (2, 3)
 
 # explore_tree's depth cap: a tree of depth D has 2^(D+1) - 1 nodes, and
-# memory grows about 3.3x per two levels.  On a 2-vCPU VM, depth 12 takes
-# 0.55 s and 62 MB, 3.6 s with enumerated counts, and 6.7 s at codimension
-# 4 in characteristic 2 with counts; depth 20 would take gigabytes.
+# its memory grows about 4x per two levels (a tracemalloc peak of 0.8 /
+# 3.5 MB at depth 10 / 12, codimension 2).  On a 2-vCPU VM, depth 12 at
+# codimension 2 takes 0.09 s and 19 MB peak RSS, 1.4 s with enumerated
+# counts, and 2.2 s at codimension 4 in characteristic 2 with counts;
+# depth 20 would take about a gigabyte.
 MAX_TREE_DEPTH = 12
 
 

@@ -32,10 +32,10 @@ from . import classify as _classify
 
 
 # check-ideal, lex and the walk's entry points refuse more variables than
-# this before any work.  On a 2-vCPU VM `check-ideal --gens x0` takes 0.09 /
-# 0.49 s in 800 / 2000 variables (the peel is quadratic in the degree), so
+# this before any work.  On a 2-vCPU VM `check-ideal --gens x0` takes 0.1 /
+# 0.8 s in 800 / 2000 variables (the peel is quadratic in the degree), so
 # the Gotzmann-number guard and the numerator bound it; `lex --partition 0`
-# takes 0.23 / 3.7 s at --n 199 / 799, minimalizing its generators.
+# takes 0.01 / 0.18 s at --n 199 / 799.
 MAX_NUM_VARS = 200
 
 # check-ideal also refuses generators whose degrees sum above this before
@@ -52,6 +52,14 @@ MAX_DEGREE_SUM = 10**5
 # takes 2-3 s; on 94 inputs whose Hilbert polynomial it computes, the test
 # took at most 0.26 s (x_i^500 in 200 variables, 8 * 10^6 steps).
 MAX_SATURATION_WORK = 10**8
+
+# check-ideal stops the Hilbert numerator's pivot recursion past this many
+# steps (MonomialIdeal.hilbert_numerator), 1.5-2.5 s on a 2-vCPU VM.  The
+# square-free quadrics x_i x_j, i < j, need 4.0 * 10^7 steps (0.6 s) in 50
+# variables, 9.9 * 10^7 (2.0 s) in 60, 2.1 * 10^8 (3.7 s) in 70 and
+# 1.3 * 10^9 (16 s) in 100; `check-ideal` on the last trips the bound and
+# exits 3 after 1.5 s.
+MAX_NUMERATOR_WORK = 10**8
 
 
 class _UsageError(Exception):
@@ -314,7 +322,7 @@ def cmd_lex(args) -> int:
 def cmd_check_ideal(args) -> int:
     ideal = _parse_ideal_args(args)
     ch = args.char
-    data = ideal.hilbert_polynomial()
+    data = ideal.hilbert_polynomial(MAX_NUMERATOR_WORK)
     ss = is_strongly_stable(ideal)
     bf = is_borel_fixed(ideal, ch)
     payload = {

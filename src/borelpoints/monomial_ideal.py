@@ -88,12 +88,33 @@ def canonical_key(m: Monomial):
 
 
 def _minimal_gens(gens) -> tuple[Monomial, ...]:
+    """The minimal ones of gens, in canonical order.  A monomial other
+    than m that divides m has lower degree, so m is tested only against
+    the kept ones of lower degree."""
     unique = sorted(set(gens), key=canonical_key)
     kept: list[Monomial] = []
+    lower: tuple[Monomial, ...] = ()
+    degree = -1
     for m in unique:
-        if not any(divides(g, m) for g in kept):
+        if sum(m) > degree:
+            degree, lower = sum(m), tuple(kept)
+        if not any(divides(g, m) for g in lower):
             kept.append(m)
     return tuple(kept)
+
+
+def _step_budget(max_steps: int, what: str):
+    """A spend(steps) that raises SearchBoundError once more than max_steps
+    steps are spent in all."""
+    spent = 0
+
+    def spend(steps: int) -> None:
+        nonlocal spent
+        spent += steps
+        if spent > max_steps:
+            raise SearchBoundError(f"size bound exceeded: {what} above {max_steps} steps")
+
+    return spend
 
 
 def monomials_of_degree(d: int, num_vars: int):
@@ -185,13 +206,11 @@ class MonomialIdeal:
         I + (R), R the minimal lcms outside I of R and C_i.  A divisibility
         test or an lcm is a step per variable, minimalizing k monomials
         k^2 / 2 tests; past max_steps, SearchBoundError."""
-        gens, n, steps = self.gens, self.num_vars, 0
+        gens, n = self.gens, self.num_vars
+        spend_steps = _step_budget(max_steps, "saturation test")
 
         def spend(tests: int) -> None:
-            nonlocal steps
-            steps += tests * n
-            if steps > max_steps:
-                raise SearchBoundError(f"size bound exceeded: saturation test above {max_steps} steps")
+            spend_steps(tests * n)
 
         top = tuple(map(max, zip(*gens)))
         if not gens or not all(top):
@@ -240,9 +259,12 @@ class MonomialIdeal:
         cut = [g[: self.num_vars - 2] + (0,) for g in self.gens]
         return MonomialIdeal.from_generators(cut, self.num_vars - 1)
 
-    def hilbert_numerator(self) -> tuple[int, ...]:
-        """Coefficients of N(t) with series of S/I equal to N(t)/(1-t)^(n+1)."""
-        return _numerator(self.gens, self.num_vars)
+    def hilbert_numerator(self, max_steps: int | None = None) -> tuple[int, ...]:
+        """Coefficients of N(t) with series of S/I equal to N(t)/(1-t)^(n+1).
+        The pivot recursion charges each of its steps (see _numerator); past
+        max_steps, SearchBoundError.  None, the default, sets no bound."""
+        spend = None if max_steps is None else _step_budget(max_steps, "Hilbert numerator")
+        return _numerator(self.gens, self.num_vars, spend)
 
     def hilbert_function(self, d: int) -> int:
         """Number of degree-d monomials outside I (dimension of (S/I)_d)."""
@@ -250,8 +272,8 @@ class MonomialIdeal:
             raise ValueError("degree must be nonnegative")
         return _function_value(self.hilbert_numerator(), self.num_vars, d)
 
-    def hilbert_polynomial(self) -> "HilbertData":
-        return hilbert_polynomial(self)
+    def hilbert_polynomial(self, max_steps: int | None = None) -> "HilbertData":
+        return hilbert_polynomial(self, max_steps)
 
     def __str__(self) -> str:
         return format_ideal(self.gens)
@@ -286,7 +308,14 @@ def _poly_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _numerator(gens: tuple[Monomial, ...], num_vars: int) -> tuple[int, ...]:
+def _numerator(gens: tuple[Monomial, ...], num_vars: int, spend=None) -> tuple[int, ...]:
+    """The numerator of the Hilbert series of S/(gens) by the pivot
+    recursion.  With spend, each call spends its reads and divisibility
+    tests on it, at a step per variable: the pivot count reads every
+    generator, and the colon minimalizes the m lowered generators,
+    m^2 / 2 tests, then tests each free one against at most m of them.
+    The product that ends a branch of pairwise coprime generators is not
+    charged; check-ideal bounds it by the degree sum."""
     if not gens:
         return (1,)
     if not any(gens[0]):
@@ -297,8 +326,11 @@ def _numerator(gens: tuple[Monomial, ...], num_vars: int) -> tuple[int, ...]:
         for i, e in enumerate(g):
             if e:
                 counts[i] += 1
+    if spend:
+        spend(num_vars * len(gens))
     k = max(range(num_vars), key=lambda i: counts[i])
-    if counts[k] <= 1:
+    m = counts[k]
+    if m <= 1:
         # pairwise coprime supports: complete-intersection numerator
         out = (1,)
         for g in gens:
@@ -308,14 +340,16 @@ def _numerator(gens: tuple[Monomial, ...], num_vars: int) -> tuple[int, ...]:
     # x_k.  In I : x_k a free generator divides no lowered g / x_k, else
     # it would divide g, so only the lowered ones are minimalized, and the
     # free ones are tested against those alone.
+    if spend:
+        spend(num_vars * (m * m // 2 + (len(gens) - m) * m))
     free = [g for g in gens if not g[k]]
     pivot = tuple(1 if i == k else 0 for i in range(num_vars))
     lowered = _minimal_gens(g[:k] + (g[k] - 1,) + g[k + 1 :] for g in gens if g[k])
-    kept = [f for f in free if not any(divides(m, f) for m in lowered)]
+    kept = [f for f in free if not any(divides(low, f) for low in lowered)]
     left = tuple(sorted(free + [pivot], key=canonical_key))
     colon = tuple(sorted(kept + list(lowered), key=canonical_key))
     return _poly_add(
-        _numerator(left, num_vars), (0,) + _numerator(colon, num_vars)
+        _numerator(left, num_vars, spend), (0,) + _numerator(colon, num_vars, spend)
     )
 
 
@@ -339,7 +373,7 @@ class HilbertData:
         return self.polynomial is None
 
 
-def hilbert_polynomial(ideal: MonomialIdeal) -> HilbertData:
+def hilbert_polynomial(ideal: MonomialIdeal, max_steps: int | None = None) -> HilbertData:
     """Compute the Hilbert polynomial of S/I as a Gotzmann partition, exactly.
 
     Both come from the numerator N(t) = sum_j c_j t^j of the Hilbert
@@ -353,10 +387,11 @@ def hilbert_polynomial(ideal: MonomialIdeal) -> HilbertData:
     the coordinates tau_m = h_{n-m} of HP in the basis C(t + m, m), the
     form of GotzmannPartition.coordinates, where
     h_i = (-1)^i sum_j c_j C(j, i) (see the reeves docstring); the sums
-    skip the zero c_j, which can be most of a long numerator.
+    skip the zero c_j, which can be most of a long numerator.  max_steps
+    bounds the numerator (MonomialIdeal.hilbert_numerator).
     """
     n = ideal.num_vars - 1
-    terms = [(j, c) for j, c in enumerate(ideal.hilbert_numerator()) if c]
+    terms = [(j, c) for j, c in enumerate(ideal.hilbert_numerator(max_steps)) if c]
     stab = max(max((j for j, _ in terms), default=0) - n, 0)
     h = [(-1) ** i * sum(c * comb(j, i) for j, c in terms) for i in range(n + 1)]
     part = peel_to_partition(h[::-1]) if any(h) else None

@@ -146,6 +146,34 @@ no other: it adds C(a, 0) = 1 to it.  So the count checks
 h_{c+d} = tau_0 - 1 on an entry of deficit 1, which is the check its
 expansions would meet.
 
+Pruning.  The count also builds no entry below level d whose every
+completion to its level lifts with a negative deficit, which the walk
+would drop.  Take an entry of level j < d, with deficit s, coordinates
+h, and generators of degree at most D.  An expansion at a generator of
+degree a <= D lowers h_{c+j+1} by exactly a, the C(a, 1) term of
+_expanded_coordinates, and the generators it adds, the g x_k, have
+degree a + 1, so those of the expansion have degree at most
+max(D, a + 1) <= D + 1.  So the s expansions that complete the entry
+to an ideal of level j lower h_{c+j+1} by at most
+D + (D + 1) + ... + (D + s - 1) = s D + s (s - 1) / 2, and if
+h_{c+j+1} - s D - s (s - 1) / 2 > tau_{d-j-1}, every such ideal has
+h_{c+j+1} above tau_{d-j-1}, so its lift a negative deficit: the entry
+is doomed.  The count tests an expansion at g, of degree a, before
+building it, with its coordinates, its deficit s - 1 and the bound
+max(D, a + 1), D = sum(I.gens[-1]) being the top degree of I (canonical
+order sorts by degree); and a lift to level j + 1 < d before making
+it, with its deficit and D, on h_{c+j+2} and tau_{d-j-2}.  At deficit 0
+the test is the lift's negative deficit itself, so those ideals of
+level j are not built either.  Every child of a doomed entry is
+doomed: an expansion, with t = s - 1, a <= D and a degree bound
+D' <= D + 1, has
+h_{c+j+1} - a - t D' - t (t - 1) / 2 >= h_{c+j+1} - s D - s (s - 1) / 2,
+and a doomed entry of deficit 0 has no lift.  So the count skips
+exactly the doomed entries, none of which leads to an ideal of level d,
+and its number is unchanged.  The bound reads only tau, h and the top
+degree.  enumeration_levels keeps every ideal of every level, and does
+not prune.
+
 Preconditions are checked once, at the public boundary, and never inside
 the walk.  The public borel.expand and borel.expandable_generators check
 that their ideal is saturated and strongly stable; the walk calls their
@@ -190,6 +218,14 @@ def _expanded_coordinates(h: tuple[int, ...], j: int, a: int) -> tuple[int, ...]
     return tuple(out)
 
 
+def _completes(x: int, target: int, t: int, top: int) -> bool:
+    """Whether t more expansions of level j can leave the coordinate
+    x = h_{c+j+1} at or below target = tau_{d-j-1}, the ideal's generators
+    having degree at most top: the i-th lowers it by at most top + i - 1
+    (see "Pruning" in the module docstring)."""
+    return x - t * top - t * (t - 1) // 2 <= target
+
+
 def _start(partition: GotzmannPartition, n: int) -> tuple[list, tuple[int, ...]]:
     """The stack that starts the walk to partition in K[x_0, ..., x_n],
     holding the entry of the start ideal, and the targets tau.  tau_d
@@ -199,8 +235,9 @@ def _start(partition: GotzmannPartition, n: int) -> tuple[list, tuple[int, ...]]
     d = partition.degree
     c = n - d
     tau = partition.coordinates()
+    zero = (0,) * (c + 1)
     start = MonomialIdeal._trusted(
-        c + 1, tuple(tuple(int(i == k) for i in range(c + 1)) for k in range(c))
+        c + 1, tuple(zero[:k] + (1,) + zero[k + 1 :] for k in range(c))
     )
     return [(start, (1,) + (0,) * d, (), 0, tau[d] - 1)], tau
 
@@ -215,7 +252,9 @@ def _search(
     With levels, a list of d + 1 dicts, add every ideal of level j to
     levels[j], mapped to its coordinates.  Without, count each entry of
     level d one expansion short by its expandable generators instead of
-    expanding it.
+    expanding it, and build no expansion or lift below level d whose
+    every completion overshoots the next level (see "Pruning" in the
+    module docstring).
     """
     d = len(tau) - 1
     count = 0
@@ -230,17 +269,25 @@ def _search(
                 count += 1
                 continue
             s = tau[d - j - 1] - h[j + 1]
-            if s >= 0:
+            if s >= 0 and (
+                levels is not None
+                or j + 1 == d
+                or _completes(h[j + 2], tau[d - j - 2], s, sum(ideal.gens[-1]))
+            ):
                 stack.append((ideal.lift(), h, (), j + 1, s))
         elif s == 1 and j == d and levels is None:
             if h[j] != tau[0] - 1:  # an expansion adds C(a, 0) = 1 to h_n
                 raise ValueError(f"{ideal} misses its level-{j} target")
             count += len(_expandable(ideal, last, ch))
         else:
+            prune = levels is None and j < d
+            if prune:
+                top, target = sum(ideal.gens[-1]), tau[d - j - 1]
             for g in _expandable(ideal, last, ch):
-                stack.append(
-                    (_expand(ideal, g, ch), _expanded_coordinates(h, j, sum(g)), g, j, s - 1)
-                )
+                a = sum(g)
+                h2 = _expanded_coordinates(h, j, a)
+                if not prune or _completes(h2[j + 1], target, s - 1, max(top, a + 1)):
+                    stack.append((_expand(ideal, g, ch), h2, g, j, s - 1))
     return count
 
 
@@ -279,5 +326,7 @@ def count_strongly_stable(
     path of the walk and without making the expansions that end the last
     level: the lifted ideals already on target, plus one ideal per
     expandable generator above last of each entry one expansion short
-    (see "Counting" in the module docstring)."""
+    (see "Counting" in the module docstring).  It builds no expansion or
+    lift below the last level whose every completion must overshoot the
+    next level's target (see "Pruning")."""
     return _search(*_start(partition, n), ch)

@@ -194,6 +194,18 @@ class TestSizeGuard:
                 ["tree", "--codim", "800", "--depth", "2", "--enumerate"],
                 "803 variables, above 200",
             ),
+            # the square-free quadrics x_i x_j in 100 variables: unguarded,
+            # the Hilbert numerator's recursion took over 40 s
+            (
+                [
+                    "check-ideal",
+                    "--gens",
+                    ",".join(f"x{i}*x{j}" for i in range(100) for j in range(i + 1, 100)),
+                    "--num-vars",
+                    "100",
+                ],
+                "Hilbert numerator above 100000000 steps",
+            ),
         ],
         ids=[
             "check-ideal-num-vars",
@@ -207,6 +219,7 @@ class TestSizeGuard:
             "classify-verify",
             "verify-grid",
             "tree-enumerate",
+            "check-ideal-numerator",
         ],
     )
     def test_guard_trips_before_any_work(self, argv, error):
@@ -327,6 +340,27 @@ class TestSaturated:
             capsys, "check-ideal", "--gens", "x0^3,x1^3,x2^3", "--num-vars", "32"
         )
         assert code == 3 and "Gotzmann number above" in err
+
+
+class TestNumeratorBudget:
+    """check-ideal stops the Hilbert numerator past
+    cli.MAX_NUMERATOR_WORK steps (MonomialIdeal.hilbert_numerator) and
+    exits 3."""
+
+    def test_budget_is_inclusive(self, capsys, monkeypatch):
+        # 24 steps, counted in TestNumeratorBudget::test_budget_is_inclusive
+        # of the monomial ideal tests
+        argv = "check-ideal", "--gens", "x0^2*x1,x0*x1^2", "--num-vars", "2"
+        monkeypatch.setattr(cli, "MAX_NUMERATOR_WORK", 24)
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and "hilbert poly      (0, 0)" in out
+        monkeypatch.setattr(cli, "MAX_NUMERATOR_WORK", 23)
+        code, _, err = run(capsys, *argv, "--json")
+        assert code == 3
+        assert json.loads(err) == {
+            "error": "size bound exceeded: Hilbert numerator above 23 steps",
+            "exit_code": 3,
+        }
 
 
 class TestCharacteristicInput:

@@ -89,6 +89,25 @@ class TestMinimalize:
         I = MonomialIdeal.from_generators([(0, 0, 0), (1, 0, 0)], 3)
         assert I.is_unit
 
+    def test_tests_only_against_lower_degrees(self, monkeypatch):
+        # a monomial is divisible only by one of lower degree, so generators
+        # of one degree are kept without a test, and each generator of
+        # degree 2 here is tested against the one of degree 1
+        tests = []
+
+        def counting_divides(a, b):
+            tests.append((a, b))
+            return divides(a, b)
+
+        monkeypatch.setattr(monomial_ideal, "divides", counting_divides)
+        quadrics = [m for m in monomials_of_degree(2, 30) if max(m) == 1]
+        assert len(MonomialIdeal.from_generators(quadrics, 30).gens) == 435
+        assert tests == []
+        x0 = (1,) + (0,) * 29
+        I = MonomialIdeal.from_generators(quadrics + [x0], 30)
+        assert len(I.gens) == 1 + 406
+        assert len(tests) == 435 and {a for a, _ in tests} == {x0}
+
     def test_canonical_order_degree_then_lex(self):
         I = MonomialIdeal.from_generators([(0, 2, 0), (1, 1, 0), (0, 0, 1)], 3)
         assert I.gens == ((0, 0, 1), (1, 1, 0), (0, 2, 0))
@@ -296,6 +315,38 @@ class TestNumerator:
         step = one_minus_t_power(19)
         expected = tuple(a + 19 * b for a, b in zip(step + (0,), (0,) + step))
         assert trim(I.hilbert_numerator()) == expected
+
+
+class TestNumeratorBudget:
+    """hilbert_numerator(max_steps) charges the pivot recursion's reads and
+    divisibility tests, a step per variable, and raises SearchBoundError
+    past max_steps; None, the default, sets no bound."""
+
+    def test_budget_is_inclusive(self):
+        # x0 x1 (x0, x1) in 2 variables: the pivot x0 reads 2 generators and
+        # makes 2 + 0 tests, I + (x0) reads 1; the colon (x0 x1, x1^2)
+        # pivots on x1, reading 2 and testing 2 + 0, its I + (x1) reads 1,
+        # and its colon (x0, x1) reads 2 and ends as a product
+        I = ideal([(2, 1), (1, 2)], 2)
+        steps = 2 * ((2 + 2) + 1 + (2 + 2) + 1 + 2)
+        assert steps == 24
+        assert I.hilbert_numerator(steps) == I.hilbert_numerator() == (1, 0, 0, -2, 1)
+        with pytest.raises(SearchBoundError, match="Hilbert numerator above 23 steps"):
+            I.hilbert_numerator(steps - 1)
+
+    def test_hilbert_polynomial_passes_the_budget(self):
+        I = ideal([(2, 1), (1, 2)], 2)
+        assert I.hilbert_polynomial(24) == I.hilbert_polynomial()
+        with pytest.raises(SearchBoundError, match="Hilbert numerator"):
+            I.hilbert_polynomial(23)
+
+    def test_square_free_quadrics_trip_the_budget(self):
+        # the recursion on the quadrics in 100 variables needs about
+        # 1.3 * 10^9 steps; the budget stops it at the first call past 10^6
+        quadrics = [m for m in monomials_of_degree(2, 100) if max(m) == 1]
+        I = MonomialIdeal.from_generators(quadrics, 100)
+        with pytest.raises(SearchBoundError, match="above 1000000 steps"):
+            I.hilbert_numerator(10**6)
 
 
 class TestExactAgainstSampling:

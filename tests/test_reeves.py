@@ -21,7 +21,7 @@ from borelpoints import (
 )
 from borelpoints import binomial_poly, borel, hilbert_poly, monomial_ideal, reeves
 from borelpoints.borel import _expand
-from borelpoints.classify import default_grid
+from borelpoints.classify import default_grid, partitions_up_to
 from borelpoints.reeves import _expanded_coordinates
 
 from conftest import (
@@ -641,9 +641,76 @@ class TestCount:
         with pytest.raises(ValueError, match="misses its level-0 target"):
             count_strongly_stable(partition, n)
 
-    def test_makes_no_expansion_into_the_last_level(self, monkeypatch):
-        # the count makes every expansion the enumeration makes except
-        # those that end the last level, the ones it counts
+    def test_makes_no_expansion_into_the_last_level(self):
+        # the count walks every entry the enumeration walks except the
+        # expansions that end the last level, the ones it counts, and the
+        # doomed entries: those of level j < d and deficit s with
+        # h_{c+j+1} - s D - s (s - 1) / 2 > tau_{d-j-1}, where D bounds the
+        # top generator degree: max(D_I, a + 1) for an expansion of I at a
+        # generator of degree a, and the top degree itself for a lift.
+        # Every child of a doomed entry is doomed, and no doomed entry
+        # leads to an ideal of level d
+        cells = mini_grid() + [
+            (GotzmannPartition((0,) * 12), 4),
+            (GotzmannPartition((1, 1, 1, 1, 0)), 3),
+            (GotzmannPartition((3, 3, 3, 3, 2)), 5),
+            (GotzmannPartition((4, 4, 2, 1, 1, 0)), 8),
+        ]
+        saved = pruned = 0
+        for p in (0, 2):
+            ch = Characteristic(p)
+            for partition, n in cells:
+                cell = (partition.parts, n, p)
+                d, tau = partition.degree, partition.coordinates()
+                entries, levels = walk_entries(partition, n, ch)
+                parents, doomed = {}, set()
+                for I, h, last, j, s in entries:
+                    parent = parents[I] = walk_parent(I, last)
+                    D = max(sum(parent.gens[-1]), sum(last) + 1) if last else sum(I.gens[-1])
+                    if j < d and h[j + 1] - s * D - s * (s - 1) // 2 > tau[d - j - 1]:
+                        doomed.add(I)
+                    else:
+                        assert parent not in doomed, cell
+                for I in levels[d]:
+                    while I in parents:
+                        assert I not in doomed, cell
+                        I = parents[I]
+                counted = {I for I, _, last, *_ in entries if last} & levels[d].keys()
+                stack, tau = reeves._start(partition, n)
+                popped = []
+                count = reeves._search(RecordedStack(stack, popped), tau, ch)
+                assert count == len(levels[d]), cell
+                assert len({I for I, *_ in popped}) == len(popped), cell
+                assert {I for I, *_ in popped} == parents.keys() - counted - doomed, cell
+                saved += len(counted)
+                pruned += len(doomed)
+        assert saved and pruned
+
+    def test_expansion_budget_on_grid_char0(self, monkeypatch):
+        # a deterministic work guard: the count on the bench's grid_char0
+        # cells made 8 465 expansions before the degree bound, 4 619 with it
+        calls = [0]
+
+        def counting_expand(I, g, ch):
+            calls[0] += 1
+            return _expand(I, g, ch)
+
+        cells = [c for c in default_grid(7, 3, (2, 3)) if c.char.is_zero]
+        assert len(cells) == 658
+        for c in cells:
+            found = enumerate_strongly_stable(c.partition, c.n, c.char)
+            with monkeypatch.context() as m:
+                m.setattr(reeves, "_expand", counting_expand)
+                count = count_strongly_stable(c.partition, c.n, c.char)
+            assert count == len(found), (c.partition.parts, c.n)
+        assert calls[0] <= 5000, calls[0]
+
+    @pytest.mark.parametrize("p", [0, 2, 3])
+    def test_equals_enumeration_in_codim_4_degree_4(self, p, monkeypatch):
+        # degree 4, codimension 4, Gotzmann number <= 8: the count equals
+        # the enumeration on every cell, makes no expansion the enumeration
+        # does not, and on most cells makes fewer than the enumeration's
+        # outside the last level
         built = []
 
         def recording_expand(I, g, ch):
@@ -651,20 +718,29 @@ class TestCount:
             return built[-1]
 
         monkeypatch.setattr(reeves, "_expand", recording_expand)
-        cells = mini_grid() + [(GotzmannPartition((0,) * 12), 4)]
-        saved = 0
-        for p in (0, 2):
-            ch = Characteristic(p)
-            for partition, n in cells:
-                built.clear()
-                found = enumerate_strongly_stable(partition, n, ch)
-                walked = set(built)
-                built.clear()
-                assert count_strongly_stable(partition, n, ch) == len(found)
-                assert not found & set(built), (partition.parts, n, p)
-                assert set(built) == walked - found, (partition.parts, n, p)
-                saved += len(walked & found)
-        assert saved
+        ch = Characteristic(p)
+        cells = [GotzmannPartition(q) for q in partitions_up_to(8, 4) if q[0] == 4]
+        assert len(cells) == 792
+        fired = 0
+        for partition in cells:
+            built.clear()
+            found = enumerate_strongly_stable(partition, 8, ch)
+            walked = set(built) - found
+            built.clear()
+            assert count_strongly_stable(partition, 8, ch) == len(found), partition.parts
+            assert set(built) <= walked, partition.parts
+            fired += len(built) < len(walked)
+        assert fired > len(cells) // 2, fired
+
+
+def walk_parent(J, last):
+    """The ideal whose entry the walk replaced by the entry of J built at
+    last: J + (last) for an expansion, and for a lift, or last = (), the
+    ideal J restricts to in one variable fewer (see the module docstring
+    of reeves)."""
+    if last:
+        return MonomialIdeal.from_generators(J.gens + (last,), J.num_vars)
+    return MonomialIdeal(J.num_vars - 1, tuple(g[:-1] for g in J.gens))
 
 
 def frame_depth():

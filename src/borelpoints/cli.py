@@ -31,20 +31,22 @@ from .exhaustive import enumerate_borel_fixed
 from . import classify as _classify
 
 
-# check-ideal, lex and the walk's entry points refuse more variables than
-# this before any work.  On a 2-vCPU VM `check-ideal --gens x0` takes 0.1 /
-# 0.8 s in 800 / 2000 variables (the peel is quadratic in the degree), so
-# the Gotzmann-number guard and the numerator bound it; `lex --partition 0`
-# takes 0.01 / 0.18 s at --n 199 / 799.
+# check-ideal, lex, oracle and the walk's entry points refuse more
+# variables than this before any work.  On a 2-vCPU VM `check-ideal --gens
+# x0` takes 0.1 / 0.8 s in 800 / 2000 variables (the peel is quadratic in
+# the degree), so the Gotzmann-number guard and the numerator bound it;
+# `lex --partition 0` takes 0.01 / 0.18 s at --n 199 / 799.  Unguarded,
+# `reeves --partition 0 --n 3000` took 6.2 s and 531 MB, and `oracle
+# --partition 0 --n 1100 --force` ended in a RecursionError traceback.
 MAX_NUM_VARS = 200
 
 # check-ideal also refuses generators whose degrees sum above this before
 # any work.  An ideal with finite-dimensional quotient has no Gotzmann
-# number to bound it, and one large exponent costs time and memory linear
-# in it: unguarded, `check-ideal --gens x0,x1,x2^D --num-vars 3` took
-# 0.2 / 0.8 / 7.0 s and 18 / 39 / 245 MB for D = 10^5 / 10^6 / 10^7 on a
-# 2-vCPU VM.  At the bound, the 200 generators x_i^500 take 2.6 s and
-# x0^99999 in 200 variables 0.34 s.
+# number to bound it, and the stability tests cost time linear in the
+# largest exponent: unguarded, `check-ideal --gens x0,x1,x2^D --num-vars 3`
+# takes 0.04 / 0.55 / 5.6 s in process for D = 10^5 / 10^6 / 10^7 on a
+# 2-vCPU VM.  At the bound, the 200 generators x_i^500 take 1.1 s and
+# x0^99999 in 200 variables 0.44 s per process.
 MAX_DEGREE_SUM = 10**5
 
 # check-ideal stops its saturation test, run after the Hilbert polynomial,
@@ -53,12 +55,12 @@ MAX_DEGREE_SUM = 10**5
 # took at most 0.26 s (x_i^500 in 200 variables, 8 * 10^6 steps).
 MAX_SATURATION_WORK = 10**8
 
-# check-ideal stops the Hilbert numerator's pivot recursion past this many
-# steps (MonomialIdeal.hilbert_numerator), 1.5-2.5 s on a 2-vCPU VM.  The
-# square-free quadrics x_i x_j, i < j, need 4.0 * 10^7 steps (0.6 s) in 50
-# variables, 9.9 * 10^7 (2.0 s) in 60, 2.1 * 10^8 (3.7 s) in 70 and
-# 1.3 * 10^9 (16 s) in 100; `check-ideal` on the last trips the bound and
-# exits 3 after 1.5 s.
+# check-ideal stops the Hilbert numerator's pivot loop past this many
+# steps (MonomialIdeal.hilbert_numerator), 1.5-2 s on a 2-vCPU VM.  The
+# square-free quadrics x_i x_j, i < j, need 4.0 * 10^7 steps (0.9 s) in 50
+# variables, 9.9 * 10^7 (2.0 s) in 60, 2.1 * 10^8 (3.9 s) in 70 and
+# 1.3 * 10^9 (14 s) in 100; `check-ideal` on the last trips the bound and
+# exits 3 after 1.4 s.
 MAX_NUMERATOR_WORK = 10**8
 
 
@@ -365,6 +367,7 @@ def cmd_reeves(args) -> int:
 
 def cmd_oracle(args) -> int:
     partition = _partition(args)
+    _check_num_vars(args.n + 1)
     ideals = _sorted_ideals(
         enumerate_borel_fixed(partition, args.n, args.char, force=args.force)
     )

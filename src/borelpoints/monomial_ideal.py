@@ -6,14 +6,16 @@ lexicographic order with x_0 largest), so structural equality is ideal
 equality and sets of ideals deduplicate for free.
 
 Hilbert functions of quotients S/I are computed from the numerator of the
-Hilbert series, obtained by the standard pivot recursion
-N(I) = N(I + <x_k>) + t * N(I : x_k).  Two independent reference
-implementations (direct monomial enumeration, and inclusion-exclusion over
-generator lcms) live in the tests, which check that all three agree.
+Hilbert series, obtained by Bigatti's pivot on a power of a variable,
+N(I) = N(I + <x_k^e>) + t^e N(I : x_k^e), unrolled on one stack.  Two
+independent reference implementations (direct monomial enumeration, and
+inclusion-exclusion over generator lcms) live in the tests, which check
+that all three agree.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from math import comb
 
@@ -103,15 +105,15 @@ def _minimal_gens(gens) -> tuple[Monomial, ...]:
     return tuple(kept)
 
 
-def _step_budget(max_steps: int, what: str):
+def _step_budget(max_steps: int | None, what: str):
     """A spend(steps) that raises SearchBoundError once more than max_steps
-    steps are spent in all."""
+    steps are spent in all; with None, one that never raises."""
     spent = 0
 
     def spend(steps: int) -> None:
         nonlocal spent
         spent += steps
-        if spent > max_steps:
+        if max_steps is not None and spent > max_steps:
             raise SearchBoundError(f"size bound exceeded: {what} above {max_steps} steps")
 
     return spend
@@ -260,17 +262,24 @@ class MonomialIdeal:
         return MonomialIdeal.from_generators(cut, self.num_vars - 1)
 
     def hilbert_numerator(self, max_steps: int | None = None) -> tuple[int, ...]:
-        """Coefficients of N(t) with series of S/I equal to N(t)/(1-t)^(n+1).
-        The pivot recursion charges each of its steps (see _numerator); past
-        max_steps, SearchBoundError.  None, the default, sets no bound."""
-        spend = None if max_steps is None else _step_budget(max_steps, "Hilbert numerator")
-        return _numerator(self.gens, self.num_vars, spend)
+        """Coefficients of N(t) with series of S/I equal to N(t)/(1-t)^(n+1),
+        with no trailing zeros (none at all for the unit ideal).  The pivot
+        loop charges each of its steps (see _numerator); past max_steps,
+        SearchBoundError.  None, the default, sets no bound."""
+        terms = _numerator(self.gens, self.num_vars, max_steps)
+        coefficients = [0] * (terms[-1][0] + 1 if terms else 0)
+        for j, c in terms:
+            coefficients[j] = c
+        return tuple(coefficients)
 
     def hilbert_function(self, d: int) -> int:
-        """Number of degree-d monomials outside I (dimension of (S/I)_d)."""
+        """Number of degree-d monomials outside I (dimension of (S/I)_d):
+        sum_j c_j C(d - j + n, n) over the numerator's terms, binomials by
+        the counting convention."""
         if d < 0:
             raise ValueError("degree must be nonnegative")
-        return _function_value(self.hilbert_numerator(), self.num_vars, d)
+        n = self.num_vars - 1
+        return sum(c * binomial(d - j + n, n) for j, c in _numerator(self.gens, self.num_vars))
 
     def hilbert_polynomial(self, max_steps: int | None = None) -> "HilbertData":
         return hilbert_polynomial(self, max_steps)
@@ -291,72 +300,58 @@ class MonomialIdeal:
         )
 
 
-def _poly_add(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    n = max(len(a), len(b))
-    return tuple(
-        (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
-        for i in range(n)
-    )
-
-
-def _poly_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return tuple(out)
-
-
-def _numerator(gens: tuple[Monomial, ...], num_vars: int, spend=None) -> tuple[int, ...]:
-    """The numerator of the Hilbert series of S/(gens) by the pivot
-    recursion.  With spend, each call spends its reads and divisibility
-    tests on it, at a step per variable: the pivot count reads every
-    generator, and the colon minimalizes the m lowered generators,
-    m^2 / 2 tests, then tests each free one against at most m of them.
-    The product that ends a branch of pairwise coprime generators is not
-    charged; check-ideal bounds it by the degree sum."""
-    if not gens:
-        return (1,)
-    if not any(gens[0]):
-        return (0,)
-    # pivot: the variable dividing the most generators
-    counts = [0] * num_vars
-    for g in gens:
-        for i, e in enumerate(g):
-            if e:
-                counts[i] += 1
-    if spend:
-        spend(num_vars * len(gens))
-    k = max(range(num_vars), key=lambda i: counts[i])
-    m = counts[k]
-    if m <= 1:
-        # pairwise coprime supports: complete-intersection numerator
-        out = (1,)
+def _numerator(
+    gens: tuple[Monomial, ...], num_vars: int, max_steps: int | None = None
+) -> tuple[tuple[int, int], ...]:
+    """The nonzero terms (j, c_j), by increasing j, of the numerator of the
+    Hilbert series of S/(gens), gens minimal.  The pivot on a power
+    u = x_k^e, x_k the variable dividing the most generators and e its
+    least positive exponent among them, splits N(I) = N(I + (u)) +
+    t^e N(I : u).  One loop unrolls it on a stack of (gens, shift)
+    entries and adds each leaf at its shift: the unit ideal adds 0, and
+    pairwise coprime generators the product of the 1 - t^deg(g).  Each
+    node spends its reads and divisibility tests, a step per variable:
+    the pivot count reads every generator, and the colon minimalizes the
+    m lowered generators, m^2 / 2 tests, then tests each free one against
+    at most m of them; past max_steps, SearchBoundError.  A leaf's
+    product is not charged; check-ideal bounds it by the degree sum."""
+    spend = _step_budget(max_steps, "Hilbert numerator")
+    total: Counter[int] = Counter()
+    stack = [(gens, 0)]
+    while stack:
+        gens, shift = stack.pop()
+        if gens and not any(gens[0]):
+            continue
+        counts = [0] * num_vars
         for g in gens:
-            out = _poly_mul(out, (1,) + (0,) * (sum(g) - 1) + (-1,))
-        return out
-    # I + (x_k) is minimally generated by x_k and the generators free of
-    # x_k.  In I : x_k a free generator divides no lowered g / x_k, else
-    # it would divide g, so only the lowered ones are minimalized, and the
-    # free ones are tested against those alone.
-    if spend:
+            for i, e in enumerate(g):
+                if e:
+                    counts[i] += 1
+        spend(num_vars * len(gens))
+        k = max(range(num_vars), key=counts.__getitem__)
+        m = counts[k]
+        if m <= 1:
+            # pairwise coprime supports: complete-intersection numerator
+            product = Counter({shift: 1})
+            for g in gens:
+                d = sum(g)
+                for j, c in list(product.items()):
+                    product[j + d] -= c
+            total.update(product)
+            continue
+        # x_k^e divides every generator that x_k divides, so I + (x_k^e) is
+        # minimally generated by x_k^e and the generators free of x_k.  In
+        # I : x_k^e a free generator divides no lowered g / x_k^e, else it
+        # would divide g, so only the lowered ones are minimalized, and the
+        # free ones, put after them so that a unit leads, are tested against them.
         spend(num_vars * (m * m // 2 + (len(gens) - m) * m))
-    free = [g for g in gens if not g[k]]
-    pivot = tuple(1 if i == k else 0 for i in range(num_vars))
-    lowered = _minimal_gens(g[:k] + (g[k] - 1,) + g[k + 1 :] for g in gens if g[k])
-    kept = [f for f in free if not any(divides(low, f) for low in lowered)]
-    left = tuple(sorted(free + [pivot], key=canonical_key))
-    colon = tuple(sorted(kept + list(lowered), key=canonical_key))
-    return _poly_add(
-        _numerator(left, num_vars, spend), (0,) + _numerator(colon, num_vars, spend)
-    )
-
-
-def _function_value(numerator, num_vars: int, d: int) -> int:
-    """HF(d) = sum_j c_j C(d - j + n, n), binomials by the counting convention."""
-    n = num_vars - 1
-    return sum(c * binomial(d - j + n, n) for j, c in enumerate(numerator) if c)
+        e = min(g[k] for g in gens if g[k])
+        free = tuple(g for g in gens if not g[k])
+        lowered = _minimal_gens(g[:k] + (g[k] - e,) + g[k + 1 :] for g in gens if g[k])
+        kept = tuple(f for f in free if not any(divides(low, f) for low in lowered))
+        stack.append((free + ((0,) * k + (e,) + (0,) * (num_vars - k - 1),), shift))
+        stack.append((lowered + kept, shift + e))
+    return tuple(sorted((j, c) for j, c in total.items() if c))
 
 
 @dataclass(frozen=True)
@@ -387,12 +382,12 @@ def hilbert_polynomial(ideal: MonomialIdeal, max_steps: int | None = None) -> Hi
     the coordinates tau_m = h_{n-m} of HP in the basis C(t + m, m), the
     form of GotzmannPartition.coordinates, where
     h_i = (-1)^i sum_j c_j C(j, i) (see the reeves docstring); the sums
-    skip the zero c_j, which can be most of a long numerator.  max_steps
-    bounds the numerator (MonomialIdeal.hilbert_numerator).
+    run over the nonzero c_j alone, which can be few in a long numerator.
+    max_steps bounds the numerator (MonomialIdeal.hilbert_numerator).
     """
     n = ideal.num_vars - 1
-    terms = [(j, c) for j, c in enumerate(ideal.hilbert_numerator(max_steps)) if c]
-    stab = max(max((j for j, _ in terms), default=0) - n, 0)
+    terms = _numerator(ideal.gens, ideal.num_vars, max_steps)
+    stab = max(terms[-1][0] - n, 0) if terms else 0
     h = [(-1) ** i * sum(c * comb(j, i) for j, c in terms) for i in range(n + 1)]
     part = peel_to_partition(h[::-1]) if any(h) else None
     return HilbertData(part, stab)

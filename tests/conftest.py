@@ -91,9 +91,12 @@ def numerator_memo():
     """One memo of monomial_ideal._numerator for the whole session.
 
     The library keeps no process-wide cache.  The tests ask for the
-    numerators of many ideals that share subproblems, and the recursion
-    calls _numerator through the module global, so rebinding that to a
-    cached wrapper lets every call share them."""
+    numerator of one ideal many times (hilbert_function once per degree,
+    and the same ideals in many tests), and every caller reaches
+    _numerator through the module global, so rebinding that to a cached
+    wrapper memoizes whole numerators.  The pivot loop makes no call
+    back, so subproblems are not shared.  A cached result is shared by
+    every caller, so none may mutate what _numerator returns."""
     raw = monomial_ideal._numerator
     monomial_ideal._numerator = lru_cache(maxsize=None)(raw)
     yield

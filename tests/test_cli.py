@@ -172,7 +172,7 @@ class TestSizeGuard:
                 "Gotzmann number above 100000",
             ),
             # finite-dimensional quotient, so no Gotzmann number to trip:
-            # unguarded, this took 10 s and 244 MB
+            # unguarded, this takes about 6 s
             (
                 ["check-ideal", "--gens", "x0,x1,x2^10000000", "--num-vars", "3"],
                 "generator degrees sum to 10000002, above 100000",
@@ -194,8 +194,14 @@ class TestSizeGuard:
                 ["tree", "--codim", "800", "--depth", "2", "--enumerate"],
                 "803 variables, above 200",
             ),
+            # unguarded, forced past the exhaustive search's own bound, a
+            # RecursionError traceback (exit 1) in monomials_of_degree
+            (
+                ["oracle", "--partition", "0", "--n", "1100", "--force"],
+                "1101 variables, above 200",
+            ),
             # the square-free quadrics x_i x_j in 100 variables: unguarded,
-            # the Hilbert numerator's recursion took over 40 s
+            # the Hilbert numerator's pivot loop takes over 14 s
             (
                 [
                     "check-ideal",
@@ -219,6 +225,7 @@ class TestSizeGuard:
             "classify-verify",
             "verify-grid",
             "tree-enumerate",
+            "oracle-force",
             "check-ideal-numerator",
         ],
     )
@@ -254,6 +261,7 @@ class TestSizeGuard:
             (["lex", "--partition", "0", "--n"], "2", "3"),
             (["lex", "--counts"], "1,1", "1,1,1"),
             (["reeves", "--partition", "0", "--n"], "2", "3"),
+            (["oracle", "--partition", "0", "--n"], "2", "3"),
             (["classify", "--partition", "0", "--verify", "--n"], "2", "3"),
             (["verify", "--grid"], '[{"partition": [0], "n": 2}]', '[{"partition": [0], "n": 3}]'),
             (["tree", "--codim", "2", "--enumerate", "--depth"], "0", "1"),
@@ -361,6 +369,22 @@ class TestNumeratorBudget:
             "error": "size bound exceeded: Hilbert numerator above 23 steps",
             "exit_code": 3,
         }
+
+    def test_power_pivot_needs_no_deep_stack(self):
+        # pivoting on x0 alone nested 999 calls deep and ended in a
+        # RecursionError traceback; a subprocess has the default limit
+        proc = subprocess.run(
+            [sys.executable, "-m", "borelpoints", "check-ideal", "--gens",
+             "x0^1000,x0^999*x1", "--num-vars", "3", "--json"],
+            capture_output=True,
+            env=checkout_env(),
+            timeout=120,
+        )
+        err = proc.stderr.decode()
+        assert proc.returncode == 0 and "Traceback" not in err, err
+        payload = json.loads(proc.stdout)
+        assert payload["stabilization_degree"] == 999
+        assert payload["hilbert_polynomial"] == [1] * 999 + [0]
 
 
 class TestCharacteristicInput:

@@ -291,7 +291,7 @@ def numerator_from_function(hf, num_vars, top):
 
 
 class TestNumerator:
-    # the pivot recursion against the two brute references, coefficient by
+    # the pivot loop against the two brute references, coefficient by
     # coefficient up to the degree of the lcm of all generators, past
     # which the numerator has none
 
@@ -299,12 +299,28 @@ class TestNumerator:
     @given(monomial_ideals)
     def test_random_ideals(self, I):
         top = sum(map(max, zip(*I.gens))) if I.gens else 0
-        N = trim(I.hilbert_numerator())
-        assert len(N) <= top + 1, str(I)
-        N += (0,) * (top + 1 - len(N))
+        N = I.hilbert_numerator()
+        assert all(c for _, c in monomial_ideal._numerator(I.gens, I.num_vars))
         for reference in (hilbert_function_by_enumeration, hilbert_function_by_lcm):
             hf = partial(reference, I)
-            assert numerator_from_function(hf, I.num_vars, top) == N, str(I)
+            assert trim(numerator_from_function(hf, I.num_vars, top)) == N, str(I)
+
+    def test_no_trailing_zero(self):
+        # the two leaves' terms at t^5 cancel
+        I = ideal([(1, 1, 0), (2, 0, 1), (1, 0, 2), (0, 1, 3)], 3)
+        assert I.hilbert_numerator() == (1, 0, -1, -2, 2)
+        assert MonomialIdeal.unit(3).hilbert_numerator() == ()
+
+    def test_power_pivot(self):
+        # one pivot on x0^49999 leaves (x0^49999) and (x0, x1): a plane
+        # curve of degree 49 999 and an embedded point.  Three nodes,
+        # 3 * (2 + 2) + 3 * 1 + 3 * 2 = 21 steps; a pivot on x0 alone
+        # would nest 49 999 deep
+        I = ideal([(50000, 0, 0), (49999, 1, 0)], 3)
+        assert I.hilbert_numerator(21) == (1,) + (0,) * 49999 + (-2, 1)
+        data = I.hilbert_polynomial()
+        assert data.stabilization_degree == 49999
+        assert data.polynomial.parts == (1,) * 49999 + (0,)
 
     def test_square_free_quadrics_in_20_variables(self):
         # S/I is the ring of 20 points on the coordinate axes, with
@@ -318,7 +334,7 @@ class TestNumerator:
 
 
 class TestNumeratorBudget:
-    """hilbert_numerator(max_steps) charges the pivot recursion's reads and
+    """hilbert_numerator(max_steps) charges the pivot loop's reads and
     divisibility tests, a step per variable, and raises SearchBoundError
     past max_steps; None, the default, sets no bound."""
 
@@ -341,8 +357,8 @@ class TestNumeratorBudget:
             I.hilbert_polynomial(23)
 
     def test_square_free_quadrics_trip_the_budget(self):
-        # the recursion on the quadrics in 100 variables needs about
-        # 1.3 * 10^9 steps; the budget stops it at the first call past 10^6
+        # the pivot loop on the quadrics in 100 variables needs about
+        # 1.3 * 10^9 steps; the budget stops it at the first node past 10^6
         quadrics = [m for m in monomials_of_degree(2, 100) if max(m) == 1]
         I = MonomialIdeal.from_generators(quadrics, 100)
         with pytest.raises(SearchBoundError, match="above 1000000 steps"):

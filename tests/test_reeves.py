@@ -168,7 +168,7 @@ class TestPointsLadder:
 def check_coordinates(pairs, c):
     """Every carried coordinate vector h_c, ..., h_{c+d} of the (ideal, h)
     pairs against the one read off the ideal's numerator from the pivot
-    recursion, and the coordinates below h_c, which the walk takes to be
+    loop, and the coordinates below h_c, which the walk takes to be
     zero."""
     for I, h in pairs:
         N = I.hilbert_numerator()
@@ -212,7 +212,7 @@ def walk_entries(partition, n, ch=CHAR0):
 class TestCarriedNumerators:
     # the walk carries each ideal's coordinates h_c, ..., h_{c+d}, the
     # coefficients of its Hilbert numerator in powers of 1 - t, from its
-    # parent's; check every one it records against the pivot recursion
+    # parent's; check every one it records against the pivot loop
 
     def test_mini_grid(self):
         # the walk ends every level with the coordinates of its ideals, and

@@ -77,8 +77,21 @@ def digitwise_leq(k: int, l: int, ch: Characteristic) -> bool:
 
 
 def exchange_amounts(l: int, ch: Characteristic):
-    """All k with 1 <= k <= l allowed as exchange exponents against l."""
-    return [k for k in range(1, l + 1) if digitwise_leq(k, l, ch)]
+    """All k with 1 <= k <= l allowed as exchange exponents against l, in
+    ascending order.  Characteristic p allows the k whose base-p digits are
+    at most those of l: they are built digit by digit from the lowest, so
+    the cost follows the output, not l."""
+    if ch.is_zero:
+        return [1] if l >= 1 else []
+    p = ch.value
+    amounts = [0]  # the allowed values of the digits below unit
+    unit = 1
+    while l:
+        l, d = divmod(l, p)
+        if d:
+            amounts = [c + k for c in range(0, (d + 1) * unit, unit) for k in amounts]
+        unit *= p
+    return amounts[1:]
 
 
 def exchange(m: Monomial, i: int, j: int, k: int) -> Monomial:

@@ -6,6 +6,13 @@ traceback), 2 usage errors, 3 feasibility-guard trips.  Output is
 deterministic for fixed flags; --json switches every subcommand to a JSON
 document on stdout, byte for byte json.dumps(payload, indent=2) (errors
 become JSON on stderr).
+
+Ideal lists (reeves, oracle, classify --verify) and single ideals
+(check-ideal, lex) go into a payload as _IdealRows, which renders each
+row from fixed key text and per-monomial text, every distinct generator
+once; the rest of a payload goes through json.dumps.  The document is
+written to stdout row by row, and only once the enumeration, the sort
+and every row's values are done, so an error leaves no partial document.
 """
 
 from __future__ import annotations
@@ -14,7 +21,8 @@ import argparse
 import json
 import os
 import sys
-from itertools import chain
+from itertools import chain, repeat
+from json.encoder import encode_basestring_ascii
 
 from .errors import NotAdmissibleError, OutOfScopeError, SearchBoundError
 from .hilbert_poly import MAX_GOTZMANN_NUMBER, GotzmannPartition, MacaulayPartition
@@ -42,11 +50,12 @@ MAX_NUM_VARS = 200
 
 # check-ideal also refuses generators whose degrees sum above this before
 # any work.  An ideal with finite-dimensional quotient has no Gotzmann
-# number to bound it, and the stability tests cost time linear in the
-# largest exponent: unguarded, `check-ideal --gens x0,x1,x2^D --num-vars 3`
-# takes 0.04 / 0.55 / 5.6 s in process for D = 10^5 / 10^6 / 10^7 on a
-# 2-vCPU VM.  At the bound, the 200 generators x_i^500 take 1.1 s and
-# x0^99999 in 200 variables 0.44 s per process.
+# number to bound it.  The stability tests list only the legal exchange
+# amounts, so unguarded `check-ideal --gens x0,x1,x2^D --num-vars 3` takes
+# 0.01 s in process at D = 10^7 on a 2-vCPU VM (5.6 s when they tried
+# every amount up to the exponent).  At the bound, the 200 generators
+# x_i^500 take 0.9 s in process, most of it in the saturation test, and
+# x0^99999 in 200 variables 0.24 s.
 MAX_DEGREE_SUM = 10**5
 
 # check-ideal stops its saturation test, run after the Hilbert polynomial,
@@ -56,11 +65,11 @@ MAX_DEGREE_SUM = 10**5
 MAX_SATURATION_WORK = 10**8
 
 # check-ideal stops the Hilbert numerator's pivot loop past this many
-# steps (MonomialIdeal.hilbert_numerator), 1.5-2 s on a 2-vCPU VM.  The
-# square-free quadrics x_i x_j, i < j, need 4.0 * 10^7 steps (0.9 s) in 50
-# variables, 9.9 * 10^7 (2.0 s) in 60, 2.1 * 10^8 (3.9 s) in 70 and
-# 1.3 * 10^9 (14 s) in 100; `check-ideal` on the last trips the bound and
-# exits 3 after 1.4 s.
+# steps (MonomialIdeal.hilbert_numerator), 0.4-0.6 s on a 2-vCPU VM.  The
+# square-free quadrics x_i x_j, i < j, need 4.0 * 10^7 steps (0.34 s) in 50
+# variables, 9.9 * 10^7 (0.8 s) in 60, 2.1 * 10^8 (1.7 s) in 70 and
+# 1.3 * 10^9 (8.0 s) in 100; `check-ideal` on the last trips the bound and
+# exits 3 after 0.6 s.
 MAX_NUMERATOR_WORK = 10**8
 
 
@@ -121,100 +130,116 @@ def _sorted_ideals(ideals) -> list[MonomialIdeal]:
     return sorted(ideals, key=lambda i: (i.num_vars, i.gens))
 
 
-class _MonomialNames(dict):
-    """format_monomial, memoized per distinct monomial."""
+class _Memo(dict):
+    """fn, memoized: each missing key's value is computed once."""
 
-    def __missing__(self, m):
-        text = self[m] = format_monomial(m)
-        return text
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
 
 
-def _ideal_rows(ideals, ch: Characteristic | None = None) -> list[dict]:
-    """The JSON rows of ideals, formatting each distinct monomial once.
+class _IdealRows:
+    """Ideals that --json renders as rows {"num_vars", "generators",
+    "pretty"}, in place of a list of rows, or of the one row when single.
 
-    The generator tuples go into the rows as they are: JSON renders
-    tuples as arrays.  Given a characteristic, each row also says whether
-    the ideal is strongly stable or nonstandard.
+    Given a characteristic, each row also says whether the ideal is
+    strongly stable or nonstandard; that is decided here, so an error
+    leaves no partial document.  pretty() serves the human output.
     """
-    name = _MonomialNames().__getitem__
-    rows = []
-    for ideal in ideals:
-        row = {
-            "num_vars": ideal.num_vars,
-            "generators": ideal.gens,
-            "pretty": format_ideal(ideal.gens, name),
+
+    def __init__(self, ideals, ch: Characteristic | None = None, single=False):
+        self.ideals = ideals
+        self.stable = None if ch is None else [is_strongly_stable(i) for i in ideals]
+        self.single = single
+        self._name = _Memo(format_monomial).__getitem__
+
+    def pretty(self):
+        """format_ideal of each ideal, lazily, each distinct monomial
+        formatted once."""
+        name = self._name
+        return (format_ideal(ideal.gens, name) for ideal in self.ideals)
+
+    def pieces(self, depth: int):
+        """The JSON text at depth, one piece per row.
+
+        Each row is fixed key text around the texts of its generators and
+        its "pretty" string, and each distinct generator is rendered once,
+        at the rows' depth, so a list of thousands of ideals costs about
+        what its distinct monomials cost.
+        """
+        if not (self.single or self.ideals):
+            yield "[]"
+            return
+        base = depth if self.single else depth + 1
+        p0, p1, p2, p3 = ("\n" + "  " * (base + i) for i in range(4))
+
+        def vector(g):
+            # a nonempty tuple of ints, which JSON renders as str does
+            return f"[{p3}{(',' + p3).join(map(str, g))}{p2}]"
+
+        text = _Memo(vector).__getitem__
+        flags = {
+            ss: f',{p1}"strongly_stable": {json.dumps(ss)},{p1}"nonstandard": {json.dumps(not ss)}'
+            for ss in (True, False)
         }
-        if ch is not None:
-            ss = is_strongly_stable(ideal)
-            row["strongly_stable"] = ss
-            row["nonstandard"] = not ss
-        rows.append(row)
-    return rows
+        tails = repeat("") if self.stable is None else map(flags.get, self.stable)
+        name = self._name
+        sep = "," + p2
+        lead = "" if self.single else "[" + p0
+        for ideal, tail in zip(self.ideals, tails):
+            gens = ideal.gens
+            listed = f"[{p2}{sep.join(map(text, gens))}{p1}]" if gens else "[]"
+            pretty = encode_basestring_ascii(format_ideal(gens, name))
+            yield (
+                f'{lead}{{{p1}"num_vars": {ideal.num_vars},{p1}"generators": {listed},'
+                f'{p1}"pretty": {pretty}{tail}{p0}}}'
+            )
+            lead = "," + p0
+        if not self.single:
+            yield "\n" + "  " * depth + "]"
 
 
-_PLAIN = frozenset((str, int))
-_INT = frozenset((int,))
+def _dumps(obj, depth: int = 0) -> str:
+    """json.dumps(obj, indent=2) as it reads nested at depth: JSON strings
+    escape their newlines, so every raw newline is an indent.
 
-
-def _dumps(obj) -> str:
-    """json.dumps(obj, indent=2), byte for byte.
-
-    With an indent the standard library encodes every value in pure
-    Python.  Here json.dumps renders each scalar and key, and within one
-    call each distinct plain str, plain int, and list or tuple of plain
-    ints at a given depth (an exponent vector, say) is rendered once and
-    then reused, so a document listing thousands of ideals costs about
-    what its distinct monomials cost.  Plain means of exactly that type:
-    True == 1 and -0.0 == 0.0, but they render differently.  Keys that
-    are not strings are converted the way json.dumps converts them.
+    It renders every payload value but the ideal rows, which
+    _IdealRows.pieces renders from per-monomial text: the standard
+    library encodes with an indent in pure Python, value by value.
     """
-    texts = {}
-
-    def block(opening, items, closing, depth):
-        pad = "\n" + "  " * (depth + 1)
-        return (
-            opening + pad + ("," + pad).join(items)
-            + "\n" + "  " * depth + closing
-        )
-
-    def scalar(value):
-        if type(value) not in _PLAIN:
-            return json.dumps(value)
-        text = texts.get(value)
-        if text is None:
-            text = texts[value] = json.dumps(value)
-        return text
-
-    def encode(value, depth):
-        if isinstance(value, (list, tuple)):
-            if not value:
-                return "[]"
-            if not _INT.issuperset(map(type, value)):
-                return block("[", [encode(v, depth + 1) for v in value], "]", depth)
-            memo = (tuple(value), depth)
-            text = texts.get(memo)
-            if text is None:
-                text = texts[memo] = block("[", map(scalar, value), "]", depth)
-            return text
-        if isinstance(value, dict):
-            if not value:
-                return "{}"
-            items = [
-                scalar(k if isinstance(k, str) else json.dumps(k))
-                + ": " + encode(v, depth + 1)
-                for k, v in value.items()
-            ]
-            return block("{", items, "}", depth)
-        return scalar(value)
-
-    return encode(obj, 0)
+    return json.dumps(obj, indent=2).replace("\n", "\n" + "  " * depth)
 
 
-def _emit(args, payload: dict, human_lines) -> int:
-    """Print payload as JSON under --json, else human_lines, which is
-    iterated only then, so it may be a generator."""
+def _json_pieces(payload):
+    """json.dumps(payload, indent=2), byte for byte, in pieces: ideal rows
+    from _IdealRows.pieces, every other top-level value from _dumps.  The
+    payload is a row or a nonempty dict with string keys."""
+    if isinstance(payload, _IdealRows):
+        yield from payload.pieces(0)
+        return
+    lead = "{\n  "
+    for key, value in payload.items():
+        yield lead + json.dumps(key) + ": "
+        if isinstance(value, _IdealRows):
+            yield from value.pieces(1)
+        else:
+            yield _dumps(value, 1)
+        lead = ",\n  "
+    yield "\n}"
+
+
+def _emit(args, payload, human_lines) -> int:
+    """Write payload as JSON under --json, else print human_lines, which
+    is iterated only then, so it may be a generator.  The JSON goes out
+    in pieces, to the sys.stdout of the moment (a caller may redirect
+    it), not as one string."""
     if args.json:
-        print(_dumps(payload))
+        out = sys.stdout
+        out.writelines(_json_pieces(payload))
+        out.write("\n")
     else:
         for line in human_lines:
             print(line)
@@ -317,8 +342,8 @@ def cmd_lex(args) -> int:
             raise _UsageError("provide --n with --partition, or --counts")
         _check_num_vars(args.n + 1)
         ideal = lex_ideal(_partition(args), args.n)
-    payload = _ideal_rows([ideal])[0]
-    return _emit(args, payload, [str(ideal), json.dumps(payload["generators"])])
+    payload = _IdealRows([ideal], single=True)
+    return _emit(args, payload, [str(ideal), json.dumps(ideal.gens)])
 
 
 def cmd_check_ideal(args) -> int:
@@ -328,7 +353,7 @@ def cmd_check_ideal(args) -> int:
     ss = is_strongly_stable(ideal)
     bf = is_borel_fixed(ideal, ch)
     payload = {
-        "ideal": _ideal_rows([ideal])[0],
+        "ideal": _IdealRows([ideal], single=True),
         "char": ch.value,
         "strongly_stable": ss,
         "borel_fixed": bf,
@@ -354,14 +379,14 @@ def cmd_reeves(args) -> int:
     partition = _partition(args)
     _check_num_vars(args.n + 1)
     ideals = _sorted_ideals(enumerate_strongly_stable(partition, args.n))
-    rows = _ideal_rows(ideals)
+    rows = _IdealRows(ideals)
     payload = {
         "partition": list(partition.parts),
         "n": args.n,
-        "count": len(rows),
+        "count": len(ideals),
         "ideals": rows,
     }
-    lines = chain([f"count {len(rows)}"], (row["pretty"] for row in rows))
+    lines = chain([f"count {len(ideals)}"], rows.pretty())
     return _emit(args, payload, lines)
 
 
@@ -371,20 +396,19 @@ def cmd_oracle(args) -> int:
     ideals = _sorted_ideals(
         enumerate_borel_fixed(partition, args.n, args.char, force=args.force)
     )
-    rows = _ideal_rows(ideals, args.char)
+    rows = _IdealRows(ideals, args.char)
     payload = {
         "partition": list(partition.parts),
         "n": args.n,
         "char": args.char.value,
-        "count": len(rows),
+        "count": len(ideals),
         "ideals": rows,
     }
     lines = chain(
-        [f"count {len(rows)}"],
+        [f"count {len(ideals)}"],
         (
-            f"{row['pretty']}  "
-            + ("[nonstandard]" if row["nonstandard"] else "[strongly stable]")
-            for row in rows
+            f"{pretty}  " + ("[strongly stable]" if ss else "[nonstandard]")
+            for pretty, ss in zip(rows.pretty(), rows.stable)
         ),
     )
     return _emit(args, payload, lines)
@@ -397,11 +421,11 @@ def cmd_classify(args) -> int:
         raise OutOfScopeError("out of scope: c <= 1")
     verdict = _classify.predict(coords)
     verified = None
-    ideals = None
+    rows = None
     if args.verify:
         _check_num_vars(args.n + 1)
         verified, ideal_set = _classify.count_borel_fixed(coords)
-        ideals = _sorted_ideals(ideal_set)
+        rows = _IdealRows(_sorted_ideals(ideal_set), args.char)
     payload = {
         "partition": list(partition.parts),
         "n": args.n,
@@ -411,15 +435,15 @@ def cmd_classify(args) -> int:
         "predicted": verdict.predicted_count,
         "verified": verified,
     }
-    if ideals is not None:
-        payload["ideals"] = _ideal_rows(ideals, args.char)
+    if rows is not None:
+        payload["ideals"] = rows
     lines = [
         f"predicted {verdict.predicted_count}"
         + (f"  clause {verdict.matched_clause}" if verdict.matched_clause else "")
     ]
     if verified is not None:
         lines.append(f"verified  {verified}")
-        lines.extend(row["pretty"] for row in payload["ideals"])
+        lines = chain(lines, rows.pretty())
     return _emit(args, payload, lines)
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from math import comb
+from operator import le
 
 from .errors import SearchBoundError
 from .hilbert_poly import GotzmannPartition, binomial, peel_to_partition
@@ -348,7 +349,9 @@ def _numerator(
         e = min(g[k] for g in gens if g[k])
         free = tuple(g for g in gens if not g[k])
         lowered = _minimal_gens(g[:k] + (g[k] - e,) + g[k + 1 :] for g in gens if g[k])
-        kept = tuple(f for f in free if not any(divides(low, f) for low in lowered))
+        kept = tuple(
+            f for f in free if not any(all(map(le, low, f)) for low in lowered)
+        )
         stack.append((free + ((0,) * k + (e,) + (0,) * (num_vars - k - 1),), shift))
         stack.append((lowered + kept, shift + e))
     return tuple(sorted((j, c) for j, c in total.items() if c))

@@ -122,6 +122,20 @@ class TestDigitwiseLeq:
         assert exchange_amounts(3, P2) == [1, 2, 3]
         assert exchange_amounts(2, P3) == [1, 2]
         assert exchange_amounts(4, CHAR0) == [1]
+        assert exchange_amounts(0, CHAR0) == []
+        assert exchange_amounts(0, P2) == []
+
+    @pytest.mark.parametrize("p", [0, 2, 3, 5, 7])
+    def test_exchange_amounts_match_brute_force(self, p):
+        ch = Characteristic(p)
+        for l in range(301):
+            brute = [k for k in range(1, l + 1) if digitwise_leq(k, l, ch)]
+            assert exchange_amounts(l, ch) == brute, (l, p)
+
+    def test_exchange_amounts_cost_follows_the_output(self):
+        # l is huge and its legal amounts few: the cost follows the output
+        assert exchange_amounts(10**7, CHAR0) == [1]
+        assert exchange_amounts(2**40, P2) == [2**40]
 
 
 class TestStabilityPredicates:

@@ -18,7 +18,15 @@ from borelpoints import (
     enumerate_strongly_stable,
 )
 from borelpoints import classify, cli
-from borelpoints.cli import _dumps, _ideal_rows, _sorted_ideals, main
+from borelpoints.cli import (
+    _dumps,
+    _IdealRows,
+    _json_pieces,
+    _sorted_ideals,
+    main,
+)
+from borelpoints.borel import is_strongly_stable
+from borelpoints.lex import lex_ideal, lex_ideal_from_counts
 
 from conftest import mini_grid
 
@@ -668,36 +676,66 @@ _trees = st.recursive(
 
 
 class TestDumps:
-    """_dumps is json.dumps(indent=2), byte for byte."""
+    """_dumps is json.dumps(indent=2) as nested at a depth, and
+    _json_pieces joins to json.dumps(indent=2), byte for byte."""
+
+    @staticmethod
+    def assert_renders(value):
+        assert _dumps(value) == json.dumps(value, indent=2)
+        nested = json.dumps({"a": [value]}, indent=2)
+        assert nested == '{\n  "a": [\n    ' + _dumps(value, 2) + "\n  ]\n}"
+        doc = {"a": value, "b": [value]}
+        assert "".join(_json_pieces(doc)) == json.dumps(doc, indent=2)
 
     @settings(max_examples=300, deadline=None)
     @given(_trees)
     @example([[1, 0], [True, False], (1, 0), [1.0, 0], {"a": [1, 0]}])
     @example({"": {}, "e": [], "t": (), "z": [0, -0.0, 0.0, False]})
     def test_matches_json_dumps(self, tree):
-        assert _dumps(tree) == json.dumps(tree, indent=2)
+        self.assert_renders(tree)
 
     @settings(max_examples=100, deadline=None)
     @given(_vectors, _trees)
     def test_vector_at_two_depths(self, vector, tree):
         doc = {"top": vector, "nested": [[vector, tree], {"v": tuple(vector)}]}
-        assert _dumps(doc) == json.dumps(doc, indent=2)
+        self.assert_renders(doc)
+        assert "".join(_json_pieces(doc)) == json.dumps(doc, indent=2)
 
     def test_non_string_keys(self):
         doc = {1: 0, True: [1], None: (), 2.5: {}, "x": {0: [0]}}
-        assert _dumps(doc) == json.dumps(doc, indent=2)
+        self.assert_renders(doc)
+
+
+def plain_row(ideal, ch=None):
+    """The row of an ideal as plain JSON data."""
+    row = {
+        "num_vars": ideal.num_vars,
+        "generators": [list(g) for g in ideal.gens],
+        "pretty": str(ideal),
+    }
+    if ch is not None:
+        ss = is_strongly_stable(ideal)
+        row["strongly_stable"] = ss
+        row["nonstandard"] = not ss
+    return row
 
 
 class TestIdealRows:
     """Every row's "pretty" is str(ideal), with the monomial names shared
-    across the ideals of one call."""
+    across the ideals of one call, and the rows render as json.dumps
+    renders their plain data, at every depth."""
 
-    def assert_rows(self, ideals):
+    def assert_rows(self, ideals, ch=None):
         ideals = _sorted_ideals(ideals)
-        rows = _ideal_rows(ideals)
-        assert [row["pretty"] for row in rows] == [str(i) for i in ideals]
-        assert [row["generators"] for row in rows] == [i.gens for i in ideals]
-        assert [row["num_vars"] for row in rows] == [i.num_vars for i in ideals]
+        rows = _IdealRows(ideals, ch)
+        assert list(rows.pretty()) == [str(i) for i in ideals]
+        plain = [plain_row(i, ch) for i in ideals]
+        for depth in range(4):
+            assert "".join(rows.pieces(depth)) == _dumps(plain, depth)
+        for ideal, row in zip(ideals, plain):
+            one = _IdealRows([ideal], ch, single=True)
+            for depth in range(3):
+                assert "".join(one.pieces(depth)) == _dumps(row, depth)
 
     @pytest.mark.parametrize("k", [14, 16])
     def test_points_ladder(self, k):
@@ -708,11 +746,99 @@ class TestIdealRows:
         for partition, n in mini_grid():
             ideals |= enumerate_strongly_stable(partition, n)
         self.assert_rows(ideals)
+        self.assert_rows(ideals, Characteristic(0))
 
     def test_zero_and_unit(self):
         zero, unit = MonomialIdeal.zero(3), MonomialIdeal.unit(3)
         self.assert_rows([zero, unit])
-        assert [row["pretty"] for row in _ideal_rows([zero, unit])] == ["<0>", "<1>"]
+        self.assert_rows([zero, unit], Characteristic(2))
+        assert list(_IdealRows([zero, unit]).pretty()) == ["<0>", "<1>"]
+
+    def test_no_ideals(self):
+        self.assert_rows([])
+        payload = {"count": 0, "ideals": _IdealRows([], Characteristic(3))}
+        assert "".join(_json_pieces(payload)) == json.dumps(
+            {"count": 0, "ideals": []}, indent=2
+        )
+
+
+def oracle_rows(partition, n, p):
+    ch = Characteristic(p)
+    ideals = enumerate_borel_fixed(GotzmannPartition(partition), n, ch)
+    return [plain_row(i, ch) for i in _sorted_ideals(ideals)]
+
+
+def reeves_rows(partition, n, ch=None):
+    ideals = enumerate_strongly_stable(GotzmannPartition(partition), n)
+    return [plain_row(i, ch) for i in _sorted_ideals(ideals)]
+
+
+def ideal_rows(gens, num_vars):
+    return [plain_row(MonomialIdeal.from_generators(gens, num_vars))]
+
+
+# every subcommand that lists ideals, where its rows sit and what they
+# hold: rows at depth 2 (reeves, oracle, classify --verify), 1
+# (check-ideal) and 0 (lex)
+STREAMED = [
+    (("reeves", "--partition", ",".join(["0"] * 14), "--n", "4"),
+     "ideals", lambda: reeves_rows((0,) * 14, 4)),
+    (("reeves", "--partition", "1,1,1,0", "--n", "3"),
+     "ideals", lambda: reeves_rows((1, 1, 1, 0), 3)),
+    (("oracle", "--partition", "0,0,0,0", "--n", "2", "--char", "2"),
+     "ideals", lambda: oracle_rows((0, 0, 0, 0), 2, 2)),
+    (("oracle", "--partition", "1,1,0", "--n", "3", "--char", "3"),
+     "ideals", lambda: oracle_rows((1, 1, 0), 3, 3)),
+    (("oracle", "--partition", "1,1,0", "--n", "3"),
+     "ideals", lambda: oracle_rows((1, 1, 0), 3, 0)),
+    (("classify", "--partition", "0,0,0,0", "--n", "2", "--char", "2", "--verify"),
+     "ideals", lambda: oracle_rows((0, 0, 0, 0), 2, 2)),
+    (("classify", "--partition", "2,2,0", "--n", "4", "--verify"),
+     "ideals", lambda: reeves_rows((2, 2, 0), 4, Characteristic(0))),
+    (("check-ideal", "--ideal-json", '{"num_vars": 4, "generators": []}'),
+     "ideal", lambda: ideal_rows([], 4)),
+    (("check-ideal", "--gens", "1", "--num-vars", "3"),
+     "ideal", lambda: ideal_rows([(0, 0, 0)], 3)),
+    (("check-ideal", "--gens", "x0^2,x1^2", "--num-vars", "3", "--char", "2"),
+     "ideal", lambda: ideal_rows([(2, 0, 0), (0, 2, 0)], 3)),
+    (("lex", "--partition", "1,1,1,0", "--n", "3"),
+     None, lambda: [plain_row(lex_ideal(GotzmannPartition((1, 1, 1, 0)), 3))]),
+    (("lex", "--counts", "0,0"),
+     None, lambda: [plain_row(lex_ideal_from_counts((0, 0)))]),
+]
+
+
+class TestStreamedJson:
+    """--json prints json.dumps(payload, indent=2) byte for byte, where
+    the payload's rows are the plain rows of the library's ideals."""
+
+    @pytest.mark.parametrize(
+        "argv, where, rows", STREAMED, ids=[" ".join(c[0]) for c in STREAMED]
+    )
+    def test_matches_json_dumps(self, capsys, argv, where, rows):
+        code, out, err = run(capsys, *argv, "--json")
+        assert code == 0, err
+        doc = json.loads(out)
+        assert out == json.dumps(doc, indent=2) + "\n"
+        found = doc if where is None else doc[where]
+        assert (found if where == "ideals" else [found]) == rows()
+
+    def test_rows_say_nonstandard(self):
+        # the oracle cases above include both kinds of row
+        rows = oracle_rows((1, 1, 0), 3, 3) + oracle_rows((0, 0, 0, 0), 2, 2)
+        assert {row["nonstandard"] for row in rows} == {True, False}
+
+    def test_nothing_written_before_the_rows_are_decided(self, capsys, monkeypatch):
+        # a row value that fails leaves stdout empty
+        def fail(ideal):
+            raise ValueError("stop")
+
+        monkeypatch.setattr(cli, "is_strongly_stable", fail)
+        code, out, err = run(
+            capsys, "oracle", "--partition", "0,0,0,0", "--n", "2", "--char", "2", "--json"
+        )
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "stop"
 
 
 def checkout_env():

@@ -9,17 +9,18 @@ the strongly stable condition.  Characteristic 0 is modeled here as the
 exchange set {1}, so one code path covers both cases.  The rule is
 written once, in _exchanges; _exchange_orbit follows it to a closure, for
 borel_closure and the exhaustive oracle.  The Reeves walk's moves are
-_expandable, which looks up a generator's adjacent p-power blockers
-among the generators in every characteristic (the lemmas there), and
-_expand, which keeps or drops each new multiple by the lemma there.
+_expandable_keys, which looks up a generator's adjacent p-power blockers
+among the generators in every characteristic (the lemmas at
+_expandable), and _expand_keys, which keeps or drops each new multiple
+by the lemma at _expand.  They run on integer keys (KeyLayout), on
+which each blocker and each new multiple is one addition;
+_expandable and _expand run them on a MonomialIdeal.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from math import isqrt
-from operator import le
 
 from .monomial_ideal import Monomial, MonomialIdeal
 
@@ -143,6 +144,90 @@ def borel_closure(gens, ch: Characteristic, num_vars: int) -> MonomialIdeal:
     return MonomialIdeal.from_generators(_exchange_orbit(ideal.gens, ch), num_vars)
 
 
+def _key_width(degree: int) -> int:
+    """The exponent bits w of a KeyLayout for monomials of degree at most
+    degree: 2^w - 1, the largest exponent a field holds, is at least
+    degree + 2."""
+    return (degree + 2).bit_length()
+
+
+class KeyLayout:
+    """One integer key per monomial of K[x_0, ..., x_{N-1}], N = num_vars,
+    on which the Reeves walk makes its moves.
+
+    Each x_i has a field of F = w + 1 bits at s_i = (N - 1 - i) F, x_0 in
+    the most significant one.  The top bit of a field is a guard bit, and
+    the w bits below it hold mask - m_i, mask = 2^w - 1, for exponents
+    0 <= m_i <= mask.  With B = N F and Z the sum of the mask << s_i,
+    the key of m is (deg m << B) | (Z - sum_i m_i << s_i), and its low
+    part, key & (2^B - 1), is Z - sum_i m_i << s_i.  So:
+
+    - Order.  Keys sort by degree, then by low part, which falls as the
+      exponent tuple rises: integer order is canonical order, and a
+      smaller low part is a larger tuple in tuple order.  none = 2^B is
+      above every low part.
+    - Moves.  m x_k has the key of m plus multiply[k] = 2^B - 2^(s_k), and
+      x_l^{-q} x_{l+1}^q m that of m plus q steps[N - 1 - l], with
+      steps[t] = 2^(t F) - 2^((t - 1) F), while every exponent stays at
+      most mask.
+    - Lift.  A monomial of fewer variables reads as 0 in the other
+      fields, so g and (g, 0) have one key.
+    - Divisibility.  Field i of low(h) + G - low(m), G the guard bits, is
+      2^w + m_i - h_i, from 1 to 2^(w+1) - 1, so no field borrows from
+      the next, and its guard bit is set exactly when h_i <= m_i.
+    """
+
+    __slots__ = (
+        "num_vars", "width", "field", "low_bits", "low_mask", "none", "mask",
+        "zero", "guards", "shifts", "multiply", "steps",
+    )
+
+    def __init__(self, num_vars: int, width: int):
+        F = width + 1
+        B = num_vars * F
+        self.num_vars, self.width, self.field, self.low_bits = num_vars, width, F, B
+        self.low_mask = (1 << B) - 1
+        self.none = 1 << B
+        self.mask = (1 << width) - 1
+        self.shifts = [(num_vars - 1 - i) * F for i in range(num_vars)]
+        self.zero = sum(self.mask << s for s in self.shifts)
+        self.guards = sum(1 << s + width for s in self.shifts)
+        self.multiply = [(1 << B) - (1 << s) for s in self.shifts]
+        self.steps = [0] + [((1 << F) - 1) << (t - 1) * F for t in range(1, num_vars)]
+
+    def encode(self, m: Monomial) -> int:
+        """The key of m, which has at most num_vars exponents."""
+        low = self.zero - sum(e << s for e, s in zip(m, self.shifts) if e)
+        return (sum(m) << self.low_bits) | low
+
+    def decode(self, key: int, num_vars: int) -> Monomial:
+        """The monomial in num_vars variables with the key, or the low part
+        of one.  It reads only the fields of the variables dividing it,
+        from the top."""
+        exps = self.zero - (key & self.low_mask)
+        m = [0] * num_vars
+        while exps:
+            s = (exps.bit_length() - 1) // self.field * self.field
+            m[self.num_vars - 1 - s // self.field] = exps >> s
+            exps &= (1 << s) - 1
+        return tuple(m)
+
+    def divides(self, h: int, m: int) -> bool:
+        """Whether the monomial of the key h divides that of the key m."""
+        guards, low = self.guards, self.low_mask
+        return ((h & low) + guards - (m & low)) & guards == guards
+
+    def ideals(self, level: dict, num_vars: int) -> dict:
+        """The dict level, keyed by generator key tuples, keyed instead by
+        their ideals in num_vars variables, in the same order; each
+        distinct key is decoded once."""
+        monomial = {k: self.decode(k, num_vars) for k in set().union(*level)}.get
+        return {
+            MonomialIdeal._trusted(num_vars, tuple(map(monomial, keys))): value
+            for keys, value in level.items()
+        }
+
+
 def expandable_generators(I: MonomialIdeal) -> list[Monomial]:
     """Generators at which I can be expanded, in canonical order.
 
@@ -150,7 +235,7 @@ def expandable_generators(I: MonomialIdeal) -> list[Monomial]:
     x_i dividing g with i < n - 1.  I must be saturated and strongly
     stable; this public entry point checks that once and raises
     ValueError otherwise.  The Reeves walk calls the unchecked
-    _expandable, since every ideal it visits has that property by
+    _expandable_keys, since every ideal it visits has that property by
     construction (see the reeves module).
     """
     if not is_strongly_stable(I):
@@ -160,12 +245,18 @@ def expandable_generators(I: MonomialIdeal) -> list[Monomial]:
     return _expandable(I, (), CHAR0)
 
 
+def _layout(I: MonomialIdeal) -> KeyLayout:
+    """A key layout for I, its blockers and its expansions."""
+    return KeyLayout(I.num_vars, _key_width(I.max_generator_degree))
+
+
 def _expandable(
     I: MonomialIdeal, last: Monomial, ch: Characteristic
 ) -> list[Monomial]:
     """The generators g > last in tuple order of the saturated Borel-fixed
     (for ch) ideal I at which the walk's expansion stays Borel-fixed, in
     canonical order; last = () admits them all, and the unit qualifies.
+    This encodes I, runs _expandable_keys, the walk's move, and decodes.
 
     A blocker of g is a v = x_i^{-k} x_j^k g with i < j < n, 1 <= k <= g_i
     and k digitwise below g_j + k, so that a legal exchange takes v to g.
@@ -174,6 +265,9 @@ def _expandable(
     x_l^{-q} x_{l+1}^q g (q = p^e <= g_l, digit e of g_{l+1} below p - 1)
     lies in I, and by Lemma 1 when none is a generator.  Characteristic 0
     reads as a base above every exponent: q = 1, and nothing carries.
+    _expandable_keys applies both on keys: the blocker is g plus q steps
+    of its field (KeyLayout), looked up in the generator keys, for the
+    fields of the x_l with g_l > 0, l < n - 1.
 
     Lemma 1.  If I is Borel-fixed for ch and g is a minimal generator, a
     blocker v of g that lies in I is a minimal generator.
@@ -208,25 +302,50 @@ def _expandable(
     adjacent p-power blocker, in I.  In characteristic 0, k = q = 1 and
     only the first case arises.
     """
-    gens = I.gens
-    gen_set = frozenset(gens)
-    p = ch.value or 2 + (sum(gens[-1]) if gens else 0)  # gens[-1] has the top degree
-    pairs = range(I.num_vars - 2)
+    lay = _layout(I)
+    keys = tuple(map(lay.encode, I.gens))
+    bound = lay.encode(last) & lay.low_mask if last else lay.none
+    found = _expandable_keys(keys, bound, I.num_vars - 1, lay, ch.value)
+    return [lay.decode(g, I.num_vars) for g in found]
+
+
+def _expandable_keys(
+    keys: tuple[int, ...], last: int, n: int, lay: KeyLayout, p: int
+) -> list[int]:
+    """_expandable on keys: the keys g whose low part is below last, in
+    order, at which the walk's expansion of the ideal of K[x_0, ..., x_n]
+    with the generator keys stays Borel-fixed in characteristic p.
+
+    For each g it visits the fields of the x_l with g_l > 0, l < n - 1,
+    the set bits of Z - low(g) above those of x_{n-1}.  It looks up the
+    blocker for q = 1 in every characteristic, and reads digit 0 of
+    g_{l+1} only when that finds a generator; only for p > 0 does it go
+    on to the q = p^e <= g_l."""
+    F, low_mask, zero, mask = lay.field, lay.low_mask, lay.zero, lay.mask
+    steps = lay.steps
+    cut = (lay.num_vars - n + 1) * F
+    gens = set(keys)
     out = []
-    for g in gens:
-        if g <= last:
+    for g in keys:
+        low = g & low_mask
+        if low >= last:
             continue
-        for l in pairs:
-            q = 1
-            while q <= g[l]:
-                if g[:l] + (g[l] - q, g[l + 1] + q) + g[l + 2 :] in gen_set and (
-                    g[l + 1] // q % p < p - 1  # no carry: a blocker
+        exps = zero - low
+        fields = exps >> cut << cut
+        while fields:
+            s = (fields.bit_length() - 1) // F * F  # the field of x_l
+            fields &= (1 << s) - 1
+            step = steps[s // F]
+            if g + step in gens and (not p or (exps >> s - F & mask) % p < p - 1):
+                break
+            if p:
+                e, q = exps >> s & mask, p
+                while q <= e and not (
+                    g + q * step in gens and (exps >> s - F & mask) // q % p < p - 1
                 ):
+                    q *= p
+                if q <= e:
                     break
-                q *= p
-            else:
-                continue
-            break  # g is blocked
         else:
             out.append(g)
     return out
@@ -239,7 +358,7 @@ def expand(I: MonomialIdeal, g: Monomial) -> MonomialIdeal:
     polynomial is one more than that of I.  Raises ValueError unless I is
     saturated and strongly stable and g is one of its expandable
     generators other than the unit monomial.  These checks happen here
-    only; the Reeves walk calls the unchecked _expand.
+    only; the Reeves walk calls the unchecked _expand_keys.
     """
     if g not in expandable_generators(I):
         raise ValueError(f"{g} is not an expandable generator of {I}")
@@ -253,7 +372,8 @@ def _expand(I: MonomialIdeal, g: Monomial, ch: Characteristic) -> MonomialIdeal:
     generator g replaced by every g x_k, k < n, that no other generator
     divides.  g must be a non-unit one of _expandable(I, (), ch), I being
     saturated and Borel-fixed for ch; then the result is too (see the
-    reeves module), and it needs no other minimalization.  The generators
+    reeves module), and it needs no other minimalization.  This encodes
+    I, runs _expand_keys, the walk's move, and decodes.  The generators
     other than g stay minimal, since none is a multiple of g, so none is
     a multiple of any g x_k, and the g x_k share one degree, so none
     divides another.  A generator dividing g x_k has degree at most
@@ -288,36 +408,48 @@ def _expand(I: MonomialIdeal, g: Monomial, ch: Characteristic) -> MonomialIdeal:
     of an expandable g lies in I.  (c) As in (b): 1 is digitwise below
     g_high + 1 exactly when g_high mod p != p - 1.
 
-    Canonical order sorts by degree and, within one degree, by descending
-    exponent tuple.  The survivors all have degree a + 1, so they belong
-    in the block of that degree, which starts after g and the generators
-    of g's own degree that follow it.  They come out in descending tuple
-    order, as g x_k > g x_l for k < l; merging them into that block, and
-    leaving every other generator where it is, gives the canonical order.
-    The tests compare this with from_generators and with the references
-    in the tests' conftest.
+    _expand_keys applies the lemma on keys: high is the field of the
+    lowest set bit of Z - low(g), each survivor's key is the key of g
+    plus multiply[k], the case (d) test is KeyLayout.divides, on the
+    guard bits, and the keys sorted are the generators in canonical
+    order.  The tests compare this with from_generators and with the
+    references in the tests' conftest.
     """
-    gens = I.gens
-    a = sum(g)
-    i = gens.index(g)
-    lo = bisect_right(gens, a, i + 1, key=sum)  # start of degree a + 1
-    hi = bisect_right(gens, a + 1, lo, key=sum)  # end of degree a + 1
-    lower = gens[:i] + gens[i + 1 : lo]
-    n = I.num_vars - 1
-    high = n - 1  # g is free of x_n, as I is saturated, and not the unit
-    while not g[high]:
-        high -= 1
+    lay = _layout(I)
+    keys = _expand_keys(
+        tuple(map(lay.encode, I.gens)), lay.encode(g), I.num_vars - 1, lay, ch.value
+    )
+    gens = tuple(lay.decode(k, I.num_vars) for k in keys)
+    return MonomialIdeal._trusted(I.num_vars, gens)
+
+
+def _expand_keys(
+    keys: tuple[int, ...], g: int, n: int, lay: KeyLayout, p: int
+) -> tuple[int, ...]:
+    """_expand on keys: the generator keys of the ideal of K[x_0, ..., x_n]
+    with the generator keys, expanded at g in characteristic p, sorted."""
+    F, low_mask, mask, shifts, multiply = (
+        lay.field, lay.low_mask, lay.mask, lay.shifts, lay.multiply
+    )
+    exps = lay.zero - (g & low_mask)
+    high = lay.num_vars - 1 - ((exps & -exps).bit_length() - 1) // F
     top = kept = high  # g x_k is dropped for k < top and kept for k >= kept
-    p = ch.value  # in characteristic 0, base a + 2, 0 < g_high < p - 1: no (d)
-    if p and not 0 < g[high] % p < p - 1:
-        kept += g[high] % p == p - 1
-        while top and g[top] % p == 0:
-            top -= 1
-    block = [g[:k] + (g[k] + 1,) + g[k + 1 :] for k in range(kept, n)]
-    if top < kept:  # case (d): scan
-        scan = (g[:k] + (g[k] + 1,) + g[k + 1 :] for k in range(top, kept))
-        block[:0] = [m for m in scan if not any(all(map(le, h, m)) for h in lower)]
-    if lo < hi:
-        block += gens[lo:hi]
-        block.sort(reverse=True)
-    return MonomialIdeal._trusted(I.num_vars, lower + tuple(block) + gens[hi:])
+    if p:  # in characteristic 0, base a + 2, 0 < g_high < p - 1: no (d)
+        e = exps >> shifts[high] & mask
+        if not 0 < e % p < p - 1:
+            kept += e % p == p - 1
+            while top and (exps >> shifts[top] & mask) % p == 0:
+                top -= 1
+    out = list(keys)
+    out.remove(g)
+    out.extend([g + step for step in multiply[kept:n]])
+    if top < kept:  # case (d): test against the generators of degree <= a
+        bound = (g >> lay.low_bits) + 1 << lay.low_bits
+        lower = [h for h in keys if h < bound and h != g]
+        divides = lay.divides
+        for k in range(top, kept):
+            m = g + multiply[k]
+            if not any(divides(h, m) for h in lower):
+                out.append(m)
+    out.sort()
+    return tuple(out)

@@ -41,11 +41,11 @@ from .exhaustive import DEFAULT_MAX_AMBIENT, DEFAULT_MAX_GOTZMANN
 ORACLE_CHARS = (2, 3)
 
 # explore_tree's depth cap: a tree of depth D has 2^(D+1) - 1 nodes, and
-# its memory grows about 4x per two levels (a tracemalloc peak of 0.8 /
+# its memory grows about 4x per two levels (a tracemalloc peak of 0.9 /
 # 3.5 MB at depth 10 / 12, codimension 2).  On a 2-vCPU VM, depth 12 at
-# codimension 2 takes 0.09 s and 19 MB peak RSS, 1.4 s with enumerated
-# counts, and 2.2 s at codimension 4 in characteristic 2 with counts;
-# depth 20 would take about a gigabyte.
+# codimension 2 takes 0.11 s and 19 MB peak RSS, 1.0-1.5 s with
+# enumerated counts, and 2.7 s at codimension 4 in characteristic 2 with
+# counts; depth 20 would take about a gigabyte.
 MAX_TREE_DEPTH = 12
 
 

@@ -41,11 +41,12 @@ from . import classify as _classify
 
 # check-ideal, lex, oracle and the walk's entry points refuse more
 # variables than this before any work.  On a 2-vCPU VM `check-ideal --gens
-# x0` takes 0.1 / 0.8 s in 800 / 2000 variables (the peel is quadratic in
+# x0` takes 0.1 / 0.6 s in 800 / 2000 variables (the peel is quadratic in
 # the degree), so the Gotzmann-number guard and the numerator bound it;
-# `lex --partition 0` takes 0.01 / 0.18 s at --n 199 / 799.  Unguarded,
-# `reeves --partition 0 --n 3000` took 6.2 s and 531 MB, and `oracle
-# --partition 0 --n 1100 --force` ended in a RecursionError traceback.
+# `lex --partition 0` takes 0.02 / 0.37 s at --n 199 / 799.  Unguarded,
+# `reeves --partition 0 --n 3000` takes 2.5-2.9 s and 422 MB, nearly all
+# of it writing 117 MB of JSON, and `oracle --partition 0 --n 1100
+# --force` ended in a RecursionError traceback.
 MAX_NUM_VARS = 200
 
 # check-ideal also refuses generators whose degrees sum above this before
@@ -54,14 +55,16 @@ MAX_NUM_VARS = 200
 # amounts, so unguarded `check-ideal --gens x0,x1,x2^D --num-vars 3` takes
 # 0.01 s in process at D = 10^7 on a 2-vCPU VM (5.6 s when they tried
 # every amount up to the exponent).  At the bound, the 200 generators
-# x_i^500 take 0.9 s in process, most of it in the saturation test, and
-# x0^99999 in 200 variables 0.24 s.
+# x_i^500 take 0.7 s in process, most of it in the Hilbert polynomial's
+# binomials and 0.2 s in the saturation test, and x0^99999 in 200
+# variables 0.24 s.
 MAX_DEGREE_SUM = 10**5
 
 # check-ideal stops its saturation test, run after the Hilbert polynomial,
 # past this many steps (MonomialIdeal.is_saturated).  On a 2-vCPU VM a trip
-# takes 2-3 s; on 94 inputs whose Hilbert polynomial it computes, the test
-# took at most 0.26 s (x_i^500 in 200 variables, 8 * 10^6 steps).
+# takes at most about 3.5 s: 2 500 random square-free quadrics x_i x_j in 200
+# variables stay within the bound and take 3.3 s.  x_i^500 in 200 variables
+# take 8 * 10^6 steps, 0.20 s in process.
 MAX_SATURATION_WORK = 10**8
 
 # check-ideal stops the Hilbert numerator's pivot loop past this many

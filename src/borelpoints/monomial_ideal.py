@@ -35,7 +35,7 @@ def max_index(m: Monomial) -> int:
 
 
 def divides(m: Monomial, other: Monomial) -> bool:
-    return all(a <= b for a, b in zip(m, other))
+    return all(map(le, m, other))
 
 
 def format_monomial(m: Monomial) -> str:

@@ -43,8 +43,9 @@ every ideal it reaches with deficit 0 has h_{c+j} = tau_{d-j}, and
 raises ValueError otherwise.
 
 The walk is depth first, on one explicit stack of entries
-(ideal, h, last, j, s): an ideal of level j, its coordinates, the
-generator last at which it was built (see below), and its deficit s.
+(keys, h, last, j, s): an ideal of level j, as the keys of its
+generators (see "Keys" below), its coordinates, the generator last at
+which it was built (see below), and its deficit s.
 An entry of deficit s > 0 is replaced by its expansions, each of
 deficit s - 1.  An entry of deficit 0 is an ideal of level j; below
 level d it is replaced by its lift, of deficit tau_{d-j-1} - h_{c+j+1},
@@ -103,8 +104,8 @@ search (Avis and Fukuda, "Reverse search for enumeration", 1996), and
 searches no set of ideals for duplicates.  Every entry carries the
 generator last at which it was built, () for the lifted and start
 ideals, and is expanded only at its expandable generators g > last in
-tuple order; _expandable tests no other generator for blocking.  The
-argument is the same in every characteristic.
+tuple order; borel._expandable_keys tests no other generator for
+blocking.  The argument is the same in every characteristic.
 
 - One step.  Let J be the expansion of I at g.  As g is free of x_n, J
   misses exactly the g x_n^m of I, so I = J + (g) and J' = I' minus g.
@@ -139,10 +140,10 @@ whose R holds g.  By the argument above, no two of these are the same
 ideal, none equals a lifted one, and every ideal of the level is one of
 them: an ideal with R(J) empty is lifted, and any other is built from
 its canonical parent, which is one expansion short.  So the count adds
-1 for an entry of level d and deficit 0, and |_expandable(I, last, ch)|
-for one of deficit 1, which it does not expand.  Only the coordinate
-h_{c+d} tells the count anything, as an expansion at level d changes
-no other: it adds C(a, 0) = 1 to it.  So the count checks
+1 for an entry of level d and deficit 0, and the number of its
+expandable generators above last for one of deficit 1, which it does
+not expand.  Only the coordinate h_{c+d} tells the count anything, as
+an expansion at level d changes no other: it adds C(a, 0) = 1 to it.  So the count checks
 h_{c+d} = tau_0 - 1 on an entry of deficit 1, which is the check its
 expansions would meet.
 
@@ -160,11 +161,11 @@ h_{c+j+1} - s D - s (s - 1) / 2 > tau_{d-j-1}, every such ideal has
 h_{c+j+1} above tau_{d-j-1}, so its lift a negative deficit: the entry
 is doomed.  The count tests an expansion at g, of degree a, before
 building it, with its coordinates, its deficit s - 1 and the bound
-max(D, a + 1), D = sum(I.gens[-1]) being the top degree of I (canonical
-order sorts by degree); and a lift to level j + 1 < d before making
-it, with its deficit and D, on h_{c+j+2} and tau_{d-j-2}.  At deficit 0
-the test is the lift's negative deficit itself, so those ideals of
-level j are not built either.  Every child of a doomed entry is
+max(D, a + 1), D the degree of the last generator key, the top degree
+of I (canonical order sorts by degree); and a lift to level j + 1 < d
+before making it, with its deficit and D, on h_{c+j+2} and
+tau_{d-j-2}.  At deficit 0 the test is the lift's negative deficit
+itself, so those ideals of level j are not built either.  Every child of a doomed entry is
 doomed: an expansion, with t = s - 1, a <= D and a degree bound
 D' <= D + 1, has
 h_{c+j+1} - a - t D' - t (t - 1) / 2 >= h_{c+j+1} - s D - s (s - 1) / 2,
@@ -174,11 +175,38 @@ and its number is unchanged.  The bound reads only tau, h and the top
 degree.  enumeration_levels keeps every ideal of every level, and does
 not prune.
 
+Keys.  The walk holds each monomial as one integer key of a
+borel.KeyLayout made once per call for the N = n + 1 variables of the
+last level.  Its fields have w + 1 bits, w = _key_width(r), the bits
+of r + 2 for the Gotzmann number r, so that a field holds exponents up
+to mask = 2^w - 1 >= r + 2.  Integer order is canonical order, so the
+generators of an ideal are a sorted tuple of keys.  A monomial of fewer
+variables has the key of its lift, so a lift keeps every key.  A new
+multiple g x_k, and a blocker of g, is one addition to the key of g.
+The walk reads a degree as key >> B, B = N (w + 1), and last is the
+low part key & (2^B - 1) of the key of the generator the entry was
+built at, or 2^B for none, so that g > last in tuple order is
+low(g) < last.  The moves are borel._expandable_keys and
+borel._expand_keys, and only enumeration_levels decodes keys, each
+once per level, for the ideals it keeps.
+
+The walk raises ValueError rather than build an expansion of degree
+a + 1 > mask - 1, whose exponents a field might not hold.  That never
+happens.  An entry of level j and deficit s is a saturated ideal with
+Hilbert polynomial q_j - s.  Appending s zero parts to the Gotzmann
+partition of q_j - s gives that of q_j, as each adds C(t - m, 0) = 1,
+so q_j - s has the Gotzmann number r_j - s, r_j that of q_j; and
+r_j <= r, as the backward difference drops the zero parts of a
+partition and lowers the others by one.  By Gotzmann's regularity
+theorem the generators of the entry, and so its blockers, have degree
+at most r_j - s <= r, and an expansion, made only at s >= 1, has degree
+at most r_j - s + 1 <= r <= mask - 2.
+
 Preconditions are checked once, at the public boundary, and never inside
 the walk.  The public borel.expand and borel.expandable_generators check
-that their ideal is saturated and strongly stable; the walk calls their
-unchecked forms _expandable and _expand instead, in every
-characteristic.  That is safe because the start ideal is
+that their ideal is saturated and strongly stable; the walk calls the
+unchecked moves borel._expandable_keys and borel._expand_keys instead,
+in every characteristic.  That is safe because the start ideal is
 saturated and Borel-fixed in every characteristic by construction, and
 both expansion and lifting preserve the property, so every ideal the
 walk visits has it.  The tests check it on the outputs, and check the
@@ -188,8 +216,15 @@ carried coordinates against hilbert_numerator.
 from __future__ import annotations
 
 from .hilbert_poly import GotzmannPartition
-from .monomial_ideal import MonomialIdeal
-from .borel import CHAR0, Characteristic, _expand, _expandable
+from .monomial_ideal import MonomialIdeal, format_ideal
+from .borel import (
+    CHAR0,
+    Characteristic,
+    KeyLayout,
+    _expand_keys,
+    _expandable_keys,
+    _key_width,
+)
 
 
 def _expanded_coordinates(h: tuple[int, ...], j: int, a: int) -> tuple[int, ...]:
@@ -226,45 +261,56 @@ def _completes(x: int, target: int, t: int, top: int) -> bool:
     return x - t * top - t * (t - 1) // 2 <= target
 
 
-def _start(partition: GotzmannPartition, n: int) -> tuple[list, tuple[int, ...]]:
+def _start(
+    partition: GotzmannPartition, n: int
+) -> tuple[list, tuple[int, ...], KeyLayout]:
     """The stack that starts the walk to partition in K[x_0, ..., x_n],
-    holding the entry of the start ideal, and the targets tau.  tau_d
-    counts the parts equal to d, so the start is never above target."""
+    holding the entry of the start ideal, the targets tau, and the key
+    layout of the walk's monomials, of width _key_width(r), r the
+    Gotzmann number.  tau_d counts the parts equal to d, so the start is
+    never above target."""
     if n <= partition.degree:
         raise ValueError("ambient dimension must exceed the polynomial degree")
     d = partition.degree
     c = n - d
     tau = partition.coordinates()
-    zero = (0,) * (c + 1)
-    start = MonomialIdeal._trusted(
-        c + 1, tuple(zero[:k] + (1,) + zero[k + 1 :] for k in range(c))
-    )
-    return [(start, (1,) + (0,) * d, (), 0, tau[d] - 1)], tau
+    lay = KeyLayout(n + 1, _key_width(partition.gotzmann_number))
+    start = tuple(lay.zero + lay.multiply[k] for k in range(c))  # 1 times x_k
+    return [(start, (1,) + (0,) * d, lay.none, 0, tau[d] - 1)], tau, lay
 
 
 def _search(
-    stack: list, tau: tuple[int, ...], ch: Characteristic, levels: list | None = None
+    stack: list,
+    tau: tuple[int, ...],
+    ch: Characteristic,
+    lay: KeyLayout,
+    levels: list | None = None,
 ) -> int:
-    """Walk the tree below the (ideal, h, last, j, s) entries of stack
+    """Walk the tree below the (keys, h, last, j, s) entries of stack
     depth first, emptying it (see the module docstring), and return the
-    number of ideals of level d = len(tau) - 1 it reaches.
+    number of ideals of level d = len(tau) - 1 it reaches.  keys are the
+    generator keys of an ideal of level j, in the layout lay of the last
+    level's ring, and last is the low part of the key of the generator
+    the entry was built at, or lay.none (see "Keys").
 
     With levels, a list of d + 1 dicts, add every ideal of level j to
-    levels[j], mapped to its coordinates.  Without, count each entry of
-    level d one expansion short by its expandable generators instead of
-    expanding it, and build no expansion or lift below level d whose
-    every completion overshoots the next level (see "Pruning" in the
-    module docstring).
+    levels[j], as its key tuple mapped to its coordinates.  Without,
+    count each entry of level d one expansion short by its expandable
+    generators instead of expanding it, and build no expansion or lift
+    below level d whose every completion overshoots the next level (see
+    "Pruning" in the module docstring).
     """
     d = len(tau) - 1
+    B, low_mask, widest, p = lay.low_bits, lay.low_mask, lay.mask - 2, ch.value
+    c = lay.num_vars - 1 - d
     count = 0
     while stack:
-        ideal, h, last, j, s = stack.pop()
+        keys, h, last, j, s = stack.pop()
         if s == 0:
             if h[j] != tau[d - j]:
-                raise ValueError(f"{ideal} misses its level-{j} target")
+                raise _missed(keys, c, j, lay)
             if levels is not None:
-                levels[j][ideal] = h
+                levels[j][keys] = h
             if j == d:
                 count += 1
                 continue
@@ -272,23 +318,36 @@ def _search(
             if s >= 0 and (
                 levels is not None
                 or j + 1 == d
-                or _completes(h[j + 2], tau[d - j - 2], s, sum(ideal.gens[-1]))
+                or _completes(h[j + 2], tau[d - j - 2], s, keys[-1] >> B)
             ):
-                stack.append((ideal.lift(), h, (), j + 1, s))
+                stack.append((keys, h, lay.none, j + 1, s))
         elif s == 1 and j == d and levels is None:
             if h[j] != tau[0] - 1:  # an expansion adds C(a, 0) = 1 to h_n
-                raise ValueError(f"{ideal} misses its level-{j} target")
-            count += len(_expandable(ideal, last, ch))
+                raise _missed(keys, c, j, lay)
+            count += len(_expandable_keys(keys, last, c + j, lay, p))
         else:
             prune = levels is None and j < d
             if prune:
-                top, target = sum(ideal.gens[-1]), tau[d - j - 1]
-            for g in _expandable(ideal, last, ch):
-                a = sum(g)
+                top, target = keys[-1] >> B, tau[d - j - 1]
+            for g in _expandable_keys(keys, last, c + j, lay, p):
+                a = g >> B
+                if a > widest:
+                    raise ValueError(
+                        f"an expansion of degree {a + 1} overflows keys of "
+                        f"width {lay.width}"
+                    )
                 h2 = _expanded_coordinates(h, j, a)
                 if not prune or _completes(h2[j + 1], target, s - 1, max(top, a + 1)):
-                    stack.append((_expand(ideal, g, ch), h2, g, j, s - 1))
+                    J = _expand_keys(keys, g, c + j, lay, p)
+                    stack.append((J, h2, g & low_mask, j, s - 1))
     return count
+
+
+def _missed(keys: tuple[int, ...], c: int, j: int, lay: KeyLayout) -> ValueError:
+    """The error for an ideal of level j, in K[x_0, ..., x_{c+j}], with
+    the generator keys, that misses its level's target."""
+    gens = tuple(lay.decode(k, c + j + 1) for k in keys)
+    return ValueError(f"{format_ideal(gens)} misses its level-{j} target")
 
 
 def enumeration_levels(
@@ -302,10 +361,12 @@ def enumeration_levels(
     polynomial is difference^(d-j)(partition), d = partition.degree.
     The walk is depth first, so the levels are yielded once it ends.
     """
-    stack, tau = _start(partition, n)
+    stack, tau, lay = _start(partition, n)
     levels = [{} for _ in tau]
-    _search(stack, tau, ch, levels)
-    yield from levels
+    _search(stack, tau, ch, lay, levels)
+    c = n - partition.degree
+    for j, level in enumerate(levels):
+        yield lay.ideals(level, c + j + 1)
 
 
 def enumerate_strongly_stable(
@@ -329,4 +390,5 @@ def count_strongly_stable(
     (see "Counting" in the module docstring).  It builds no expansion or
     lift below the last level whose every completion must overshoot the
     next level's target (see "Pruning")."""
-    return _search(*_start(partition, n), ch)
+    stack, tau, lay = _start(partition, n)
+    return _search(stack, tau, ch, lay)

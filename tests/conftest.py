@@ -26,6 +26,8 @@ from borelpoints import (
     monomials_of_degree,
 )
 from borelpoints.borel import (
+    _expand,
+    _expand_keys,
     _expandable,
     digitwise_leq,
     exchange,
@@ -33,7 +35,7 @@ from borelpoints.borel import (
 )
 from borelpoints import monomial_ideal
 from borelpoints.monomial_ideal import canonical_key, divides, max_index
-from borelpoints.reeves import _expanded_coordinates
+from borelpoints.reeves import _completes, _expanded_coordinates
 
 
 def brute_standard_count(gens, num_vars, d):
@@ -565,3 +567,101 @@ def reference_search_levels(partition, n, ch):
             grow(0, ideal)
         states = next_states
         yield set(states)
+
+
+def reference_start(partition, n):
+    """The stack that starts reference_search to partition in
+    K[x_0, ..., x_n], holding the entry of the start ideal, and the
+    targets tau.  tau_d counts the parts equal to d, so the start is
+    never above target."""
+    if n <= partition.degree:
+        raise ValueError("ambient dimension must exceed the polynomial degree")
+    d = partition.degree
+    c = n - d
+    tau = partition.coordinates()
+    zero = (0,) * (c + 1)
+    start = MonomialIdeal._trusted(
+        c + 1, tuple(zero[:k] + (1,) + zero[k + 1 :] for k in range(c))
+    )
+    return [(start, (1,) + (0,) * d, (), 0, tau[d] - 1)], tau
+
+
+def reference_search(stack, tau, ch, levels=None):
+    """The Reeves walk on MonomialIdeal values, as a cross-check of the
+    library's walk on keys, reeves._search, which must pop the same
+    entries in the same order: the moves are borel._expandable and
+    borel._expand, which encode, run the library's key moves and decode,
+    a lift is MonomialIdeal.lift, and last is a generator tuple, () for
+    none.
+
+    Walk the tree below the (ideal, h, last, j, s) entries of stack
+    depth first, emptying it (see the reeves module docstring), and
+    return the number of ideals of level d = len(tau) - 1 it reaches.
+
+    With levels, a list of d + 1 dicts, add every ideal of level j to
+    levels[j], mapped to its coordinates.  Without, count each entry of
+    level d one expansion short by its expandable generators instead of
+    expanding it, and build no expansion or lift below level d whose
+    every completion overshoots the next level (see "Pruning" there).
+    """
+    d = len(tau) - 1
+    count = 0
+    while stack:
+        ideal, h, last, j, s = stack.pop()
+        if s == 0:
+            if h[j] != tau[d - j]:
+                raise ValueError(f"{ideal} misses its level-{j} target")
+            if levels is not None:
+                levels[j][ideal] = h
+            if j == d:
+                count += 1
+                continue
+            s = tau[d - j - 1] - h[j + 1]
+            if s >= 0 and (
+                levels is not None
+                or j + 1 == d
+                or _completes(h[j + 2], tau[d - j - 2], s, sum(ideal.gens[-1]))
+            ):
+                stack.append((ideal.lift(), h, (), j + 1, s))
+        elif s == 1 and j == d and levels is None:
+            if h[j] != tau[0] - 1:  # an expansion adds C(a, 0) = 1 to h_n
+                raise ValueError(f"{ideal} misses its level-{j} target")
+            count += len(_expandable(ideal, last, ch))
+        else:
+            prune = levels is None and j < d
+            if prune:
+                top, target = sum(ideal.gens[-1]), tau[d - j - 1]
+            for g in _expandable(ideal, last, ch):
+                a = sum(g)
+                h2 = _expanded_coordinates(h, j, a)
+                if not prune or _completes(h2[j + 1], target, s - 1, max(top, a + 1)):
+                    stack.append((_expand(ideal, g, ch), h2, g, j, s - 1))
+    return count
+
+
+def decode_ideal(keys, num_vars, lay):
+    """The ideal in num_vars variables whose generators have the keys of
+    the KeyLayout lay, built with the checks of MonomialIdeal."""
+    return MonomialIdeal(num_vars, tuple(lay.decode(k, num_vars) for k in keys))
+
+
+def decode_entry(entry, lay, c):
+    """An entry (keys, h, last, j, s) of reeves._search, in a walk whose
+    level 0 is K[x_0, ..., x_c], as reference_search's
+    (ideal, h, last, j, s): last a generator tuple, () for none."""
+    keys, h, last, j, s = entry
+    num_vars = c + j + 1
+    last = () if last == lay.none else lay.decode(last, num_vars)
+    return decode_ideal(keys, num_vars, lay), h, last, j, s
+
+
+def recording_expand_keys(built):
+    """A stand-in for reeves._expand_keys that appends each expansion it
+    makes, decoded, to built."""
+
+    def record(keys, g, n, lay, p):
+        out = _expand_keys(keys, g, n, lay, p)
+        built.append(decode_ideal(out, n + 1, lay))
+        return out
+
+    return record

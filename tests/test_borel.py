@@ -30,19 +30,25 @@ from borelpoints import (
     monomials_of_degree,
 )
 from borelpoints import reeves
+from borelpoints.monomial_ideal import canonical_key, divides
 from borelpoints.borel import (
+    KeyLayout,
     _exchanges,
     _expand,
     _expandable,
+    _expandable_keys,
+    _key_width,
     exchange,
 )
 
 from conftest import (
     coordinate_step_holds,
+    decode_ideal,
     expanded_numerator,
     ideal,
     mini_grid,
     one_minus_t_power,
+    recording_expand_keys,
     reference_borel_closure,
     reference_borel_expand,
     reference_borel_expandable,
@@ -248,6 +254,87 @@ class TestBorelClosure:
                 assert is_borel_fixed(I, Characteristic(p)), (m, p)
 
 
+@st.composite
+def layout_and_monomials(draw, count):
+    """A KeyLayout of 1 to 6 variables and width 1 to 5, and count
+    monomials in as many variables whose exponents its fields hold."""
+    lay = KeyLayout(draw(st.integers(1, 6)), draw(st.integers(1, 5)))
+    monomial = st.tuples(*[st.integers(0, lay.mask)] * lay.num_vars)
+    return lay, *(draw(monomial) for _ in range(count))
+
+
+class TestKeyLayout:
+    # the integer keys the walk's moves run on (borel.KeyLayout)
+
+    @settings(max_examples=300, deadline=None)
+    @given(layout_and_monomials(1))
+    def test_round_trip(self, case):
+        lay, m = case
+        key = lay.encode(m)
+        assert lay.decode(key, lay.num_vars) == m
+        assert lay.decode(key & lay.low_mask, lay.num_vars) == m
+        assert key >> lay.low_bits == sum(m)
+        assert key & lay.low_mask < lay.none
+
+    @settings(max_examples=200, deadline=None)
+    @given(layout_and_monomials(6))
+    def test_sorted_keys_in_canonical_order(self, case):
+        lay, *monomials = case
+        keys = sorted(set(map(lay.encode, monomials)))
+        decoded = [lay.decode(k, lay.num_vars) for k in keys]
+        assert decoded == sorted(set(monomials), key=canonical_key)
+
+    @settings(max_examples=300, deadline=None)
+    @given(layout_and_monomials(2))
+    def test_low_parts_reverse_tuple_order(self, case):
+        # regardless of degree, as the walk's last compares them
+        lay, m, v = case
+        low_m, low_v = (lay.encode(x) & lay.low_mask for x in (m, v))
+        assert (low_m < low_v) == (m > v)
+        assert (low_m == low_v) == (m == v)
+
+    @settings(max_examples=300, deadline=None)
+    @given(layout_and_monomials(1))
+    def test_moves_are_one_addition(self, case):
+        lay, m = case
+        n, key = lay.num_vars, lay.encode(m)
+        for l in range(n - 1):
+            for q in range(1, m[l] + 1):
+                v = exchange(m, l + 1, l, q)  # x_l^{-q} x_{l+1}^q m
+                if v[l + 1] <= lay.mask:
+                    assert key + q * lay.steps[n - 1 - l] == lay.encode(v), (m, l, q)
+        for k in range(n):
+            if m[k] < lay.mask:
+                v = m[:k] + (m[k] + 1,) + m[k + 1 :]
+                assert key + lay.multiply[k] == lay.encode(v), (m, k)
+
+    @settings(max_examples=300, deadline=None)
+    @given(layout_and_monomials(1), st.integers(0, 6))
+    def test_same_key_at_every_level(self, case, cut):
+        # a monomial of fewer variables has the key of its lift, so a
+        # lift changes no key
+        lay, m = case
+        short = m[: max(lay.num_vars - cut, 1)]
+        padded = short + (0,) * (lay.num_vars - len(short))
+        assert lay.encode(short) == lay.encode(padded)
+        assert lay.decode(lay.encode(short), len(short)) == short
+
+    @settings(max_examples=300, deadline=None)
+    @given(layout_and_monomials(2))
+    def test_guard_bit_divisibility(self, case):
+        lay, h, m = case
+        hk, mk = lay.encode(h), lay.encode(m)
+        assert lay.divides(hk, mk) == divides(h, m)
+        assert lay.divides(mk, hk) == divides(m, h)
+        assert lay.divides(hk, hk)
+
+    def test_key_width(self):
+        # the width holds every exponent up to degree + 2, and no less
+        for degree in range(1000):
+            w = _key_width(degree)
+            assert 2**w - 1 >= degree + 2 > 2 ** (w - 1) - 1, degree
+
+
 class TestExpansion:
     def test_expandable_examples(self):
         I = ideal([(1, 0, 0), (0, 3, 0)], 3)
@@ -321,26 +408,22 @@ class TestIncrementalExpand:
 
 
 def walk_visits(monkeypatch, runs, ch=CHAR0):
-    """Every ideal the Reeves walk in characteristic ch passes to its
-    expandable-generators move _expandable or gets back from its
-    expansion move _expand while running each of runs."""
+    """Every ideal, decoded, the Reeves walk in characteristic ch passes
+    to its expandable-generators move _expandable_keys or gets back from
+    its expansion move _expand_keys while running each of runs."""
     seen = set()
 
-    def spy_expandable(I, last, ch):
-        seen.add(I)
-        return _expandable(I, last, ch)
+    def spy_expandable(keys, last, n, lay, p):
+        seen.add(decode_ideal(keys, n + 1, lay))
+        return _expandable_keys(keys, last, n, lay, p)
 
-    def spy_expand(I, g, ch):
-        J = _expand(I, g, ch)
-        seen.add(J)
-        return J
-
+    built = []
     with monkeypatch.context() as m:
-        m.setattr(reeves, "_expandable", spy_expandable)
-        m.setattr(reeves, "_expand", spy_expand)
+        m.setattr(reeves, "_expandable_keys", spy_expandable)
+        m.setattr(reeves, "_expand_keys", recording_expand_keys(built))
         for partition, n in runs:
             enumerate_strongly_stable(partition, n, ch)
-    return seen
+    return seen.union(built)
 
 
 def assert_helpers_match_reference(I):

@@ -9,6 +9,7 @@ output change, run this file as a script:
 """
 
 import contextlib
+import hashlib
 import io
 import json
 from pathlib import Path
@@ -102,6 +103,38 @@ def test_matches_golden(golden, index):
     assert code == expected["exit_code"]
     assert json.loads(out) == expected["stdout"]
     assert out == json.dumps(expected["stdout"], indent=2) + "\n"
+
+
+# SHA-256 of the whole stdout of larger outputs, recorded from the Reeves
+# walk on MonomialIdeal values (now tests/conftest.py reference_search):
+# the points ladder of the bench, and a char-2 cell of four levels with a
+# nonstandard ideal among its 27.
+DIGESTS = [
+    (
+        ["reeves", "--partition", ",".join(["0"] * 18), "--n", "4", "--json"],
+        "f75aa1be08edebb2c3e7f69ec479ea05622f1fce976800d81b4c8c132364e823",
+    ),
+    (
+        ["reeves", "--partition", ",".join(["0"] * 20), "--n", "4", "--json"],
+        "e041b355fe6efdf0d4bde5ad636f204945b21781da24d4b9446dd41a4164906c",
+    ),
+    (
+        ["classify", "--partition", "3,2,2,1,0,0,0", "--n", "5", "--char", "2",
+         "--verify", "--json"],
+        "9c185ff34a55e5417a74b953f87c264f024f3af01fc968be946b1dd543d6cc43",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    DIGESTS,
+    ids=["reeves 18 points", "reeves 20 points", "classify char 2"],
+)
+def test_output_digest(argv, digest):
+    code, out = run_cli(argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 if __name__ == "__main__":

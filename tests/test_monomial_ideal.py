@@ -50,6 +50,22 @@ class TestMonomialBasics:
         assert divides((1, 0, 0), (1, 2, 0))
         assert not divides((2, 0, 0), (1, 2, 0))
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 6).flatmap(
+            lambda n: st.tuples(
+                *[st.lists(st.integers(0, 4), min_size=n, max_size=n)] * 2
+            )
+        ),
+        st.booleans(),
+    )
+    def test_divides_equals_zip_form(self, pair, as_list):
+        # is_saturated passes a list as the second argument
+        m, other = pair
+        other = other if as_list else tuple(other)
+        expected = all(a <= b for a, b in zip(m, other))
+        assert divides(tuple(m), other) == expected
+
     def test_format_parse_round_trip(self):
         for m in [(2, 1, 0), (0, 0, 0), (0, 0, 3), (1, 1, 1)]:
             assert parse_monomial(format_monomial(m), 3) == m

@@ -20,7 +20,7 @@ from borelpoints import (
     lex_ideal,
 )
 from borelpoints import binomial_poly, borel, hilbert_poly, monomial_ideal, reeves
-from borelpoints.borel import _expand
+from borelpoints.borel import KeyLayout, _expand, _key_width
 from borelpoints.classify import default_grid, partitions_up_to
 from borelpoints.reeves import _expanded_coordinates
 
@@ -28,12 +28,16 @@ from conftest import (
     all_partitions,
     brute_contractions,
     coordinate_step_holds,
+    decode_entry,
     expanded_numerator,
     ideal,
     mini_grid,
     numerator_coordinates,
     one_minus_t_power,
+    recording_expand_keys,
     reference_levels,
+    reference_search,
+    reference_start,
     saturated_strongly_stable,
     trim,
 )
@@ -177,12 +181,15 @@ def check_coordinates(pairs, c):
 
 
 def descend_level_zero(I, h, steps, ch):
-    """Level 0 of the walk from the single entry (I, h, (), 0, steps), an
-    ideal steps expansions short of level 0 with h = (h_c,), as a dict
-    from ideal to coordinates."""
+    """Level 0 of the walk from the single entry of I, an ideal steps
+    expansions short of level 0 with h = (h_c,), built at no generator,
+    as a dict from ideal to coordinates.  The keys hold the degrees up
+    to steps above those of I."""
+    lay = KeyLayout(I.num_vars, _key_width(I.max_generator_degree + steps))
+    keys = tuple(map(lay.encode, I.gens))
     level = {}
-    reeves._search([(I, h, (), 0, steps)], (h[0] + steps,), ch, [level])
-    return level
+    reeves._search([(keys, h, lay.none, 0, steps)], (h[0] + steps,), ch, lay, [level])
+    return lay.ideals(level, I.num_vars)
 
 
 class RecordedStack(list):
@@ -198,15 +205,37 @@ class RecordedStack(list):
         return self.popped[-1]
 
 
+def popped_entries(partition, n, ch=CHAR0, levels=None):
+    """Every entry the walk to partition in K[x_0, ..., x_n] pops, in the
+    order it pops them, decoded to (ideal, h, last, j, s), and the count
+    the walk returns; levels as in reeves._search, decoded in place."""
+    stack, tau, lay = reeves._start(partition, n)
+    popped = []
+    count = reeves._search(RecordedStack(stack, popped), tau, ch, lay, levels)
+    c = n - partition.degree
+    if levels is not None:
+        levels[:] = [lay.ideals(level, c + j + 1) for j, level in enumerate(levels)]
+    assert popped
+    return [decode_entry(entry, lay, c) for entry in popped], count
+
+
 def walk_entries(partition, n, ch=CHAR0):
     """Every (ideal, h, last, j, s) entry the walk to partition in
-    K[x_0, ..., x_n] pops, in the order it pops them, and the levels it
-    collects, which must be those enumeration_levels yields."""
-    stack, tau = reeves._start(partition, n)
-    popped, levels = [], [{} for _ in tau]
-    reeves._search(RecordedStack(stack, popped), tau, ch, levels)
+    K[x_0, ..., x_n] pops, in the order it pops them, decoded, and the
+    levels it collects, which must be those enumeration_levels yields."""
+    levels = [{} for _ in range(partition.degree + 1)]
+    popped, _ = popped_entries(partition, n, ch, levels)
     assert levels == list(enumeration_levels(partition, n, ch))
     return popped, levels
+
+
+def reference_entries(partition, n, ch=CHAR0, levels=None):
+    """popped_entries of reference_search, the walk on MonomialIdeal
+    values in tests/conftest.py."""
+    stack, tau = reference_start(partition, n)
+    popped = []
+    count = reference_search(RecordedStack(stack, popped), tau, ch, levels)
+    return popped, count
 
 
 class TestCarriedNumerators:
@@ -369,11 +398,6 @@ class TestCanonicalParent:
         # up to 18 points in P^4 in characteristic 0, and up to 14 in
         # characteristic p, whose moves are slower
         built = []
-
-        def counting_expand(I, g, ch):
-            built.append(_expand(I, g, ch))
-            return built[-1]
-
         total = 0
         for p, points in ((0, 18), (2, 14), (3, 14)):
             ch = Characteristic(p)
@@ -383,7 +407,7 @@ class TestCanonicalParent:
             for partition, n in cells:
                 built.clear()
                 with monkeypatch.context() as m:
-                    m.setattr(reeves, "_expand", counting_expand)
+                    m.setattr(reeves, "_expand_keys", recording_expand_keys(built))
                     levels = list(enumeration_levels(partition, n, ch))
                 visited = set()
                 assert levels == reference_levels(partition, n, ch, visited), (
@@ -499,17 +523,12 @@ class TestCharacteristicP:
         # each cell builds every distinct ideal once, with no set searched
         # for duplicates, so no two entries the walk pops hold one ideal
         built = []
-
-        def counting_expand(I, g, ch):
-            built.append(_expand(I, g, ch))
-            return built[-1]
-
         total = 0
         for partition, n in mini_grid():
             for p in (2, 3):
                 built.clear()
                 with monkeypatch.context() as m:
-                    m.setattr(reeves, "_expand", counting_expand)
+                    m.setattr(reeves, "_expand_keys", recording_expand_keys(built))
                     enumerate_strongly_stable(partition, n, Characteristic(p))
                 assert len(built) == len(set(built)), (partition.parts, n, p)
                 entries, _ = walk_entries(partition, n, Characteristic(p))
@@ -676,9 +695,7 @@ class TestCount:
                         assert I not in doomed, cell
                         I = parents[I]
                 counted = {I for I, _, last, *_ in entries if last} & levels[d].keys()
-                stack, tau = reeves._start(partition, n)
-                popped = []
-                count = reeves._search(RecordedStack(stack, popped), tau, ch)
+                popped, count = popped_entries(partition, n, ch)
                 assert count == len(levels[d]), cell
                 assert len({I for I, *_ in popped}) == len(popped), cell
                 assert {I for I, *_ in popped} == parents.keys() - counted - doomed, cell
@@ -689,21 +706,16 @@ class TestCount:
     def test_expansion_budget_on_grid_char0(self, monkeypatch):
         # a deterministic work guard: the count on the bench's grid_char0
         # cells made 8 465 expansions before the degree bound, 4 619 with it
-        calls = [0]
-
-        def counting_expand(I, g, ch):
-            calls[0] += 1
-            return _expand(I, g, ch)
-
+        built = []
         cells = [c for c in default_grid(7, 3, (2, 3)) if c.char.is_zero]
         assert len(cells) == 658
         for c in cells:
             found = enumerate_strongly_stable(c.partition, c.n, c.char)
             with monkeypatch.context() as m:
-                m.setattr(reeves, "_expand", counting_expand)
+                m.setattr(reeves, "_expand_keys", recording_expand_keys(built))
                 count = count_strongly_stable(c.partition, c.n, c.char)
             assert count == len(found), (c.partition.parts, c.n)
-        assert calls[0] <= 5000, calls[0]
+        assert 0 < len(built) <= 5000, len(built)
 
     @pytest.mark.parametrize("p", [0, 2, 3])
     def test_equals_enumeration_in_codim_4_degree_4(self, p, monkeypatch):
@@ -712,12 +724,7 @@ class TestCount:
         # does not, and on most cells makes fewer than the enumeration's
         # outside the last level
         built = []
-
-        def recording_expand(I, g, ch):
-            built.append(_expand(I, g, ch))
-            return built[-1]
-
-        monkeypatch.setattr(reeves, "_expand", recording_expand)
+        monkeypatch.setattr(reeves, "_expand_keys", recording_expand_keys(built))
         ch = Characteristic(p)
         cells = [GotzmannPartition(q) for q in partitions_up_to(8, 4) if q[0] == 4]
         assert len(cells) == 792
@@ -774,6 +781,53 @@ class TestWalkShape:
             reference = reference_levels(partition, 4, ch)
             assert list(enumeration_levels(partition, 4, ch)) == reference, k
             assert count_strongly_stable(partition, 4, ch) == len(reference[0]), k
+
+    @pytest.mark.parametrize("p", [0, 2, 3])
+    def test_pops_the_reference_entries(self, p):
+        # the walk on keys pops the entries of the walk on MonomialIdeal
+        # values in conftest, decoded, in the same order, and collects
+        # the same levels, insertion order included; so does the count
+        ch = Characteristic(p)
+        cells = mini_grid() + [(GotzmannPartition((0,) * k), 4) for k in range(1, 17)]
+        popped = 0
+        for partition, n in cells:
+            cell = (partition.parts, n, p)
+            levels = [{} for _ in range(partition.degree + 1)]
+            expected = [{} for _ in range(partition.degree + 1)]
+            entries, count = popped_entries(partition, n, ch, levels)
+            reference = reference_entries(partition, n, ch, expected)
+            assert (entries, count) == reference, cell
+            assert [list(level.items()) for level in levels] == [
+                list(level.items()) for level in expected
+            ], cell
+            entries, count = popped_entries(partition, n, ch)
+            assert (entries, count) == reference_entries(partition, n, ch), cell
+            popped += len(entries)
+        assert popped > len(cells)
+
+    @pytest.mark.parametrize("p", [0, 2, 3])
+    def test_top_degree_is_gotzmann_number(self, p):
+        # every entry the walk pops has generators of degree at most r,
+        # so the width guard never fires (see "Keys" in the reeves
+        # docstring); the lex ideal, in every level d, reaches r
+        ch = Characteristic(p)
+        for c in default_grid():
+            stack, tau, lay = reeves._start(c.partition, c.n)
+            popped = []
+            levels = [{} for _ in tau]
+            reeves._search(RecordedStack(stack, popped), tau, ch, lay, levels)
+            top = max(keys[-1] >> lay.low_bits for keys, *_ in popped)
+            assert top == c.partition.gotzmann_number, (c.partition.parts, c.n, p)
+
+    def test_narrow_keys_raise(self, monkeypatch):
+        # keys of width 2 hold exponents up to 3; the walk refuses an
+        # expansion to degree 3 instead of overflowing a field
+        partition = GotzmannPartition((0,) * 14)
+        monkeypatch.setattr(reeves, "_key_width", lambda degree: 2)
+        with pytest.raises(ValueError, match="expansion of degree 3 overflows"):
+            enumerate_strongly_stable(partition, 4)
+        with pytest.raises(ValueError, match="expansion of degree 3 overflows"):
+            count_strongly_stable(partition, 4)
 
     def test_count_holds_only_the_path(self):
         # the level-by-level walk held all of the last level's entries one

@@ -10,11 +10,10 @@ exchange set {1}, so one code path covers both cases.  The rule is
 written once, in _exchanges; _exchange_orbit follows it to a closure, for
 borel_closure and the exhaustive oracle.  The Reeves walk's moves are
 _expandable_keys, which looks up a generator's adjacent p-power blockers
-among the generators in every characteristic (the lemmas at
-_expandable), and _expand_keys, which keeps or drops each new multiple
-by the lemma at _expand.  They run on integer keys (KeyLayout), on
-which each blocker and each new multiple is one addition;
-_expandable and _expand run them on a MonomialIdeal.
+among the generators in every characteristic (the lemmas in its
+docstring), and _expand_keys, which keeps or drops each new multiple by
+the lemma in its docstring.  They run on integer keys (KeyLayout), on
+which each blocker and each new multiple is one addition.
 """
 
 from __future__ import annotations
@@ -242,21 +241,21 @@ def expandable_generators(I: MonomialIdeal) -> list[Monomial]:
         raise ValueError(f"expansion needs a strongly stable ideal, got {I}")
     if I.saturate() != I:
         raise ValueError(f"expansion needs a saturated ideal, got {I}")
-    return _expandable(I, (), CHAR0)
+    lay = KeyLayout(I.num_vars, _key_width(I.max_generator_degree))
+    keys = tuple(map(lay.encode, I.gens))
+    found = _expandable_keys(keys, lay.none, I.num_vars - 1, lay, 0)
+    return [lay.decode(g, I.num_vars) for g in found]
 
 
-def _layout(I: MonomialIdeal) -> KeyLayout:
-    """A key layout for I, its blockers and its expansions."""
-    return KeyLayout(I.num_vars, _key_width(I.max_generator_degree))
-
-
-def _expandable(
-    I: MonomialIdeal, last: Monomial, ch: Characteristic
-) -> list[Monomial]:
-    """The generators g > last in tuple order of the saturated Borel-fixed
-    (for ch) ideal I at which the walk's expansion stays Borel-fixed, in
-    canonical order; last = () admits them all, and the unit qualifies.
-    This encodes I, runs _expandable_keys, the walk's move, and decodes.
+def _expandable_keys(
+    keys: tuple[int, ...], last: int, n: int, lay: KeyLayout, p: int
+) -> list[int]:
+    """The keys g, in order, of the generators of the saturated
+    Borel-fixed (in characteristic p) ideal I of K[x_0, ..., x_n] with the
+    generator keys at which the walk's expansion stays Borel-fixed, and
+    whose low part is below last.  last is the low part of the key of a
+    generator, so g lies above that one in tuple order, or lay.none,
+    which admits every g.  The unit qualifies.
 
     A blocker of g is a v = x_i^{-k} x_j^k g with i < j < n, 1 <= k <= g_i
     and k digitwise below g_j + k, so that a legal exchange takes v to g.
@@ -265,11 +264,14 @@ def _expandable(
     x_l^{-q} x_{l+1}^q g (q = p^e <= g_l, digit e of g_{l+1} below p - 1)
     lies in I, and by Lemma 1 when none is a generator.  Characteristic 0
     reads as a base above every exponent: q = 1, and nothing carries.
-    _expandable_keys applies both on keys: the blocker is g plus q steps
-    of its field (KeyLayout), looked up in the generator keys, for the
-    fields of the x_l with g_l > 0, l < n - 1.
+    So for each g this visits the fields of the x_l with g_l > 0,
+    l < n - 1, the set bits of Z - low(g) above those of x_{n-1}, and
+    looks the blocker g plus q steps of the field (KeyLayout) up in the
+    generator keys.  It looks up q = 1 in every characteristic, and reads
+    digit 0 of g_{l+1} only when that finds a generator; only for p > 0
+    does it go on to the q = p^e <= g_l.
 
-    Lemma 1.  If I is Borel-fixed for ch and g is a minimal generator, a
+    Lemma 1.  If I is Borel-fixed for p and g is a minimal generator, a
     blocker v of g that lies in I is a minimal generator.
 
     Proof.  Some generator f divides v; suppose f != v.  Then
@@ -286,7 +288,7 @@ def _expandable(
     f' = x_j^{-t} x_i^t f in I, and f' divides g with deg f' < deg g,
     against the minimality of g.  In characteristic 0, k = s = t = 1.
 
-    Lemma 2.  If I is Borel-fixed for ch and a blocker
+    Lemma 2.  If I is Borel-fixed for p and a blocker
     v = x_i^{-k} x_j^k g lies in I, so does an adjacent p-power blocker
     x_l^{-q} x_{l+1}^q g with i <= l < j.
 
@@ -302,25 +304,6 @@ def _expandable(
     adjacent p-power blocker, in I.  In characteristic 0, k = q = 1 and
     only the first case arises.
     """
-    lay = _layout(I)
-    keys = tuple(map(lay.encode, I.gens))
-    bound = lay.encode(last) & lay.low_mask if last else lay.none
-    found = _expandable_keys(keys, bound, I.num_vars - 1, lay, ch.value)
-    return [lay.decode(g, I.num_vars) for g in found]
-
-
-def _expandable_keys(
-    keys: tuple[int, ...], last: int, n: int, lay: KeyLayout, p: int
-) -> list[int]:
-    """_expandable on keys: the keys g whose low part is below last, in
-    order, at which the walk's expansion of the ideal of K[x_0, ..., x_n]
-    with the generator keys stays Borel-fixed in characteristic p.
-
-    For each g it visits the fields of the x_l with g_l > 0, l < n - 1,
-    the set bits of Z - low(g) above those of x_{n-1}.  It looks up the
-    blocker for q = 1 in every characteristic, and reads digit 0 of
-    g_{l+1} only when that finds a generator; only for p > 0 does it go
-    on to the q = p^e <= g_l."""
     F, low_mask, zero, mask = lay.field, lay.low_mask, lay.zero, lay.mask
     steps = lay.steps
     cut = (lay.num_vars - n + 1) * F
@@ -364,23 +347,28 @@ def expand(I: MonomialIdeal, g: Monomial) -> MonomialIdeal:
         raise ValueError(f"{g} is not an expandable generator of {I}")
     if not any(g):
         raise ValueError("cannot expand at the unit monomial")
-    return _expand(I, g, CHAR0)
+    lay = KeyLayout(I.num_vars, _key_width(I.max_generator_degree))
+    keys = tuple(map(lay.encode, I.gens))
+    found = _expand_keys(keys, lay.encode(g), I.num_vars - 1, lay, 0)
+    return MonomialIdeal._trusted(I.num_vars, tuple(lay.decode(k, I.num_vars) for k in found))
 
 
-def _expand(I: MonomialIdeal, g: Monomial, ch: Characteristic) -> MonomialIdeal:
-    """expand without the checks, in characteristic ch: I with the
-    generator g replaced by every g x_k, k < n, that no other generator
-    divides.  g must be a non-unit one of _expandable(I, (), ch), I being
-    saturated and Borel-fixed for ch; then the result is too (see the
-    reeves module), and it needs no other minimalization.  This encodes
-    I, runs _expand_keys, the walk's move, and decodes.  The generators
-    other than g stay minimal, since none is a multiple of g, so none is
-    a multiple of any g x_k, and the g x_k share one degree, so none
-    divides another.  A generator dividing g x_k has degree at most
-    a = deg g, and not a + 1, since then it would equal g x_k, a multiple
-    of the generator g.  Which g x_k survive is decided by the lemma
-    below, and only where it leaves the answer open is g x_k tested
-    against the generators of degree at most a other than g.
+def _expand_keys(
+    keys: tuple[int, ...], g: int, n: int, lay: KeyLayout, p: int
+) -> tuple[int, ...]:
+    """The generator keys, sorted, of the ideal I of K[x_0, ..., x_n] with
+    the generator keys, expanded at g in characteristic p: g replaced by
+    every g x_k, k < n, that no other generator divides.  g must be a
+    non-unit one of _expandable_keys, I being saturated and Borel-fixed
+    for p; then the result is too (see the reeves module), and it needs
+    no other minimalization.  The generators other than g stay minimal,
+    since none is a multiple of g, so none is a multiple of any g x_k,
+    and the g x_k share one degree, so none divides another.  A generator
+    dividing g x_k has degree at most a = deg g, and not a + 1, since
+    then it would equal g x_k, a multiple of the generator g.  Which
+    g x_k survive is decided by the lemma below, and only where it
+    leaves the answer open is g x_k tested against the generators of
+    degree at most a other than g.
 
     Lemma.  Let high = max(g), and top the largest index <= high with
     g_top mod p != 0, or 0 if there is none; characteristic 0 reads as
@@ -404,30 +392,15 @@ def _expand(I: MonomialIdeal, g: Monomial, ch: Characteristic) -> MonomialIdeal:
     is not g, which has one more x_i.  (a) x_top^{-1} x_k g is a legal
     exchange of g, as 1 is digitwise below g_top, so it lies in I.
     (b) Every i with g_i > 0 has i < k, and x_i^{-1} x_k g is a blocker of
-    g (see _expandable), as 1 is digitwise below g_k + 1 = 1; no blocker
-    of an expandable g lies in I.  (c) As in (b): 1 is digitwise below
-    g_high + 1 exactly when g_high mod p != p - 1.
+    g (see _expandable_keys), as 1 is digitwise below g_k + 1 = 1; no
+    blocker of an expandable g lies in I.  (c) As in (b): 1 is digitwise
+    below g_high + 1 exactly when g_high mod p != p - 1.
 
-    _expand_keys applies the lemma on keys: high is the field of the
-    lowest set bit of Z - low(g), each survivor's key is the key of g
-    plus multiply[k], the case (d) test is KeyLayout.divides, on the
-    guard bits, and the keys sorted are the generators in canonical
-    order.  The tests compare this with from_generators and with the
-    references in the tests' conftest.
+    On keys: high is the field of the lowest set bit of Z - low(g), each
+    survivor's key is the key of g plus multiply[k], the case (d) test is
+    KeyLayout.divides, on the guard bits, and the keys sorted are the
+    generators in canonical order.
     """
-    lay = _layout(I)
-    keys = _expand_keys(
-        tuple(map(lay.encode, I.gens)), lay.encode(g), I.num_vars - 1, lay, ch.value
-    )
-    gens = tuple(lay.decode(k, I.num_vars) for k in keys)
-    return MonomialIdeal._trusted(I.num_vars, gens)
-
-
-def _expand_keys(
-    keys: tuple[int, ...], g: int, n: int, lay: KeyLayout, p: int
-) -> tuple[int, ...]:
-    """_expand on keys: the generator keys of the ideal of K[x_0, ..., x_n]
-    with the generator keys, expanded at g in characteristic p, sorted."""
     F, low_mask, mask, shifts, multiply = (
         lay.field, lay.low_mask, lay.mask, lay.shifts, lay.multiply
     )

@@ -29,6 +29,7 @@ lists the ideals.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations_with_replacement
 
 from .errors import OutOfScopeError, SearchBoundError
 from .hilbert_poly import GotzmannPartition
@@ -211,18 +212,10 @@ class VerificationReport:
 
 
 def partitions_up_to(max_length: int, max_part: int):
-    """All weakly decreasing nonneg tuples with the given bounds, shortest first."""
+    """All weakly decreasing nonneg tuples with the given bounds, shortest
+    first, each length in decreasing lexicographic order."""
     for r in range(1, max_length + 1):
-        for first in range(max_part, -1, -1):
-            yield from _extend((first,), r)
-
-
-def _extend(prefix: tuple[int, ...], length: int):
-    if len(prefix) == length:
-        yield prefix
-        return
-    for nxt in range(prefix[-1], -1, -1):
-        yield from _extend(prefix + (nxt,), length)
+        yield from combinations_with_replacement(range(max_part, -1, -1), r)
 
 
 def default_grid(

@@ -21,6 +21,7 @@ import argparse
 import json
 import os
 import sys
+from functools import cache
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 
@@ -520,7 +521,10 @@ def cmd_tree(args) -> int:
     return _emit(args, _tree_payload(node), _tree_lines(node))
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared by every later
+    one: parsing reads it and never changes it, so nothing may."""
     parser = _Parser(
         prog="borelpoints",
         description="Monomial-ideal enumeration of Borel-fixed points of Hilbert schemes",

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 from math import comb
 from operator import le
 
@@ -24,14 +25,6 @@ from .errors import SearchBoundError
 from .hilbert_poly import GotzmannPartition, binomial, peel_to_partition
 
 Monomial = tuple[int, ...]
-
-
-def max_index(m: Monomial) -> int:
-    """Largest variable index dividing m; undefined for the unit monomial."""
-    for i in range(len(m) - 1, -1, -1):
-        if m[i] > 0:
-            return i
-    raise ValueError("the unit monomial has no maximal index")
 
 
 def divides(m: Monomial, other: Monomial) -> bool:
@@ -121,13 +114,13 @@ def _step_budget(max_steps: int | None, what: str):
 
 
 def monomials_of_degree(d: int, num_vars: int):
-    """Yield all exponent tuples of total degree d, lexicographically."""
-    if num_vars == 1:
-        yield (d,)
-        return
-    for e in range(d, -1, -1):
-        for rest in monomials_of_degree(d - e, num_vars - 1):
-            yield (e,) + rest
+    """Yield all exponent tuples of total degree d, lexicographically,
+    from the multisets of d variable indices in order."""
+    for picks in combinations_with_replacement(range(num_vars), d):
+        exps = [0] * num_vars
+        for i in picks:
+            exps[i] += 1
+        yield tuple(exps)
 
 
 @dataclass(frozen=True)

@@ -61,11 +61,12 @@ is plain tuple order, in which a legal exchange moves a monomial up.
 
 - Expandable.  A non-unit minimal generator g of I is expandable when
   no blocker v = x_i^{-k} x_j^k g (i < j < n, 1 <= k <= g_i, k digitwise
-  below g_j + k) lies in I; by the lemmas at borel._expandable, which
-  tests this in every characteristic, exactly when no adjacent p-power
-  blocker x_l^{-q} x_{l+1}^q g is a generator of I.  The expansion
-  (borel._expand) drops g and adds every g x_i with i < n that no other
-  generator divides; by the proof at _expanded_coordinates it gives
+  below g_j + k) lies in I; by the lemmas at borel._expandable_keys,
+  which tests this in every characteristic, exactly when no adjacent
+  p-power blocker x_l^{-q} x_{l+1}^q g is a generator of I.  The
+  expansion (borel._expand_keys) drops g and adds every g x_i with
+  i < n that no other generator divides; by the proof at
+  _expanded_coordinates it gives
   J = I minus the g x_n^m, m >= 0, a saturated ideal whose Hilbert
   polynomial is one more than that of I.  J is Borel-fixed exactly when
   g is expandable.  A legal exchange of some w in J stays in I, so it
@@ -238,8 +239,8 @@ def _expanded_coordinates(h: tuple[int, ...], j: int, a: int) -> tuple[int, ...]
     x_i, and an old generator f != g is free of x_n because I is
     saturated, so f would divide g, against the minimality of g.  Every
     other multiple of g is in J: it is divisible by some g * x_i with
-    i < n, which borel._expand adds to J unless another generator of I,
-    which stays in J, divides it.  So the series of S/J exceeds that of
+    i < n, which borel._expand_keys adds to J unless another generator
+    of I, which stays in J, divides it.  So the series of S/J exceeds that of
     S/I by t^a / (1-t), which is t^a (1-t)^n over the common denominator
     (1-t)^(n+1), and
     t^a (1-t)^n = sum_i (-1)^i C(a, i) (1-t)^(n+i).

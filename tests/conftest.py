@@ -26,15 +26,16 @@ from borelpoints import (
     monomials_of_degree,
 )
 from borelpoints.borel import (
-    _expand,
+    KeyLayout,
     _expand_keys,
-    _expandable,
+    _expandable_keys,
+    _key_width,
     digitwise_leq,
     exchange,
     exchange_amounts,
 )
 from borelpoints import monomial_ideal
-from borelpoints.monomial_ideal import canonical_key, divides, max_index
+from borelpoints.monomial_ideal import canonical_key, divides
 from borelpoints.reeves import _completes, _expanded_coordinates
 
 
@@ -299,11 +300,31 @@ def reference_hilbert_polynomial(ideal):
     return None
 
 
+def on_ideal(kernel, I, m, ch):
+    """Run a move of the Reeves walk on keys, borel._expandable_keys or
+    borel._expand_keys, on the MonomialIdeal I in characteristic ch:
+    encode the generators of I and the monomial m in the layout the
+    public borel.expand uses, call kernel, and decode what it returns.
+    For _expandable_keys, m is last, () for none, and the result is the
+    list of expandable generators g > m in tuple order, the unit
+    included; for _expand_keys, m is the generator g, and the result is
+    the expansion of I at g."""
+    num_vars = I.num_vars
+    lay = KeyLayout(num_vars, _key_width(I.max_generator_degree))
+    keys = tuple(map(lay.encode, I.gens))
+    if kernel is _expand_keys:
+        out = kernel(keys, lay.encode(m), num_vars - 1, lay, ch.value)
+        return MonomialIdeal._trusted(num_vars, tuple(lay.decode(k, num_vars) for k in out))
+    last = lay.encode(m) & lay.low_mask if m else lay.none
+    out = kernel(keys, last, num_vars - 1, lay, ch.value)
+    return [lay.decode(k, num_vars) for k in out]
+
+
 def reference_expandable(I):
     """The expandable generators of a saturated strongly stable ideal, by
     the definition: g is blocked when x_i^{-1} x_{i+1} g is a generator
-    for some x_i dividing g, i < n - 1.  The library's borel._expandable
-    tests the same in one pass."""
+    for some x_i dividing g, i < n - 1.  The library's
+    borel._expandable_keys tests the same in one pass."""
     n = I.num_vars - 1
     gen_set = frozenset(I.gens)
     return [
@@ -319,9 +340,10 @@ def reference_expand(I, g):
     """The expansion of I at the expandable generator g in characteristic
     0: the g x_j with j >= max(g) replace g, each inserted at its
     canonical place by bisection on canonical_key.  The library's
-    borel._expand merges the new multiples into their degree block."""
+    borel._expand_keys sorts the keys of the new multiples in."""
     gens = [h for h in I.gens if h != g]
-    for j in range(max_index(g), I.num_vars - 1):
+    top = max(i for i, e in enumerate(g) if e > 0)
+    for j in range(top, I.num_vars - 1):
         insort(gens, g[:j] + (g[j] + 1,) + g[j + 1 :], key=canonical_key)
     return MonomialIdeal(I.num_vars, tuple(gens))
 
@@ -331,7 +353,7 @@ def reference_borel_expandable(I, last, ch):
     ch) ideal at which the expansion stays Borel-fixed, by the
     definition: g is blocked when some x_i^{-k} x_j^k g with i < j < n,
     1 <= k <= g_i and k digitwise below g_j + k lies in I, tested with
-    MonomialIdeal.contains.  The library's borel._expandable looks up
+    MonomialIdeal.contains.  The library's borel._expandable_keys looks up
     only the adjacent p-power ones among the generators, by the lemmas in
     its docstring."""
     n = I.num_vars - 1
@@ -353,10 +375,9 @@ def reference_borel_expandable(I, last, ch):
 def reference_borel_expand(I, g):
     """I with g replaced by every g x_i, i < n: the multiples no other
     generator divides join the other generators, which are sorted afresh
-    by canonical_key.  The library's borel._expand decides most
+    by canonical_key.  The library's borel._expand_keys decides most
     multiples by the lemma in its docstring, tests the rest against the
-    generators of degree at most deg g only, and merges them into their
-    degree block."""
+    generators of degree at most deg g only, and sorts the keys."""
     rest = [h for h in I.gens if h != g]
     multiples = (g[:i] + (g[i] + 1,) + g[i + 1 :] for i in range(I.num_vars - 1))
     rest += [m for m in multiples if not any(divides(h, m) for h in rest)]
@@ -400,10 +421,11 @@ def coordinate_step_holds(N, N_J, n, a):
 
 def reference_descend(buckets, j, ch, built=None):
     """The deficit-bucket descent that deduplicates on insert, with the
-    moves _expandable and reference_expand in characteristic 0 and
-    reference_borel_expandable and reference_borel_expand in
-    characteristic p.  buckets maps each deficit s to a dict from the
-    ideals of level j that are s expansions short to their coordinates.
+    moves _expandable_keys (run by on_ideal) and reference_expand in
+    characteristic 0 and reference_borel_expandable and
+    reference_borel_expand in characteristic p.  buckets maps each
+    deficit s to a dict from the ideals of level j that are s expansions
+    short to their coordinates.
 
     Every expansion of an ideal in bucket s, at every expandable
     generator, goes into bucket s - 1 unless that bucket already holds
@@ -417,7 +439,8 @@ def reference_descend(buckets, j, ch, built=None):
     ideal once, from its canonical parent, and tests no membership.
     """
     if ch.is_zero:
-        expandable, expand = partial(_expandable, ch=ch), reference_expand
+        expandable = partial(on_ideal, _expandable_keys, ch=ch)
+        expand = reference_expand
     else:
         expandable = partial(reference_borel_expandable, ch=ch)
         expand = reference_borel_expand
@@ -589,8 +612,8 @@ def reference_start(partition, n):
 def reference_search(stack, tau, ch, levels=None):
     """The Reeves walk on MonomialIdeal values, as a cross-check of the
     library's walk on keys, reeves._search, which must pop the same
-    entries in the same order: the moves are borel._expandable and
-    borel._expand, which encode, run the library's key moves and decode,
+    entries in the same order: the moves are the library's key moves,
+    borel._expandable_keys and borel._expand_keys, run by on_ideal,
     a lift is MonomialIdeal.lift, and last is a generator tuple, () for
     none.
 
@@ -626,16 +649,17 @@ def reference_search(stack, tau, ch, levels=None):
         elif s == 1 and j == d and levels is None:
             if h[j] != tau[0] - 1:  # an expansion adds C(a, 0) = 1 to h_n
                 raise ValueError(f"{ideal} misses its level-{j} target")
-            count += len(_expandable(ideal, last, ch))
+            count += len(on_ideal(_expandable_keys, ideal, last, ch))
         else:
             prune = levels is None and j < d
             if prune:
                 top, target = sum(ideal.gens[-1]), tau[d - j - 1]
-            for g in _expandable(ideal, last, ch):
+            for g in on_ideal(_expandable_keys, ideal, last, ch):
                 a = sum(g)
                 h2 = _expanded_coordinates(h, j, a)
                 if not prune or _completes(h2[j + 1], target, s - 1, max(top, a + 1)):
-                    stack.append((_expand(ideal, g, ch), h2, g, j, s - 1))
+                    J = on_ideal(_expand_keys, ideal, g, ch)
+                    stack.append((J, h2, g, j, s - 1))
     return count
 
 

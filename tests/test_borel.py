@@ -34,8 +34,7 @@ from borelpoints.monomial_ideal import canonical_key, divides
 from borelpoints.borel import (
     KeyLayout,
     _exchanges,
-    _expand,
-    _expandable,
+    _expand_keys,
     _expandable_keys,
     _key_width,
     exchange,
@@ -47,6 +46,7 @@ from conftest import (
     expanded_numerator,
     ideal,
     mini_grid,
+    on_ideal,
     one_minus_t_power,
     recording_expand_keys,
     reference_borel_closure,
@@ -377,8 +377,8 @@ class TestExpansion:
 
 
 def expand_from_scratch(I, g):
-    """Reference for _expand: the same generator list, minimalized from
-    scratch by from_generators."""
+    """Reference for the expansion move _expand_keys: the same generator
+    list, minimalized from scratch by from_generators."""
     top = max(i for i, e in enumerate(g) if e > 0)
     gens = [h for h in I.gens if h != g]
     gens.extend(
@@ -392,16 +392,14 @@ class TestIncrementalExpand:
         for partition, n in mini_grid():
             for I in enumerate_strongly_stable(partition, n):
                 for g in expandable_generators(I):
-                    assert _expand(I, g, CHAR0) == expand_from_scratch(I, g), (
-                        str(I),
-                        g,
-                    )
+                    J = on_ideal(_expand_keys, I, g, CHAR0)
+                    assert J == expand_from_scratch(I, g), (str(I), g)
 
     @settings(max_examples=200, deadline=None)
     @given(saturated_strongly_stable())
     def test_matches_from_generators_on_closures(self, I):
         for g in expandable_generators(I):
-            E = _expand(I, g, CHAR0)
+            E = on_ideal(_expand_keys, I, g, CHAR0)
             assert E == expand_from_scratch(I, g)
             assert is_strongly_stable(E)
             assert E.saturate() == E
@@ -427,19 +425,22 @@ def walk_visits(monkeypatch, runs, ch=CHAR0):
 
 
 def assert_helpers_match_reference(I):
-    gens = _expandable(I, (), CHAR0)
+    gens = on_ideal(_expandable_keys, I, (), CHAR0)
     assert gens == reference_expandable(I), str(I)
     for g in gens:
-        assert _expand(I, g, CHAR0) == reference_expand(I, g), (str(I), g)
+        J = on_ideal(_expand_keys, I, g, CHAR0)
+        assert J == reference_expand(I, g), (str(I), g)
     # the walk's bound: only the generators above last are tested
     for last in I.gens:
         expected = [g for g in gens if g > last]
-        assert _expandable(I, last, CHAR0) == expected, (str(I), last)
+        found = on_ideal(_expandable_keys, I, last, CHAR0)
+        assert found == expected, (str(I), last)
 
 
 class TestAgainstReferenceHelpers:
-    # _expandable and _expand against the definition-by-any and the
-    # insort-by-canonical_key forms kept in conftest
+    # the key moves _expandable_keys and _expand_keys against the
+    # definition-by-any and the insort-by-canonical_key forms kept in
+    # conftest
 
     @pytest.mark.parametrize(
         "runs",
@@ -524,8 +525,8 @@ class TestAgainstReferenceHelpers:
     def test_block_merge_edge_cases(self, gens, num_vars, g, expected):
         I = ideal(gens, num_vars)
         assert I.gens == tuple(gens)
-        assert g in _expandable(I, (), CHAR0)
-        assert _expand(I, g, CHAR0).gens == tuple(expected)
+        assert g in on_ideal(_expandable_keys, I, (), CHAR0)
+        assert on_ideal(_expand_keys, I, g, CHAR0).gens == tuple(expected)
         assert_helpers_match_reference(I)
 
 
@@ -558,14 +559,15 @@ def assert_borel_moves_match_reference(I, ch):
     # order included: lists and generator tuples compare in order
     for last in ((),) + I.gens:
         expected = reference_borel_expandable(I, last, ch)
-        assert _expandable(I, last, ch) == expected, (str(I), last, ch.value)
+        found = on_ideal(_expandable_keys, I, last, ch)
+        assert found == expected, (str(I), last, ch.value)
     for g in reference_borel_expandable(I, (), ch):
-        J = _expand(I, g, ch)
+        J = on_ideal(_expand_keys, I, g, ch)
         assert J.gens == reference_borel_expand(I, g).gens, (str(I), g, ch.value)
 
 
 def assert_blockers_in_ideal_are_generators(I, ch):
-    # Lemma 1 at borel._expandable: a blocker x_i^{-k} x_j^k g of a
+    # Lemma 1 at borel._expandable_keys: a blocker x_i^{-k} x_j^k g of a
     # generator g lies in I exactly when it is a generator of I
     gen_set = set(I.gens)
     n = I.num_vars - 1
@@ -580,8 +582,9 @@ def assert_blockers_in_ideal_are_generators(I, ch):
 
 def adjacent_p_power_blockers(g, p):
     """The x_l^{-q} x_{l+1}^q g, l + 1 < len(g), with q = p^e <= g_l and
-    digit e of g_{l+1} below p - 1: the blockers borel._expandable looks
-    up, with the window's last coordinate standing for some x_j, j < n."""
+    digit e of g_{l+1} below p - 1: the blockers borel._expandable_keys
+    looks up, with the window's last coordinate standing for some x_j,
+    j < n."""
     out = set()
     for l in range(len(g) - 1):
         q = 1
@@ -614,7 +617,7 @@ def orbit_meets(v, targets, ch):
 
 
 def lemma_case(g, k, p):
-    """The case, "a" to "d", of the lemma at borel._expand that decides
+    """The case, "a" to "d", of the lemma at borel._expand_keys that decides
     whether g x_k survives the expansion at g, in base p."""
     high = max(i for i, e in enumerate(g) if e)
     top = max((i for i in range(high + 1) if g[i] % p), default=0)
@@ -628,8 +631,8 @@ def lemma_case(g, k, p):
 
 
 class TestBorelMoves:
-    # the walk's moves, borel._expandable and borel._expand, in every
-    # characteristic
+    # the walk's moves, borel._expandable_keys and borel._expand_keys, in
+    # every characteristic
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_equal_references_on_walk_visits(self, monkeypatch, p):
@@ -669,7 +672,7 @@ class TestBorelMoves:
     def test_every_blocker_reaches_an_adjacent_p_power_blocker(
         self, p, coordinates, bound
     ):
-        # Lemma 2 at borel._expandable on a window: legal exchanges move
+        # Lemma 2 at borel._expandable_keys on a window: legal exchanges move
         # mass to lower indices only, so whether the orbit of a blocker
         # x_i^{-k} x_j^k g holds an adjacent p-power blocker depends on
         # g_i, ..., g_j alone; here i = 0 and j is the last coordinate,
@@ -695,9 +698,10 @@ class TestBorelMoves:
             for last in ((),) + I.gens:
                 expected = reference_borel_expandable(I, last, CHAR0)
                 assert expected == [g for g in gens if g > last], (str(I), last)
-                assert _expandable(I, last, CHAR0) == expected, (str(I), last)
-            for g in _expandable(I, (), CHAR0):
-                J = _expand(I, g, CHAR0)
+                found = on_ideal(_expandable_keys, I, last, CHAR0)
+                assert found == expected, (str(I), last)
+            for g in on_ideal(_expandable_keys, I, (), CHAR0):
+                J = on_ideal(_expand_keys, I, g, CHAR0)
                 assert J.gens == reference_expand(I, g).gens, (str(I), g)
                 assert J.gens == reference_borel_expand(I, g).gens, (str(I), g)
 
@@ -706,20 +710,20 @@ class TestBorelMoves:
     def test_expandable_exactly_when_expansion_is_borel_fixed(self, case):
         # the module docstring of reeves proves the equivalence, the
         # numerator rule and the coordinate step in every characteristic;
-        # the expansion at a blocked g is the reference's, as _expand
+        # the expansion at a blocked g is the reference's, as _expand_keys
         # needs an expandable one
         I, ch = case
         assert is_borel_fixed(I, ch)
         n = I.num_vars - 1
         N = I.hilbert_numerator()
         step = one_minus_t_power(n)
-        expandable = _expandable(I, (), ch)
+        expandable = on_ideal(_expandable_keys, I, (), ch)
         for g in I.gens:
             if not any(g):
                 continue
             J = reference_borel_expand(I, g)
             if g in expandable:
-                assert _expand(I, g, ch) == J, (str(I), g)
+                assert on_ideal(_expand_keys, I, g, ch) == J, (str(I), g)
             assert J.saturate() == J
             assert is_borel_fixed(J, ch) == (g in expandable), (str(I), g)
             N_J = J.hilbert_numerator()
@@ -730,34 +734,35 @@ class TestBorelMoves:
         # <x0^2, x1^2> is 2-Borel, not strongly stable.  x0^2 is blocked
         # by x1^2, which exchanges to it in characteristic 2; x1^2 is
         # expandable and gives <x0^2, x0*x1^2, x1^3>: x0*x1^2 falls in
-        # case (d) of the lemma at borel._expand, and the scan keeps it
+        # case (d) of the lemma at borel._expand_keys, and the scan keeps it
         # where the char-0 rule would drop it
         p2 = Characteristic(2)
         I = ideal([(2, 0, 0), (0, 2, 0)], 3)
-        assert _expandable(I, (), p2) == [(0, 2, 0)]
+        assert on_ideal(_expandable_keys, I, (), p2) == [(0, 2, 0)]
         assert not is_borel_fixed(reference_borel_expand(I, (2, 0, 0)), p2)
         assert lemma_case((0, 2, 0), 0, 2) == "d"
-        assert _expand(I, (0, 2, 0), p2) == ideal(
+        assert on_ideal(_expand_keys, I, (0, 2, 0), p2) == ideal(
             [(2, 0, 0), (1, 2, 0), (0, 3, 0)], 3
         )
         # in <x0, x1^2> the same case (d) drops x0*x1^2, a multiple of x0
         I = ideal([(1, 0, 0), (0, 2, 0)], 3)
-        assert _expandable(I, (), p2) == [(1, 0, 0), (0, 2, 0)]
-        assert _expand(I, (0, 2, 0), p2) == ideal([(1, 0, 0), (0, 3, 0)], 3)
+        assert on_ideal(_expandable_keys, I, (), p2) == [(1, 0, 0), (0, 2, 0)]
+        J = on_ideal(_expand_keys, I, (0, 2, 0), p2)
+        assert J == ideal([(1, 0, 0), (0, 3, 0)], 3)
         # the digit test: in <x0^2, x0*x1, x1^2> at p = 2 the generator
         # x1^2 = x0^{-1} x1 * x0*x1 blocks x0*x1 in characteristic 0 only,
         # since adding 1 and 1 carries; expanding there gives <x0^2, x1^2>
         I = ideal([(2, 0, 0), (1, 1, 0), (0, 2, 0)], 3)
-        assert _expandable(I, (), p2) == [(1, 1, 0), (0, 2, 0)]
+        assert on_ideal(_expandable_keys, I, (), p2) == [(1, 1, 0), (0, 2, 0)]
         assert reference_borel_expandable(I, (), p2) == [(1, 1, 0), (0, 2, 0)]
-        assert _expandable(I, (), CHAR0) == [(0, 2, 0)]
-        J = _expand(I, (1, 1, 0), p2)
+        assert on_ideal(_expandable_keys, I, (), CHAR0) == [(0, 2, 0)]
+        J = on_ideal(_expand_keys, I, (1, 1, 0), p2)
         assert J == ideal([(2, 0, 0), (0, 2, 0)], 3)
         assert is_borel_fixed(J, p2)
 
     @pytest.mark.parametrize("p", [0, 2, 3, 5])
     def test_lemma_cases_on_small_closures(self, p):
-        # the lemma at borel._expand on every expandable generator of the
+        # the lemma at borel._expand_keys on every expandable generator of the
         # closures of one or two x_n-free monomials, with exponents at
         # most 4 in 3 variables and at most 3 in 4: (a) drops g x_k,
         # (b) and (c) keep it, and only case (d), absent in
@@ -776,7 +781,8 @@ class TestBorelMoves:
         for I in ideals:
             for g in reference_borel_expandable(I, (), ch):
                 J = reference_borel_expand(I, g)
-                assert _expand(I, g, ch).gens == J.gens, (str(I), g, p)
+                found = on_ideal(_expand_keys, I, g, ch)
+                assert found.gens == J.gens, (str(I), g, p)
                 if ch.is_zero:
                     assert reference_expand(I, g).gens == J.gens, (str(I), g)
                 kept = set(J.gens)
@@ -792,31 +798,31 @@ class TestBorelMoves:
 
 
 class TestTrustedConstruction:
-    # _expand and lift() skip the generator checks of
-    # MonomialIdeal
+    # expand, the key move _expand_keys and lift() skip the generator
+    # checks of MonomialIdeal
 
     def test_walk_outputs(self):
         for partition, n in mini_grid():
             for I in enumerate_strongly_stable(partition, n):
                 assert_same_as_validated(I.lift())
                 for g in expandable_generators(I):
-                    assert_same_as_validated(_expand(I, g, CHAR0))
+                    assert_same_as_validated(on_ideal(_expand_keys, I, g, CHAR0))
 
     @settings(max_examples=100, deadline=None)
     @given(saturated_strongly_stable())
     def test_closures(self, I):
         assert_same_as_validated(I.lift())
         for g in expandable_generators(I):
-            assert_same_as_validated(_expand(I, g, CHAR0))
+            assert_same_as_validated(on_ideal(_expand_keys, I, g, CHAR0))
 
     @settings(max_examples=100, deadline=None)
     @given(saturated_p_borel())
     def test_borel_expand_on_closures(self, case):
-        # _expand drops only the new multiples another generator
+        # _expand_keys drops only the new multiples another generator
         # divides; from_generators minimalizes from scratch
         I, ch = case
         for g in reference_borel_expandable(I, (), ch):
-            J = _expand(I, g, ch)
+            J = on_ideal(_expand_keys, I, g, ch)
             assert_same_as_validated(J)
             new = [g[:i] + (g[i] + 1,) + g[i + 1 :] for i in range(I.num_vars - 1)]
             rest = [h for h in I.gens if h != g]
@@ -896,4 +902,5 @@ class TestPublicPreconditions:
                     name = getattr(target, "id", None) or getattr(target, "attr", None)
                     if name in ("lru_cache", "cache"):
                         cached.add(f"{path.stem}.{node.name}")
-        assert cached == set()
+        # build_parser takes no argument, so its cache holds one parser
+        assert cached == {"cli.build_parser"}

@@ -13,6 +13,7 @@ from borelpoints import (
     enumerate_strongly_stable,
     explore_tree,
     in_three_point_family,
+    partitions_up_to,
     predicate_two,
     predicate_unique,
     predict,
@@ -32,6 +33,15 @@ P5 = Characteristic(5)
 
 def coords(parts, n, ch=CHAR0):
     return SchemeCoordinates(GotzmannPartition(parts), n, ch)
+
+
+class TestPartitionsUpTo:
+    def test_equals_reference_in_order(self):
+        assert list(partitions_up_to(7, 4)) == all_partitions(7, 4)
+
+    def test_needs_no_deep_stack(self):
+        # more parts than Python's recursion limit has frames
+        assert sum(1 for _ in partitions_up_to(1100, 0)) == 1100
 
 
 class TestUniquePredicate:

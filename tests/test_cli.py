@@ -202,8 +202,8 @@ class TestSizeGuard:
                 ["tree", "--codim", "800", "--depth", "2", "--enumerate"],
                 "803 variables, above 200",
             ),
-            # unguarded, forced past the exhaustive search's own bound, a
-            # RecursionError traceback (exit 1) in monomials_of_degree
+            # unguarded, forced past the exhaustive search's own bound, the
+            # search's table of monomials runs out of a 1 GiB address space
             (
                 ["oracle", "--partition", "0", "--n", "1100", "--force"],
                 "1101 variables, above 200",
@@ -647,6 +647,46 @@ class TestDeterminism:
             _, first, _ = run(capsys, *case)
             _, second, _ = run(capsys, *case)
             assert first == second, case
+
+
+def outcome(capsys, argv):
+    """The exit code, stdout and stderr of main(argv), a usage error's
+    SystemExit included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestSharedParser:
+    # main builds its parser once, so no call may leave anything in it
+    # that changes a later call: a run of calls, usage errors between
+    # them, gives what each call gives on a parser of its own
+    CALLS = [
+        ("reeves", "--partition", "1,1,1,0", "--n", "3", "--json"),
+        ("oracle", "--partition", "0,0", "--n", "2", "--char", "6", "--json"),
+        ("classify", "--partition", "2,2,0", "--n", "4", "--verify"),
+        ("tree", "--codim", "2"),
+        ("hp", "--partition", "3,1,0", "--op", "lift", "--json"),
+        ("hp", "--partition", "3,1,0", "--json"),
+    ]
+
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_calls_match_fresh_parsers(self, capsys):
+        shared = [outcome(capsys, argv) for argv in self.CALLS]
+        fresh = []
+        for argv in self.CALLS:
+            cli.build_parser.cache_clear()
+            fresh.append(outcome(capsys, argv))
+        assert shared == fresh
+        assert [code for code, _, _ in shared] == [0, 2, 0, 2, 0, 0]
+        assert "--char" in json.loads(shared[1][2])["error"]
+        assert shared[3][2].startswith("usage: borelpoints tree")
+        assert shared[4][1] != shared[5][1]  # the appended --op is not kept
 
 
 # JSON scalars, with strings and keys full of characters that need escapes

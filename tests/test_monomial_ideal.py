@@ -1,4 +1,5 @@
 from functools import partial
+from itertools import product
 from math import comb
 
 import pytest
@@ -19,7 +20,7 @@ from borelpoints import (
 )
 from borelpoints import monomial_ideal
 from borelpoints.errors import SearchBoundError
-from borelpoints.monomial_ideal import divides, max_index
+from borelpoints.monomial_ideal import divides
 
 from conftest import (
     acceptance_sweep_cells,
@@ -39,13 +40,6 @@ BIG = 10**12
 
 
 class TestMonomialBasics:
-    def test_max_index(self):
-        assert max_index((0, 5, 1, 0)) == 2
-
-    def test_unit_has_no_max_index(self):
-        with pytest.raises(ValueError):
-            max_index((0, 0))
-
     def test_divides(self):
         assert divides((1, 0, 0), (1, 2, 0))
         assert not divides((2, 0, 0), (1, 2, 0))
@@ -85,6 +79,17 @@ class TestMonomialBasics:
 
     def test_monomials_of_degree_count(self):
         assert sum(1 for _ in monomials_of_degree(4, 3)) == binomial(6, 2)
+
+    def test_monomials_of_degree_in_decreasing_order(self):
+        for num_vars in range(1, 5):
+            for d in range(5):
+                cube = product(range(d + 1), repeat=num_vars)
+                expected = sorted((m for m in cube if sum(m) == d), reverse=True)
+                assert list(monomials_of_degree(d, num_vars)) == expected, (d, num_vars)
+
+    def test_monomials_of_degree_needs_no_deep_stack(self):
+        # more variables than Python's recursion limit has frames
+        assert sum(1 for _ in monomials_of_degree(1, 1100)) == 1100
 
 
 class TestMinimalize:

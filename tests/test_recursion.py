@@ -16,11 +16,6 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "borelpoints"
 
 # qualified name -> (the guard, as module.attribute; how it bounds the depth)
 RECURSIVE = {
-    "monomial_ideal.monomials_of_degree": ("cli.MAX_NUM_VARS", "a frame per variable"),
-    "classify._extend": (
-        "classify.default_grid",
-        "a frame per part, at most max_gotzmann: 6 for verify --grid default",
-    ),
     "classify.explore_tree.build": ("classify.MAX_TREE_DEPTH", "a frame per tree level"),
     "cli._tree_payload": ("classify.MAX_TREE_DEPTH", "a frame per tree level"),
     "cli._tree_lines": ("classify.MAX_TREE_DEPTH", "a frame per tree level"),

@@ -20,7 +20,7 @@ from borelpoints import (
     lex_ideal,
 )
 from borelpoints import binomial_poly, borel, hilbert_poly, monomial_ideal, reeves
-from borelpoints.borel import KeyLayout, _expand, _key_width
+from borelpoints.borel import KeyLayout, _expand_keys, _key_width
 from borelpoints.classify import default_grid, partitions_up_to
 from borelpoints.reeves import _expanded_coordinates
 
@@ -33,6 +33,7 @@ from conftest import (
     ideal,
     mini_grid,
     numerator_coordinates,
+    on_ideal,
     one_minus_t_power,
     recording_expand_keys,
     reference_levels,
@@ -332,7 +333,7 @@ class TestCarriedNumerators:
         N = I.hilbert_numerator()
         assert trim(I.lift().hilbert_numerator()) == trim(N)
         for g in expandable_generators(I):
-            N_g = _expand(I, g, CHAR0).hilbert_numerator()
+            N_g = on_ideal(_expand_keys, I, g, CHAR0).hilbert_numerator()
             assert trim(N_g) == trim(
                 expanded_numerator(N, sum(g), one_minus_t_power(n))
             )
@@ -444,12 +445,12 @@ class TestCanonicalParent:
     @given(saturated_strongly_stable())
     def test_contraction_recurrence(self, I):
         # C(J) = {g} + {c in C(I) : g != x_{n-1} c, g != x_i x_{i+1}^{-1} c}
-        # for J = _expand(I, g), so max C(J) = g whenever g > max C(I)
+        # for J the expansion of I at g, so max C(J) = g whenever g > max C(I)
         n = I.num_vars - 1
         contractions = brute_contractions(I)
         assert contractions == listed_contractions(I)
         for g in expandable_generators(I):
-            J = _expand(I, g, CHAR0)
+            J = on_ideal(_expand_keys, I, g, CHAR0)
             killed = {
                 c
                 for c in contractions
@@ -481,7 +482,7 @@ def least_prime_above(r):
 
 class TestCharacteristicP:
     # in characteristic p the walk expands each ideal at the generators
-    # above the one it was built at that borel._expandable allows,
+    # above the one it was built at that borel._expandable_keys allows,
     # and searches no set for duplicates; the exhaustive oracle is the
     # independent check
     FORCED = [

@@ -174,6 +174,10 @@ class KeyLayout:
     - Divisibility.  Field i of low(h) + G - low(m), G the guard bits, is
       2^w + m_i - h_i, from 1 to 2^(w+1) - 1, so no field borrows from
       the next, and its guard bit is set exactly when h_i <= m_i.
+
+    The repunit R = (2^B - 1) / (2^F - 1) = sum_i 2^(s_i), the geometric
+    series in 2^F, holds a 1 in each field, so Z = mask R and G = R << w,
+    with no sum over the fields.
     """
 
     __slots__ = (
@@ -185,14 +189,15 @@ class KeyLayout:
         F = width + 1
         B = num_vars * F
         self.num_vars, self.width, self.field, self.low_bits = num_vars, width, F, B
-        self.low_mask = (1 << B) - 1
-        self.none = 1 << B
+        self.none = none = 1 << B
+        self.low_mask = none - 1
         self.mask = (1 << width) - 1
-        self.shifts = [(num_vars - 1 - i) * F for i in range(num_vars)]
-        self.zero = sum(self.mask << s for s in self.shifts)
-        self.guards = sum(1 << s + width for s in self.shifts)
-        self.multiply = [(1 << B) - (1 << s) for s in self.shifts]
-        self.steps = [0] + [((1 << F) - 1) << (t - 1) * F for t in range(1, num_vars)]
+        repunit = self.low_mask // ((1 << F) - 1)
+        self.zero = self.mask * repunit
+        self.guards = repunit << width
+        self.shifts = shifts = range(B - F, -1, -F)
+        self.multiply = [none - (1 << s) for s in shifts]
+        self.steps = [0] + [((1 << F) - 1) << s for s in range(0, B - F, F)]
 
     def encode(self, m: Monomial) -> int:
         """The key of m, which has at most num_vars exponents."""

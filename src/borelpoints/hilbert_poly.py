@@ -106,15 +106,25 @@ class GotzmannPartition:
         which at t = -1 is C(b - k - j - 1, b - k) = (-1)^(b-k) C(j, b - k), a
         binomial with a negative top unless it is 0.  So
         tau_k = sum_{j : b_j >= k} (-1)^(b_j - k) C(j, b_j - k).
+
+        The parts equal to b fill one run of indices lo <= j < hi, and by
+        the hockey-stick identity sum_{lo <= j < hi} C(j, m) =
+        C(hi, m + 1) - C(lo, m + 1), so the run adds
+        (-1)^m (C(hi, m + 1) - C(lo, m + 1)) to tau_{b-m}, 0 <= m <= b:
+        two binomials per run and m, not one per part.
         """
-        return tuple(
-            sum(
-                (-1) ** (b - k) * comb(j, b - k)
-                for j, b in enumerate(self.parts)
-                if b >= k
-            )
-            for k in range(self.degree + 1)
-        )
+        parts = self.parts
+        tau = [0] * (parts[0] + 1)
+        lo = 0
+        while lo < len(parts):
+            b = parts[lo]
+            hi = lo + parts.count(b)  # the parts weakly decrease
+            sign = 1
+            for m in range(b + 1):
+                tau[b - m] += sign * (comb(hi, m + 1) - comb(lo, m + 1))
+                sign = -sign
+            lo = hi
+        return tuple(tau)
 
     def to_macaulay(self) -> "MacaulayPartition":
         """Conjugate-side representation (e_0, ..., e_d) with e_0 = r."""

@@ -18,7 +18,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
-from math import comb
 from operator import le
 
 from .errors import SearchBoundError
@@ -364,6 +363,21 @@ class HilbertData:
         return self.polynomial is None
 
 
+def _coordinates(terms: tuple[tuple[int, int], ...], n: int) -> list[int]:
+    """The h_i = (-1)^i sum_j c_j C(j, i), i <= n, of the numerator with
+    the nonzero terms (j, c_j) (see hilbert_polynomial).  Each term adds
+    its row c_j C(j, i), i <= min(j, n), built by
+    C(j, i + 1) = C(j, i) (j - i) / (i + 1), an exact division, instead
+    of a binomial from scratch per term and index."""
+    h = [0] * (n + 1)
+    for j, c in terms:
+        x = c
+        for i in range(min(j, n) + 1):
+            h[i] += x
+            x = x * (j - i) // (i + 1)
+    return [-x if i % 2 else x for i, x in enumerate(h)]
+
+
 def hilbert_polynomial(ideal: MonomialIdeal, max_steps: int | None = None) -> HilbertData:
     """Compute the Hilbert polynomial of S/I as a Gotzmann partition, exactly.
 
@@ -384,6 +398,6 @@ def hilbert_polynomial(ideal: MonomialIdeal, max_steps: int | None = None) -> Hi
     n = ideal.num_vars - 1
     terms = _numerator(ideal.gens, ideal.num_vars, max_steps)
     stab = max(terms[-1][0] - n, 0) if terms else 0
-    h = [(-1) ** i * sum(c * comb(j, i) for j, c in terms) for i in range(n + 1)]
+    h = _coordinates(terms, n)
     part = peel_to_partition(h[::-1]) if any(h) else None
     return HilbertData(part, stab)

@@ -161,12 +161,16 @@ D + (D + 1) + ... + (D + s - 1) = s D + s (s - 1) / 2, and if
 h_{c+j+1} - s D - s (s - 1) / 2 > tau_{d-j-1}, every such ideal has
 h_{c+j+1} above tau_{d-j-1}, so its lift a negative deficit: the entry
 is doomed.  The count tests an expansion at g, of degree a, before
-building it, with its coordinates, its deficit s - 1 and the bound
+building it or any of its coordinates, on the one coordinate the test
+reads, h_{c+j+1} - a, with its deficit s - 1 and the bound
 max(D, a + 1), D the degree of the last generator key, the top degree
 of I (canonical order sorts by degree); and a lift to level j + 1 < d
 before making it, with its deficit and D, on h_{c+j+2} and
-tau_{d-j-2}.  At deficit 0 the test is the lift's negative deficit
-itself, so those ideals of level j are not built either.  Every child of a doomed entry is
+tau_{d-j-2}.  So the walk builds coordinates only for the expansions it
+keeps, and at level d, where each expansion adds 1 to h_{c+d} alone,
+the expansions of one entry share one coordinate tuple.  At deficit 0
+the test is the lift's negative deficit itself, so those ideals of
+level j are not built either.  Every child of a doomed entry is
 doomed: an expansion, with t = s - 1, a <= D and a degree bound
 D' <= D + 1, has
 h_{c+j+1} - a - t D' - t (t - 1) / 2 >= h_{c+j+1} - s D - s (s - 1) / 2,
@@ -270,13 +274,12 @@ def _start(
     layout of the walk's monomials, of width _key_width(r), r the
     Gotzmann number.  tau_d counts the parts equal to d, so the start is
     never above target."""
-    if n <= partition.degree:
+    d, r = partition.degree, partition.gotzmann_number
+    if n <= d:
         raise ValueError("ambient dimension must exceed the polynomial degree")
-    d = partition.degree
-    c = n - d
     tau = partition.coordinates()
-    lay = KeyLayout(n + 1, _key_width(partition.gotzmann_number))
-    start = tuple(lay.zero + lay.multiply[k] for k in range(c))  # 1 times x_k
+    lay = KeyLayout(n + 1, _key_width(r))
+    start = tuple(map(lay.zero.__add__, lay.multiply[: n - d]))  # x_k, k < c = n - d
     return [(start, (1,) + (0,) * d, lay.none, 0, tau[d] - 1)], tau, lay
 
 
@@ -329,7 +332,8 @@ def _search(
         else:
             prune = levels is None and j < d
             if prune:
-                top, target = keys[-1] >> B, tau[d - j - 1]
+                top, target, x = keys[-1] >> B, tau[d - j - 1], h[j + 1]
+            h2 = None
             for g in _expandable_keys(keys, last, c + j, lay, p):
                 a = g >> B
                 if a > widest:
@@ -337,10 +341,12 @@ def _search(
                         f"an expansion of degree {a + 1} overflows keys of "
                         f"width {lay.width}"
                     )
-                h2 = _expanded_coordinates(h, j, a)
-                if not prune or _completes(h2[j + 1], target, s - 1, max(top, a + 1)):
-                    J = _expand_keys(keys, g, c + j, lay, p)
-                    stack.append((J, h2, g & low_mask, j, s - 1))
+                if prune and not _completes(x - a, target, s - 1, max(top, a + 1)):
+                    continue
+                if h2 is None or j < d:  # at level d, h_{c+d} + 1 whatever a is
+                    h2 = _expanded_coordinates(h, j, a)
+                J = _expand_keys(keys, g, c + j, lay, p)
+                stack.append((J, h2, g & low_mask, j, s - 1))
     return count
 
 

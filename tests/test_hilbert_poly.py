@@ -1,6 +1,8 @@
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from borelpoints import (
     GotzmannPartition,
@@ -13,9 +15,15 @@ from borelpoints import (
 )
 
 from borelpoints import hilbert_poly
+from borelpoints.classify import partitions_up_to
 from borelpoints.hilbert_poly import MAX_GOTZMANN_NUMBER
 
-from conftest import all_partitions, constant_difference, reference_peel
+from conftest import (
+    all_partitions,
+    constant_difference,
+    reference_coordinates,
+    reference_peel,
+)
 
 
 def values(partition, base, width):
@@ -190,6 +198,25 @@ class TestOperations:
             d = b.difference()
             for t in range(2, 8):
                 assert d.evaluate(t) == b.evaluate(t) - b.evaluate(t - 1)
+
+
+class TestCoordinates:
+    # GotzmannPartition.coordinates sums each run of equal parts by the
+    # hockey-stick identity; the reference sums one binomial per part
+
+    def test_equals_reference_on_small_partitions(self):
+        cells = 0
+        for parts in partitions_up_to(10, 5):
+            b = GotzmannPartition(parts)
+            assert b.coordinates() == reference_coordinates(b), parts
+            cells += 1
+        assert cells == 8007
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 12), min_size=1, max_size=40))
+    def test_equals_reference_on_long_partitions(self, parts):
+        b = GotzmannPartition(tuple(sorted(parts, reverse=True)))
+        assert b.coordinates() == reference_coordinates(b), b.parts
 
 
 class TestPeel:

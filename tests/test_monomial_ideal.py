@@ -30,6 +30,7 @@ from conftest import (
     hilbert_function_by_lcm,
     ideal,
     mini_grid,
+    numerator_coordinates,
     one_minus_t_power,
     reference_hilbert_polynomial,
     reference_is_saturated,
@@ -253,18 +254,19 @@ class TestHilbertPolynomial:
 
     def test_coordinate_sums_skip_zero_coefficients(self, monkeypatch):
         # (x0^1000) in 5 variables has numerator 1 - t^1000: two nonzero
-        # coefficients, so two binomials per coordinate, not 1001
+        # coefficients, so two rows of at most five binomials, not 1001
         calls = []
 
-        def counting(a, b):
-            calls.append((a, b))
-            return comb(a, b)
+        def counting(terms, n):
+            calls.append((terms, n))
+            return coordinates(terms, n)
 
-        monkeypatch.setattr(monomial_ideal, "comb", counting)
+        coordinates = monomial_ideal._coordinates
+        monkeypatch.setattr(monomial_ideal, "_coordinates", counting)
         I = ideal([(1000, 0, 0, 0, 0)], 5)
         assert I.hilbert_numerator()[1:-1] == (0,) * 999
         assert_matches_sampling(I)
-        assert len(calls) == 2 * 5
+        assert calls == [(((0, 1), (1000, -1)), 4)]
 
     def test_numerator_coordinates_are_the_partitions(self, monkeypatch):
         # the tau hilbert_polynomial reads off a numerator and the tau of
@@ -342,6 +344,23 @@ class TestNumerator:
         data = I.hilbert_polynomial()
         assert data.stabilization_degree == 49999
         assert data.polynomial.parts == (1,) * 49999 + (0,)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.dictionaries(
+            st.integers(0, 80), st.integers(-(10**6), 10**6).filter(bool), max_size=12
+        ),
+        st.integers(0, 40),
+    )
+    def test_coordinates_equal_the_binomial_sum(self, coefficients, n):
+        # hilbert_polynomial builds each term's row of binomials by the
+        # ratio of neighbours; the reference sums C(j, i) from scratch
+        terms = tuple(sorted(coefficients.items()))
+        dense = [0] * (max(coefficients, default=0) + 1)
+        for j, c in terms:
+            dense[j] = c
+        expected = numerator_coordinates(dense, 0, n + 1)
+        assert tuple(monomial_ideal._coordinates(terms, n)) == expected
 
     def test_square_free_quadrics_in_20_variables(self):
         # S/I is the ring of 20 points on the coordinate axes, with

@@ -718,6 +718,24 @@ class TestCount:
             assert count == len(found), (c.partition.parts, c.n)
         assert 0 < len(built) <= 5000, len(built)
 
+    def test_coordinate_budget_on_grid_char0(self, monkeypatch):
+        # a deterministic work guard: the count on the bench's grid_char0
+        # cells built coordinates for 6 280 expansions when the prune read
+        # them; it now builds them for the expansions it keeps below the
+        # last level, and once per parent at the last level
+        calls = []
+
+        def record(h, j, a):
+            calls.append(j)
+            return _expanded_coordinates(h, j, a)
+
+        monkeypatch.setattr(reeves, "_expanded_coordinates", record)
+        cells = [c for c in default_grid(7, 3, (2, 3)) if c.char.is_zero]
+        assert len(cells) == 658
+        for c in cells:
+            count_strongly_stable(c.partition, c.n, c.char)
+        assert 0 < len(calls) <= 3600, len(calls)
+
     @pytest.mark.parametrize("p", [0, 2, 3])
     def test_equals_enumeration_in_codim_4_degree_4(self, p, monkeypatch):
         # degree 4, codimension 4, Gotzmann number <= 8: the count equals

@@ -10,13 +10,18 @@ closure of a last-variable-free monomial is generated by such monomials.
 The only Borel machinery used is Pardue's exchange rule, through
 borel._exchange_orbit.
 
-The search therefore proceeds degree by degree from 1 to r, branching
-over sets of generator orbits (closures of single last-variable-free
-monomials) to add at each degree.  A branch dies as soon as its Hilbert
-function falls below the target value at a checkpoint r, ..., D with
-D = r + deg(p) + 1, since adding generators only removes standard
-monomials.  Survivors are filtered at the end for the exact Hilbert
-polynomial.
+The search therefore proceeds degree by degree from 1 to r, adding
+generator orbits (closures of single last-variable-free monomials) of
+each degree.  A state is viable while its Hilbert function stays at or
+above the target value at every checkpoint r, ..., D with
+D = r + deg(p) + 1.  Adding generators only removes standard monomials,
+so viability is antimonotone: a join of several orbits is viable exactly
+when every partial join is, in any order.  One fold per degree therefore
+reaches every viable join of a held state with any set of the degree's
+orbits: each orbit in turn is joined to every state held so far, and a
+join is kept when it changes the state and is viable.  (An orbit already
+inside a state joins to itself.)  Survivors are filtered at the end for
+the exact Hilbert polynomial.
 
 A search state is one int, a Borel set in the sense of
 Cioffi-Lella-Marinari-Roggero: bit i stands for the i-th monomial of
@@ -114,7 +119,11 @@ def search_levels(
 ):
     """Yield the set of ideals alive after each degree 1, ..., r: those
     whose generators of degree <= deg are fixed and can still reach the
-    target."""
+    target.
+
+    Each degree is one fold over its distinct orbit masks (see the module
+    docstring), then one p(r) filter; the fold holds every viable state of
+    the degree until that filter."""
     _check_feasible(partition, n, force)
     r = partition.gotzmann_number
     num_vars = n + 1
@@ -122,46 +131,29 @@ def search_levels(
     layout = _Layout(num_vars, top)
     checks = [(layout.below[d], partition.evaluate(d)) for d in range(r, top + 1)]
     p_r = checks[0][1]
-    orbit_masks: dict[int, int] = {}
-
-    def orbit_mask(i: int) -> int:
-        """Mask of the ideal generated by the closure of monomial i."""
-        if i not in orbit_masks:
-            mask = 0
-            for v in _exchange_orbit((layout.monomials[i],), ch):
-                mask |= layout.multiples[layout.index[v]]
-            orbit_masks[i] = mask
-        return orbit_masks[i]
 
     def viable(mask: int) -> bool:
         return all((below & ~mask).bit_count() >= target for below, target in checks)
 
     states = {0}
     for deg in range(1, r + 1):
+        orbits = set()
+        for i in range(layout.start[deg], layout.start[deg + 1]):
+            mask = 0
+            for v in _exchange_orbit((layout.monomials[i],), ch):
+                mask |= layout.multiples[layout.index[v]]
+            orbits.add(mask)
+        for orbit in orbits:
+            states |= {
+                joined
+                for state in states
+                if (joined := state | orbit) != state and viable(joined)
+            }
+        # values at degrees <= deg are final after this level, and the
+        # Hilbert function of a last-variable-free ideal is nondecreasing,
+        # so overshooting p(r) now is fatal
         below_deg = layout.below[deg]
-        candidates = range(layout.start[deg], layout.start[deg + 1])
-        next_states: set[int] = set()
-        for state in states:
-            # distinct orbits of the degree-deg monomials outside the state
-            orbits = list(
-                dict.fromkeys(orbit_mask(i) for i in candidates if not state >> i & 1)
-            )
-
-            def grow(i: int, cur: int):
-                if i == len(orbits):
-                    # values at degrees <= deg are final after this level, and
-                    # the Hilbert function of a last-variable-free ideal is
-                    # nondecreasing, so overshooting p(r) now is fatal
-                    if (below_deg & ~cur).bit_count() <= p_r:
-                        next_states.add(cur)
-                    return
-                grow(i + 1, cur)
-                joined = cur | orbits[i]
-                if joined != cur and viable(joined):
-                    grow(i + 1, joined)
-
-            grow(0, state)
-        states = next_states
+        states = {s for s in states if (below_deg & ~s).bit_count() <= p_r}
         yield {layout.ideal(state, deg, num_vars) for state in states}
 
 

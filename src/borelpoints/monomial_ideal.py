@@ -215,7 +215,8 @@ class MonomialIdeal:
             spend(len(left) * len(gens))
             stuck, left = left, []
             for i in stuck:
-                bounds = [g[i] for g in gens if divides(g, u[:i] + [top[i]] + u[i + 1 :])]
+                probe = u[:i] + [top[i]] + u[i + 1 :]
+                bounds = [g[i] for g in gens if divides(g, probe)]
                 if bounds:
                     u[i] = min(bounds) - 1
                 else:

@@ -541,8 +541,9 @@ def reference_borel_closure(gens, ch, num_vars):
 def reference_search_levels(partition, n, ch):
     """The exhaustive search on MonomialIdeal values, with no guard.
 
-    The library's search_levels runs the same branching on bitsets; this
-    version takes its orbits from reference_borel_closure, joins generator
+    The library's search_levels folds each degree's orbits into its states
+    on bitsets; this version branches over every subset of the orbits from
+    each state, takes its orbits from reference_borel_closure, joins generator
     sets with from_generators and evaluates the Hilbert function through
     the numerator, so the two can be compared level by level.
     """

@@ -15,6 +15,7 @@ from borelpoints import (
     enumerate_strongly_stable,
     is_borel_fixed,
     is_strongly_stable,
+    partitions_up_to,
     search_levels,
 )
 
@@ -128,6 +129,27 @@ class TestSearchLevels:
                     assert I.hilbert_function(deg) <= partition.evaluate(r)
                     for d in checkpoints:
                         assert I.hilbert_function(d) >= partition.evaluate(d)
+
+
+class TestBeyondTheWindow:
+    """The forced oracle agrees with the walk in P^4, past the default
+    ambient bound, in characteristic 0 and p."""
+
+    @pytest.mark.parametrize("ch", [CHAR0, P2, P3], ids=lambda ch: f"p{ch}")
+    def test_points_and_lines_in_four_space(self, ch):
+        for parts in partitions_up_to(6, 1):
+            partition = GotzmannPartition(parts)
+            assert enumerate_borel_fixed(
+                partition, 4, ch, force=True
+            ) == enumerate_strongly_stable(partition, 4, ch), parts
+
+    def test_plane_line_and_points_at_two(self):
+        # p(t) = C(t + 2, 2) + t + 4: a search that branched over every
+        # subset of one degree's orbits, state by state, ran for minutes
+        partition = GotzmannPartition((2, 1, 0, 0, 0, 0))
+        found = enumerate_borel_fixed(partition, 4, P2, force=True)
+        assert found == enumerate_strongly_stable(partition, 4, P2)
+        assert len(found) == 14
 
 
 def _differential_cells():

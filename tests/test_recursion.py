@@ -19,10 +19,6 @@ RECURSIVE = {
     "classify.explore_tree.build": ("classify.MAX_TREE_DEPTH", "a frame per tree level"),
     "cli._tree_payload": ("classify.MAX_TREE_DEPTH", "a frame per tree level"),
     "cli._tree_lines": ("classify.MAX_TREE_DEPTH", "a frame per tree level"),
-    "exhaustive.search_levels.grow": (
-        "exhaustive.DEFAULT_MAX_GOTZMANN",
-        "with DEFAULT_MAX_AMBIENT, a frame per orbit of one degree: at most 56 unless forced",
-    ),
 }
 
 

@@ -7,8 +7,10 @@ Reeves' walk, checked against an exhaustive search; and the closed-form
 classification predicates for Hilbert schemes with one, two, or three
 Borel-fixed points, verified against the enumeration.
 
-Everything is an immutable value and every operation is pure, so the
-whole API is safe for unrestricted concurrent use.
+Every value is immutable except a VerificationReport, whose lists
+verify_classification appends to in place, and every operation is pure,
+so the API is safe for concurrent use as long as no report is shared
+while it is filled.
 """
 
 from .errors import (

@@ -18,9 +18,9 @@ which each blocker and each new multiple is one addition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
 
+from .errors import Value, set_slot
 from .monomial_ideal import Monomial, MonomialIdeal
 
 # Primes below this bound are checked by exact trial division, at most
@@ -30,14 +30,14 @@ from .monomial_ideal import Monomial, MonomialIdeal
 _MAX_CHARACTERISTIC = 2**31
 
 
-@dataclass(frozen=True)
-class Characteristic:
+class Characteristic(Value):
     """0 or a prime below 2^31, selecting the exchange rule."""
 
-    value: int
+    __slots__ = ("value",)
 
-    def __post_init__(self):
-        p = self.value
+    def __init__(self, value: int):
+        set_slot(self, "value", value)
+        p = value
         if p == 0:
             return
         if p >= _MAX_CHARACTERISTIC:

@@ -28,10 +28,9 @@ lists the ideals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
 
-from .errors import OutOfScopeError, SearchBoundError
+from .errors import OutOfScopeError, SearchBoundError, Value, set_slot
 from .hilbert_poly import GotzmannPartition
 from .monomial_ideal import MonomialIdeal
 from .borel import CHAR0, Characteristic
@@ -49,30 +48,48 @@ ORACLE_CHARS = (2, 3)
 # counts; depth 20 would take about a gigabyte.
 MAX_TREE_DEPTH = 12
 
+# explore_tree's bound on an enumerated tree: its nodes times the
+# variables of its deepest ring, (2^(D+1) - 1)(codim + D + 1) at depth D.
+# Every node runs a walk, and the time grows about linearly in this
+# product.  Per process on a 2-vCPU VM (`tree --enumerate --json`):
+#   codim 190, depth 8      101 689   0.6 s
+#   codim 2, depth 12       122 865   1.1 s
+#   codim 4, depth 12, p=2  139 247   2.5 s
+#   codim 22, depth 12      286 685   2.2 s (p=3: 2.9 s, p=2: 4.4 s)
+#   codim 187, depth 10     405 306   2.9 s
+#   codim 60, depth 12      597 943   4.4 s
+#   codim 187, depth 12   1 638 200  19.2 s, inside the depth cap and
+#                                    the CLI's 200 variables
+# The bound keeps a run below about 3 s in characteristic 0 and 5 s in
+# characteristic 2, with a peak RSS below 50 MB.
+MAX_TREE_WORK = 300_000
 
-@dataclass(frozen=True)
-class SchemeCoordinates:
+
+class SchemeCoordinates(Value):
     """One Hilbert scheme: polynomial partition, ambient dimension, char."""
 
-    partition: GotzmannPartition
-    n: int
-    char: Characteristic = CHAR0
+    __slots__ = ("partition", "n", "char")
 
-    def __post_init__(self):
-        if self.n <= self.partition.degree:
+    def __init__(self, partition: GotzmannPartition, n: int, char: Characteristic = CHAR0):
+        if n <= partition.degree:
             raise ValueError(
                 "ambient dimension must exceed the polynomial degree"
             )
+        set_slot(self, "partition", partition)
+        set_slot(self, "n", n)
+        set_slot(self, "char", char)
 
     @property
     def codim(self) -> int:
         return self.n - self.partition.degree
 
 
-@dataclass(frozen=True)
-class ClassificationVerdict:
-    predicted_count: int | str
-    matched_clause: str | None
+class ClassificationVerdict(Value):
+    __slots__ = ("predicted_count", "matched_clause")
+
+    def __init__(self, predicted_count: int | str, matched_clause: str | None):
+        set_slot(self, "predicted_count", predicted_count)
+        set_slot(self, "matched_clause", matched_clause)
 
 
 def _leading_run(parts: tuple[int, ...]) -> int:
@@ -193,10 +210,18 @@ def count_borel_fixed(coords: SchemeCoordinates) -> tuple[int, frozenset[Monomia
     return len(ideals), ideals
 
 
-@dataclass
-class VerificationReport:
-    cells: list[dict] = field(default_factory=list)
-    discrepancies: list[dict] = field(default_factory=list)
+class VerificationReport(Value):
+    """The one mutable value: verify_classification appends to its lists
+    in place.  A fresh report has empty lists of its own."""
+
+    __slots__ = ("cells", "discrepancies")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, cells: list[dict] | None = None, discrepancies: list[dict] | None = None):
+        self.cells = [] if cells is None else cells
+        self.discrepancies = [] if discrepancies is None else discrepancies
 
     @property
     def ok(self) -> bool:
@@ -278,13 +303,22 @@ def verify_classification(grid) -> VerificationReport:
     return report
 
 
-@dataclass(frozen=True)
-class TreeNode:
-    coords: SchemeCoordinates
-    predicted_count: int | str
-    matched_clause: str | None
-    verified_count: int | None
-    children: tuple["TreeNode", ...]
+class TreeNode(Value):
+    __slots__ = ("coords", "predicted_count", "matched_clause", "verified_count", "children")
+
+    def __init__(
+        self,
+        coords: SchemeCoordinates,
+        predicted_count: int | str,
+        matched_clause: str | None,
+        verified_count: int | None,
+        children: tuple["TreeNode", ...],
+    ):
+        set_slot(self, "coords", coords)
+        set_slot(self, "predicted_count", predicted_count)
+        set_slot(self, "matched_clause", matched_clause)
+        set_slot(self, "verified_count", verified_count)
+        set_slot(self, "children", children)
 
 
 def tree_children(
@@ -316,12 +350,21 @@ def explore_tree(
 ) -> TreeNode:
     """Depth-bounded subtree of the scheme tree rooted at projective space
     of the given codimension, annotated with predicted (and optionally
-    enumerated) Borel-fixed point counts.  A depth above MAX_TREE_DEPTH
-    raises SearchBoundError, the feasibility guard."""
+    enumerated) Borel-fixed point counts.  A depth above MAX_TREE_DEPTH,
+    or enumerated counts on a tree whose nodes times the variables of its
+    deepest ring exceed MAX_TREE_WORK, raise SearchBoundError, the
+    feasibility guards."""
     if codim < 1:
         raise ValueError("codimension must be positive")
     if depth > MAX_TREE_DEPTH:
         raise SearchBoundError(f"depth {depth} exceeds the cap {MAX_TREE_DEPTH}")
+    if enumerate_counts:
+        nodes, num_vars = 2 ** (depth + 1) - 1, codim + depth + 1
+        if nodes * num_vars > MAX_TREE_WORK:
+            raise SearchBoundError(
+                f"size bound exceeded: {nodes} nodes times {num_vars} variables, "
+                f"above {MAX_TREE_WORK}"
+            )
 
     def build(coords: SchemeCoordinates, remaining: int) -> TreeNode:
         predicted, clause, verified = _annotate(coords, enumerate_counts)

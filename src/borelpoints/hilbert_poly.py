@@ -21,10 +21,9 @@ Macaulay parts off them, refusing one above MAX_GOTZMANN_NUMBER first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
-from .errors import NotAdmissibleError, SearchBoundError
+from .errors import NotAdmissibleError, SearchBoundError, Value, set_slot
 
 # The largest Gotzmann number a partition is built for.  A Gotzmann
 # partition has that many parts, and an ideal in ten variables with two
@@ -65,21 +64,20 @@ def binomial_poly(t: int, a: int, b: int) -> int:
     return -comb(b - x - 1, b) if b % 2 else comb(b - x - 1, b)
 
 
-@dataclass(frozen=True)
-class GotzmannPartition:
+class GotzmannPartition(Value):
     """Weakly decreasing tuple b_1 >= ... >= b_r >= 0 encoding a polynomial."""
 
-    parts: tuple[int, ...]
+    __slots__ = ("parts",)
 
-    def __post_init__(self):
-        parts = tuple(int(x) for x in self.parts)
-        object.__setattr__(self, "parts", parts)
+    def __init__(self, parts: tuple[int, ...]):
+        parts = tuple(int(x) for x in parts)
         if not parts:
             raise NotAdmissibleError("partition must have at least one part")
         if any(x < 0 for x in parts):
             raise NotAdmissibleError("parts must be nonnegative")
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
             raise NotAdmissibleError("parts must be weakly decreasing")
+        set_slot(self, "parts", parts)
 
     @property
     def degree(self) -> int:
@@ -158,21 +156,20 @@ class GotzmannPartition:
         return "(" + ", ".join(str(b) for b in self.parts) + ")"
 
 
-@dataclass(frozen=True)
-class MacaulayPartition:
+class MacaulayPartition(Value):
     """Strictly positive weakly decreasing tuple (e_0, ..., e_d)."""
 
-    parts: tuple[int, ...]
+    __slots__ = ("parts",)
 
-    def __post_init__(self):
-        parts = tuple(int(x) for x in self.parts)
-        object.__setattr__(self, "parts", parts)
+    def __init__(self, parts: tuple[int, ...]):
+        parts = tuple(int(x) for x in parts)
         if not parts:
             raise NotAdmissibleError("partition must have at least one part")
         if any(x <= 0 for x in parts):
             raise NotAdmissibleError("parts must be positive")
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
             raise NotAdmissibleError("parts must be weakly decreasing")
+        set_slot(self, "parts", parts)
 
     @property
     def degree(self) -> int:

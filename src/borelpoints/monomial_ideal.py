@@ -16,11 +16,10 @@ that all three agree.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from operator import le
 
-from .errors import SearchBoundError
+from .errors import SearchBoundError, Value, set_slot
 from .hilbert_poly import GotzmannPartition, binomial, peel_to_partition
 
 Monomial = tuple[int, ...]
@@ -122,35 +121,45 @@ def monomials_of_degree(d: int, num_vars: int):
         yield tuple(exps)
 
 
-@dataclass(frozen=True)
-class MonomialIdeal:
+class MonomialIdeal(Value):
     """A monomial ideal given by its canonical minimal generating set.
 
     The zero ideal has no generators; the unit ideal is generated by the
     unit monomial.  Use from_generators to build from an arbitrary set.
     """
 
-    num_vars: int
-    gens: tuple[Monomial, ...]
+    __slots__ = ("num_vars", "gens")
 
-    def __post_init__(self):
-        if self.num_vars < 1:
+    def __init__(self, num_vars: int, gens: tuple[Monomial, ...]):
+        if num_vars < 1:
             raise ValueError("need at least one variable")
-        for g in self.gens:
-            if len(g) != self.num_vars:
+        for g in gens:
+            if len(g) != num_vars:
                 raise ValueError("generator length does not match num_vars")
             if any(e < 0 for e in g):
                 raise ValueError("negative exponent in generator")
+        set_slot(self, "num_vars", num_vars)
+        set_slot(self, "gens", gens)
 
     @classmethod
     def _trusted(cls, num_vars: int, gens: tuple[Monomial, ...]) -> "MonomialIdeal":
         """Build from generators already known to be valid, minimal and in
-        canonical order, skipping the checks of __post_init__.  For the
-        ideal operations that derive such generators from a valid ideal."""
+        canonical order, skipping the checks of __init__.  For the ideal
+        operations that derive such generators from a valid ideal."""
         ideal = object.__new__(cls)
-        object.__setattr__(ideal, "num_vars", num_vars)
-        object.__setattr__(ideal, "gens", gens)
+        set_slot(ideal, "num_vars", num_vars)
+        set_slot(ideal, "gens", gens)
         return ideal
+
+    # Value's, spelled out for the two fields: sets of ideals hash and
+    # compare them in every walk
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.num_vars == other.num_vars and self.gens == other.gens
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.num_vars, self.gens))
 
     @classmethod
     def from_generators(cls, gens, num_vars: int) -> "MonomialIdeal":
@@ -350,14 +359,16 @@ def _numerator(
     return tuple(sorted((j, c) for j, c in total.items() if c))
 
 
-@dataclass(frozen=True)
-class HilbertData:
+class HilbertData(Value):
     """The Hilbert polynomial of S/I, None exactly when it is zero (the zero
     polynomial has no partition: the unit ideal, or a finite-dimensional
     quotient), and the degree from which the Hilbert function agrees."""
 
-    polynomial: GotzmannPartition | None
-    stabilization_degree: int
+    __slots__ = ("polynomial", "stabilization_degree")
+
+    def __init__(self, polynomial: GotzmannPartition | None, stabilization_degree: int):
+        set_slot(self, "polynomial", polynomial)
+        set_slot(self, "stabilization_degree", stabilization_degree)
 
     @property
     def is_zero_polynomial(self) -> bool:

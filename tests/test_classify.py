@@ -23,7 +23,7 @@ from borelpoints import (
     verify_classification,
 )
 from borelpoints import classify
-from borelpoints.classify import MAX_TREE_DEPTH
+from borelpoints.classify import MAX_TREE_DEPTH, MAX_TREE_WORK
 
 from conftest import all_partitions
 
@@ -300,6 +300,20 @@ class TestTree:
         assert explore_tree(2, 2).children
         with pytest.raises(SearchBoundError, match="depth 3 exceeds the cap 2"):
             explore_tree(2, 3)
+
+    def test_enumerated_tree_bound(self, monkeypatch):
+        assert MAX_TREE_WORK == 300_000
+        # 8191 nodes, the deepest in 200 variables: inside the depth cap
+        with pytest.raises(SearchBoundError, match="8191 nodes times 200 variables, above 300000"):
+            explore_tree(187, 12, enumerate_counts=True)
+        # without counts the tree runs no walk, so only the depth cap holds
+        assert explore_tree(187, 12).children
+        # the bound is inclusive, and read when the tree is asked for:
+        # depth 2 at codim 2 has 7 nodes, the deepest in 5 variables
+        monkeypatch.setattr(classify, "MAX_TREE_WORK", 35)
+        assert explore_tree(2, 2, enumerate_counts=True).children
+        with pytest.raises(SearchBoundError, match="7 nodes times 6 variables, above 35"):
+            explore_tree(3, 2, enumerate_counts=True)
 
     def test_enumerated_counts(self):
         tree = explore_tree(2, 2, enumerate_counts=True)

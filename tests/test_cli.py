@@ -202,6 +202,12 @@ class TestSizeGuard:
                 ["tree", "--codim", "800", "--depth", "2", "--enumerate"],
                 "803 variables, above 200",
             ),
+            # inside the depth cap and the variable bound: unguarded, a
+            # walk at each of 8191 nodes takes about 19 s
+            (
+                ["tree", "--codim", "187", "--depth", "12", "--enumerate"],
+                "8191 nodes times 200 variables, above 300000",
+            ),
             # unguarded, forced past the exhaustive search's own bound, the
             # search's table of monomials runs out of a 1 GiB address space
             (
@@ -233,6 +239,7 @@ class TestSizeGuard:
             "classify-verify",
             "verify-grid",
             "tree-enumerate",
+            "tree-enumerate-nodes",
             "oracle-force",
             "check-ideal-numerator",
         ],

@@ -252,8 +252,39 @@ def expandable_generators(I: MonomialIdeal) -> list[Monomial]:
     return [lay.decode(g, I.num_vars) for g in found]
 
 
+def _blockers(g: int, lay: KeyLayout, p: int) -> list[int]:
+    """The keys of every adjacent p-power blocker x_l^{-q} x_{l+1}^q g of
+    the key g: q = p^e <= g_l with digit e of g_{l+1} below p - 1, only
+    q = 1 in characteristic 0, for every x_l dividing g but the last
+    variable of lay, whose step is 0.  They are listed field by field
+    from x_0 and by rising q, the order in which _expandable_keys looks
+    them up without blockers."""
+    F, mask, steps = lay.field, lay.mask, lay.steps
+    exps = lay.zero - (g & lay.low_mask)
+    fields = exps >> F << F
+    out = []
+    while fields:
+        s = (fields.bit_length() - 1) // F * F  # the field of x_l
+        fields &= (1 << s) - 1
+        step = steps[s // F]
+        if not p:
+            out.append(g + step)
+            continue
+        e, below, q = exps >> s & mask, exps >> s - F & mask, 1
+        while q <= e:
+            if below // q % p < p - 1:
+                out.append(g + q * step)
+            q *= p
+    return out
+
+
 def _expandable_keys(
-    keys: tuple[int, ...], last: int, n: int, lay: KeyLayout, p: int
+    keys: tuple[int, ...],
+    last: int,
+    n: int,
+    lay: KeyLayout,
+    p: int,
+    blockers: dict | None = None,
 ) -> list[int]:
     """The keys g, in order, of the generators of the saturated
     Borel-fixed (in characteristic p) ideal I of K[x_0, ..., x_n] with the
@@ -269,12 +300,24 @@ def _expandable_keys(
     x_l^{-q} x_{l+1}^q g (q = p^e <= g_l, digit e of g_{l+1} below p - 1)
     lies in I, and by Lemma 1 when none is a generator.  Characteristic 0
     reads as a base above every exponent: q = 1, and nothing carries.
-    So for each g this visits the fields of the x_l with g_l > 0,
-    l < n - 1, the set bits of Z - low(g) above those of x_{n-1}, and
-    looks the blocker g plus q steps of the field (KeyLayout) up in the
-    generator keys.  It looks up q = 1 in every characteristic, and reads
-    digit 0 of g_{l+1} only when that finds a generator; only for p > 0
-    does it go on to the q = p^e <= g_l.
+    There are two paths to that test, with the same result.
+
+    - blockers None: for each g this visits the fields of the x_l with
+      g_l > 0, l < n - 1, the set bits of Z - low(g) above those of
+      x_{n-1}, and looks the blocker g plus q steps of the field
+      (KeyLayout) up in the generator keys, stopping at the first it
+      finds.  It looks up q = 1 in every characteristic, and reads digit
+      0 of g_{l+1} only when that finds a generator; only for p > 0 does
+      it go on to the q = p^e <= g_l.
+    - blockers a dict: g qualifies when the generator keys are disjoint
+      from blockers[g], the list _blockers(g, lay, p), made on the first
+      test of g.  That list also holds the blockers with l >= n - 1, so
+      by Lemma 3 the dict may serve every call of a walk with this lay
+      and p, at every level.  A walk visits the same generator key at
+      many ideals, as an expansion keeps every generator but the one it
+      replaces and a lift keeps every key, so every test after the first
+      is one set-disjointness test, at the cost of holding one list per
+      distinct key.
 
     Lemma 1.  If I is Borel-fixed for p and g is a minimal generator, a
     blocker v of g that lies in I is a minimal generator.
@@ -308,12 +351,33 @@ def _expandable_keys(
     moving q from x_l to x_i in w is legal and puts x_l^{-q} x_j^q g, an
     adjacent p-power blocker, in I.  In characteristic 0, k = q = 1 and
     only the first case arises.
+
+    Lemma 3.  If I is saturated, a key of _blockers(g, lay, p) that the
+    path without blockers does not look up is not a generator of I.
+
+    Proof.  The path without blockers looks up every listed blocker with
+    l < n - 1.  For l >= n, g_l = 0, as g is a monomial of
+    K[x_0, ..., x_n], so none is listed.  For l = n - 1 the blocker
+    x_{n-1}^{-q} x_n^q g has a positive x_n exponent, and no generator
+    of the saturated Borel-fixed ideal I has one: I : x_n = I, so a
+    generator x_n h would put h in I, against its minimality.  So both
+    paths find a generator among the blockers of g for the same g, and
+    the list depends on g, lay and p only, not on n.
     """
-    F, low_mask, zero, mask = lay.field, lay.low_mask, lay.zero, lay.mask
-    steps = lay.steps
-    cut = (lay.num_vars - n + 1) * F
+    low_mask = lay.low_mask
     gens = set(keys)
     out = []
+    if blockers is not None:
+        for g in keys:
+            if g & low_mask < last:
+                listed = blockers.get(g)
+                if listed is None:
+                    listed = blockers[g] = _blockers(g, lay, p)
+                if gens.isdisjoint(listed):
+                    out.append(g)
+        return out
+    F, zero, mask, steps = lay.field, lay.zero, lay.mask, lay.steps
+    cut = (lay.num_vars - n + 1) * F
     for g in keys:
         low = g & low_mask
         if low >= last:

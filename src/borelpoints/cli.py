@@ -23,7 +23,7 @@ import os
 import sys
 from functools import cache
 from itertools import chain, repeat
-from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 
 from .errors import NotAdmissibleError, OutOfScopeError, SearchBoundError
 from .hilbert_poly import MAX_GOTZMANN_NUMBER, GotzmannPartition, MacaulayPartition
@@ -131,7 +131,7 @@ def _partition(args) -> GotzmannPartition:
 
 
 def _sorted_ideals(ideals) -> list[MonomialIdeal]:
-    return sorted(ideals, key=lambda i: (i.num_vars, i.gens))
+    return sorted(ideals, key=attrgetter("num_vars", "gens"))
 
 
 class _Memo(dict):
@@ -172,7 +172,10 @@ class _IdealRows:
         Each row is fixed key text around the texts of its generators and
         its "pretty" string, and each distinct generator is rendered once,
         at the rows' depth, so a list of thousands of ideals costs about
-        what its distinct monomials cost.
+        what its distinct monomials cost.  The "pretty" string is
+        format_ideal's text in quotes: a monomial's name holds only x,
+        digits, ^, * and 1, and the brackets, commas and spaces around
+        them, none of which JSON escapes.
         """
         if not (self.single or self.ideals):
             yield "[]"
@@ -196,7 +199,7 @@ class _IdealRows:
         for ideal, tail in zip(self.ideals, tails):
             gens = ideal.gens
             listed = f"[{p2}{sep.join(map(text, gens))}{p1}]" if gens else "[]"
-            pretty = encode_basestring_ascii(format_ideal(gens, name))
+            pretty = f'"<{", ".join(map(name, gens))}>"' if gens else '"<0>"'
             yield (
                 f'{lead}{{{p1}"num_vars": {ideal.num_vars},{p1}"generators": {listed},'
                 f'{p1}"pretty": {pretty}{tail}{p0}}}'

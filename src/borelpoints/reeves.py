@@ -131,7 +131,10 @@ So the walk builds every ideal exactly once: it makes one expansion
 per ideal and needs no membership test.  The stack holds the path from
 the start to the entry at hand and, for each entry on it, the
 expansions or the lift not yet walked, so a count's memory is bounded
-by the path.  enumeration_levels also keeps every ideal of every level.
+by the path, plus, in a walk whose Gotzmann number r is at least
+BLOCKER_LISTS_FROM, one blocker list per distinct generator key (see
+"Blocker lists").  enumeration_levels also keeps every ideal of every
+level.
 
 Counting.  count_strongly_stable reads the size of the last level
 without making the expansions that end it.  Its ideals are the lifted
@@ -146,7 +149,9 @@ expandable generators above last for one of deficit 1, which it does
 not expand.  Only the coordinate h_{c+d} tells the count anything, as
 an expansion at level d changes no other: it adds C(a, 0) = 1 to it.  So the count checks
 h_{c+d} = tau_0 - 1 on an entry of deficit 1, which is the check its
-expansions would meet.
+expansions would meet.  A count with r at least BLOCKER_LISTS_FROM
+holds its path plus one blocker list per distinct generator key it
+tests, and nothing of either once it returns.
 
 Pruning.  The count also builds no entry below level d whose every
 completion to its level lifts with a negative deficit, which the walk
@@ -195,6 +200,21 @@ low(g) < last.  The moves are borel._expandable_keys and
 borel._expand_keys, and only enumeration_levels decodes keys, each
 once per level, for the ideals it keeps.
 
+Blocker lists.  An expansion keeps every generator but the one it
+replaces, and a lift keeps every key, so a walk tests one generator key
+for expandability at many ideals.  When r is at least
+BLOCKER_LISTS_FROM, count_strongly_stable and enumeration_levels pass
+_search a new dict, which it hands to every call of
+borel._expandable_keys.  There each key's adjacent p-power blockers,
+borel._blockers, are listed on its first test, and every test is then
+one set-disjointness test of the generator keys against that list.
+The list depends on the key, the layout and p only, not on the level
+(Lemma 3 at borel._expandable_keys), so one dict serves the whole walk,
+and it is dropped when the walk returns.  The count at 24 points in P^4
+lists 102 keys, and at 34 points 157.  Below the constant the walks
+are short, the lists cost more than they save, and every test is the
+early-exit loop.
+
 The walk raises ValueError rather than build an expansion of degree
 a + 1 > mask - 1, whose exponents a field might not hold.  That never
 happens.  An entry of level j and deficit s is a saturated ideal with
@@ -230,6 +250,24 @@ from .borel import (
     _expandable_keys,
     _key_width,
 )
+
+
+# The least Gotzmann number r at which a walk keeps one blocker list per
+# generator key (see "Blocker lists" in the module docstring).  Below it
+# the lists cost about as much as they save, or more.  Counting each cell
+# of default_grid(r, 4, (2, 3, 4)) with Gotzmann number r, and r points
+# in P^3 and P^4 at p = 0, 2, in a fresh process per r with gc.collect()
+# before each count (2-vCPU VM), took about 5% longer with the lists at
+# r = 6, as long at r = 7 to 9 (within 2%), and 5-13% less at r = 10 and
+# r = 11.
+BLOCKER_LISTS_FROM = 10
+
+
+def _blocker_lists(partition: GotzmannPartition) -> dict | None:
+    """The blockers argument of _search for one walk to partition: a new
+    dict when its Gotzmann number is at least BLOCKER_LISTS_FROM, else
+    None."""
+    return {} if partition.gotzmann_number >= BLOCKER_LISTS_FROM else None
 
 
 def _expanded_coordinates(h: tuple[int, ...], j: int, a: int) -> tuple[int, ...]:
@@ -289,6 +327,7 @@ def _search(
     ch: Characteristic,
     lay: KeyLayout,
     levels: list | None = None,
+    blockers: dict | None = None,
 ) -> int:
     """Walk the tree below the (keys, h, last, j, s) entries of stack
     depth first, emptying it (see the module docstring), and return the
@@ -303,6 +342,11 @@ def _search(
     generators instead of expanding it, and build no expansion or lift
     below level d whose every completion overshoots the next level (see
     "Pruning" in the module docstring).
+
+    blockers, None or a dict that is empty or filled only by walks with
+    the layout lay and characteristic ch, is passed to every call of
+    borel._expandable_keys: a dict holds the blocker list of every
+    generator key the walk tests (see "Blocker lists").
     """
     d = len(tau) - 1
     B, low_mask, widest, p = lay.low_bits, lay.low_mask, lay.mask - 2, ch.value
@@ -328,13 +372,13 @@ def _search(
         elif s == 1 and j == d and levels is None:
             if h[j] != tau[0] - 1:  # an expansion adds C(a, 0) = 1 to h_n
                 raise _missed(keys, c, j, lay)
-            count += len(_expandable_keys(keys, last, c + j, lay, p))
+            count += len(_expandable_keys(keys, last, c + j, lay, p, blockers))
         else:
             prune = levels is None and j < d
             if prune:
                 top, target, x = keys[-1] >> B, tau[d - j - 1], h[j + 1]
             h2 = None
-            for g in _expandable_keys(keys, last, c + j, lay, p):
+            for g in _expandable_keys(keys, last, c + j, lay, p, blockers):
                 a = g >> B
                 if a > widest:
                     raise ValueError(
@@ -370,7 +414,7 @@ def enumeration_levels(
     """
     stack, tau, lay = _start(partition, n)
     levels = [{} for _ in tau]
-    _search(stack, tau, ch, lay, levels)
+    _search(stack, tau, ch, lay, levels, _blocker_lists(partition))
     c = n - partition.degree
     for j, level in enumerate(levels):
         yield lay.ideals(level, c + j + 1)
@@ -391,11 +435,13 @@ def count_strongly_stable(
     partition: GotzmannPartition, n: int, ch: Characteristic = CHAR0
 ) -> int:
     """len(enumerate_strongly_stable(partition, n, ch)), holding only the
-    path of the walk and without making the expansions that end the last
-    level: the lifted ideals already on target, plus one ideal per
-    expandable generator above last of each entry one expansion short
-    (see "Counting" in the module docstring).  It builds no expansion or
-    lift below the last level whose every completion must overshoot the
-    next level's target (see "Pruning")."""
+    path of the walk, and from a Gotzmann number of BLOCKER_LISTS_FROM on
+    one blocker list per generator key (see "Blocker lists"), and without
+    making the expansions that end the last level: the lifted ideals
+    already on target, plus one ideal per expandable generator above last
+    of each entry one expansion short (see "Counting" in the module
+    docstring).  It builds no expansion or lift below the last level
+    whose every completion must overshoot the next level's target (see
+    "Pruning")."""
     stack, tau, lay = _start(partition, n)
-    return _search(stack, tau, ch, lay)
+    return _search(stack, tau, ch, lay, None, _blocker_lists(partition))

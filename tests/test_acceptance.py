@@ -15,6 +15,7 @@ from borelpoints import (
     GotzmannPartition,
     SchemeCoordinates,
     binomial_poly,
+    count_strongly_stable,
     enumerate_borel_fixed,
     enumerate_strongly_stable,
     expand,
@@ -367,4 +368,28 @@ def test_criterion_8_every_prime_up_to_the_gotzmann_number(sweep):
         time.perf_counter() - t0,
         60.0,
         detail=f"cells={cells}, nonstandard={nonstandard}, failures={failures[:3]}",
+    )
+
+
+@pytest.mark.parametrize(
+    "k, p, count, budget",
+    # one count took 0.24 s at 30 points and 0.13 s at 24 points with
+    # p = 2 (2-vCPU VM, fastest of 3 in a fresh process); the budgets
+    # leave about twentyfold for slower machines
+    [(30, 0, 21_865, 5.0), (24, 2, 9_489, 3.0)],
+    ids=["30 points", "24 points, p=2"],
+)
+def test_criterion_9_deep_counts_in_p4(k, p, count, budget):
+    # deep walks, in which the count keeps one blocker list per
+    # generator key (reeves.BLOCKER_LISTS_FROM)
+    partition = GotzmannPartition((0,) * k)
+    t0 = time.perf_counter()
+    found = count_strongly_stable(partition, 4, Characteristic(p))
+    report(
+        9,
+        f"count of {k} points in P^4 at p={p}",
+        found == count,
+        time.perf_counter() - t0,
+        budget,
+        detail=f"count={found}, expected={count}",
     )

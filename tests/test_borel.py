@@ -33,6 +33,7 @@ from borelpoints import reeves
 from borelpoints.monomial_ideal import canonical_key, divides
 from borelpoints.borel import (
     KeyLayout,
+    _blockers,
     _exchanges,
     _expand_keys,
     _expandable_keys,
@@ -429,9 +430,9 @@ def walk_visits(monkeypatch, runs, ch=CHAR0):
     its expansion move _expand_keys while running each of runs."""
     seen = set()
 
-    def spy_expandable(keys, last, n, lay, p):
+    def spy_expandable(keys, last, n, lay, p, blockers=None):
         seen.add(decode_ideal(keys, n + 1, lay))
-        return _expandable_keys(keys, last, n, lay, p)
+        return _expandable_keys(keys, last, n, lay, p, blockers)
 
     built = []
     with monkeypatch.context() as m:
@@ -651,6 +652,17 @@ def lemma_case(g, k, p):
 class TestBorelMoves:
     # the walk's moves, borel._expandable_keys and borel._expand_keys, in
     # every characteristic
+
+    def test_blocker_lists_are_the_adjacent_p_power_blockers(self):
+        # borel._blockers lists each x_l^{-q} x_{l+1}^q g once, for every
+        # l but the last; characteristic 0 reads as a base above every
+        # exponent, here 11
+        lay = KeyLayout(4, _key_width(9))
+        for p, base in [(0, 11), (2, 2), (3, 3), (5, 5)]:
+            for g in product(range(4), repeat=4):
+                found = [lay.decode(b, 4) for b in _blockers(lay.encode(g), lay, p)]
+                assert len(found) == len(set(found)), (g, p)
+                assert set(found) == adjacent_p_power_blockers(g, base), (g, p)
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_equal_references_on_walk_visits(self, monkeypatch, p):

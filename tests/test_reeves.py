@@ -1,5 +1,7 @@
+import gc
 import sys
 import tracemalloc
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -850,15 +852,25 @@ class TestWalkShape:
 
     def test_count_holds_only_the_path(self):
         # the level-by-level walk held all of the last level's entries one
-        # expansion short here, a peak of 2.61 MB
+        # expansion short here, a peak of 2.61 MB; with its blocker lists
+        # (see TestBlockerLists) the count peaks at about 0.05 MB.  Each
+        # count leaves nothing behind, where its dict of 102 lists alone
+        # takes about 22 KB; the allowance covers the results.  The count
+        # at 12 points first makes the one-time allocations of a walk.
+        count_strongly_stable(GotzmannPartition((0,) * 12), 4)
+        partition = GotzmannPartition((0,) * 24)
         tracemalloc.start()
         try:
-            count = count_strongly_stable(GotzmannPartition((0,) * 24), 4)
+            left = []
+            for _ in range(2):
+                assert count_strongly_stable(partition, 4) == 3707
+                gc.collect()
+                left.append(tracemalloc.get_traced_memory()[0])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert count == 3707
         assert peak < 2**19, f"peak {peak / 2**20:.2f} MB"
+        assert max(left) < 2**10, left
 
     def test_count_does_not_recurse(self):
         # 24 points in P^4 are 23 expansions deep; 15 frames cover the
@@ -870,3 +882,79 @@ class TestWalkShape:
         finally:
             sys.setrecursionlimit(limit)
         assert count == 3707
+
+
+def recorded_blocker_calls(monkeypatch, walks):
+    """Run each walk, a function of no arguments, with every call of
+    borel._expandable_keys made through the path without blocker lists,
+    and return each call as (keys, last, n, lay, p, memo, found), memo
+    one dict shared by the calls of that walk and found the result."""
+    calls = []
+    memo = {}
+
+    def spy(keys, last, n, lay, p, blockers=None):
+        found = borel._expandable_keys(keys, last, n, lay, p)
+        calls.append((keys, last, n, lay, p, memo, found))
+        return found
+
+    with monkeypatch.context() as m:
+        m.setattr(reeves, "_expandable_keys", spy)
+        for walk in walks:
+            memo = {}
+            walk()
+    return calls
+
+
+def blocker_walks(ch):
+    """The enumeration walks, levels kept as keys, of every cell of
+    default_grid(8, 4, (2, 3, 4)) and of k <= 20 points in P^3 and P^4,
+    in characteristic ch."""
+    cells = {(c.partition, c.n) for c in default_grid(8, 4, (2, 3, 4))}
+    cells |= {(GotzmannPartition((0,) * k), n) for k in range(1, 21) for n in (3, 4)}
+    for partition, n in sorted(cells, key=lambda cell: (cell[0].parts, cell[1])):
+        stack, tau, lay = reeves._start(partition, n)
+        yield partial(reeves._search, stack, tau, ch, lay, [{} for _ in tau])
+
+
+class TestBlockerLists:
+    # above reeves.BLOCKER_LISTS_FROM a walk tests each generator key
+    # against its blocker list, borel._blockers, kept in one dict per walk
+    # across every level (Lemma 3 at borel._expandable_keys); below it,
+    # the early-exit loop
+
+    @pytest.mark.parametrize("p", [0, 2, 3])
+    def test_lists_give_the_loop_verdicts(self, monkeypatch, p):
+        # the path with one dict per walk returns the list of the path
+        # without, on every call those walks make, and on every ideal
+        # they reach, a generator meets the blocker list of g exactly
+        # when it meets the blockers that do not move into x_n
+        calls = recorded_blocker_calls(monkeypatch, blocker_walks(Characteristic(p)))
+        assert len(calls) > 10_000
+        levels = {}
+        for keys, last, n, lay, q, memo, expected in calls:
+            assert borel._expandable_keys(keys, last, n, lay, q, memo) == expected
+            gens, s_n = set(keys), lay.shifts[n]  # x_n's field
+            for g in keys:
+                listed = borel._blockers(g, lay, q)
+                below = [b for b in listed if not (lay.zero - b) >> s_n & lay.mask]
+                assert gens.isdisjoint(listed) == gens.isdisjoint(below)
+            levels.setdefault(id(memo), set()).add(n)
+        # a dict serves the calls of several levels
+        assert max(map(len, levels.values())) > 1
+
+    def test_walks_below_the_constant_list_nothing(self, monkeypatch):
+        def refuse(g, lay, p):
+            raise AssertionError("blocker list made below the constant")
+
+        below = GotzmannPartition((0,) * (reeves.BLOCKER_LISTS_FROM - 1))
+        assert below.gotzmann_number == reeves.BLOCKER_LISTS_FROM - 1
+        monkeypatch.setattr(borel, "_blockers", refuse)
+        for p in (0, 2, 3):
+            ch = Characteristic(p)
+            assert count_strongly_stable(below, 4, ch) > 0
+            assert enumerate_strongly_stable(below, 4, ch)
+        for c in default_grid():
+            count_strongly_stable(c.partition, c.n, c.char)
+        at = GotzmannPartition((0,) * reeves.BLOCKER_LISTS_FROM)
+        with pytest.raises(AssertionError, match="below the constant"):
+            count_strongly_stable(at, 4)

@@ -18,6 +18,7 @@ which each blocker and each new multiple is one addition.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from math import isqrt
 
 from .errors import Value, set_slot
@@ -310,14 +311,16 @@ def _expandable_keys(
       0 of g_{l+1} only when that finds a generator; only for p > 0 does
       it go on to the q = p^e <= g_l.
     - blockers a dict: g qualifies when the generator keys are disjoint
-      from blockers[g], the list _blockers(g, lay, p), made on the first
-      test of g.  That list also holds the blockers with l >= n - 1, so
-      by Lemma 3 the dict may serve every call of a walk with this lay
-      and p, at every level.  A walk visits the same generator key at
-      many ideals, as an expansion keeps every generator but the one it
-      replaces and a lift keeps every key, so every test after the first
-      is one set-disjointness test, at the cost of holding one list per
-      distinct key.
+      from blockers[g], the frozenset of _blockers(g, lay, p), made on
+      the first test of g.  That set also holds the blockers with
+      l >= n - 1, so by Lemma 3 the dict may serve every call of a walk
+      with this lay and p, at every level.  A walk visits the same
+      generator key at many ideals, as an expansion keeps every
+      generator but the one it replaces and a lift keeps every key, so
+      every test after the first is one disjointness test of that small
+      set against the key tuple, which probes the set once per key and
+      stops at the first blocker, at the cost of holding one set per
+      distinct key.  This path builds no set of the keys.
 
     Lemma 1.  If I is Borel-fixed for p and g is a minimal generator, a
     blocker v of g that lies in I is a minimal generator.
@@ -365,17 +368,17 @@ def _expandable_keys(
     the list depends on g, lay and p only, not on n.
     """
     low_mask = lay.low_mask
-    gens = set(keys)
     out = []
     if blockers is not None:
         for g in keys:
             if g & low_mask < last:
                 listed = blockers.get(g)
                 if listed is None:
-                    listed = blockers[g] = _blockers(g, lay, p)
-                if gens.isdisjoint(listed):
+                    listed = blockers[g] = frozenset(_blockers(g, lay, p))
+                if listed.isdisjoint(keys):
                     out.append(g)
         return out
+    gens = set(keys)
     F, zero, mask, steps = lay.field, lay.zero, lay.mask, lay.steps
     cut = (lay.num_vars - n + 1) * F
     for g in keys:
@@ -468,7 +471,11 @@ def _expand_keys(
     On keys: high is the field of the lowest set bit of Z - low(g), each
     survivor's key is the key of g plus multiply[k], the case (d) test is
     KeyLayout.divides, on the guard bits, and the keys sorted are the
-    generators in canonical order.
+    generators in canonical order.  So the survivors are spliced into the
+    sorted keys: g is found at index i by bisection and deleted, and as
+    every multiple is above g, each survivor is inserted by bisection
+    from i.  The generators case (d) tests against are the keys below
+    the first key of degree a + 1, without the one at i.
     """
     F, low_mask, mask, shifts, multiply = (
         lay.field, lay.low_mask, lay.mask, lay.shifts, lay.multiply
@@ -482,16 +489,17 @@ def _expand_keys(
             kept += e % p == p - 1
             while top and (exps >> shifts[top] & mask) % p == 0:
                 top -= 1
+    i = bisect_left(keys, g)
     out = list(keys)
-    out.remove(g)
-    out.extend([g + step for step in multiply[kept:n]])
+    del out[i]
+    for step in multiply[kept:n]:
+        insort(out, g + step, i)
     if top < kept:  # case (d): test against the generators of degree <= a
         bound = (g >> lay.low_bits) + 1 << lay.low_bits
-        lower = [h for h in keys if h < bound and h != g]
+        lower = keys[:i] + keys[i + 1 : bisect_left(keys, bound, i)]
         divides = lay.divides
         for k in range(top, kept):
             m = g + multiply[k]
             if not any(divides(h, m) for h in lower):
-                out.append(m)
-    out.sort()
+                insort(out, m, i)
     return tuple(out)

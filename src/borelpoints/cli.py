@@ -131,7 +131,11 @@ def _partition(args) -> GotzmannPartition:
 
 
 def _sorted_ideals(ideals) -> list[MonomialIdeal]:
-    return sorted(ideals, key=attrgetter("num_vars", "gens"))
+    """The ideals of one ring in canonical order, by their generator
+    tuples.  Every caller (reeves, oracle, classify --verify) sorts ideals
+    of K[x_0, ..., x_n] for its one n, so this is the order by
+    (num_vars, gens)."""
+    return sorted(ideals, key=attrgetter("gens"))
 
 
 class _Memo(dict):

@@ -206,8 +206,9 @@ for expandability at many ideals.  When r is at least
 BLOCKER_LISTS_FROM, count_strongly_stable and enumeration_levels pass
 _search a new dict, which it hands to every call of
 borel._expandable_keys.  There each key's adjacent p-power blockers,
-borel._blockers, are listed on its first test, and every test is then
-one set-disjointness test of the generator keys against that list.
+borel._blockers, are listed as a frozenset on its first test, and every
+test is then one disjointness test of that set against the generator
+key tuple, with no set of the keys built per call.
 The list depends on the key, the layout and p only, not on the level
 (Lemma 3 at borel._expandable_keys), so one dict serves the whole walk,
 and it is dropped when the walk returns.  The count at 24 points in P^4
@@ -256,11 +257,12 @@ from .borel import (
 # generator key (see "Blocker lists" in the module docstring).  Below it
 # the lists cost about as much as they save, or more.  Counting each cell
 # of default_grid(r, 4, (2, 3, 4)) with Gotzmann number r, and r points
-# in P^3 and P^4 at p = 0, 2, in a fresh process per r with gc.collect()
-# before each count (2-vCPU VM), took about 5% longer with the lists at
-# r = 6, as long at r = 7 to 9 (within 2%), and 5-13% less at r = 10 and
-# r = 11.
-BLOCKER_LISTS_FROM = 10
+# in P^3 and P^4 at p = 0, 2, with and without the lists in turn for each
+# count and gc.collect() before each (totals of 3 rounds, 2-vCPU VM),
+# took 8% longer with the lists at r = 6, 4% at r = 7, as long at r = 8
+# (within 0.2%, twice), and 5-6% less at r = 9 (twice), 10% at r = 10
+# and 15% at r = 11.
+BLOCKER_LISTS_FROM = 9
 
 
 def _blocker_lists(partition: GotzmannPartition) -> dict | None:

@@ -340,12 +340,42 @@ def reference_expand(I, g):
     """The expansion of I at the expandable generator g in characteristic
     0: the g x_j with j >= max(g) replace g, each inserted at its
     canonical place by bisection on canonical_key.  The library's
-    borel._expand_keys sorts the keys of the new multiples in."""
+    borel._expand_keys splices the keys of the new multiples into the
+    sorted key tuple by bisection."""
     gens = [h for h in I.gens if h != g]
     top = max(i for i, e in enumerate(g) if e > 0)
     for j in range(top, I.num_vars - 1):
         insort(gens, g[:j] + (g[j] + 1,) + g[j + 1 :], key=canonical_key)
     return MonomialIdeal(I.num_vars, tuple(gens))
+
+
+def reference_expand_keys(keys, g, n, lay, p):
+    """borel._expand_keys by copy, remove, extend and sort: the same
+    survivors, by the lemma in its docstring, appended to a copy of keys
+    without g, and the whole list sorted afresh.  The library splices
+    each survivor into the sorted tuple by bisection instead."""
+    F, mask, shifts, multiply = lay.field, lay.mask, lay.shifts, lay.multiply
+    exps = lay.zero - (g & lay.low_mask)
+    high = lay.num_vars - 1 - ((exps & -exps).bit_length() - 1) // F
+    top = kept = high
+    if p:
+        e = exps >> shifts[high] & mask
+        if not 0 < e % p < p - 1:
+            kept += e % p == p - 1
+            while top and (exps >> shifts[top] & mask) % p == 0:
+                top -= 1
+    out = list(keys)
+    out.remove(g)
+    out.extend([g + step for step in multiply[kept:n]])
+    if top < kept:
+        bound = (g >> lay.low_bits) + 1 << lay.low_bits
+        lower = [h for h in keys if h < bound and h != g]
+        for k in range(top, kept):
+            m = g + multiply[k]
+            if not any(lay.divides(h, m) for h in lower):
+                out.append(m)
+    out.sort()
+    return tuple(out)
 
 
 def reference_borel_expandable(I, last, ch):
@@ -377,7 +407,8 @@ def reference_borel_expand(I, g):
     generator divides join the other generators, which are sorted afresh
     by canonical_key.  The library's borel._expand_keys decides most
     multiples by the lemma in its docstring, tests the rest against the
-    generators of degree at most deg g only, and sorts the keys."""
+    generators of degree at most deg g only, and splices the survivors
+    into the sorted key tuple."""
     rest = [h for h in I.gens if h != g]
     multiples = (g[:i] + (g[i] + 1,) + g[i + 1 :] for i in range(I.num_vars - 1))
     rest += [m for m in multiples if not any(divides(h, m) for h in rest)]

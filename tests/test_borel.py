@@ -20,6 +20,7 @@ from borelpoints import (
     GotzmannPartition,
     MonomialIdeal,
     borel_closure,
+    default_grid,
     digitwise_leq,
     enumerate_strongly_stable,
     exchange_amounts,
@@ -54,6 +55,7 @@ from conftest import (
     reference_borel_expand,
     reference_borel_expandable,
     reference_expand,
+    reference_expand_keys,
     reference_expandable,
     saturated_strongly_stable,
     trim,
@@ -647,6 +649,50 @@ def lemma_case(g, k, p):
     if k == high and g[high] % p != p - 1:
         return "c"
     return "d"
+
+
+def splice_walks(p):
+    """The (partition, n) cells whose Reeves walks check the splice of
+    borel._expand_keys in characteristic p: every cell of
+    default_grid(8, 4, (2, 3, 4)) at p = 0, 2, 3, 5, and 10 to 22 points
+    in P^3 and P^4 at p = 0, 2."""
+    cells = {(c.partition, c.n) for c in default_grid(8, 4, (2, 3, 4))}
+    if p in (0, 2):
+        cells |= {
+            (GotzmannPartition((0,) * k), n) for k in range(10, 23) for n in (3, 4)
+        }
+    return sorted(cells, key=lambda cell: (cell[0].parts, cell[1]))
+
+
+class TestExpandSplice:
+    # borel._expand_keys splices each surviving multiple into the sorted
+    # key tuple by bisection; reference_expand_keys in conftest appends
+    # them and sorts the whole list
+
+    @pytest.mark.parametrize("p", [0, 2, 3, 5])
+    def test_equals_reference_on_every_walk_expansion(self, monkeypatch, p):
+        calls = interleaved = case_d = 0
+
+        def spy(keys, g, n, lay, q):
+            nonlocal calls, interleaved, case_d
+            out = _expand_keys(keys, g, n, lay, q)
+            assert out == reference_expand_keys(keys, g, n, lay, q), (keys, g, q)
+            calls += 1
+            # appending the multiples unordered would break this one
+            interleaved += out[: len(keys) - 1] != tuple(h for h in keys if h != g)
+            if q and not case_d:
+                m = lay.decode(g, n + 1)
+                case_d += any(lemma_case(m, k, q) == "d" for k in range(n))
+            return out
+
+        ch = Characteristic(p)
+        with monkeypatch.context() as m:
+            m.setattr(reeves, "_expand_keys", spy)
+            for partition, n in splice_walks(p):
+                enumerate_strongly_stable(partition, n, ch)
+        assert calls > 1000
+        assert interleaved > 100
+        assert (case_d > 0) == (p > 0)
 
 
 class TestBorelMoves:

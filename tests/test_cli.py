@@ -4,6 +4,7 @@ import resource
 import subprocess
 import sys
 import time
+from operator import attrgetter
 from pathlib import Path
 
 import pytest
@@ -807,6 +808,31 @@ class TestIdealRows:
         assert "".join(_json_pieces(payload)) == json.dumps(
             {"count": 0, "ideals": []}, indent=2
         )
+
+
+class TestSortedIdeals:
+    # _sorted_ideals orders by gens alone: every caller sorts the ideals
+    # of one ring, where that is the order by (num_vars, gens)
+
+    def test_gens_order_is_the_ring_order_on_every_caller(self):
+        outputs = [  # reeves
+            enumerate_strongly_stable(GotzmannPartition((0,) * k), 4)
+            for k in (14, 16)
+        ]
+        outputs += [enumerate_strongly_stable(p, n) for p, n in mini_grid()]
+        outputs += [  # oracle
+            enumerate_borel_fixed(GotzmannPartition(parts), n, Characteristic(p))
+            for parts, n in [((0,) * 4, 2), ((1, 1, 0), 3), ((0,) * 5, 3)]
+            for p in (0, 2, 3)
+        ]
+        # classify --verify
+        outputs += [classify.count_borel_fixed(c)[1] for c in classify.default_grid()]
+        assert sum(map(len, outputs)) > 2000
+        for ideals in outputs:
+            assert len({I.num_vars for I in ideals}) <= 1
+            assert _sorted_ideals(ideals) == sorted(
+                ideals, key=attrgetter("num_vars", "gens")
+            )
 
 
 def oracle_rows(partition, n, p):

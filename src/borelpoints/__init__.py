@@ -38,7 +38,6 @@ from .borel import (
     CHAR0,
     Characteristic,
     borel_closure,
-    digitwise_leq,
     exchange_amounts,
     expand,
     expandable_generators,
@@ -62,8 +61,6 @@ from .classify import (
     explore_tree,
     in_three_point_family,
     partitions_up_to,
-    predicate_two,
-    predicate_unique,
     predict,
     tree_children,
     two_point_clause,

@@ -25,9 +25,9 @@ from .errors import Value, set_slot
 from .monomial_ideal import Monomial, MonomialIdeal
 
 # Primes below this bound are checked by exact trial division, at most
-# isqrt(2^31) = 46340 divisions.  Larger ones are refused: for exponents
-# below p, digitwise_leq(k, l, p) is just k <= l, so every prime above
-# the exponents of an ideal gives the same exchange rule.
+# isqrt(2^31) = 46340 divisions.  Larger ones are refused: against an
+# exponent l below p, exchange_amounts(l, p) allows every k <= l, so every
+# prime above the exponents of an ideal gives the same exchange rule.
 _MAX_CHARACTERISTIC = 2**31
 
 
@@ -55,26 +55,6 @@ class Characteristic(Value):
 
 
 CHAR0 = Characteristic(0)
-
-
-def digitwise_leq(k: int, l: int, ch: Characteristic) -> bool:
-    """Exchange-exponent dominance for the given characteristic.
-
-    For a prime p, compares base-p digits of k and l pairwise.  For
-    characteristic 0 only k = 0 and (k = 1 when l >= 1) are allowed,
-    recovering single-step strongly stable exchanges.
-    """
-    if k < 0 or l < 0:
-        raise ValueError("arguments must be nonnegative")
-    if ch.is_zero:
-        return k == 0 or (k == 1 and l >= 1)
-    p = ch.value
-    while k or l:
-        if k % p > l % p:
-            return False
-        k //= p
-        l //= p
-    return True
 
 
 def exchange_amounts(l: int, ch: Characteristic):

@@ -14,8 +14,9 @@ Enumeration runs the Reeves walk in the cell's characteristic.  Only the
 primes up to the Gotzmann number r can differ from characteristic 0: a
 saturated ideal with Gotzmann number r is generated in degrees <= r
 (Gotzmann), so for a prime p > r every exponent of a minimal generator
-is below p, where digitwise_leq(k, l, p) is just k <= l, and being
-p-Borel is being strongly stable.  The tests check this on small cells.
+is below p, where Pardue's rule allows every exchange amount k <= l
+(borel.exchange_amounts), and being p-Borel is being strongly stable.
+The tests check this on small cells.
 
 verify_classification and explore_tree read only the number of points,
 so they call reeves.count_strongly_stable, which counts the last level of
@@ -121,10 +122,6 @@ def unique_point_clause(coords: SchemeCoordinates) -> str | None:
     return None
 
 
-def predicate_unique(coords: SchemeCoordinates) -> bool:
-    return unique_point_clause(coords) is not None
-
-
 def two_point_clause(coords: SchemeCoordinates) -> str | None:
     """Clause label when the scheme has exactly two Borel-fixed points.
 
@@ -160,10 +157,6 @@ def two_point_clause(coords: SchemeCoordinates) -> str | None:
         if second >= 2:
             return "(ii)(c)"
     return None
-
-
-def predicate_two(coords: SchemeCoordinates) -> bool:
-    return two_point_clause(coords) is not None
 
 
 def in_three_point_family(coords: SchemeCoordinates) -> bool:
@@ -271,11 +264,12 @@ def default_grid(
 def verify_classification(grid) -> VerificationReport:
     """Replay the predicates against enumeration on every grid cell.
 
-    For each cell checks (count == 1) iff predicate_unique, (count == 2)
-    iff predicate_two (codimension >= 2), and three-point family implies
-    count == 3.  The three predicates never hold together, so predict,
-    which tries them in that order, names the one that holds, and each
-    is evaluated once.  Discrepancies are collected, not raised.
+    For each cell checks (count == 1) iff unique_point_clause names a
+    clause, (count == 2) iff two_point_clause does (codimension >= 2), and
+    three-point family implies count == 3.  The three predicates never
+    hold together, so predict, which tries them in that order, names the
+    one that holds, and each is evaluated once.  Discrepancies are
+    collected, not raised.
     """
     report = VerificationReport()
     for coords in grid:

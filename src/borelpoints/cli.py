@@ -7,12 +7,13 @@ deterministic for fixed flags; --json switches every subcommand to a JSON
 document on stdout, byte for byte json.dumps(payload, indent=2) (errors
 become JSON on stderr).
 
-Ideal lists (reeves, oracle, classify --verify) and single ideals
-(check-ideal, lex) go into a payload as _IdealRows, which renders each
-row from fixed key text and per-monomial text, every distinct generator
-once; the rest of a payload goes through json.dumps.  The document is
-written to stdout row by row, and only once the enumeration, the sort
-and every row's values are done, so an error leaves no partial document.
+Ideal lists (reeves, oracle, classify --verify) go into a payload as
+_IdealRows, which renders each row from fixed key text and per-monomial
+text, every distinct generator once; the rest of a payload, the one
+ideal of check-ideal and lex among it, goes through json.dumps.  The
+document is written to stdout row by row, and only once the enumeration,
+the sort and every row's values are done, so an error leaves no partial
+document.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .monomial_ideal import (
     MonomialIdeal,
     format_ideal,
     format_monomial,
+    hilbert_polynomial,
     parse_monomial,
 )
 from .borel import Characteristic, is_borel_fixed, is_strongly_stable
@@ -151,17 +153,16 @@ class _Memo(dict):
 
 class _IdealRows:
     """Ideals that --json renders as rows {"num_vars", "generators",
-    "pretty"}, in place of a list of rows, or of the one row when single.
+    "pretty"}, in place of a list of rows.
 
     Given a characteristic, each row also says whether the ideal is
     strongly stable or nonstandard; that is decided here, so an error
     leaves no partial document.  pretty() serves the human output.
     """
 
-    def __init__(self, ideals, ch: Characteristic | None = None, single=False):
+    def __init__(self, ideals, ch: Characteristic | None = None):
         self.ideals = ideals
         self.stable = None if ch is None else [is_strongly_stable(i) for i in ideals]
-        self.single = single
         self._name = _Memo(format_monomial).__getitem__
 
     def pretty(self):
@@ -181,11 +182,10 @@ class _IdealRows:
         digits, ^, * and 1, and the brackets, commas and spaces around
         them, none of which JSON escapes.
         """
-        if not (self.single or self.ideals):
+        if not self.ideals:
             yield "[]"
             return
-        base = depth if self.single else depth + 1
-        p0, p1, p2, p3 = ("\n" + "  " * (base + i) for i in range(4))
+        p0, p1, p2, p3 = ("\n" + "  " * (depth + 1 + i) for i in range(4))
 
         def vector(g):
             # a nonempty tuple of ints, which JSON renders as str does
@@ -199,7 +199,7 @@ class _IdealRows:
         tails = repeat("") if self.stable is None else map(flags.get, self.stable)
         name = self._name
         sep = "," + p2
-        lead = "" if self.single else "[" + p0
+        lead = "[" + p0
         for ideal, tail in zip(self.ideals, tails):
             gens = ideal.gens
             listed = f"[{p2}{sep.join(map(text, gens))}{p1}]" if gens else "[]"
@@ -209,8 +209,7 @@ class _IdealRows:
                 f'{p1}"pretty": {pretty}{tail}{p0}}}'
             )
             lead = "," + p0
-        if not self.single:
-            yield "\n" + "  " * depth + "]"
+        yield "\n" + "  " * depth + "]"
 
 
 def _dumps(obj, depth: int = 0) -> str:
@@ -227,10 +226,7 @@ def _dumps(obj, depth: int = 0) -> str:
 def _json_pieces(payload):
     """json.dumps(payload, indent=2), byte for byte, in pieces: ideal rows
     from _IdealRows.pieces, every other top-level value from _dumps.  The
-    payload is a row or a nonempty dict with string keys."""
-    if isinstance(payload, _IdealRows):
-        yield from payload.pieces(0)
-        return
+    payload is a nonempty dict with string keys."""
     lead = "{\n  "
     for key, value in payload.items():
         yield lead + json.dumps(key) + ": "
@@ -353,18 +349,20 @@ def cmd_lex(args) -> int:
             raise _UsageError("provide --n with --partition, or --counts")
         _check_num_vars(args.n + 1)
         ideal = lex_ideal(_partition(args), args.n)
-    payload = _IdealRows([ideal], single=True)
-    return _emit(args, payload, [str(ideal), json.dumps(ideal.gens)])
+    pretty = str(ideal)
+    payload = {**ideal.to_json_dict(), "pretty": pretty}
+    return _emit(args, payload, [pretty, json.dumps(ideal.gens)])
 
 
 def cmd_check_ideal(args) -> int:
     ideal = _parse_ideal_args(args)
     ch = args.char
-    data = ideal.hilbert_polynomial(MAX_NUMERATOR_WORK)
+    data = hilbert_polynomial(ideal, MAX_NUMERATOR_WORK)
     ss = is_strongly_stable(ideal)
     bf = is_borel_fixed(ideal, ch)
+    pretty = str(ideal)
     payload = {
-        "ideal": _IdealRows([ideal], single=True),
+        "ideal": {**ideal.to_json_dict(), "pretty": pretty},
         "char": ch.value,
         "strongly_stable": ss,
         "borel_fixed": bf,
@@ -376,7 +374,7 @@ def cmd_check_ideal(args) -> int:
         "stabilization_degree": data.stabilization_degree,
     }
     lines = [
-        f"ideal             {ideal}",
+        f"ideal             {pretty}",
         f"strongly stable   {ss}",
         f"borel fixed (p={ch}) {bf}",
         f"saturated         {payload['saturated']}",

@@ -47,7 +47,12 @@ from __future__ import annotations
 
 from .errors import SearchBoundError
 from .hilbert_poly import GotzmannPartition
-from .monomial_ideal import Monomial, MonomialIdeal, monomials_of_degree
+from .monomial_ideal import (
+    Monomial,
+    MonomialIdeal,
+    hilbert_polynomial,
+    monomials_of_degree,
+)
 from .borel import Characteristic, _exchange_orbit
 
 DEFAULT_MAX_AMBIENT = 3
@@ -176,6 +181,6 @@ def enumerate_borel_fixed(
             continue
         if ideal.saturate() != ideal:
             raise RuntimeError(f"exhaustive search produced unsaturated ideal {ideal}")
-        if ideal.hilbert_polynomial().polynomial == partition:
+        if hilbert_polynomial(ideal).polynomial == partition:
             found.add(ideal)
     return frozenset(found)

@@ -247,23 +247,6 @@ class MonomialIdeal(Value):
             rest = _minimal_gens(outside)
         return not rest
 
-    def lift(self) -> "MonomialIdeal":
-        """Same generators in a ring with one more variable."""
-        return MonomialIdeal._trusted(
-            self.num_vars + 1, tuple(g + (0,) for g in self.gens)
-        )
-
-    def difference(self) -> "MonomialIdeal":
-        """Image under setting the last two variables to 1, one fewer variable.
-
-        For a saturated Borel-fixed ideal the Hilbert polynomial of the
-        result is the backward difference of the original one.
-        """
-        if self.num_vars < 2:
-            raise ValueError("need at least two variables")
-        cut = [g[: self.num_vars - 2] + (0,) for g in self.gens]
-        return MonomialIdeal.from_generators(cut, self.num_vars - 1)
-
     def hilbert_numerator(self, max_steps: int | None = None) -> tuple[int, ...]:
         """Coefficients of N(t) with series of S/I equal to N(t)/(1-t)^(n+1),
         with no trailing zeros (none at all for the unit ideal).  The pivot
@@ -283,9 +266,6 @@ class MonomialIdeal(Value):
             raise ValueError("degree must be nonnegative")
         n = self.num_vars - 1
         return sum(c * binomial(d - j + n, n) for j, c in _numerator(self.gens, self.num_vars))
-
-    def hilbert_polynomial(self, max_steps: int | None = None) -> "HilbertData":
-        return hilbert_polynomial(self, max_steps)
 
     def __str__(self) -> str:
         return format_ideal(self.gens)

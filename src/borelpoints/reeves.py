@@ -56,7 +56,7 @@ The walk runs in every characteristic: in characteristic p > 0 it
 enumerates the saturated Borel-fixed (p-Borel) ideals, in
 characteristic 0 the saturated strongly stable ones.  Everything below
 is in S = K[x_0, ..., x_n], I is a saturated Borel-fixed ideal of S,
-"legal" refers to Pardue's rule (borel.digitwise_leq), and tuple order
+"legal" refers to Pardue's rule (borel.exchange_amounts), and tuple order
 is plain tuple order, in which a legal exchange moves a monomial up.
 
 - Expandable.  A non-unit minimal generator g of I is expandable when
@@ -203,12 +203,11 @@ once per level, for the ideals it keeps.
 Blocker lists.  An expansion keeps every generator but the one it
 replaces, and a lift keeps every key, so a walk tests one generator key
 for expandability at many ideals.  When r is at least
-BLOCKER_LISTS_FROM, count_strongly_stable and enumeration_levels pass
-_search a new dict, which it hands to every call of
-borel._expandable_keys.  There each key's adjacent p-power blockers,
-borel._blockers, are listed as a frozenset on its first test, and every
-test is then one disjointness test of that set against the generator
-key tuple, with no set of the keys built per call.
+BLOCKER_LISTS_FROM, _start makes the walk a new dict, which _search
+hands to every call of borel._expandable_keys.  There each key's
+adjacent p-power blockers, borel._blockers, are listed as a frozenset on
+its first test, and every test is then one disjointness test of that set
+against the generator key tuple, with no set of the keys built per call.
 The list depends on the key, the layout and p only, not on the level
 (Lemma 3 at borel._expandable_keys), so one dict serves the whole walk,
 and it is dropped when the walk returns.  The count at 24 points in P^4
@@ -265,13 +264,6 @@ from .borel import (
 BLOCKER_LISTS_FROM = 9
 
 
-def _blocker_lists(partition: GotzmannPartition) -> dict | None:
-    """The blockers argument of _search for one walk to partition: a new
-    dict when its Gotzmann number is at least BLOCKER_LISTS_FROM, else
-    None."""
-    return {} if partition.gotzmann_number >= BLOCKER_LISTS_FROM else None
-
-
 def _expanded_coordinates(h: tuple[int, ...], j: int, a: int) -> tuple[int, ...]:
     """The coordinates of an expansion of I in K[x_0, ..., x_n] at a
     generator of degree a, where h holds those of I and h[j] is h_n: each
@@ -308,19 +300,21 @@ def _completes(x: int, target: int, t: int, top: int) -> bool:
 
 def _start(
     partition: GotzmannPartition, n: int
-) -> tuple[list, tuple[int, ...], KeyLayout]:
+) -> tuple[list, tuple[int, ...], KeyLayout, dict | None]:
     """The stack that starts the walk to partition in K[x_0, ..., x_n],
-    holding the entry of the start ideal, the targets tau, and the key
-    layout of the walk's monomials, of width _key_width(r), r the
-    Gotzmann number.  tau_d counts the parts equal to d, so the start is
-    never above target."""
+    holding the entry of the start ideal, the targets tau, the key layout
+    of the walk's monomials, of width _key_width(r), r the Gotzmann
+    number, and the blockers argument of _search: a new dict when r is at
+    least BLOCKER_LISTS_FROM, else None.  tau_d counts the parts equal to
+    d, so the start is never above target."""
     d, r = partition.degree, partition.gotzmann_number
     if n <= d:
         raise ValueError("ambient dimension must exceed the polynomial degree")
     tau = partition.coordinates()
     lay = KeyLayout(n + 1, _key_width(r))
     start = tuple(map(lay.zero.__add__, lay.multiply[: n - d]))  # x_k, k < c = n - d
-    return [(start, (1,) + (0,) * d, lay.none, 0, tau[d] - 1)], tau, lay
+    blockers = {} if r >= BLOCKER_LISTS_FROM else None
+    return [(start, (1,) + (0,) * d, lay.none, 0, tau[d] - 1)], tau, lay, blockers
 
 
 def _search(
@@ -414,9 +408,9 @@ def enumeration_levels(
     polynomial is difference^(d-j)(partition), d = partition.degree.
     The walk is depth first, so the levels are yielded once it ends.
     """
-    stack, tau, lay = _start(partition, n)
+    stack, tau, lay, blockers = _start(partition, n)
     levels = [{} for _ in tau]
-    _search(stack, tau, ch, lay, levels, _blocker_lists(partition))
+    _search(stack, tau, ch, lay, levels, blockers)
     c = n - partition.degree
     for j, level in enumerate(levels):
         yield lay.ideals(level, c + j + 1)
@@ -445,5 +439,5 @@ def count_strongly_stable(
     docstring).  It builds no expansion or lift below the last level
     whose every completion must overshoot the next level's target (see
     "Pruning")."""
-    stack, tau, lay = _start(partition, n)
-    return _search(stack, tau, ch, lay, None, _blocker_lists(partition))
+    stack, tau, lay, blockers = _start(partition, n)
+    return _search(stack, tau, ch, lay, None, blockers)

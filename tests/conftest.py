@@ -30,7 +30,6 @@ from borelpoints.borel import (
     _expand_keys,
     _expandable_keys,
     _key_width,
-    digitwise_leq,
     exchange,
     exchange_amounts,
 )
@@ -87,6 +86,21 @@ def hilbert_function_by_lcm(ideal, d):
 
 def ideal(gens, num_vars):
     return MonomialIdeal.from_generators(gens, num_vars)
+
+
+def lift(I):
+    """The same generators in a ring with one more variable."""
+    return MonomialIdeal(I.num_vars + 1, tuple(g + (0,) for g in I.gens))
+
+
+def difference(I):
+    """The image of I under setting its last two variables to 1, in one
+    variable fewer.  For a saturated Borel-fixed ideal the Hilbert
+    polynomial of the result is the backward difference of that of I."""
+    if I.num_vars < 2:
+        raise ValueError("need at least two variables")
+    cut = [g[: I.num_vars - 2] + (0,) for g in I.gens]
+    return MonomialIdeal.from_generators(cut, I.num_vars - 1)
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -378,6 +392,24 @@ def reference_expand_keys(keys, g, n, lay, p):
     return tuple(out)
 
 
+def digitwise_leq(k, l, ch):
+    """Pardue's rule as a predicate: in characteristic p, whether every
+    base-p digit of k is at most that of l; in characteristic 0, whether
+    k = 0, or k = 1 and l >= 1 (single-step exchanges).  The library
+    lists the allowed k directly, as borel.exchange_amounts."""
+    if k < 0 or l < 0:
+        raise ValueError("arguments must be nonnegative")
+    if ch.is_zero:
+        return k == 0 or (k == 1 and l >= 1)
+    p = ch.value
+    while k or l:
+        if k % p > l % p:
+            return False
+        k //= p
+        l //= p
+    return True
+
+
 def reference_borel_expandable(I, last, ch):
     """The non-unit generators g > last of a saturated Borel-fixed (for
     ch) ideal at which the expansion stays Borel-fixed, by the
@@ -515,7 +547,7 @@ def reference_levels(partition, n, ch, built=None):
     level, levels = {start: (1,) + (0,) * d}, []
     for j in range(d + 1):
         if j:
-            level = {I.lift(): h for I, h in level.items()}
+            level = {lift(I): h for I, h in level.items()}
         buckets = {}
         for I, h in level.items():
             if tau[d - j] >= h[j]:
@@ -692,7 +724,7 @@ def reference_search(stack, tau, ch, levels=None):
                 or j + 1 == d
                 or _completes(h[j + 2], tau[d - j - 2], s, sum(ideal.gens[-1]))
             ):
-                stack.append((ideal.lift(), h, (), j + 1, s))
+                stack.append((lift(ideal), h, (), j + 1, s))
         elif s == 1 and j == d and levels is None:
             if h[j] != tau[0] - 1:  # an expansion adds C(a, 0) = 1 to h_n
                 raise ValueError(f"{ideal} misses its level-{j} target")

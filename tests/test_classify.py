@@ -14,8 +14,6 @@ from borelpoints import (
     explore_tree,
     in_three_point_family,
     partitions_up_to,
-    predicate_two,
-    predicate_unique,
     predict,
     tree_children,
     two_point_clause,
@@ -112,8 +110,8 @@ class TestPredicateConsistency:
                 for ch in (CHAR0, P2):
                     cell = coords(parts, c + parts[0], ch)
                     held = [
-                        predicate_unique(cell),
-                        predicate_two(cell),
+                        unique_point_clause(cell) is not None,
+                        two_point_clause(cell) is not None,
                         in_three_point_family(cell),
                     ]
                     assert sum(held) <= 1, (parts, c, ch)
@@ -127,8 +125,8 @@ class TestPredicateConsistency:
                     continue
                 cell0 = coords(parts, c + parts[0])
                 cell2 = coords(parts, c + parts[0], P2)
-                assert predicate_two(cell0) == predicate_two(cell2)
-                assert predicate_unique(cell0) == predicate_unique(cell2)
+                for clause in (two_point_clause, unique_point_clause):
+                    assert (clause(cell0) is None) == (clause(cell2) is None)
 
 
 class TestCountDispatch:
@@ -207,9 +205,9 @@ class TestVerification:
             for cell in grid:
                 in_scope = cell.codim >= 2
                 problems = []
-                if (count == 1) != predicate_unique(cell):
+                if (count == 1) != (unique_point_clause(cell) is not None):
                     problems.append("unique-point predicate mismatch")
-                if in_scope and (count == 2) != predicate_two(cell):
+                if in_scope and (count == 2) != (two_point_clause(cell) is not None):
                     problems.append("two-point predicate mismatch")
                 if in_scope and in_three_point_family(cell) and count != 3:
                     problems.append("three-point family count mismatch")
@@ -239,7 +237,8 @@ class TestVerification:
             partition = GotzmannPartition(parts)
             cell = coords(parts, partition.degree + 1)
             count = len(enumerate_strongly_stable(partition, cell.n))
-            assert (count == 1) == predicate_unique(cell), (parts, count)
+            unique = unique_point_clause(cell) is not None
+            assert (count == 1) == unique, (parts, count)
 
 
 class TestTree:

@@ -771,7 +771,9 @@ def plain_row(ideal, ch=None):
 class TestIdealRows:
     """Every row's "pretty" is str(ideal), with the monomial names shared
     across the ideals of one call, and the rows render as json.dumps
-    renders their plain data, at every depth."""
+    renders their plain data, at every depth.  The one ideal of lex and
+    check-ideal is a plain row, checked by the lex and check-ideal cases
+    of STREAMED and tests/golden_cli.json."""
 
     def assert_rows(self, ideals, ch=None):
         ideals = _sorted_ideals(ideals)
@@ -780,10 +782,6 @@ class TestIdealRows:
         plain = [plain_row(i, ch) for i in ideals]
         for depth in range(4):
             assert "".join(rows.pieces(depth)) == _dumps(plain, depth)
-        for ideal, row in zip(ideals, plain):
-            one = _IdealRows([ideal], ch, single=True)
-            for depth in range(3):
-                assert "".join(one.pieces(depth)) == _dumps(row, depth)
 
     @pytest.mark.parametrize("k", [14, 16])
     def test_points_ladder(self, k):

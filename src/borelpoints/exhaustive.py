@@ -20,8 +20,16 @@ when every partial join is, in any order.  One fold per degree therefore
 reaches every viable join of a held state with any set of the degree's
 orbits: each orbit in turn is joined to every state held so far, and a
 join is kept when it changes the state and is viable.  (An orbit already
-inside a state joins to itself.)  Survivors are filtered at the end for
-the exact Hilbert polynomial.
+inside a state joins to itself.)  After each degree, a state whose
+Hilbert function has passed p(r) is cut.
+
+No survivor's polynomial needs a test, in any characteristic.
+Viability and the cut give HF(r) = p(r).  As r is the Gotzmann number,
+p(r)^<r> = p(r + 1), so Macaulay's bound HF(r + 1) <= HF(r)^<r> and the
+checkpoint r + 1 give HF(r + 1) = p(r + 1), and Gotzmann's persistence
+theorem, for an ideal generated in degrees <= r, HF(t) = p(t) for all
+t >= r; both theorems hold over any field.  The zero state, whose
+polynomial has degree n > deg p, never survives.
 
 A search state is one int, a Borel set in the sense of
 Cioffi-Lella-Marinari-Roggero: bit i stands for the i-th monomial of
@@ -39,20 +47,16 @@ comparing states is comparing ints.  Generators have degree <= r <= D,
 so the mask determines the ideal and states deduplicate by their masks.
 A MonomialIdeal is built only for the states alive after each degree:
 its minimal generators are the set bits whose one-step divisors are all
-clear.  search_levels yields these ideals as one set per degree and keeps
-no other record of a level.
+clear, in canonical order, so it is built unchecked.  search_levels
+yields these ideals as one set per degree and keeps no other record of
+a level.
 """
 
 from __future__ import annotations
 
 from .errors import SearchBoundError
 from .hilbert_poly import GotzmannPartition
-from .monomial_ideal import (
-    Monomial,
-    MonomialIdeal,
-    hilbert_polynomial,
-    monomials_of_degree,
-)
+from .monomial_ideal import Monomial, MonomialIdeal, monomials_of_degree
 from .borel import Characteristic, _exchange_orbit
 
 DEFAULT_MAX_AMBIENT = 3
@@ -103,7 +107,7 @@ class _Layout:
             for i in range(self.start[deg + 1])
             if mask >> i & 1 and not mask & self.parents[i]
         )
-        return MonomialIdeal(num_vars, gens)
+        return MonomialIdeal._trusted(num_vars, gens)
 
 
 def _check_feasible(partition: GotzmannPartition, n: int, force: bool):
@@ -169,18 +173,14 @@ def enumerate_borel_fixed(
     force: bool = False,
 ) -> frozenset[MonomialIdeal]:
     """All saturated ideals in K[x_0, ..., x_n] passing Pardue's criterion
-    for ch and having the given Hilbert polynomial.
+    for ch and having the given Hilbert polynomial: the last level of
+    search_levels (see the module docstring).
 
     Guarded to n <= 3 and Gotzmann number <= 5 unless force is set.
     """
     for level in search_levels(partition, n, ch, force):
         pass
-    found = set()
     for ideal in level:
-        if ideal.is_zero:
-            continue
         if ideal.saturate() != ideal:
             raise RuntimeError(f"exhaustive search produced unsaturated ideal {ideal}")
-        if hilbert_polynomial(ideal).polynomial == partition:
-            found.add(ideal)
-    return frozenset(found)
+    return frozenset(level)

@@ -144,8 +144,8 @@ class MonomialIdeal(Value):
     @classmethod
     def _trusted(cls, num_vars: int, gens: tuple[Monomial, ...]) -> "MonomialIdeal":
         """Build from generators already known to be valid, minimal and in
-        canonical order, skipping the checks of __init__.  For the ideal
-        operations that derive such generators from a valid ideal."""
+        canonical order, skipping the checks of __init__.  For the code
+        that derives such generators from a valid ideal or a bit layout."""
         ideal = object.__new__(cls)
         set_slot(ideal, "num_vars", num_vars)
         set_slot(ideal, "gens", gens)
@@ -165,22 +165,6 @@ class MonomialIdeal(Value):
     def from_generators(cls, gens, num_vars: int) -> "MonomialIdeal":
         gens = tuple(tuple(g) for g in gens)
         return cls(num_vars, _minimal_gens(gens))
-
-    @classmethod
-    def zero(cls, num_vars: int) -> "MonomialIdeal":
-        return cls(num_vars, ())
-
-    @classmethod
-    def unit(cls, num_vars: int) -> "MonomialIdeal":
-        return cls(num_vars, ((0,) * num_vars,))
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.gens
-
-    @property
-    def is_unit(self) -> bool:
-        return len(self.gens) == 1 and not any(self.gens[0])
 
     @property
     def max_generator_degree(self) -> int:
@@ -349,10 +333,6 @@ class HilbertData(Value):
     def __init__(self, polynomial: GotzmannPartition | None, stabilization_degree: int):
         set_slot(self, "polynomial", polynomial)
         set_slot(self, "stabilization_degree", stabilization_degree)
-
-    @property
-    def is_zero_polynomial(self) -> bool:
-        return self.polynomial is None
 
 
 def _coordinates(terms: tuple[tuple[int, int], ...], n: int) -> list[int]:

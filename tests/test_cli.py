@@ -29,7 +29,7 @@ from borelpoints.cli import (
 from borelpoints.borel import is_strongly_stable
 from borelpoints.lex import lex_ideal, lex_ideal_from_counts
 
-from conftest import mini_grid
+from conftest import mini_grid, unit_ideal, zero_ideal
 
 
 def run(capsys, *argv):
@@ -795,7 +795,7 @@ class TestIdealRows:
         self.assert_rows(ideals, Characteristic(0))
 
     def test_zero_and_unit(self):
-        zero, unit = MonomialIdeal.zero(3), MonomialIdeal.unit(3)
+        zero, unit = zero_ideal(3), unit_ideal(3)
         self.assert_rows([zero, unit])
         self.assert_rows([zero, unit], Characteristic(2))
         assert list(_IdealRows([zero, unit]).pretty()) == ["<0>", "<1>"]

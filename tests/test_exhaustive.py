@@ -79,14 +79,24 @@ class TestAgainstReeves:
                 assert len(found) >= len(stable)
 
     def test_outputs_are_valid(self):
-        for parts, n in self.CELLS:
-            partition = GotzmannPartition(parts)
-            for ch in (P2, P3):
+        # the oracle tests no output's polynomial, since its popcounts
+        # fix it (module docstring); this is the test, on every grid cell
+        # inside the default bounds
+        cells = {
+            (c.partition, c.n)
+            for c in default_grid()
+            if c.n <= exhaustive.DEFAULT_MAX_AMBIENT
+            and c.partition.gotzmann_number <= exhaustive.DEFAULT_MAX_GOTZMANN
+        }
+        assert len(cells) == 25
+        for partition, n in cells:
+            for ch in (CHAR0, P2, P3, P5):
                 for I in enumerate_borel_fixed(partition, n, ch):
+                    assert I.gens, (partition, n, ch)
                     assert is_borel_fixed(I, ch)
                     assert I.saturate() == I
                     assert I.max_generator_degree <= partition.gotzmann_number
-                    assert hilbert_polynomial(I).polynomial == partition
+                    assert hilbert_polynomial(I).polynomial == partition, (str(I), n, ch)
 
 
 class TestFeasibilityGuard:
@@ -183,13 +193,26 @@ class TestAgainstReferenceSearch:
 
 
 def test_oracle_imports_nothing_from_reeves():
-    # the oracle cross-checks the walk, so it must not share its code
+    # the oracle cross-checks the walk, so it must not share its code: not
+    # the walk, nor its key machinery, nor a second Hilbert engine, since
+    # the search decides the polynomial by its own popcounts
     tree = ast.parse(Path(exhaustive.__file__).read_text())
-    imported = set()
+    imported, names = set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
             imported.add(node.module or "")
         elif isinstance(node, ast.Import):
             imported.update(alias.name for alias in node.names)
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name for alias in node.names)
     assert "borel" in imported
     assert not any("reeves" in name for name in imported)
+    assert not names & {
+        "hilbert_polynomial",
+        "_numerator",
+        "KeyLayout",
+        "_expandable_keys",
+        "_expand_keys",
+        "_blockers",
+        "_key_width",
+    }

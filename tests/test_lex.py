@@ -11,7 +11,7 @@ from borelpoints import (
     lex_ideal_from_counts,
 )
 
-from conftest import all_partitions, ideal, lift
+from conftest import all_partitions, ideal, lift, unit_ideal
 
 
 def lemma_minimal_generators(partition, n):
@@ -71,7 +71,7 @@ class TestConstruction:
 
     def test_all_zero_counts_collapse_to_unit(self):
         # the raw generator list ends with the unit monomial
-        assert lex_ideal_from_counts((0, 0, 0)).is_unit
+        assert lex_ideal_from_counts((0, 0, 0)) == unit_ideal(4)
 
     def test_from_partition_examples(self):
         assert lex_ideal(GotzmannPartition((0, 0, 0)), 2) == ideal(

@@ -18,13 +18,13 @@ is below p, where Pardue's rule allows every exchange amount k <= l
 (borel.exchange_amounts), and being p-Borel is being strongly stable.
 The tests check this on small cells.
 
+Every walk skips each branch whose lift must overshoot the next level's
+target (a degree bound on the coordinates it carries).
 verify_classification and explore_tree read only the number of points,
 so they call reeves.count_strongly_stable, which counts the last level of
-the depth-first walk without making the expansions that end it, skips
-every branch whose lift must overshoot the next level's target (a degree
-bound on the coordinates it carries), and holds only the walk's path.
-count_borel_fixed returns the set too, for `classify --verify`, which
-lists the ideals.
+the depth-first walk without making the expansions that end it, and
+holds only the walk's path.  count_borel_fixed returns the set too, from
+the same pruned walk, for `classify --verify`, which lists the ideals.
 """
 
 from __future__ import annotations
@@ -192,8 +192,8 @@ def predict(coords: SchemeCoordinates) -> ClassificationVerdict:
 def count_borel_fixed(coords: SchemeCoordinates) -> tuple[int, frozenset[MonomialIdeal]]:
     """Enumerated count and ideal set, by the Reeves walk in the cell's
     characteristic: the saturated strongly stable ideals in characteristic
-    0, the saturated p-Borel ones in characteristic p.  The walk has no
-    size guard; the exhaustive search (exhaustive.enumerate_borel_fixed)
+    0, the saturated p-Borel ones in characteristic p.  The walk prunes
+    as the count does, and has no size guard; the exhaustive search (exhaustive.enumerate_borel_fixed)
     stays the independent engine it is checked against.  Callers that
     need only the count (verify_classification, explore_tree) call
     reeves.count_strongly_stable instead, which counts the expansions

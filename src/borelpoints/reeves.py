@@ -49,8 +49,10 @@ which it was built (see below), and its deficit s.
 An entry of deficit s > 0 is replaced by its expansions, each of
 deficit s - 1.  An entry of deficit 0 is an ideal of level j; below
 level d it is replaced by its lift, of deficit tau_{d-j-1} - h_{c+j+1},
-unless that is negative.  The depth of the walk is the sum of the
-deficits on a path, about k for k points, so it uses no recursion.
+unless that is negative.  Below level d no expansion or lift is made
+that is doomed to overshoot the next target (see "Pruning").  The
+depth of the walk is the sum of the deficits on a path, about k for k
+points, so it uses no recursion.
 
 The walk runs in every characteristic: in characteristic p > 0 it
 enumerates the saturated Borel-fixed (p-Borel) ideals, in
@@ -133,14 +135,16 @@ the start to the entry at hand and, for each entry on it, the
 expansions or the lift not yet walked, so a count's memory is bounded
 by the path, plus, in a walk whose Gotzmann number r is at least
 BLOCKER_LISTS_FROM, one blocker list per distinct generator key (see
-"Blocker lists").  enumeration_levels also keeps every ideal of every
-level.
+"Blocker lists").  enumeration_levels also keeps every ideal it
+reaches, of every level.
 
-Counting.  count_strongly_stable reads the size of the last level
-without making the expansions that end it.  Its ideals are the lifted
-entries of deficit 0, whose R is empty, and one expansion of an entry
-of deficit 1 at each of the entry's expandable generators g > last,
-whose R holds g.  By the argument above, no two of these are the same
+Counting.  count_strongly_stable walks the tree of enumeration_levels,
+pruned alike (see "Pruning"), and differs from it only in what it
+keeps: no level, and the size of the last level, read without making
+the expansions that end it.  Its ideals are the lifted entries of
+deficit 0, whose R is empty, and one expansion of an entry of deficit
+1 at each of the entry's expandable generators g > last, whose R holds
+g.  By the argument above, no two of these are the same
 ideal, none equals a lifted one, and every ideal of the level is one of
 them: an ideal with R(J) empty is lifted, and any other is built from
 its canonical parent, which is one expansion short.  So the count adds
@@ -153,11 +157,11 @@ expansions would meet.  A count with r at least BLOCKER_LISTS_FROM
 holds its path plus one blocker list per distinct generator key it
 tests, and nothing of either once it returns.
 
-Pruning.  The count also builds no entry below level d whose every
-completion to its level lifts with a negative deficit, which the walk
-would drop.  Take an entry of level j < d, with deficit s, coordinates
-h, and generators of degree at most D.  An expansion at a generator of
-degree a <= D lowers h_{c+j+1} by exactly a, the C(a, 1) term of
+Pruning.  No walk builds an entry below level d whose every completion
+to its level lifts with a negative deficit, which the walk would drop.
+Take an entry of level j < d, with deficit s, coordinates h, and
+generators of degree at most D.  An expansion at a generator of degree
+a <= D lowers h_{c+j+1} by exactly a, the C(a, 1) term of
 _expanded_coordinates, and the generators it adds, the g x_k, have
 degree a + 1, so those of the expansion have degree at most
 max(D, a + 1) <= D + 1.  So the s expansions that complete the entry
@@ -165,7 +169,7 @@ to an ideal of level j lower h_{c+j+1} by at most
 D + (D + 1) + ... + (D + s - 1) = s D + s (s - 1) / 2, and if
 h_{c+j+1} - s D - s (s - 1) / 2 > tau_{d-j-1}, every such ideal has
 h_{c+j+1} above tau_{d-j-1}, so its lift a negative deficit: the entry
-is doomed.  The count tests an expansion at g, of degree a, before
+is doomed.  The walk tests an expansion at g, of degree a, before
 building it or any of its coordinates, on the one coordinate the test
 reads, h_{c+j+1} - a, with its deficit s - 1 and the bound
 max(D, a + 1), D the degree of the last generator key, the top degree
@@ -173,17 +177,35 @@ of I (canonical order sorts by degree); and a lift to level j + 1 < d
 before making it, with its deficit and D, on h_{c+j+2} and
 tau_{d-j-2}.  So the walk builds coordinates only for the expansions it
 keeps, and at level d, where each expansion adds 1 to h_{c+d} alone,
-the expansions of one entry share one coordinate tuple.  At deficit 0
-the test is the lift's negative deficit itself, so those ideals of
-level j are not built either.  Every child of a doomed entry is
-doomed: an expansion, with t = s - 1, a <= D and a degree bound
-D' <= D + 1, has
+the expansions of one entry share one coordinate tuple.  Every child of
+a doomed entry is doomed: an expansion, with t = s - 1, a <= D and a
+degree bound D' <= D + 1, has
 h_{c+j+1} - a - t D' - t (t - 1) / 2 >= h_{c+j+1} - s D - s (s - 1) / 2,
-and a doomed entry of deficit 0 has no lift.  So the count skips
+and a doomed entry of deficit 0 has no lift.  So the walk skips
 exactly the doomed entries, none of which leads to an ideal of level d,
-and its number is unchanged.  The bound reads only tau, h and the top
-degree.  enumeration_levels keeps every ideal of every level, and does
-not prune.
+and the last level stays complete.  The bound reads
+only tau, h and the top degree.
+
+A lower level j < d keeps exactly the ideals of level j whose lift
+deficit tau_{d-j-1} - h_{c+j+1} is nonnegative, the ones the unpruned
+walk lifts.  Let I be an ideal of level j.
+- An expansion to deficit 0 is tested with t = 0, and
+  _completes(h_{c+j+1}, tau_{d-j-1}, 0, D) holds exactly when
+  h_{c+j+1} <= tau_{d-j-1}: the walk keeps it exactly when its lift
+  deficit is nonnegative.
+- A lift to level j + 1 < d that is already on target is tested the
+  same way, on h_{c+j+2} and tau_{d-j-2}, so the walk keeps it under
+  the same condition.  The start, pushed untested, is on target only
+  when tau_d = 1, one part equal to d, and its lift deficit is then
+  tau_{d-1} - 0, the number of parts equal to d - 1 (the part d adds
+  -C(0, 1) = 0 to it).  So no ideal with a negative lift deficit is
+  kept.
+- Conversely, let the lift deficit of I be nonnegative.  No entry on
+  the path to I in the unpruned walk is doomed: one of level j, I's
+  own included, has I among its completions, and one of a level i < j
+  the ideal of level i on the path, which that walk lifted, so neither
+  completion overshoots.  So the walk makes every entry of the path
+  and reaches I.
 
 Keys.  The walk holds each monomial as one integer key of a
 borel.KeyLayout made once per call for the N = n + 1 variables of the
@@ -197,8 +219,8 @@ The walk reads a degree as key >> B, B = N (w + 1), and last is the
 low part key & (2^B - 1) of the key of the generator the entry was
 built at, or 2^B for none, so that g > last in tuple order is
 low(g) < last.  The moves are borel._expandable_keys and
-borel._expand_keys, and only enumeration_levels decodes keys, each
-once per level, for the ideals it keeps.
+borel._expand_keys.  Keys are decoded only by enumeration_levels, once
+per ideal it keeps, and by _missed, for the ideal its error names.
 
 Blocker lists.  An expansion keeps every generator but the one it
 replaces, and a lift keeps every key, so a walk tests one generator key
@@ -332,12 +354,14 @@ def _search(
     level's ring, and last is the low part of the key of the generator
     the entry was built at, or lay.none (see "Keys").
 
-    With levels, a list of d + 1 dicts, add every ideal of level j to
-    levels[j], as its key tuple mapped to its coordinates.  Without,
-    count each entry of level d one expansion short by its expandable
-    generators instead of expanding it, and build no expansion or lift
-    below level d whose every completion overshoots the next level (see
-    "Pruning" in the module docstring).
+    Build no expansion or lift below level d whose every completion
+    overshoots the next level (see "Pruning" in the module docstring).
+    With levels, a list of d + 1 dicts, add every ideal of level j the
+    walk reaches to levels[j], as its key tuple mapped to its
+    coordinates: all of level d, and those of a lower level whose lift
+    deficit is nonnegative.  Without, count each entry of level d one
+    expansion short by its expandable generators instead of expanding
+    it.
 
     blockers, None or a dict that is empty or filled only by walks with
     the layout lay and characteristic ch, is passed to every call of
@@ -360,9 +384,7 @@ def _search(
                 continue
             s = tau[d - j - 1] - h[j + 1]
             if s >= 0 and (
-                levels is not None
-                or j + 1 == d
-                or _completes(h[j + 2], tau[d - j - 2], s, keys[-1] >> B)
+                j + 1 == d or _completes(h[j + 2], tau[d - j - 2], s, keys[-1] >> B)
             ):
                 stack.append((keys, h, lay.none, j + 1, s))
         elif s == 1 and j == d and levels is None:
@@ -370,7 +392,7 @@ def _search(
                 raise _missed(keys, c, j, lay)
             count += len(_expandable_keys(keys, last, c + j, lay, p, blockers))
         else:
-            prune = levels is None and j < d
+            prune = j < d
             if prune:
                 top, target, x = keys[-1] >> B, tau[d - j - 1], h[j + 1]
             h2 = None
@@ -404,9 +426,12 @@ def enumeration_levels(
     K[x_0, ..., x_n], as a dict from every ideal of the level to its
     coordinates h_c, ..., h_{c+d} (see the module docstring).
 
-    Level j holds the saturated Borel-fixed ideals whose Hilbert
-    polynomial is difference^(d-j)(partition), d = partition.degree.
-    The walk is depth first, so the levels are yielded once it ends.
+    Level d = partition.degree holds the saturated Borel-fixed ideals
+    with Hilbert polynomial partition.  A lower level j holds those with
+    polynomial difference^(d-j)(partition) whose lift deficit
+    tau_{d-j-1} - h_{c+j+1} is nonnegative, as the walk prunes the rest
+    (see "Pruning").  The walk is depth first, so the
+    levels are yielded once it ends.
     """
     stack, tau, lay, blockers = _start(partition, n)
     levels = [{} for _ in tau]
@@ -421,7 +446,8 @@ def enumerate_strongly_stable(
 ) -> frozenset[MonomialIdeal]:
     """All saturated Borel-fixed ideals in K[x_0, ..., x_n] with the given
     Hilbert polynomial in characteristic ch, as a canonical deduplicated
-    set: the strongly stable ones in characteristic 0, the default."""
+    set: the strongly stable ones in characteristic 0, the default.  The
+    last level of enumeration_levels, which the pruning leaves whole."""
     for level in enumeration_levels(partition, n, ch):
         pass
     return frozenset(level)
@@ -436,8 +462,7 @@ def count_strongly_stable(
     making the expansions that end the last level: the lifted ideals
     already on target, plus one ideal per expandable generator above last
     of each entry one expansion short (see "Counting" in the module
-    docstring).  It builds no expansion or lift below the last level
-    whose every completion must overshoot the next level's target (see
+    docstring).  It walks the pruned tree of enumeration_levels (see
     "Pruning")."""
     stack, tau, lay, blockers = _start(partition, n)
     return _search(stack, tau, ch, lay, None, blockers)

@@ -546,7 +546,8 @@ def reference_levels(partition, n, ch, built=None):
     target, ideals with a negative deficit are dropped, and
     reference_descend empties the buckets.  Returns the d + 1 levels as
     dicts from ideal to coordinates, as reeves.enumeration_levels yields
-    them, each ideal checked to meet its target; built, when given,
+    them in the walk with no pruning, each ideal checked to meet its
+    target (kept_levels gives the pruned walk's); built, when given,
     collects every distinct ideal the descents build."""
     d = partition.degree
     c = n - d
@@ -564,6 +565,98 @@ def reference_levels(partition, n, ch, built=None):
         assert all(h[j] == tau[d - j] for h in level.values()), (partition.parts, j)
         levels.append(level)
     return levels
+
+
+def kept_levels(levels, tau):
+    """The levels of reference_levels, with targets tau, as the pruned
+    walk keeps them: the last level in full, and each lower level j < d,
+    d = len(tau) - 1, with only the ideals whose lift deficit
+    tau_{d-j-1} - h_{c+j+1} is nonnegative (see "Pruning" in the reeves
+    module docstring)."""
+    d = len(tau) - 1
+    return [
+        level if j == d else {I: h for I, h in level.items() if tau[d - j - 1] >= h[j + 1]}
+        for j, level in enumerate(levels)
+    ]
+
+
+def partitions(k, most):
+    """The partitions of k into parts at most most, as nonincreasing
+    tuples."""
+    if k == 0:
+        yield ()
+        return
+    for first in range(min(k, most), 0, -1):
+        for rest in partitions(k - first, first):
+            yield (first,) + rest
+
+
+def plane_partitions(k, above):
+    """The plane partitions of k whose first row lies under the partition
+    above, part by part, as tuples of rows, each row a partition under
+    the one before it."""
+    if k == 0:
+        yield ()
+        return
+    for size in range(k, 0, -1):
+        for row in partitions(size, above[0]):
+            if len(row) <= len(above) and all(map(int.__le__, row, above)):
+                for rest in plane_partitions(k - size, row):
+                    yield (row,) + rest
+
+
+def staircase_corners(heights, dim):
+    """The corners of the nonempty order ideal of N^dim whose cells are
+    the (e, t) with t < heights[e], heights a dict from N^(dim-1) to
+    positive heights, nonincreasing along every axis: the minimal
+    elements of N^dim outside it, the exponents of the minimal
+    generators of the monomial ideal whose standard monomials it holds.
+    They are the (e, heights[e]), a height 0 off the dict, whose every
+    predecessor e - u_i is strictly higher; only the e of the dict and
+    their successors can be one."""
+    seeds = set(heights)
+    seeds |= {e[:i] + (e[i] + 1,) + e[i + 1 :] for e in heights for i in range(dim - 1)}
+    return sorted(
+        e + (heights.get(e, 0),)
+        for e in seeds
+        if all(
+            heights.get(e[:i] + (e[i] - 1,) + e[i + 1 :], 0) > heights.get(e, 0)
+            for i in range(dim - 1)
+            if e[i]
+        )
+    )
+
+
+def staircase_ideals(n, most):
+    """For k = 1, ..., most, the saturated monomial ideals of k points in
+    P^n, n = 2 or 3, whose generators have no x_n, one per order ideal of
+    size k in N^n: a partition for n = 2, a plane partition for n = 3.
+    The ideal in K[x_0, ..., x_n] has the corners of the order ideal,
+    which are minimal, as generators, in canonical order.  Yields
+    (k, ideals).  A saturated Borel-fixed ideal of
+    k points has no x_n in its generators, so in every characteristic
+    the ideals that pass is_borel_fixed are those the Reeves walk to k
+    points finds."""
+    for k in range(1, most + 1):
+        if n == 2:
+            staircases = [{(a,): x for a, x in enumerate(lam)} for lam in partitions(k, k)]
+        else:
+            staircases = [
+                {(a, b): x for a, row in enumerate(pp) for b, x in enumerate(row)}
+                for pp in plane_partitions(k, (k,) * k)
+            ]
+        yield k, [
+            MonomialIdeal(
+                n + 1,
+                tuple(
+                    sorted(
+                        (m + (0,) for m in staircase_corners(heights, n)),
+                        key=canonical_key,
+                    )
+                ),
+            )
+            for heights in staircases
+        ]
 
 
 def brute_contractions(J):
@@ -708,11 +801,12 @@ def reference_search(stack, tau, ch, levels=None):
     depth first, emptying it (see the reeves module docstring), and
     return the number of ideals of level d = len(tau) - 1 it reaches.
 
-    With levels, a list of d + 1 dicts, add every ideal of level j to
+    Build no expansion or lift below level d whose every completion
+    overshoots the next level (see "Pruning" there).  With levels, a list
+    of d + 1 dicts, add every ideal of level j the walk reaches to
     levels[j], mapped to its coordinates.  Without, count each entry of
     level d one expansion short by its expandable generators instead of
-    expanding it, and build no expansion or lift below level d whose
-    every completion overshoots the next level (see "Pruning" there).
+    expanding it.
     """
     d = len(tau) - 1
     count = 0
@@ -728,8 +822,7 @@ def reference_search(stack, tau, ch, levels=None):
                 continue
             s = tau[d - j - 1] - h[j + 1]
             if s >= 0 and (
-                levels is not None
-                or j + 1 == d
+                j + 1 == d
                 or _completes(h[j + 2], tau[d - j - 2], s, sum(ideal.gens[-1]))
             ):
                 stack.append((lift(ideal), h, (), j + 1, s))
@@ -738,13 +831,12 @@ def reference_search(stack, tau, ch, levels=None):
                 raise ValueError(f"{ideal} misses its level-{j} target")
             count += len(on_ideal(_expandable_keys, ideal, last, ch))
         else:
-            prune = levels is None and j < d
-            if prune:
+            if j < d:
                 top, target = sum(ideal.gens[-1]), tau[d - j - 1]
             for g in on_ideal(_expandable_keys, ideal, last, ch):
                 a = sum(g)
                 h2 = _expanded_coordinates(h, j, a)
-                if not prune or _completes(h2[j + 1], target, s - 1, max(top, a + 1)):
+                if j == d or _completes(h2[j + 1], target, s - 1, max(top, a + 1)):
                     J = on_ideal(_expand_keys, ideal, g, ch)
                     stack.append((J, h2, g, j, s - 1))
     return count

@@ -34,6 +34,7 @@ from conftest import (
     decode_entry,
     expanded_numerator,
     ideal,
+    kept_levels,
     lift,
     mini_grid,
     numerator_coordinates,
@@ -44,6 +45,7 @@ from conftest import (
     reference_search,
     reference_start,
     saturated_strongly_stable,
+    staircase_ideals,
     trim,
 )
 
@@ -245,6 +247,14 @@ def reference_entries(partition, n, ch=CHAR0, levels=None):
     return popped, count
 
 
+def keep_every_branch(m):
+    """Patch reeves._completes on the monkeypatch m to keep every branch,
+    so that the walk is the whole reverse-search tree, with no pruning:
+    every ideal of every level, each built once (see the reeves module
+    docstring)."""
+    m.setattr(reeves, "_completes", lambda x, target, t, top: True)
+
+
 class TestCarriedNumerators:
     # the walk carries each ideal's coordinates h_c, ..., h_{c+d}, the
     # coefficients of its Hilbert numerator in powers of 1 - t, from its
@@ -399,8 +409,9 @@ def peel_set(J, j):
 
 class TestCanonicalParent:
     # the walk expands each ideal only at generators above the one it was
-    # built at; it must give the levels of the deduplicating descent and
-    # build each of their ideals once, in every characteristic
+    # built at; with no pruning it must give the levels of the
+    # deduplicating descent and build each of their ideals once, in every
+    # characteristic
     def test_same_levels_as_dedupe_descent_each_built_once(self, monkeypatch):
         # up to 18 points in P^4 in characteristic 0, and up to 14 in
         # characteristic p, whose moves are slower
@@ -414,6 +425,7 @@ class TestCanonicalParent:
             for partition, n in cells:
                 built.clear()
                 with monkeypatch.context() as m:
+                    keep_every_branch(m)
                     m.setattr(reeves, "_expand_keys", recording_expand_keys(built))
                     levels = list(enumeration_levels(partition, n, ch))
                 visited = set()
@@ -604,6 +616,45 @@ class TestCharacteristicP:
             ) == enumerate_strongly_stable(partition, n), (partition.parts, n, p)
 
 
+def distinct_part_counts(most):
+    """For k = 0, ..., most, the number of partitions of k into distinct
+    parts, the coefficients of prod_i (1 + t^i)."""
+    q = [1] + [0] * most
+    for i in range(1, most + 1):
+        for k in range(most, i - 1, -1):
+            q[k] += q[k - i]
+    return q
+
+
+class TestStaircases:
+    # an engine independent of the walk, past the oracle's window: every
+    # saturated monomial ideal of k points in P^n with no x_n in its
+    # generators is given by an order ideal of size k in N^n, and the
+    # Borel-fixed ones are those is_borel_fixed accepts, a test the walk
+    # never makes
+
+    @pytest.mark.parametrize("n, most, last", [(2, 30, 5604), (3, 12, 1479)])
+    def test_walk_finds_the_borel_fixed_staircases(self, n, most, last):
+        # last is the number of partitions of 30, or of plane partitions
+        # of 12
+        for k, ideals in staircase_ideals(n, most):
+            assert len(set(ideals)) == len(ideals), k
+            partition = GotzmannPartition((0,) * k)
+            for p in (0, 2, 3, 5, 7):
+                ch = Characteristic(p)
+                found = enumerate_strongly_stable(partition, n, ch)
+                assert found == {I for I in ideals if is_borel_fixed(I, ch)}, (k, p)
+        assert len(ideals) == last
+
+    def test_points_in_the_plane_count_distinct_part_partitions(self):
+        # in characteristic 0 a staircase in P^2 is strongly stable
+        # exactly when its columns have distinct heights
+        distinct = distinct_part_counts(30)
+        assert distinct[30] == 296
+        for k in range(1, 31):
+            assert count_strongly_stable(GotzmannPartition((0,) * k), 2) == distinct[k], k
+
+
 class TestCount:
     # count_strongly_stable runs the walk but does not expand the entries
     # of the last level one expansion short: it counts their expandable
@@ -667,8 +718,8 @@ class TestCount:
         with pytest.raises(ValueError, match="misses its level-0 target"):
             count_strongly_stable(partition, n)
 
-    def test_makes_no_expansion_into_the_last_level(self):
-        # the count walks every entry the enumeration walks except the
+    def test_makes_no_expansion_into_the_last_level(self, monkeypatch):
+        # the count walks every entry of the unpruned tree except the
         # expansions that end the last level, the ones it counts, and the
         # doomed entries: those of level j < d and deficit s with
         # h_{c+j+1} - s D - s (s - 1) / 2 > tau_{d-j-1}, where D bounds the
@@ -688,7 +739,9 @@ class TestCount:
             for partition, n in cells:
                 cell = (partition.parts, n, p)
                 d, tau = partition.degree, partition.coordinates()
-                entries, levels = walk_entries(partition, n, ch)
+                with monkeypatch.context() as m:
+                    keep_every_branch(m)
+                    entries, levels = walk_entries(partition, n, ch)
                 parents, doomed = {}, set()
                 for I, h, last, j, s in entries:
                     parent = parents[I] = walk_parent(I, last)
@@ -745,24 +798,25 @@ class TestCount:
     @pytest.mark.parametrize("p", [0, 2, 3])
     def test_equals_enumeration_in_codim_4_degree_4(self, p, monkeypatch):
         # degree 4, codimension 4, Gotzmann number <= 8: the count equals
-        # the enumeration on every cell, makes no expansion the enumeration
-        # does not, and on most cells makes fewer than the enumeration's
-        # outside the last level
+        # the enumeration on every cell, and the two walk one pruned tree:
+        # the count builds exactly the ideals the enumeration builds but
+        # its output, the expansions that end the last level, each once
         built = []
         monkeypatch.setattr(reeves, "_expand_keys", recording_expand_keys(built))
         ch = Characteristic(p)
         cells = [GotzmannPartition(q) for q in partitions_up_to(8, 4) if q[0] == 4]
         assert len(cells) == 792
-        fired = 0
+        counted = 0
         for partition in cells:
             built.clear()
             found = enumerate_strongly_stable(partition, 8, ch)
             walked = set(built) - found
             built.clear()
             assert count_strongly_stable(partition, 8, ch) == len(found), partition.parts
-            assert set(built) <= walked, partition.parts
-            fired += len(built) < len(walked)
-        assert fired > len(cells) // 2, fired
+            assert len(built) == len(set(built)), partition.parts
+            assert set(built) == walked, partition.parts
+            counted += len(built)
+        assert counted
 
 
 def walk_parent(J, last):
@@ -785,18 +839,27 @@ def frame_depth():
 
 class TestWalkShape:
     # the walk is depth first: it gives the levels of the level-by-level
-    # reference walk, a count holds only its path, and it does not recurse
+    # reference walk, the lower ones pruned, a count holds only its path,
+    # and it does not recurse
 
     def test_equals_reference_on_default_grid(self):
+        # the last level in full, and each lower level j < d with exactly
+        # the ideals whose lift deficit tau_{d-j-1} - h_{c+j+1} is >= 0,
+        # coordinates included (see "Pruning" in the reeves docstring)
         cells = default_grid()
         assert len(cells) == 468
+        dropped = 0
         for c in cells:
             reference = reference_levels(c.partition, c.n, c.char)
+            kept = kept_levels(reference, c.partition.coordinates())
             cell = (c.partition.parts, c.n, c.char.value)
-            assert list(enumeration_levels(c.partition, c.n, c.char)) == reference, cell
+            assert list(enumeration_levels(c.partition, c.n, c.char)) == kept, cell
+            assert kept[-1] == reference[-1], cell
+            dropped += sum(map(len, reference)) - sum(map(len, kept))
             assert count_strongly_stable(c.partition, c.n, c.char) == len(
                 reference[-1]
             ), cell
+        assert dropped
 
     @pytest.mark.parametrize("p", [0, 2, 3])
     def test_equals_reference_on_points_in_p4(self, p):
@@ -804,14 +867,16 @@ class TestWalkShape:
         for k in range(1, 17):
             partition = GotzmannPartition((0,) * k)
             reference = reference_levels(partition, 4, ch)
-            assert list(enumeration_levels(partition, 4, ch)) == reference, k
+            kept = kept_levels(reference, partition.coordinates())
+            assert list(enumeration_levels(partition, 4, ch)) == kept, k
             assert count_strongly_stable(partition, 4, ch) == len(reference[0]), k
 
     @pytest.mark.parametrize("p", [0, 2, 3])
     def test_pops_the_reference_entries(self, p):
         # the walk on keys pops the entries of the walk on MonomialIdeal
         # values in conftest, decoded, in the same order, and collects
-        # the same levels, insertion order included; so does the count
+        # the same levels, insertion order included; so does the count.
+        # Both prune, so no doomed entry is popped
         ch = Characteristic(p)
         cells = mini_grid() + [(GotzmannPartition((0,) * k), 4) for k in range(1, 17)]
         popped = 0
